@@ -33,8 +33,7 @@ def write_profile_csv(
     axis = np.asarray(axis, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     lines = [f"{axis_label},{value_label}"]
-    for a, v in zip(axis, values):
-        lines.append(f"{fmt17(a)},{fmt17(v)}")
+    lines.extend("%.17g,%.17g" % pair for pair in zip(axis.tolist(), values.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -61,9 +60,11 @@ def write_matrix_csv(
             f"({len(row_axis)}, {len(col_axis)})"
         )
     header = f"{row_label}\\{col_label}," + ",".join(fmt17(c) for c in col_axis)
+    # one format string per row: "%.17g" prints exactly what fmt17 does
+    row_format = "%.17g," + ",".join(["%.17g"] * matrix.shape[1])
     lines = [header]
-    for r, row in zip(row_axis, matrix):
-        lines.append(fmt17(r) + "," + ",".join(fmt17(v) for v in row))
+    for r, row in zip(np.asarray(row_axis, dtype=np.float64).tolist(), matrix.tolist()):
+        lines.append(row_format % (r, *row))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

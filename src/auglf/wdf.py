@@ -11,6 +11,15 @@ oversampling), which keeps the usable frequency band at the field's
 full Nyquist width instead of half of it.  The lag-to-frequency sum is
 evaluated with a chirp transform at exactly the grid's angle nodes;
 tests pin it against a naive direct-sum oracle.
+
+The chirp-z transform (Bluestein's algorithm; Rabiner, Schafer & Rader,
+Bell Syst. Tech. J. 48, 1969), the Fourier upsampling and the Tukey
+window are written here on top of ``scipy.fft`` rather than taken from
+SciPy's signal package: importing that package also loads ``scipy.stats``
+and costs about a second of start-up on every run, whether or not a
+Wigner transform is computed.  The chirps are built once per table.
+Each helper follows SciPy's order of operations, so results are bitwise
+the same; tests pin them to SciPy.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample, zoom_fft
-from scipy.signal.windows import tukey
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import fft, ifft, next_fast_len
 
 from .core import (
     AugmentedLightField,
@@ -88,10 +97,67 @@ class WdfOptions:
             )
 
 
+def _tukey(m: int, alpha: float) -> np.ndarray:
+    """Symmetric Tukey (tapered cosine) window of m points, 0 < alpha < 1."""
+    if m <= 1:
+        return np.ones(m)
+    n = np.arange(0, m, dtype=np.float64)
+    width = int(np.floor(alpha * (m - 1) / 2.0))
+    n1 = n[0:width + 1]
+    n3 = n[m - width - 1:]
+    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (m - 1))))
+    w2 = np.ones(m - 2 * width - 2)
+    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (m - 1))))
+    return np.concatenate((w1, w2, w3))
+
+
+def _upsample(x: np.ndarray, num: int) -> np.ndarray:
+    """Band-limited Fourier upsampling of complex x to num > len samples on the last axis.
+
+    An even-length input's Nyquist bin is split in half between the
+    positive and negative frequency, which keeps real signals real.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
+    spec = fft(x)
+    out = np.zeros(x.shape[:-1] + (num,), dtype=spec.dtype)
+    half = n // 2 + 1
+    out[..., :half] = spec[..., :half]
+    if half < n:
+        out[..., half - n:] = spec[..., half - n:]
+    if n % 2 == 0:
+        out[..., n // 2] /= 2
+        out[..., num - n // 2] = out[..., n // 2]
+    return ifft(out / (n / num), n=num, overwrite_x=True)
+
+
+class _ZoomDft:
+    """DFT of length-n rows at m frequencies f1 .. f2 inclusive, sample rate fs.
+
+    Bluestein's chirp-z algorithm: the chirps and the transformed filter
+    are built once, then each call costs two FFTs of a fast length.
+    """
+
+    def __init__(self, n: int, f1: float, f2: float, m: int, fs: float):
+        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+        scale = ((f2 - f1) * m) / (fs * (m - 1))
+        wk2 = np.exp(-(1j * np.pi * scale * k**2) / m)
+        ak = np.exp(-2j * np.pi * f1 / fs * k[:n])
+        self._awk2 = ak * wk2[:n]
+        self._nfft = next_fast_len(n + m - 1)
+        self._fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), self._nfft)
+        self._wk2 = wk2[:m]
+        self._out = slice(n - 1, n + m - 1)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = ifft(self._fwk2 * fft(x * self._awk2, self._nfft))
+        return y[..., self._out] * self._wk2
+
+
 def _apodized(samples: np.ndarray, window: str) -> np.ndarray:
     if window == "none":
         return samples
-    return samples * tukey(len(samples), alpha=2 * EDGE_TAPER_FRACTION)
+    return samples * _tukey(len(samples), 2 * EDGE_TAPER_FRACTION)
 
 
 def wigner_table(
@@ -143,37 +209,50 @@ def wigner_table(
                 f"fine_samples must have shape ({m_total},), got {gf.shape}"
             )
         if options.window != "none":
-            gf = gf * tukey(m_total, alpha=2 * EDGE_TAPER_FRACTION)
+            gf = gf * _tukey(m_total, 2 * EDGE_TAPER_FRACTION)
     elif options.interpolation == "none":
         gf = np.zeros(m_total, dtype=np.complex128)
         gf[::factor] = g
     else:
-        gf = resample(g, m_total)
+        gf = _upsample(g, m_total)
     ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
     k_half = m_total // 2
-    lags = np.arange(-k_half, k_half + 1)
+    n_lags = 2 * k_half + 1
+    periodic = options.boundary == "periodic"
+    # Lag l of row q pairs gf[q + l] with conj(gf[q - l]).  For a block of
+    # rows both factors are strided windows, over `source` and over its
+    # conjugated mirror; `source` holds gf at `off`, between zero pads or,
+    # for periodic wrap, between two copies of itself.
+    if periodic:
+        source, off = np.concatenate((gf, gf, gf)), m_total
+    else:
+        pad = np.zeros(k_half, dtype=np.complex128)
+        source, off = np.concatenate((pad, gf, pad)), k_half
+    forward = sliding_window_view(source, n_lags)
+    backward = sliding_window_view(np.conj(source[::-1]), n_lags)
+    first_back = len(source) - 1 - off - k_half
+    lag_reach = np.abs(np.arange(-k_half, k_half + 1))
 
     out = np.empty((n, n_u))
     worst_imag = 0.0
     peak_real = 0.0
-    # phase correction: zoom_fft indexes the lag array from 0, the lag
-    # values start at -k_half * ds
+    # phase correction: the chirp transform indexes the lag array from 0,
+    # the lag values start at -k_half * ds
     u_nodes = u_start + du * np.arange(n_u)
     unshift = np.exp(2j * np.pi * u_nodes * (k_half * ds))
+    zoom = _ZoomDft(n_lags, u_nodes[0], u_nodes[-1], n_u, 1.0 / ds)
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
-        rows = np.arange(lo, hi)
-        qi = factor * rows[:, None]
-        ia = qi + lags[None, :]
-        ib = qi - lags[None, :]
-        if options.boundary == "periodic":
-            corr = gf[np.mod(ia, m_total)] * np.conj(gf[np.mod(ib, m_total)])
+        q = factor * lo
+        corr = forward[off - k_half + q::factor][:hi - lo] * backward[first_back - q::-factor][:hi - lo]
+        if periodic:
             corr[:, 0] *= 0.5
             corr[:, -1] *= 0.5
         else:
-            valid = (ia >= 0) & (ia < m_total) & (ib >= 0) & (ib < m_total)
-            corr = np.where(valid, gf[np.clip(ia, 0, m_total - 1)] * np.conj(gf[np.clip(ib, 0, m_total - 1)]), 0.0)
-        spec = zoom_fft(corr, [u_nodes[0], u_nodes[-1]], m=n_u, fs=1.0 / ds, endpoint=True, axis=-1)
+            # lags that reach past either end of the field are zero
+            rows = factor * np.arange(lo, hi)[:, None]
+            corr[lag_reach > np.minimum(rows, m_total - 1 - rows)] = 0.0
+        spec = zoom(corr)
         spec *= unshift * ds
         worst_imag = max(worst_imag, float(np.abs(spec.imag).max()))
         block = spec.real

@@ -53,6 +53,36 @@ def test_matrix_csv_round_trip(tmp_path):
         write_matrix_csv(p, rows, cols, m.T)
 
 
+def _special_matrix():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, -1.2345678901234567e-300]
+    m = rng.normal(size=(6, 9)) * 10.0 ** rng.integers(-300, 300, size=(6, 9))
+    m.flat[: len(special)] = special
+    m[-1, -len(special):] = special
+    return m
+
+
+def test_matrix_csv_bytes_match_per_value_formatting(tmp_path):
+    m = _special_matrix()
+    rows = np.array([-0.0, 1e-3, np.nan, 5e-324, 1e16, -np.inf])
+    cols = np.linspace(-2, 2, m.shape[1])
+    p = tmp_path / "matrix.csv"
+    write_matrix_csv(str(p), rows, cols, m)
+    lines = ["x_m\\theta_rad," + ",".join(fmt17(c) for c in cols)]
+    for r, row in zip(rows, m):
+        lines.append(fmt17(r) + "," + ",".join(fmt17(v) for v in row))
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_profile_csv_bytes_match_per_value_formatting(tmp_path):
+    m = _special_matrix()
+    axis, values = m[:, :5].ravel(), m[:, 4:].ravel()[::-1]
+    p = tmp_path / "profile.csv"
+    write_profile_csv(str(p), axis, values)
+    lines = ["x_m,intensity"] + [f"{fmt17(a)},{fmt17(v)}" for a, v in zip(axis, values)]
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_diverging_colors():
     m = np.array([[0.0, 1.0, -1.0, 0.5]])
     rgb = diverging_rgb(m)

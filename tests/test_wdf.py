@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.signal import resample, zoom_fft
+from scipy.signal.windows import tukey
 
 from auglf import (
     BandwidthWarning,
@@ -13,7 +18,7 @@ from auglf import (
     project_intensity,
     wdf_from_field,
 )
-from auglf.wdf import wigner_table
+from auglf.wdf import _tukey, _upsample, _ZoomDft, wigner_table
 
 from oracles import (
     gaussian_wigner,
@@ -211,3 +216,100 @@ def test_fine_samples_shape_checked():
             WdfOptions(),
             fine_samples=np.ones(64),
         )
+
+
+# The in-house signal helpers must reproduce scipy.signal bit for bit, so
+# outputs stay byte-identical with the ones computed through scipy.signal.
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 10, 11, 2048, 2049])
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9])
+def test_tukey_matches_scipy(m, alpha):
+    assert np.array_equal(_tukey(m, alpha), tukey(m, alpha))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 1024])
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_upsample_matches_scipy_resample(n, factor):
+    rng = np.random.default_rng(n * factor)
+    x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    assert np.array_equal(_upsample(x, factor * n), resample(x, factor * n, axis=-1))
+    assert np.array_equal(_upsample(x[1], factor * n), resample(x[1], factor * n))
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 3), (3, 100), (64, 9), (257, 256), (2049, 2048), (4097, 2048)])
+def test_zoom_dft_matches_scipy_zoom_fft(n, m):
+    rng = np.random.default_rng(n + m)
+    x = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    f1, f2, fs = np.float64(-1234.5), np.float64(987.25), 1.0 / 3.3e-7
+    zoom = _ZoomDft(n, f1, f2, m, fs)
+    expect = zoom_fft(x, [f1, f2], m=m, fs=fs, endpoint=True, axis=-1)
+    assert np.array_equal(zoom(x), expect)
+    assert np.array_equal(zoom(x[2]), expect[2])
+
+
+def test_zoom_dft_matches_direct_dft():
+    rng = np.random.default_rng(3)
+    n, m, fs = 33, 17, 2.0e5
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    f = np.linspace(-4.0e4, 7.0e4, m)
+    direct = np.exp(-2j * np.pi * f[:, None] * np.arange(n)[None, :] / fs) @ x
+    np.testing.assert_allclose(_ZoomDft(n, f[0], f[-1], m, fs)(x), direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+
+
+def _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options):
+    """wigner_table's arithmetic with the lag products gathered by index
+    arrays and the signal steps taken from scipy.signal."""
+    factor = 2 * options.oversample_factor
+    m_total = factor * grid.x_samples
+    g = np.asarray(samples, dtype=complex)
+    if options.window != "none":
+        g = g * tukey(len(g), 0.2)
+    gf = resample(g, m_total)
+    ds = 2.0 * grid.dx / factor
+    k_half = m_total // 2
+    lags = np.arange(-k_half, k_half + 1)
+    qi = factor * np.arange(grid.x_samples)[:, None]
+    ia, ib = qi + lags, qi - lags
+    if options.boundary == "periodic":
+        corr = gf[np.mod(ia, m_total)] * np.conj(gf[np.mod(ib, m_total)])
+        corr[:, 0] *= 0.5
+        corr[:, -1] *= 0.5
+    else:
+        valid = (ia >= 0) & (ia < m_total) & (ib >= 0) & (ib < m_total)
+        corr = np.where(valid, gf[np.clip(ia, 0, m_total - 1)] * np.conj(gf[np.clip(ib, 0, m_total - 1)]), 0.0)
+    u_nodes = u_start + du * np.arange(n_u)
+    spec = zoom_fft(corr, [u_nodes[0], u_nodes[-1]], m=n_u, fs=1.0 / ds, endpoint=True, axis=-1)
+    spec *= np.exp(2j * np.pi * u_nodes * (k_half * ds)) * ds
+    return spec.real
+
+
+@pytest.mark.parametrize("n", [33, 64])
+@pytest.mark.parametrize(
+    "options",
+    [
+        WdfOptions(),
+        WdfOptions(boundary="periodic"),
+        WdfOptions(window="raised-cosine", oversample_factor=2),
+        WdfOptions(boundary="periodic", oversample_factor=4),
+    ],
+)
+def test_wigner_table_bitwise_equals_scipy_signal_path(n, options):
+    g = make_grid(n, n * 2e-5, n, 0.9 * LAM / 2e-5, LAM)
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    u = g.u_axis()
+    table, _ = wigner_table(g, samples, float(u[0]), float(u[1] - u[0]), n, options, chunk_rows=7)
+    assert np.array_equal(table, _wigner_table_via_scipy(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    # scipy.signal (which loads scipy.stats) costs about a second of import;
+    # nothing on the package's import path may bring it back
+    code = (
+        "import sys, auglf, auglf.cli\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
