@@ -94,14 +94,15 @@ def diverging_rgb(matrix: np.ndarray, vmax: Optional[float] = None) -> np.ndarra
     t = np.clip(matrix / vmax, -1.0, 1.0)
     pos = np.clip(t, 0.0, 1.0)
     neg = np.clip(-t, 0.0, 1.0)
-    rgb = np.empty(matrix.shape + (3,), dtype=np.float64)
+    rgb = np.empty(matrix.shape + (3,), dtype=np.uint8)
     for c in range(3):
-        rgb[..., c] = (
+        channel = (
             ZERO_RGB[c]
             + pos * (POSITIVE_RGB[c] - ZERO_RGB[c])
             + neg * (NEGATIVE_RGB[c] - ZERO_RGB[c])
         )
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+        rgb[..., c] = np.clip(np.rint(channel, out=channel), 0, 255, out=channel)
+    return rgb
 
 
 def write_heatmap(

@@ -82,7 +82,7 @@ def shear_propagate(
 
     meta = dict(alf.meta)
     meta["truncation_loss"] = loss
-    out = AugmentedLightField(grid, np.ascontiguousarray(out_rows.T), meta)
+    out = AugmentedLightField(grid, out_rows.T, meta)
     return out, loss
 
 

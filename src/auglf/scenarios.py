@@ -301,8 +301,9 @@ def trace_train(
         if isinstance(stage, Propagate):
             alf, loss = shear_propagate(alf, stage.distance, interp=options.interp)
         else:
-            kernel = canonical_transformer(stage.spec, grid, options.wdf_options)
-            alf = apply_transformer(alf, kernel)
+            alf = apply_transformer(
+                alf, canonical_transformer(stage.spec, grid, options.wdf_options)
+            )
             loss = alf.meta.get("theta_leak_fraction", 0.0)
         if loss > options.abort_loss:
             raise ScenarioAbortError(

@@ -9,6 +9,12 @@ kernel is a linear convolution along the angle axis.
 
 Kernels are real but not necessarily positive; negative lobes carry the
 interference structure of coherent elements.
+
+Rows of a convolution are independent, so kernels are applied and composed
+a block of rows at a time (``_row_convolutions``).  Besides its inputs and
+its result, a dense apply holds only one block's spectra and products, about
+2 MiB whatever the grid, and gives the same bits as transforming whole
+arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ _BESSEL_FLOOR = 1e-14
 
 # Default cap on dense position-dependent kernels (bytes).
 GENERAL_KERNEL_BYTE_BUDGET = 1 << 28
+
+# Spectrum bytes per block of the row-blocked convolutions; rows per block
+# follow from the transform length.
+_BLOCK_BYTES = 1 << 20
 
 
 def _relative_axis(grid: PhaseSpaceGrid) -> np.ndarray:
@@ -190,10 +200,11 @@ def canonical_transformer(
     dax = _relative_axis(grid)
     x = grid.x_axis()
     lam = grid.wavelength
-    kernel = np.zeros((grid.x_samples, 2 * n - 1))
+    shape = (grid.x_samples, 2 * n - 1)
     meta: dict = {}
 
     if isinstance(spec, Pinhole):
+        kernel = np.zeros(shape)
         i0 = grid.x_index(spec.position)
         kernel[i0, :] = 1.0 / (lam * grid.dx)
         label = "pinhole"
@@ -202,6 +213,7 @@ def canonical_transformer(
         ia = grid.x_index(spec.a)
         ib = grid.x_index(spec.b)
         im = grid.x_index(0.5 * (spec.a + spec.b))
+        kernel = np.zeros(shape)
         kernel[ia, :] += 1.0 / (lam * grid.dx)
         kernel[ib, :] += 1.0 / (lam * grid.dx)
         kernel[im, :] += 2.0 * np.cos(2.0 * np.pi * (spec.a - spec.b) * dax / lam) / (
@@ -233,6 +245,7 @@ def canonical_transformer(
             [0.0, 0.5 * lam / p, -0.5 * lam / p, lam / p, -lam / p]
         )
         weights = np.stack([dc, half_order, half_order, full_order, full_order])
+        kernel = np.zeros(shape)
         clipped = _deposit_rows(kernel, grid, orders, weights, "amplitude_grating")
         meta["clipped_weight"] = clipped
         label = "amplitude_grating"
@@ -242,6 +255,7 @@ def canonical_transformer(
         # Outgoing deflection orders s sit at lam*s/(2p); the profile of order
         # s sums harmonic terms J_{s-n} J_n exp(i 2 pi (s - 2 n) x / p).
         m_max = ks[-1]
+        kernel = np.zeros(shape)
         clipped_total = 0.0
         for s in range(-2 * m_max, 2 * m_max + 1):
             ns = ks[(np.abs(s - ks) <= m_max)]
@@ -272,6 +286,7 @@ def canonical_transformer(
 
     elif isinstance(spec, Hologram):
         d = spec.source_distance
+        kernel = np.zeros(shape)
         if spec.width is None:
             # unbounded plate: each chirp is a sharp deflection ridge
             for sign in (+1.0, -1.0):
@@ -357,11 +372,33 @@ def transformer_from_transmittance(
         options=options,
         fine_samples=fine_samples,
     )
+    table /= grid.wavelength
     return LightFieldTransformer(
         grid,
-        table / grid.wavelength,
+        table,
         {"element": "numeric", "wdf_options": options, "imag_residue": residue},
     )
+
+
+def _block_rows(nfft: int) -> int:
+    """Rows per block whose spectra of length ``nfft`` fill ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (16 * (nfft // 2 + 1)))
+
+
+def _row_convolutions(a: np.ndarray, b: np.ndarray, nfft: int, keep: int):
+    """Linear convolutions of matching rows of ``a`` and ``b``, block by block.
+
+    Yields ``(rows, full)``: the slice of rows covered and their first
+    ``keep`` convolution samples, computed through transforms of length
+    ``nfft``.  Every row is transformed on its own, so the values equal
+    those of transforming the whole arrays at once.
+    """
+    step = _block_rows(nfft)
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        spec = rfft(a[rows], nfft, axis=1)
+        spec *= rfft(b[rows], nfft, axis=1)
+        yield rows, irfft(spec, nfft, axis=1)[:, :keep]
 
 
 def compose_transformers(
@@ -380,18 +417,14 @@ def compose_transformers(
     grid = first.grid
     n = grid.theta_samples
     width = 2 * n - 1
-    nfft = next_fast_len(2 * width - 1)
-    fa = rfft(first.kernel, nfft, axis=1)
-    fb = rfft(second.kernel, nfft, axis=1)
-    full = irfft(fa * fb, nfft, axis=1)[:, : 2 * width - 1]
     # full convolution length 4n-3; the shared axis sits centred on it
     lo = width - 1 - (n - 1)
-    kernel = full[:, lo : lo + width] * grid.dtheta
-    return LightFieldTransformer(
-        grid,
-        np.ascontiguousarray(kernel),
-        {"element": "composite"},
-    )
+    kernel = np.empty_like(first.kernel)
+    for rows, full in _row_convolutions(
+        first.kernel, second.kernel, next_fast_len(2 * width - 1), 2 * width - 1
+    ):
+        kernel[rows] = full[:, lo : lo + width] * grid.dtheta
+    return LightFieldTransformer(grid, kernel, {"element": "composite"})
 
 
 def apply_transformer(
@@ -403,6 +436,10 @@ def apply_transformer(
     Radiance redistributed beyond the angular window is dropped; the dropped
     share is reported in ``meta['theta_leak']`` (absolute signed content) and
     ``meta['theta_leak_fraction']``.
+
+    Rows are convolved a block at a time straight into the result, so the
+    working memory beyond the input and output radiance is one block's
+    spectra and products: about 2 MiB, independent of the grid.
     """
     grid = alf.grid
     if transformer.grid != grid:
@@ -411,20 +448,23 @@ def apply_transformer(
         )
     n = grid.theta_samples
     full_len = 3 * n - 2
-    m = next_fast_len(full_len)
-    spec_k = rfft(transformer.kernel, m, axis=1)
-    spec_l = rfft(alf.radiance, m, axis=1)
-    full = irfft(spec_k * spec_l, m, axis=1)[:, :full_len] * grid.dtheta
-    out = full[:, n - 1 : 2 * n - 1]
-    leak_rows = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
-    total_in = np.abs(full.sum(axis=1))
+    out = np.empty_like(alf.radiance)
+    leak_rows = np.empty(grid.x_samples)
+    total_in = np.empty(grid.x_samples)
+    for rows, full in _row_convolutions(
+        transformer.kernel, alf.radiance, next_fast_len(full_len), full_len
+    ):
+        full = full * grid.dtheta
+        out[rows] = full[:, n - 1 : 2 * n - 1]
+        leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
+        total_in[rows] = np.abs(full.sum(axis=1))
     denom = float(total_in.sum())
     leak = float(leak_rows.sum()) * grid.dtheta * grid.dx
     frac = float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0
     meta = dict(alf.meta)
     meta["theta_leak"] = leak
     meta["theta_leak_fraction"] = frac
-    return AugmentedLightField(grid, np.ascontiguousarray(out), meta)
+    return AugmentedLightField(grid, out, meta)
 
 
 def apply_shield_field(

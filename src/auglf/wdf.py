@@ -309,7 +309,8 @@ def wdf_from_field(field: ComplexField, options: WdfOptions = WdfOptions()) -> A
         "wdf_options": (options.oversample_factor, options.window, options.boundary, options.interpolation),
         "imag_residue": residue,
     }
-    return AugmentedLightField(grid, w / grid.wavelength, meta)
+    w /= grid.wavelength
+    return AugmentedLightField(grid, w, meta)
 
 
 def _deposit_column(radiance: np.ndarray, grid: PhaseSpaceGrid, x0: float, profile) -> None:

@@ -81,6 +81,14 @@ def test_containers_validate_and_freeze():
         AugmentedLightField(g, np.zeros((8, 16)))
 
 
+def test_radiance_is_stored_c_contiguous():
+    g = make_grid(16, 1e-3, 8, 0.01, 633e-9)
+    a = np.arange(128.0).reshape(8, 16)
+    alf = AugmentedLightField(g, a.T)
+    assert alf.radiance.flags.c_contiguous
+    assert np.array_equal(alf.radiance, a.T)
+
+
 def test_total_power_and_energy():
     g = make_grid(16, 1.6, 8, 0.08, 633e-9)
     f = ComplexField(g, np.full(16, 2.0))

@@ -94,6 +94,48 @@ def test_diverging_colors():
     assert np.all(flat == ZERO_RGB[0])
 
 
+def float_cube_rgb(matrix, vmax=None):
+    """Reference heatmap colours: a float64 RGB cube, rounded, clipped, cast."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if vmax is None:
+        vmax = float(np.abs(matrix).max())
+    if vmax <= 0.0:
+        return np.full(matrix.shape + (3,), ZERO_RGB[0], dtype=np.uint8)
+    t = np.clip(matrix / vmax, -1.0, 1.0)
+    pos = np.clip(t, 0.0, 1.0)
+    neg = np.clip(-t, 0.0, 1.0)
+    rgb = np.empty(matrix.shape + (3,), dtype=np.float64)
+    for c in range(3):
+        rgb[..., c] = (
+            ZERO_RGB[c]
+            + pos * (POSITIVE_RGB[c] - ZERO_RGB[c])
+            + neg * (NEGATIVE_RGB[c] - ZERO_RGB[c])
+        )
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+
+
+def test_diverging_rgb_bytes_match_float_cube():
+    # |t| = j / 256 with odd j puts the green channel, and the red or blue
+    # one of the opposite sign, on an exact .5 tie: 128 - 128 |t| = 128 - j / 2
+    ties = np.arange(-255, 256, 2) / 256.0
+    special = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.5, -7.0, 1e-300])
+    values = np.concatenate([ties, special])
+    rng = np.random.default_rng(3)
+    cases = [
+        (values.reshape(1, -1), 1.0),
+        (values.reshape(-1, 1), None),
+        (rng.normal(size=(17, 9)), None),
+        (rng.normal(size=(4, 5)), 0.25),
+        (np.zeros((3, 4)), None),
+        (np.array([[-0.0, 0.0]]), None),
+    ]
+    for matrix, vmax in cases:
+        got = diverging_rgb(matrix, vmax)
+        want = float_cube_rgb(matrix, vmax)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_heatmap_bytes_and_sidecar(tmp_path):
     m = np.zeros((4, 3))
     m[1, 2] = 2.0  # position index 1, most positive angle

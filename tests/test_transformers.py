@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 
 from auglf import (
     AmplitudeGrating,
@@ -9,7 +12,9 @@ from auglf import (
     ComplexField,
     InvalidConfigurationError,
     Lens,
+    LightFieldTransformer,
     PhaseGrating,
+    PhaseSpaceGrid,
     Pinhole,
     Prism,
     TwoPinholes,
@@ -23,6 +28,7 @@ from auglf import (
     relative_to_general,
     transformer_from_transmittance,
 )
+from auglf.transformers import _block_rows
 
 LAM = 633e-9
 
@@ -242,3 +248,93 @@ def test_on_theta_axis_slice():
     j0 = g.theta_index(0.0)
     assert np.all(sliced[:, j0] == 1.0 / g.dtheta)
     assert np.count_nonzero(sliced) == g.x_samples
+
+
+# Reference implementations: one convolution over the whole arrays, the form
+# the row-blocked versions must reproduce bit for bit.
+
+
+def one_shot_apply(alf, transformer):
+    grid = alf.grid
+    n = grid.theta_samples
+    full_len = 3 * n - 2
+    m = next_fast_len(full_len)
+    spec = rfft(transformer.kernel, m, axis=1) * rfft(alf.radiance, m, axis=1)
+    full = irfft(spec, m, axis=1)[:, :full_len] * grid.dtheta
+    leak_rows = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
+    total_in = np.abs(full.sum(axis=1))
+    denom = float(total_in.sum())
+    leak = float(leak_rows.sum()) * grid.dtheta * grid.dx
+    frac = float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0
+    return full[:, n - 1 : 2 * n - 1], leak, frac
+
+
+def one_shot_compose(first, second):
+    grid = first.grid
+    n = grid.theta_samples
+    width = 2 * n - 1
+    nfft = next_fast_len(2 * width - 1)
+    spec = rfft(first.kernel, nfft, axis=1) * rfft(second.kernel, nfft, axis=1)
+    full = irfft(spec, nfft, axis=1)[:, : 2 * width - 1]
+    lo = width - 1 - (n - 1)
+    return full[:, lo : lo + width] * grid.dtheta
+
+
+# Row counts relative to the block size b: one row, fewer than one block, a
+# ragged last block, and several whole blocks.
+ROW_COUNTS = {
+    "single_row": lambda b: 1,
+    "under_one_block": lambda b: b - 1,
+    "ragged_blocks": lambda b: 2 * b + 3,
+    "whole_blocks": lambda b: 3 * b,
+}
+BLOCK_THETA = 256
+
+
+def dense_pair(x_samples, seed):
+    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, BLOCK_THETA, 0.02, LAM)
+    rng = np.random.default_rng(seed)
+    shape = (x_samples, 2 * BLOCK_THETA - 1)
+    return grid, rng.normal(size=shape), rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
+def test_blocked_apply_matches_one_shot_bits(rows_of):
+    x_samples = rows_of(_block_rows(next_fast_len(3 * BLOCK_THETA - 2)))
+    grid, kernel, _ = dense_pair(x_samples, 11)
+    radiance = np.random.default_rng(12).normal(size=(x_samples, BLOCK_THETA))
+    alf = AugmentedLightField(grid, radiance, {"tag": 1})
+    t = LightFieldTransformer(grid, kernel)
+    out = apply_transformer(alf, t)
+    ref, leak, frac = one_shot_apply(alf, t)
+    assert np.array_equal(out.radiance, ref)
+    assert out.meta["theta_leak"] == leak
+    assert out.meta["theta_leak_fraction"] == frac
+    assert out.meta["tag"] == 1
+
+
+@pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
+def test_blocked_compose_matches_one_shot_bits(rows_of):
+    width = 2 * BLOCK_THETA - 1
+    x_samples = rows_of(_block_rows(next_fast_len(2 * width - 1)))
+    grid, a, b = dense_pair(x_samples, 13)
+    first = LightFieldTransformer(grid, a)
+    second = LightFieldTransformer(grid, b)
+    got = compose_transformers(first, second)
+    assert np.array_equal(got.kernel, one_shot_compose(first, second))
+    assert got.meta == {"element": "composite"}
+
+
+def test_apply_working_memory_is_one_block():
+    g = make_grid(256, 2.56e-3, 1024, 1024 * LAM / (2 * 2.56e-3), LAM)
+    alf = random_alf(g, 6)
+    t = LightFieldTransformer(g, np.random.default_rng(7).normal(size=(256, 2047)))
+    tracemalloc.start()
+    try:
+        apply_transformer(alf, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result, the container's frozen copy of it, and about 2 MiB of
+    # block transforms; whole-array transforms would take 24 MiB here
+    assert peak < 2 * alf.radiance.nbytes + 3 * 2**20
