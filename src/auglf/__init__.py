@@ -43,19 +43,15 @@ from .elements import (
     Prism,
     RectAperture,
     TwoPinholes,
-    element_deflection,
     element_label,
-    element_transmittance,
 )
 from .transformers import (
     LightFieldTransformer,
-    apply_general_transformer,
     apply_shield_field,
     apply_transformer,
     canonical_transformer,
     compose_transformers,
     identity_transformer,
-    relative_to_general,
     transformer_from_transmittance,
 )
 from .propagation import fraunhofer_rotate, shear_propagate
@@ -76,7 +72,6 @@ from .scenarios import (
     hologram_record,
     intensity_skewness,
     normalized_cross_correlation,
-    run_train,
     trace_train,
 )
 

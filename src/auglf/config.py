@@ -5,27 +5,24 @@ more numbered ``[stage.N]`` sections (N starting at 1, contiguous), and
 optional ``[output]`` and ``[numerics]`` sections.  Every key is validated;
 unknown sections or keys are rejected so typos fail loudly instead of
 silently running with defaults.
+
+The keys of ``[grid]``, ``[source]``, ``[output]`` and of each stage are
+the fields of the dataclass the section builds (PhaseSpaceGrid, the source
+classes, OutputOptions, Propagate and the element classes), with their
+types and defaults.  An element's kind is its ``element_label``; elements
+with array fields (CodedAperture, PhasePlate) are API-only.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass
 from typing import Union
 
 from .core import InvalidConfigurationError, PhaseSpaceGrid, make_grid
-from .elements import (
-    AmplitudeGrating,
-    CubicPhase,
-    Hologram,
-    Lens,
-    PhaseGrating,
-    Pinhole,
-    Prism,
-    RectAperture,
-    TwoPinholes,
-)
+from .elements import ElementSpec, element_label
 from .scenarios import (
     Element,
     OpticalTrain,
@@ -41,48 +38,37 @@ class ConfigError(InvalidConfigurationError):
     """A scenario file failed to parse or validate."""
 
 
-_REQUIRED = object()
+@dataclass(frozen=True)
+class OutputOptions:
+    snapshots: bool = False
+    tables: bool = True
+    heatmaps: bool = True
+    observation: str = "intensity"
 
-_GRID_KEYS = {
-    "x_samples": int,
-    "x_extent": float,
-    "theta_samples": int,
-    "theta_extent": float,
-    "wavelength": float,
-}
 
-# kind -> (constructor, {key: (type, default-or-required)})
-_SOURCE_SCHEMAS = {
-    "plane_wave": (PlaneWave, {"angle": (float, 0.0)}),
-    "point": (PointSource, {"position": (float, 0.0)}),
-}
+def _schema(cls) -> typing.Optional[dict]:
+    """``{key: (type, default)}`` of a dataclass; None if a field is no INI scalar.
 
-_ELEMENT_SCHEMAS = {
-    "pinhole": (Pinhole, {"position": (float, 0.0)}),
-    "two_pinholes": (TwoPinholes, {"a": (float, _REQUIRED), "b": (float, _REQUIRED)}),
-    "rect_aperture": (RectAperture, {"width": (float, _REQUIRED)}),
-    "amplitude_grating": (
-        AmplitudeGrating,
-        {"modulation": (float, _REQUIRED), "period": (float, _REQUIRED)},
-    ),
-    "prism": (Prism, {"phase_slope": (float, _REQUIRED)}),
-    "lens": (Lens, {"focal_length": (float, _REQUIRED)}),
-    "cubic_phase": (CubicPhase, {"coefficient": (float, _REQUIRED)}),
-    "phase_grating": (
-        PhaseGrating,
-        {"depth": (float, _REQUIRED), "period": (float, _REQUIRED)},
-    ),
-    "hologram": (
-        Hologram,
-        {"source_distance": (float, _REQUIRED), "include_oscillatory": (bool, True)},
-    ),
-}
+    An ``Optional[T]`` field reads as ``T`` and defaults to None when absent.
+    """
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        typ = hints[f.name]
+        if typing.get_origin(typ) is Union:
+            typ = next(t for t in typing.get_args(typ) if t is not type(None))
+        if typ not in (bool, int, float, str):
+            return None
+        schema[f.name] = (typ, f.default)
+    return schema
 
-_OUTPUT_KEYS = {
-    "snapshots": (bool, False),
-    "tables": (bool, True),
-    "heatmaps": (bool, True),
-    "observation": (str, "intensity"),
+
+_SOURCES = {"plane_wave": PlaneWave, "point": PointSource}
+
+_ELEMENTS = {
+    element_label(cls): cls
+    for cls in typing.get_args(ElementSpec)
+    if _schema(cls) is not None
 }
 
 _NUMERICS_KEYS = {
@@ -98,14 +84,6 @@ _BOOL_STATES = {
     "1": True, "yes": True, "true": True, "on": True,
     "0": False, "no": False, "false": False, "off": False,
 }
-
-
-@dataclass(frozen=True)
-class OutputOptions:
-    snapshots: bool = False
-    tables: bool = True
-    heatmaps: bool = True
-    observation: str = "intensity"
 
 
 @dataclass(frozen=True)
@@ -155,34 +133,24 @@ class ScenarioConfig:
     def echo(self, grid_scale: int = 1) -> dict:
         """Flat string map of every resolved setting, defaults included."""
         out = {
-            "grid.x_samples": str(self.x_samples * grid_scale),
-            "grid.x_extent": _fmt(self.x_extent),
-            "grid.theta_samples": str(self.theta_samples * grid_scale),
-            "grid.theta_extent": _fmt(self.theta_extent),
-            "grid.wavelength": _fmt(self.wavelength),
-            "grid.scale": str(grid_scale),
+            f"grid.{f.name}": _fmt(getattr(self, f.name))
+            for f in dataclasses.fields(PhaseSpaceGrid)
         }
-        kind = "plane_wave" if isinstance(self.source, PlaneWave) else "point"
-        out["source.kind"] = kind
-        for f in dataclasses.fields(self.source):
-            out[f"source.{f.name}"] = _fmt(getattr(self.source, f.name))
+        out["grid.x_samples"] = str(self.x_samples * grid_scale)
+        out["grid.theta_samples"] = str(self.theta_samples * grid_scale)
+        out["grid.scale"] = str(grid_scale)
+        out["source.kind"] = next(k for k, cls in _SOURCES.items() if type(self.source) is cls)
+        out.update(_echo_fields("source", self.source))
         for k, stage in enumerate(self.stages, start=1):
             prefix = f"stage.{k}"
             if isinstance(stage, Propagate):
                 out[f"{prefix}.kind"] = "propagate"
-                out[f"{prefix}.distance"] = _fmt(stage.distance)
+                out.update(_echo_fields(prefix, stage))
             else:
                 out[f"{prefix}.kind"] = "element"
-                name = type(stage.spec).__name__
-                label = next(
-                    key for key, (cls, _) in _ELEMENT_SCHEMAS.items()
-                    if cls.__name__ == name
-                )
-                out[f"{prefix}.element"] = label
-                for f in dataclasses.fields(stage.spec):
-                    out[f"{prefix}.{f.name}"] = _fmt(getattr(stage.spec, f.name))
-        for f in dataclasses.fields(self.output):
-            out[f"output.{f.name}"] = _fmt(getattr(self.output, f.name))
+                out[f"{prefix}.element"] = element_label(stage.spec)
+                out.update(_echo_fields(prefix, stage.spec))
+        out.update(_echo_fields("output", self.output))
         for key, value in self.numerics.items():
             out[f"numerics.{key}"] = _fmt(value)
         return out
@@ -194,6 +162,10 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
+
+
+def _echo_fields(prefix: str, obj) -> dict:
+    return {f"{prefix}.{f.name}": _fmt(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 def _convert(raw: str, typ, where: str):
@@ -215,53 +187,44 @@ def _convert(raw: str, typ, where: str):
         ) from None
 
 
-def _read_section(parser, section: str, schema: dict) -> dict:
-    values = {}
-    present = dict(parser.items(section)) if parser.has_section(section) else {}
+def _read(section: str, present: dict, schema: dict) -> dict:
+    """Typed values of ``present`` (raw strings by key) under ``schema``."""
     unknown = set(present) - set(schema)
     if unknown:
         raise ConfigError(
             f"[{section}]: unknown key(s) {', '.join(sorted(unknown))}"
         )
+    values = {}
     for key, (typ, default) in schema.items():
         if key in present:
             values[key] = _convert(present[key], typ, f"[{section}] {key}")
-        elif default is _REQUIRED:
+        elif default is dataclasses.MISSING:
             raise ConfigError(f"[{section}]: missing required key {key}")
         else:
             values[key] = default
     return values
 
 
-def _read_spec_section(parser, section: str, kind_key: str, schemas: dict, noun: str):
-    present = dict(parser.items(section))
+def _checked(where: str, build, **kwargs):
+    """``build(**kwargs)``, with its validation errors raised as ConfigError."""
+    try:
+        return build(**kwargs)
+    except InvalidConfigurationError as exc:
+        raise ConfigError(f"{where}{exc}") from None
+
+
+def _build(section: str, present: dict, kind_key: str, kinds: dict, noun: str):
+    """The dataclass that ``present[kind_key]`` names, built from the other keys."""
     if kind_key not in present:
         raise ConfigError(f"[{section}]: missing required key {kind_key}")
     kind = present.pop(kind_key).strip()
-    if kind not in schemas:
+    if kind not in kinds:
         raise ConfigError(
             f"[{section}]: unknown {noun} {kind!r}; expected one of "
-            f"{', '.join(sorted(schemas))}"
+            f"{', '.join(sorted(kinds))}"
         )
-    cls, schema = schemas[kind]
-    unknown = set(present) - set(schema)
-    if unknown:
-        raise ConfigError(
-            f"[{section}]: unknown key(s) for {noun} {kind}: "
-            f"{', '.join(sorted(unknown))}"
-        )
-    kwargs = {}
-    for key, (typ, default) in schema.items():
-        if key in present:
-            kwargs[key] = _convert(present[key], typ, f"[{section}] {key}")
-        elif default is _REQUIRED:
-            raise ConfigError(f"[{section}]: missing required key {key}")
-        else:
-            kwargs[key] = default
-    try:
-        return cls(**kwargs)
-    except InvalidConfigurationError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from None
+    cls = kinds[kind]
+    return _checked(f"[{section}]: ", cls, **_read(section, present, _schema(cls)))
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -281,7 +244,7 @@ def parse_config(path: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    sections = set(parser.sections())
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
     stage_numbers = {}
     known = {"grid", "source", "output", "numerics"}
     for name in sections:
@@ -309,83 +272,34 @@ def parse_config(path: str) -> ScenarioConfig:
             f"{sorted(stage_numbers)}"
         )
 
-    grid_schema = {key: (typ, _REQUIRED) for key, typ in _GRID_KEYS.items()}
-    grid_values = _read_section(parser, "grid", grid_schema)
-
-    source = _read_spec_section(parser, "source", "kind", _SOURCE_SCHEMAS, "source")
-
+    grid = _read("grid", sections["grid"], _schema(PhaseSpaceGrid))
+    source = _build("source", sections["source"], "kind", _SOURCES, "source")
     stages = []
     for n in sorted(stage_numbers):
         section = stage_numbers[n]
-        kind = parser.get(section, "kind", fallback=None)
-        if kind is None:
+        present = sections[section]
+        if "kind" not in present:
             raise ConfigError(f"[{section}]: missing required key kind")
-        kind = kind.strip()
+        kind = present.pop("kind").strip()
         if kind == "propagate":
-            values = _read_section(
-                parser, section, {"kind": (str, _REQUIRED), "distance": (float, _REQUIRED)}
-            )
-            try:
-                stages.append(Propagate(values["distance"]))
-            except InvalidConfigurationError as exc:
-                raise ConfigError(f"[{section}]: {exc}") from None
+            schema = _schema(Propagate)
+            stages.append(_checked(f"[{section}]: ", Propagate, **_read(section, present, schema)))
         elif kind == "element":
-            present = dict(parser.items(section))
-            present.pop("kind")
-            sub = configparser.ConfigParser(interpolation=None)
-            sub.add_section(section)
-            for key, val in present.items():
-                sub.set(section, key, val)
-            spec = _read_spec_section(sub, section, "element", _ELEMENT_SCHEMAS, "element")
-            stages.append(Element(spec))
+            stages.append(Element(_build(section, present, "element", _ELEMENTS, "element")))
         else:
             raise ConfigError(
                 f"[{section}]: kind must be propagate or element, got {kind!r}"
             )
+    output = _read("output", sections.get("output", {}), _schema(OutputOptions))
+    numerics = _read("numerics", sections.get("numerics", {}), _NUMERICS_KEYS)
 
-    output_values = _read_section(parser, "output", _OUTPUT_KEYS)
-    if output_values["observation"] not in ("intensity", "full-phase-space"):
-        raise ConfigError(
-            "[output]: observation must be intensity or full-phase-space, "
-            f"got {output_values['observation']!r}"
-        )
-    numerics = _read_section(parser, "numerics", _NUMERICS_KEYS)
-    if numerics["interp"] not in ("bandlimited", "linear"):
-        raise ConfigError(
-            f"[numerics]: interp must be bandlimited or linear, got {numerics['interp']!r}"
-        )
-    if numerics["window"] not in ("none", "raised-cosine"):
-        raise ConfigError(
-            f"[numerics]: window must be none or raised-cosine, got {numerics['window']!r}"
-        )
-    if numerics["oversample"] not in (1, 2, 4):
-        raise ConfigError(
-            f"[numerics]: oversample must be 1, 2 or 4, got {numerics['oversample']}"
-        )
-    if numerics["oracle_pad"] < 1:
-        raise ConfigError(
-            f"[numerics]: oracle_pad must be a positive integer, got {numerics['oracle_pad']}"
-        )
-    if not (0.0 < numerics["abort_loss"] <= 1.0):
-        raise ConfigError(
-            f"[numerics]: abort_loss must lie in (0, 1], got {numerics['abort_loss']}"
-        )
-
-    try:
-        cfg = ScenarioConfig(
-            x_samples=grid_values["x_samples"],
-            x_extent=grid_values["x_extent"],
-            theta_samples=grid_values["theta_samples"],
-            theta_extent=grid_values["theta_extent"],
-            wavelength=grid_values["wavelength"],
-            source=source,
-            stages=tuple(stages),
-            output=OutputOptions(**output_values),
-            numerics=numerics,
-        )
-        cfg.grid()
-    except InvalidConfigurationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    cfg = ScenarioConfig(
+        **grid,
+        source=source,
+        stages=tuple(stages),
+        output=OutputOptions(**output),
+        numerics=numerics,
+    )
+    _checked("", cfg.train)
+    _checked("[numerics]: ", cfg.trace_options)
     return cfg

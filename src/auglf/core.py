@@ -239,11 +239,6 @@ class AugmentedLightField:
     def total_power(self) -> float:
         return float(np.sum(self.radiance) * self.grid.dx * self.grid.dtheta)
 
-    def with_meta(self, **entries) -> "AugmentedLightField":
-        merged = dict(self.meta)
-        merged.update(entries)
-        return AugmentedLightField(self.grid, self.radiance, merged)
-
 
 @dataclass(frozen=True, slots=True)
 class IntensityProfile:

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.fft import fft, fftfreq, ifft
 
 from .core import ComplexField, InvalidConfigurationError, SamplingWarning
-from .elements import ElementSpec, element_transmittance
 
 # Spectral amplitudes this far below the peak are treated as unoccupied when
 # estimating the field's bandwidth for the sampling check.
@@ -70,8 +69,8 @@ def fresnel_propagate(field: ComplexField, distance: float) -> ComplexField:
     return ComplexField(grid, out)
 
 
-def apply_mask(field: ComplexField, spec: ElementSpec) -> ComplexField:
+def apply_mask(field: ComplexField, spec) -> ComplexField:
     """Multiply a field by an element's complex transmittance."""
     grid = field.grid
-    t = element_transmittance(spec, grid.wavelength, grid.x_axis(), grid.dx)
+    t = spec.transmittance(grid.wavelength, grid.x_axis(), grid.dx)
     return ComplexField(grid, field.samples * t)

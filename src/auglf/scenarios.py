@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args
 
 import numpy as np
 from scipy.fft import fft, fftfreq, ifft
@@ -33,7 +33,7 @@ from .core import (
 )
 from .elements import CubicPhase, ElementSpec, Hologram, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
-from .propagation import shear_propagate
+from .propagation import _INTERP_MODES, shear_propagate
 from .transformers import apply_transformer, canonical_transformer
 from .wdf import WdfOptions, wdf_from_field
 
@@ -80,6 +80,12 @@ class Element:
     """A thin element inserted at the current plane."""
 
     spec: ElementSpec
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.spec, get_args(ElementSpec)):
+            raise InvalidConfigurationError(
+                f"{type(self.spec).__name__} is not a catalogued element"
+            )
 
 
 Stage = Union[Propagate, Element]
@@ -134,6 +140,10 @@ class TraceOptions:
     wdf_options: WdfOptions = field(default_factory=WdfOptions)
 
     def __post_init__(self) -> None:
+        if self.interp not in _INTERP_MODES:
+            raise InvalidConfigurationError(
+                f"interp must be one of {_INTERP_MODES}, got {self.interp!r}"
+            )
         if self.oracle_pad < 1 or self.oracle_pad != int(self.oracle_pad):
             raise InvalidConfigurationError(
                 f"oracle_pad must be a positive integer, got {self.oracle_pad!r}"
@@ -334,14 +344,6 @@ def trace_train(
         truncation_loss=1.0 - kept,
     )
     return TrainTrace(train, tuple(records), alf, report)
-
-
-def run_train(
-    train: OpticalTrain, options: Optional[TraceOptions] = None
-) -> tuple[AugmentedLightField, ComparisonReport]:
-    """Trace a train and return only the final field and the report."""
-    trace = trace_train(train, options)
-    return trace.final, trace.report
 
 
 def normalized_cross_correlation(

@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import fresnel, jv
 
 from .core import (
     AugmentedLightField,
@@ -32,35 +31,11 @@ from .core import (
     ComplexField,
     InvalidConfigurationError,
     PhaseSpaceGrid,
-    RealnessError,
     _frozen_array,
-)
-from .elements import (
-    AmplitudeGrating,
-    CodedAperture,
-    CubicPhase,
-    ElementSpec,
-    Hologram,
-    Lens,
-    PhaseGrating,
-    PhasePlate,
-    Pinhole,
-    Prism,
-    RectAperture,
-    TwoPinholes,
-    element_deflection,
-    element_transmittance,
 )
 from .wdf import WdfOptions, wigner_table
 
 import warnings
-
-# Bessel coefficients below this magnitude contribute nothing at double
-# precision and are dropped from the phase-grating order sum.
-_BESSEL_FLOOR = 1e-14
-
-# Default cap on dense position-dependent kernels (bytes).
-GENERAL_KERNEL_BYTE_BUDGET = 1 << 28
 
 # Spectrum bytes per block of the row-blocked convolutions; rows per block
 # follow from the transform length.
@@ -145,17 +120,15 @@ def _deposit_rows(
             f"{label}: diffraction orders outside the angular window were "
             f"dropped (clipped weight {clipped:.3g})",
             ClippedOrderWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of canonical_transformer
         )
     return clipped
 
 
 def _deflection_kernel(
-    grid: PhaseSpaceGrid, spec: ElementSpec, label: str
+    grid: PhaseSpaceGrid, bend: np.ndarray, label: str
 ) -> LightFieldTransformer:
     """Kernel for a pure phase element: one delta per position at its deflection."""
-    x = grid.x_axis()
-    bend = element_deflection(spec, grid.wavelength, x)
     n = grid.theta_samples
     cols = np.rint(bend / grid.dtheta).astype(int) + n - 1
     inside = (cols >= 0) & (cols <= 2 * n - 2)
@@ -168,172 +141,21 @@ def _deflection_kernel(
             f"{label}: deflection left the angular window at {n_out} of "
             f"{grid.x_samples} positions; those columns were dropped",
             ClippedOrderWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of canonical_transformer
         )
     return LightFieldTransformer(grid, kernel, {"element": label, "clipped_columns": n_out})
 
 
-def _phase_grating_orders(depth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bessel order table for exp(i*depth*sin(2 pi x / p)).
-
-    Returns (orders, coeffs) where the element couples an incoming ray into
-    harmonics exp(i 2 pi m x / p); entry [s, n] handling is collapsed so the
-    caller only sees, per outgoing order s, the harmonic coefficients.
-    """
-    m_max = int(np.ceil(abs(depth))) + 25
-    ks = np.arange(-m_max, m_max + 1)
-    return ks, jv(ks, depth)
-
-
 def canonical_transformer(
-    spec: ElementSpec,
-    grid: PhaseSpaceGrid,
-    options: Optional[WdfOptions] = None,
+    spec, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
 ) -> LightFieldTransformer:
-    """Closed-form kernel for a catalogued element.
+    """Closed-form kernel of a catalogued element: ``spec.kernel(grid, options)``.
 
-    Elements with a known analytic kernel (apertures, gratings, phase
-    elements, holograms) are built directly; a coded aperture falls back to
-    the numeric path through its sampled transmittance.
+    Each element class of :mod:`auglf.elements` builds its own kernel; a
+    coded aperture falls back to the numeric path through its sampled
+    transmittance.
     """
-    n = grid.theta_samples
-    dax = _relative_axis(grid)
-    x = grid.x_axis()
-    lam = grid.wavelength
-    shape = (grid.x_samples, 2 * n - 1)
-    meta: dict = {}
-
-    if isinstance(spec, Pinhole):
-        kernel = np.zeros(shape)
-        i0 = grid.x_index(spec.position)
-        kernel[i0, :] = 1.0 / (lam * grid.dx)
-        label = "pinhole"
-
-    elif isinstance(spec, TwoPinholes):
-        ia = grid.x_index(spec.a)
-        ib = grid.x_index(spec.b)
-        im = grid.x_index(0.5 * (spec.a + spec.b))
-        kernel = np.zeros(shape)
-        kernel[ia, :] += 1.0 / (lam * grid.dx)
-        kernel[ib, :] += 1.0 / (lam * grid.dx)
-        kernel[im, :] += 2.0 * np.cos(2.0 * np.pi * (spec.a - spec.b) * dax / lam) / (
-            lam * grid.dx
-        )
-        label = "two_pinholes"
-
-    elif isinstance(spec, RectAperture):
-        half = 0.5 * spec.width
-        width_left = np.clip(spec.width - 2.0 * np.abs(x), 0.0, None)
-        u = dax[np.newaxis, :] / lam
-        kernel = (
-            2.0
-            * width_left[:, np.newaxis]
-            * np.sinc(2.0 * u * width_left[:, np.newaxis])
-            / lam
-        )
-        kernel[np.abs(x) >= half, :] = 0.0
-        label = "rect_aperture"
-
-    elif isinstance(spec, AmplitudeGrating):
-        m = spec.modulation
-        p = spec.period
-        phase = 2.0 * np.pi * x / p
-        dc = 0.25 * (1.0 + 0.5 * m * m * np.cos(2.0 * phase))
-        half_order = 0.25 * m * np.cos(phase)
-        full_order = np.full_like(x, m * m / 16.0)
-        orders = np.array(
-            [0.0, 0.5 * lam / p, -0.5 * lam / p, lam / p, -lam / p]
-        )
-        weights = np.stack([dc, half_order, half_order, full_order, full_order])
-        kernel = np.zeros(shape)
-        clipped = _deposit_rows(kernel, grid, orders, weights, "amplitude_grating")
-        meta["clipped_weight"] = clipped
-        label = "amplitude_grating"
-
-    elif isinstance(spec, PhaseGrating):
-        ks, coeffs = _phase_grating_orders(spec.depth)
-        # Outgoing deflection orders s sit at lam*s/(2p); the profile of order
-        # s sums harmonic terms J_{s-n} J_n exp(i 2 pi (s - 2 n) x / p).
-        m_max = ks[-1]
-        kernel = np.zeros(shape)
-        clipped_total = 0.0
-        for s in range(-2 * m_max, 2 * m_max + 1):
-            ns = ks[(np.abs(s - ks) <= m_max)]
-            c = jv(s - ns, spec.depth) * jv(ns, spec.depth)
-            keep = np.abs(c) > _BESSEL_FLOOR
-            if not keep.any():
-                continue
-            ns, c = ns[keep], c[keep]
-            harm = np.exp(2j * np.pi * np.outer(x, (s - 2 * ns)) / spec.period)
-            profile = harm @ c
-            peak = float(np.abs(profile).max())
-            if peak > 0 and float(np.abs(profile.imag).max()) > 1e-9 * peak:
-                raise RealnessError(
-                    "phase grating order profile acquired a non-real part"
-                )
-            clipped_total += _deposit_rows(
-                kernel,
-                grid,
-                np.array([0.5 * lam * s / spec.period]),
-                profile.real[np.newaxis, :],
-                "phase_grating",
-            )
-        meta["clipped_weight"] = clipped_total
-        label = "phase_grating"
-
-    elif isinstance(spec, (Prism, Lens, CubicPhase, PhasePlate)):
-        return _deflection_kernel(grid, spec, type(spec).__name__.lower())
-
-    elif isinstance(spec, Hologram):
-        d = spec.source_distance
-        kernel = np.zeros(shape)
-        if spec.width is None:
-            # unbounded plate: each chirp is a sharp deflection ridge
-            for sign in (+1.0, -1.0):
-                cols = np.rint((sign * x / d) / grid.dtheta).astype(int) + n - 1
-                inside = (cols >= 0) & (cols <= 2 * n - 2)
-                rows = np.nonzero(inside)[0]
-                np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
-            if spec.include_oscillatory:
-                kernel += 2.0 * np.cos(
-                    (2.0 * np.pi / lam)
-                    * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
-                )
-        else:
-            # finite plate: the remaining span 2*ell(x) bounds the lag
-            # integral, so each ridge becomes a sinc of that width and the
-            # chirp cross term becomes a pair of Fresnel integrals taken
-            # between the plate edges
-            ell = np.maximum(spec.width / 2 - np.abs(x), 0.0)[:, np.newaxis]
-            on_plate = ell > 0
-            for sign in (+1.0, -1.0):
-                off = dax[np.newaxis, :] - sign * x[:, np.newaxis] / d
-                kernel += np.where(on_plate, (4.0 * ell / lam) * np.sinc(4.0 * ell * off / lam), 0.0)
-            if spec.include_oscillatory:
-                root = np.sqrt(lam * d)
-                s_star = d * dax[np.newaxis, :]
-                s2, c2 = fresnel(2.0 * (ell - s_star) / root)
-                s1, c1 = fresnel(-2.0 * (ell + s_star) / root)
-                segment = (c2 - c1) + 1j * (s2 - s1)
-                carrier = np.exp(
-                    1j * (2.0 * np.pi / lam)
-                    * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
-                )
-                film = (2.0 * root / lam) * (carrier * segment).real
-                kernel += np.where(on_plate, film, 0.0)
-        meta["include_oscillatory"] = spec.include_oscillatory
-        label = "hologram"
-
-    elif isinstance(spec, CodedAperture):
-        return transformer_from_transmittance(spec.transmittance, options)
-
-    else:
-        raise InvalidConfigurationError(
-            f"no canonical kernel for element {type(spec).__name__}"
-        )
-
-    meta["element"] = label
-    return LightFieldTransformer(grid, kernel, meta)
+    return spec.kernel(grid, options)
 
 
 def transformer_from_transmittance(
@@ -483,38 +305,3 @@ def apply_shield_field(
         raise InvalidConfigurationError("shield factors must lie in [0, 1]")
     return AugmentedLightField(alf.grid, alf.radiance * shield, dict(alf.meta))
 
-
-def apply_general_transformer(
-    alf: AugmentedLightField,
-    kernel: np.ndarray,
-    max_bytes: int = GENERAL_KERNEL_BYTE_BUDGET,
-) -> AugmentedLightField:
-    """Push a light field through a dense position-dependent angle kernel.
-
-    kernel has shape (x_samples, theta_samples, theta_samples) with ordering
-    ``kernel[i, j_out, j_in]``.  Dense kernels grow cubically, so the size is
-    capped; raise the cap explicitly for large grids.
-    """
-    grid = alf.grid
-    kernel = np.asarray(kernel, dtype=np.float64)
-    expected = (grid.x_samples, grid.theta_samples, grid.theta_samples)
-    if kernel.shape != expected:
-        raise InvalidConfigurationError(
-            f"general kernel shape {kernel.shape} does not match grid; "
-            f"expected {expected}"
-        )
-    if kernel.nbytes > max_bytes:
-        raise InvalidConfigurationError(
-            f"general kernel needs {kernel.nbytes} bytes, over budget {max_bytes}; "
-            "raise max_bytes to allow it"
-        )
-    out = np.einsum("xab,xb->xa", kernel, alf.radiance) * grid.dtheta
-    return AugmentedLightField(grid, out, dict(alf.meta))
-
-
-def relative_to_general(transformer: LightFieldTransformer) -> np.ndarray:
-    """Expand a relative-angle kernel into the dense (x, out, in) form."""
-    n = transformer.grid.theta_samples
-    j_out = np.arange(n)[:, np.newaxis]
-    j_in = np.arange(n)[np.newaxis, :]
-    return np.ascontiguousarray(transformer.kernel[:, j_out - j_in + n - 1])

@@ -87,6 +87,18 @@ def far_field_intensity(g, dx, us):
     return out
 
 
+def apply_dense_kernel(kernel, radiance, dtheta):
+    """Apply a relative-angle kernel as a dense per-position matrix product.
+
+    kernel[i, m] couples angle index j_in to j_out = j_in + m - (n - 1); it is
+    expanded to the (x, out, in) form and contracted directly, with no FFT.
+    """
+    n = radiance.shape[1]
+    j = np.arange(n)
+    dense = kernel[:, j[:, np.newaxis] - j[np.newaxis, :] + n - 1]
+    return np.einsum("xab,xb->xa", dense, radiance) * dtheta
+
+
 def young_fringe_period(wavelength, z, separation):
     """Fringe spacing of two mutually coherent points after distance z."""
     return wavelength * z / abs(separation)

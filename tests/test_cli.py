@@ -100,6 +100,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_bad_numerics_value_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = small_config(tmp_path, "\n[numerics]\ninterp = cubic\n")
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "interp" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aborted_scenario_exits_3(tmp_path, capsys):
     body = SMALL.replace("kind = plane_wave", "kind = plane_wave\nangle = 4.5e-3")
     body = body.replace("distance = 0.02", "distance = 2.0")

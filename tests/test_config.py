@@ -1,19 +1,36 @@
+import dataclasses
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from auglf import (
+    AmplitudeGrating,
+    CubicPhase,
+    Element,
     Hologram,
     Lens,
     OpticalTrain,
+    PhaseGrating,
+    Pinhole,
     PlaneWave,
     PointSource,
+    Prism,
     Propagate,
     RectAperture,
     TwoPinholes,
+    element_label,
 )
-from auglf.config import ConfigError, parse_config
+from auglf.config import (
+    _ELEMENTS,
+    _NUMERICS_KEYS,
+    _SOURCES,
+    ConfigError,
+    OutputOptions,
+    _schema,
+    parse_config,
+)
+from auglf.core import PhaseSpaceGrid
 
 BASE = """\
 [grid]
@@ -119,6 +136,69 @@ def test_hologram_stage_round_trip(tmp_path):
     assert spec == Hologram(0.1, include_oscillatory=False)
 
 
+def test_hologram_width_key(tmp_path):
+    stage = "\n[stage.3]\nkind = element\nelement = hologram\nsource_distance = 0.1\n"
+    cfg = parse_config(write(tmp_path, BASE + stage + "width = 1.5e-3\n"))
+    assert cfg.stages[2].spec == Hologram(0.1, width=1.5e-3)
+    cfg = parse_config(write(tmp_path, BASE + stage))
+    assert cfg.stages[2].spec.width is None
+
+
+# one example of every element kind a scenario file can express
+ROUND_TRIP_SPECS = (
+    Pinhole(-3e-5),
+    TwoPinholes(5e-5, -5e-5),
+    RectAperture(5e-4),
+    AmplitudeGrating(0.8, 1.28e-4),
+    Prism(1.5e4),
+    Lens(-0.25),
+    CubicPhase(4e9),
+    PhaseGrating(2.5, 1e-4),
+    Hologram(0.1),
+    Hologram(0.2, include_oscillatory=False, width=1.5e-3),
+)
+
+
+def echo_to_ini(echo):
+    """Scenario file text holding every echoed setting but None values."""
+    sections = {}
+    for key, value in echo.items():
+        section, name = key.rsplit(".", 1)
+        if key != "grid.scale" and value != "None":
+            sections.setdefault(section, []).append(f"{name} = {value}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n" for name, lines in sections.items())
+
+
+def test_every_element_kind_round_trips_through_echo(tmp_path):
+    assert {element_label(spec) for spec in ROUND_TRIP_SPECS} == set(_ELEMENTS)
+    cfg = parse_config(write(tmp_path, BASE))
+    stages = (Propagate(0.02),) + tuple(Element(spec) for spec in ROUND_TRIP_SPECS)
+    cfg = dataclasses.replace(cfg, stages=stages)
+    again = parse_config(write(tmp_path, echo_to_ini(cfg.echo()), "echoed.cfg"))
+    assert again.stages == stages
+    assert again == cfg
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_every_kind_and_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    for kind, cls in _ELEMENTS.items():
+        row = [line for line in section.splitlines() if line.startswith(f"  | `{kind}` |")]
+        assert len(row) == 1, kind
+        for key in _schema(cls):
+            assert f"`{key}`" in row[0], (kind, key)
+    for kind, cls in _SOURCES.items():
+        assert f"`{kind}` (key `{', '.join(_schema(cls))}`" in section, kind
+    for name in ("grid", "source", "stage.1", "output", "numerics"):
+        assert f"`[{name}]`" in section, name
+    keys = [*_schema(PhaseSpaceGrid), *_schema(Propagate), *_schema(OutputOptions), *_NUMERICS_KEYS]
+    for key in keys:
+        assert f"`{key}`" in section, key
+
+
 def test_two_pinhole_stage(tmp_path):
     body = BASE + "\n[stage.3]\nkind = element\nelement = two_pinholes\na = 5e-5\nb = -5e-5\n"
     cfg = parse_config(write(tmp_path, body))
@@ -138,6 +218,12 @@ def test_two_pinhole_stage(tmp_path):
         (lambda b: b.replace("width = 5e-4", "width = 5e-4\nradius = 1"), "radius"),
         (lambda b: b.replace("[stage.2]", "[stage.4]"), "stage"),
         (lambda b: b.replace("distance = 0.05", "distance = -0.05"), "distance"),
+        (lambda b: b + "\n[numerics]\ninterp = cubic\n", "interp"),
+        (lambda b: b + "\n[numerics]\nwindow = hann\n", "window"),
+        (lambda b: b + "\n[numerics]\noversample = 3\n", "oversample"),
+        (lambda b: b + "\n[numerics]\noracle_pad = 0\n", "oracle_pad"),
+        (lambda b: b + "\n[numerics]\nabort_loss = 1.5\n", "abort_loss"),
+        (lambda b: b + "\n[output]\nobservation = radiance\n", "observation"),
     ],
 )
 def test_rejects_malformed_scenarios(tmp_path, mutation, needle):

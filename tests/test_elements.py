@@ -16,11 +16,10 @@ from auglf import (
     Prism,
     RectAperture,
     TwoPinholes,
-    element_deflection,
     element_label,
-    element_transmittance,
     make_grid,
 )
+from auglf.scenarios import Element
 
 LAM = 633e-9
 
@@ -65,11 +64,11 @@ def test_constructor_validation():
 def test_pinhole_spike_convention():
     g = axis()
     x = g.x_axis()
-    t = element_transmittance(Pinhole(17 * g.dx), LAM, x, g.dx)
+    t = Pinhole(17 * g.dx).transmittance(LAM, x, g.dx)
     assert t[g.x_index(17 * g.dx)] == 1.0 / g.dx
     assert np.count_nonzero(t) == 1
 
-    t2 = element_transmittance(TwoPinholes(32 * g.dx, -32 * g.dx), LAM, x, g.dx)
+    t2 = TwoPinholes(32 * g.dx, -32 * g.dx).transmittance(LAM, x, g.dx)
     assert np.count_nonzero(t2) == 2
     assert t2[g.x_index(32 * g.dx)] == 1.0 / g.dx
 
@@ -78,7 +77,7 @@ def test_rect_halves_its_edge_samples():
     g = axis()
     x = g.x_axis()
     width = 64 * g.dx  # edges land exactly on nodes
-    t = element_transmittance(RectAperture(width), LAM, x, g.dx).real
+    t = RectAperture(width).transmittance(LAM, x, g.dx).real
     assert np.count_nonzero(t == 1.0) == 63
     assert np.count_nonzero(t == 0.5) == 2
     assert t[g.x_index(32 * g.dx)] == 0.5
@@ -87,7 +86,7 @@ def test_rect_halves_its_edge_samples():
 def test_amplitude_grating_range_and_mean():
     g = axis()
     x = g.x_axis()
-    t = element_transmittance(AmplitudeGrating(0.8, g.x_extent / 16), LAM, x, g.dx).real
+    t = AmplitudeGrating(0.8, g.x_extent / 16).transmittance(LAM, x, g.dx).real
     assert t.min() == pytest.approx(0.1, abs=1e-12)
     assert t.max() == pytest.approx(0.9, abs=1e-12)
     assert t.mean() == pytest.approx(0.5, abs=1e-12)
@@ -97,7 +96,7 @@ def test_pure_phase_elements_have_unit_modulus():
     g = axis()
     x = g.x_axis()
     for spec in (Prism(1e4), Lens(0.1), CubicPhase(1e9), PhaseGrating(2.0, 1e-4)):
-        t = element_transmittance(spec, LAM, x, g.dx)
+        t = spec.transmittance(LAM, x, g.dx)
         np.testing.assert_allclose(np.abs(t), 1.0, atol=1e-12)
 
 
@@ -105,7 +104,7 @@ def test_lens_phase_profile():
     g = axis()
     x = g.x_axis()
     f = 0.25
-    t = element_transmittance(Lens(f), LAM, x, g.dx)
+    t = Lens(f).transmittance(LAM, x, g.dx)
     expect = np.exp(-1j * np.pi * x ** 2 / (LAM * f))
     np.testing.assert_allclose(t, expect, atol=1e-12)
 
@@ -114,12 +113,12 @@ def test_deflection_profiles():
     g = axis()
     x = g.x_axis()
     np.testing.assert_allclose(
-        element_deflection(Prism(2e4), LAM, x), LAM * 2e4 / (2 * np.pi), atol=1e-15
+        Prism(2e4).deflection(LAM, x), LAM * 2e4 / (2 * np.pi), atol=1e-15
     )
-    np.testing.assert_allclose(element_deflection(Lens(0.2), LAM, x), -x / 0.2, atol=1e-15)
+    np.testing.assert_allclose(Lens(0.2).deflection(LAM, x), -x / 0.2, atol=1e-15)
     alpha = 3e9
     np.testing.assert_allclose(
-        element_deflection(CubicPhase(alpha), LAM, x),
+        CubicPhase(alpha).deflection(LAM, x),
         3 * LAM * alpha * x ** 2 / (2 * np.pi),
         atol=1e-15,
     )
@@ -127,25 +126,27 @@ def test_deflection_profiles():
     slope = 1.5e4
     plate = PhasePlate(slope * x)
     np.testing.assert_allclose(
-        element_deflection(plate, LAM, x),
+        plate.deflection(LAM, x),
         LAM * slope / (2 * np.pi),
         rtol=1e-9,
     )
     with pytest.raises(InvalidConfigurationError):
-        element_deflection(RectAperture(1e-4), LAM, x)
+        plate.deflection(LAM, x[:-1])
+    # amplitude elements have no single-valued deflection profile
+    assert not hasattr(RectAperture(1e-4), "deflection")
 
 
 def test_hologram_fringes():
     g = axis()
     x = g.x_axis()
     d = 0.1
-    t = element_transmittance(Hologram(d), LAM, x, g.dx)
+    t = Hologram(d).transmittance(LAM, x, g.dx)
     expect = 2 * np.cos(2 * np.pi * d / LAM + np.pi * x ** 2 / (LAM * d))
     np.testing.assert_allclose(t.real, expect, atol=1e-9)
     np.testing.assert_allclose(t.imag, 0.0, atol=1e-12)
 
     w = 64 * g.dx
-    tw = element_transmittance(Hologram(d, width=w), LAM, x, g.dx)
+    tw = Hologram(d, width=w).transmittance(LAM, x, g.dx)
     assert np.all(tw[np.abs(x) > w / 2 + g.dx] == 0)
 
 
@@ -154,11 +155,11 @@ def test_coded_aperture_alignment_and_padding():
     rng = np.random.default_rng(2)
     vals = rng.uniform(size=64).astype(complex)
     spec = CodedAperture(ComplexField(g, vals))
-    t = element_transmittance(spec, LAM, g.x_axis(), g.dx)
+    t = spec.transmittance(LAM, g.x_axis(), g.dx)
     np.testing.assert_allclose(t, vals, atol=1e-15)
     # padded axis: opaque outside the sampled support
     xp = (np.arange(256) - 128) * g.dx
-    tp = element_transmittance(spec, LAM, xp, g.dx)
+    tp = spec.transmittance(LAM, xp, g.dx)
     assert np.all(tp[:90] == 0) and np.all(tp[-60:] == 0)
     np.testing.assert_allclose(tp[96:160], vals, atol=1e-15)
 
@@ -168,12 +169,11 @@ def test_phase_plate_pinned_to_central_window():
     phase = np.linspace(0, 1, 64)
     spec = PhasePlate(phase)
     xp = (np.arange(128) - 64) * g.dx
-    t = element_transmittance(spec, LAM, xp, g.dx)
+    t = spec.transmittance(LAM, xp, g.dx)
     np.testing.assert_allclose(t[32:96], np.exp(1j * phase), atol=1e-15)
     np.testing.assert_allclose(t[:32], 1.0, atol=1e-15)
 
 
 def test_unknown_spec_rejected():
-    g = axis()
     with pytest.raises(InvalidConfigurationError):
-        element_transmittance(object(), LAM, g.x_axis(), g.dx)
+        Element(object())

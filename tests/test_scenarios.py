@@ -25,7 +25,6 @@ from auglf import (
     make_grid,
     normalized_cross_correlation,
     project_intensity,
-    run_train,
     trace_train,
 )
 from auglf import Lens
@@ -64,8 +63,9 @@ def test_virtual_source_leaves_intensity_dark():
     # midpoint column, so its projection cancels to rounding
     g = make_grid(1024, 2.048e-3, 1024, 1.899e-2, LAM)
     train = OpticalTrain(g, PlaneWave(0.0), (Element(TwoPinholes(5e-5, -5e-5)),))
-    final, report = run_train(train, TraceOptions(compare_oracle=False))
-    I = project_intensity(final).values
+    trace = trace_train(train, TraceOptions(compare_oracle=False))
+    report = trace.report
+    I = project_intensity(trace.final).values
     assert I[g.x_index(0.0)] / I.max() < 1e-6
     assert np.isnan(report.relative_l2_error)
     assert report.oracle_intensity is None
@@ -96,6 +96,8 @@ def test_stage_validation():
         TraceOptions(oracle_pad=0)
     with pytest.raises(InvalidConfigurationError):
         TraceOptions(abort_loss=0.0)
+    with pytest.raises(InvalidConfigurationError, match="interp"):
+        TraceOptions(interp="cubic")
 
 
 def test_source_materialization():

@@ -18,17 +18,16 @@ from auglf import (
     Pinhole,
     Prism,
     TwoPinholes,
-    apply_general_transformer,
     apply_shield_field,
     apply_transformer,
     canonical_transformer,
     compose_transformers,
     identity_transformer,
     make_grid,
-    relative_to_general,
     transformer_from_transmittance,
 )
 from auglf.transformers import _block_rows
+from oracles import apply_dense_kernel
 
 LAM = 633e-9
 
@@ -218,20 +217,10 @@ def test_general_form_reproduces_relative_form():
     t = canonical_transformer(AmplitudeGrating(0.8, g.x_extent / 8), g)
     alf = random_alf(g, 4)
     via_rel = apply_transformer(alf, t)
-    via_gen = apply_general_transformer(alf, relative_to_general(t))
+    via_gen = apply_dense_kernel(t.kernel, alf.radiance, g.dtheta)
     np.testing.assert_allclose(
-        via_gen.radiance, via_rel.radiance, atol=1e-10 * np.abs(via_rel.radiance).max()
+        via_gen, via_rel.radiance, atol=1e-10 * np.abs(via_rel.radiance).max()
     )
-
-
-def test_general_kernel_guards():
-    g = resonant_grid(64, 1.28e-3)
-    alf = random_alf(g, 5)
-    dense = relative_to_general(identity_transformer(g))
-    with pytest.raises(InvalidConfigurationError):
-        apply_general_transformer(alf, dense[:, :, :-1])
-    with pytest.raises(InvalidConfigurationError):
-        apply_general_transformer(alf, dense, max_bytes=1024)
 
 
 def test_clipped_orders_warn():
