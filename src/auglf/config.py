@@ -131,7 +131,11 @@ class ScenarioConfig:
         )
 
     def echo(self, grid_scale: int = 1) -> dict:
-        """Flat string map of every resolved setting, defaults included."""
+        """Flat string map of every resolved setting, defaults included.
+
+        Settings left unset (None) are omitted, so every line reads back as
+        a scenario-file value.
+        """
         out = {
             f"grid.{f.name}": _fmt(getattr(self, f.name))
             for f in dataclasses.fields(PhaseSpaceGrid)
@@ -165,7 +169,9 @@ def _fmt(value) -> str:
 
 
 def _echo_fields(prefix: str, obj) -> dict:
-    return {f"{prefix}.{f.name}": _fmt(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    """Echo lines of a dataclass's fields; unset (None) ones have no INI value and are left out."""
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {f"{prefix}.{name}": _fmt(value) for name, value in values if value is not None}
 
 
 def _convert(raw: str, typ, where: str):

@@ -102,7 +102,7 @@ class _Deflector:
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
         bend = self.deflection(grid.wavelength, grid.x_axis())
-        return _deflection_kernel(grid, bend, type(self).__name__.lower())
+        return _deflection_kernel(grid, bend, element_label(self))
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,6 +18,7 @@ from .core import (
     InvalidConfigurationError,
     TruncationWarning,
 )
+from .transformers import _block_rows
 
 _INTERP_MODES = ("bandlimited", "linear")
 
@@ -36,6 +37,10 @@ def shear_propagate(
     bandlimited interpolation shifts rows exactly for fields that respect
     the grid bandwidth but rings on spike-like rows; linear interpolation
     spreads a shifted sample over its two neighbours and never rings.
+
+    The bandlimited shift runs a block of angle rows at a time (about
+    1 MiB of spectra each), so its working memory beyond the input and
+    output radiance does not grow with the grid.
     """
     if interp not in _INTERP_MODES:
         raise InvalidConfigurationError(
@@ -59,22 +64,28 @@ def shear_propagate(
 
     rows = np.ascontiguousarray(alf.radiance.T)
     in_sums = rows.sum(axis=1)
+    out_rows = np.empty_like(rows)
 
     if interp == "linear":
         x = grid.x_axis()
-        out_rows = np.empty_like(rows)
         for j in range(rows.shape[0]):
             out_rows[j] = np.interp(x - shifts[j], x, rows[j], left=0.0, right=0.0)
     else:
         bins = shifts / grid.dx
         guard = int(np.ceil(np.abs(bins).max())) + 4
         padded_len = next_fast_len(grid.x_samples + 2 * guard)
-        padded = np.zeros((rows.shape[0], padded_len))
-        padded[:, guard : guard + grid.x_samples] = rows
         freqs = rfftfreq(padded_len)
-        phase = np.exp(-2j * np.pi * freqs[np.newaxis, :] * bins[:, np.newaxis])
-        shifted = irfft(rfft(padded, axis=1) * phase, padded_len, axis=1)
-        out_rows = shifted[:, guard : guard + grid.x_samples]
+        step = _block_rows(padded_len)
+        padded = np.zeros((min(step, rows.shape[0]), padded_len))
+        for start in range(0, rows.shape[0], step):
+            block = slice(start, start + step)
+            pad = padded[: len(rows[block])]
+            pad[:, guard : guard + grid.x_samples] = rows[block]
+            spec = rfft(pad, axis=1)
+            phase = -2j * np.pi * freqs[np.newaxis, :] * bins[block, np.newaxis]
+            spec *= np.exp(phase, out=phase)
+            shifted = irfft(spec, padded_len, axis=1, overwrite_x=True)
+            out_rows[block] = shifted[:, guard : guard + grid.x_samples]
 
     leak = in_sums - out_rows.sum(axis=1)
     denom = float(np.abs(in_sums).sum())

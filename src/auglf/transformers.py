@@ -185,7 +185,7 @@ def transformer_from_transmittance(
         options = WdfOptions(boundary="periodic")
     n = grid.theta_samples
     u_step = grid.dtheta / grid.wavelength
-    table, residue = wigner_table(
+    table = wigner_table(
         grid,
         transmittance.samples,
         u_start=-(n - 1) * u_step,
@@ -198,7 +198,7 @@ def transformer_from_transmittance(
     return LightFieldTransformer(
         grid,
         table,
-        {"element": "numeric", "wdf_options": options, "imag_residue": residue},
+        {"element": "numeric", "wdf_options": options},
     )
 
 

@@ -160,11 +160,11 @@ ROUND_TRIP_SPECS = (
 
 
 def echo_to_ini(echo):
-    """Scenario file text holding every echoed setting but None values."""
+    """Scenario file text holding every echoed setting."""
     sections = {}
     for key, value in echo.items():
         section, name = key.rsplit(".", 1)
-        if key != "grid.scale" and value != "None":
+        if key != "grid.scale":
             sections.setdefault(section, []).append(f"{name} = {value}")
     return "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n" for name, lines in sections.items())
 

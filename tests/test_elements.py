@@ -1,3 +1,6 @@
+import typing
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from auglf import (
     element_label,
     make_grid,
 )
+from auglf.elements import ElementSpec
 from auglf.scenarios import Element
 
 LAM = 633e-9
@@ -34,6 +38,29 @@ def test_labels_are_snake_case():
     assert element_label(RectAperture(1e-4)) == "rect_aperture"
     assert element_label(CubicPhase(1.0)) == "cubic_phase"
     assert element_label(Hologram(0.1)) == "hologram"
+
+
+def test_closed_form_kernels_carry_the_element_label():
+    g = make_grid(64, 1.28e-3, 64, 1e-2, LAM)
+    specs = (
+        Pinhole(),
+        TwoPinholes(1e-4, -1e-4),
+        RectAperture(4e-4),
+        AmplitudeGrating(0.5, 1e-4),
+        Prism(1e4),
+        Lens(0.5),
+        CubicPhase(1e9),
+        PhaseGrating(1.0, 1e-4),
+        PhasePlate(np.linspace(0.0, 3.0, 64) ** 2),
+        Hologram(0.1),
+    )
+    # every element class but the coded aperture, which takes the numeric path
+    closed_form = set(typing.get_args(ElementSpec)) - {CodedAperture}
+    assert {type(spec) for spec in specs} == closed_form
+    for spec in specs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert spec.kernel(g).meta["element"] == element_label(spec)
 
 
 def test_constructor_validation():

@@ -1,8 +1,10 @@
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import resample, zoom_fft
 from scipy.signal.windows import tukey
 
@@ -85,10 +87,15 @@ def test_projection_recovers_intensity_exactly():
 
 
 def test_realness_residue_reported():
+    # the one-sided lag sum is real by construction: no residue to report
     g = full_circle_grid()
     rng = np.random.default_rng(11)
     W = wdf_from_field(ComplexField(g, band_limited(rng, g.x_samples, 8)))
-    assert 0.0 <= W.meta["imag_residue"] < 1e-9
+    assert W.radiance.dtype == np.float64
+    assert "imag_residue" not in W.meta
+    u = g.u_axis()
+    table = wigner_table(g, rng.normal(size=64) + 0j, float(u[0]), float(u[1] - u[0]), 64, WdfOptions())
+    assert type(table) is np.ndarray and table.dtype == np.float64
     assert W.meta["wdf_options"] == (1, "none", "zero", "sinc")
 
 
@@ -257,15 +264,40 @@ def test_zoom_dft_matches_direct_dft():
     np.testing.assert_allclose(_ZoomDft(n, f[0], f[-1], m, fs)(x), direct, rtol=0, atol=1e-12 * np.abs(direct).max())
 
 
-def _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options):
-    """wigner_table's arithmetic with the lag products gathered by index
-    arrays and the signal steps taken from scipy.signal."""
-    factor = 2 * options.oversample_factor
-    m_total = factor * grid.x_samples
+def test_zoom_dft_real_into_matches_call():
+    rng = np.random.default_rng(4)
+    n, m = 65, 40
+    x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    zoom = _ZoomDft(n, -2.0e4, 3.0e4, m, 1.0e5)
+    buf = np.full((5, zoom.nfft), np.nan + 0j)
+    buf[:, :n] = x
+    out = np.empty((5, m))
+    zoom.real_into(buf, 0.25, out)
+    assert np.array_equal(out, zoom(x).real * 0.25)
+
+
+def _lag_grid_signal(samples, factor, options, fine_samples=None):
+    """The signal on the lag grid, built with scipy.signal."""
+    m_total = factor * len(samples)
+    if fine_samples is not None:
+        gf = np.asarray(fine_samples, dtype=complex)
+        return gf * tukey(m_total, 0.2) if options.window != "none" else gf
     g = np.asarray(samples, dtype=complex)
     if options.window != "none":
         g = g * tukey(len(g), 0.2)
-    gf = resample(g, m_total)
+    if options.interpolation == "none":
+        gf = np.zeros(m_total, dtype=complex)
+        gf[::factor] = g
+        return gf
+    return resample(g, m_total)
+
+
+def _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options, fine_samples=None):
+    """Two-sided reference: the lag products over all 2K+1 lags, gathered
+    by index arrays, through scipy.signal's chirp-z; the real part kept."""
+    factor = 2 * options.oversample_factor
+    m_total = factor * grid.x_samples
+    gf = _lag_grid_signal(samples, factor, options, fine_samples)
     ds = 2.0 * grid.dx / factor
     k_half = m_total // 2
     lags = np.arange(-k_half, k_half + 1)
@@ -284,6 +316,11 @@ def _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options):
     return spec.real
 
 
+def _assert_close_to_peak(table, reference, peak=None):
+    peak = np.abs(reference).max() if peak is None else peak
+    assert np.abs(table - reference).max() <= 1e-12 * peak
+
+
 @pytest.mark.parametrize("n", [33, 64])
 @pytest.mark.parametrize(
     "options",
@@ -295,12 +332,105 @@ def _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options):
     ],
 )
 def test_wigner_table_bitwise_equals_scipy_signal_path(n, options):
+    # The one-sided sum rounds differently from the two-sided reference, so
+    # the two agree to 1e-12 of the peak rather than bit for bit.
     g = make_grid(n, n * 2e-5, n, 0.9 * LAM / 2e-5, LAM)
     rng = np.random.default_rng(n)
     samples = rng.normal(size=n) + 1j * rng.normal(size=n)
     u = g.u_axis()
-    table, _ = wigner_table(g, samples, float(u[0]), float(u[1] - u[0]), n, options, chunk_rows=7)
-    assert np.array_equal(table, _wigner_table_via_scipy(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
+    table = wigner_table(g, samples, float(u[0]), float(u[1] - u[0]), n, options, chunk_rows=7)
+    _assert_close_to_peak(table, _wigner_table_via_scipy(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_wigner_table_error_to_direct_oracle_within_two_sided(oversample):
+    # the one-sided sum may not move further from the naive direct sums
+    # than the two-sided chirp-z it replaces
+    n = 128
+    g = make_grid(n, n * 2e-5, n, 0.9 * LAM / 2e-5, LAM)
+    rng = np.random.default_rng(1)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    options = WdfOptions(oversample_factor=oversample)
+    u_start, du = float(g.u_axis()[0]), g.dtheta / LAM
+    args = (u_start, du, n, options)
+    direct = wigner_from_samples_direct(samples, g.dx, u_start + du * np.arange(n), oversample)
+    err = np.linalg.norm(wigner_table(g, samples, *args) - direct)
+    two_sided = np.linalg.norm(_wigner_table_via_scipy(g, samples, *args) - direct)
+    assert err <= two_sided
+    assert err < 1e-13 * np.linalg.norm(direct)
+
+
+def _valid_options():
+    out = []
+    for combo in itertools.product((1, 2, 4), ("none", "raised-cosine"), ("zero", "periodic"), ("sinc", "none")):
+        try:
+            out.append(WdfOptions(*combo))
+        except InvalidConfigurationError:
+            pass
+    return out
+
+
+VALID_OPTIONS = _valid_options()
+
+
+@st.composite
+def table_cases(draw):
+    """A signal, options, optional lag-grid samples and an in-band u grid."""
+    n = draw(st.integers(2, 40))
+    options = draw(st.sampled_from(VALID_OPTIONS))
+    factor = 2 * options.oversample_factor
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    fine = None
+    if draw(st.booleans()):
+        fine = rng.normal(size=factor * n) + 1j * rng.normal(size=factor * n)
+    grid = make_grid(n, n * 2e-5, n, 0.9 * LAM / 2e-5, LAM)
+    limit = factor / (4.0 * grid.dx)
+    a, b = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2, unique=True)))
+    n_u = draw(st.integers(2, 48))
+    u_start = a * limit
+    du = (b - a) * limit / (n_u - 1)
+    return grid, samples, options, fine, (u_start, du, n_u)
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(table_cases())
+def test_wigner_table_property_matches_two_sided_reference(case):
+    grid, samples, options, fine, (u_start, du, n_u) = case
+    table = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
+    reference = _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options, fine)
+    assert table.shape == (grid.x_samples, n_u) and table.dtype == np.float64
+    # a few arbitrary frequencies may all miss a row's peak, so the scale is
+    # the largest value any entry can take: ds * sum |g|^2 (Cauchy-Schwarz)
+    factor = 2 * options.oversample_factor
+    gf = _lag_grid_signal(samples, factor, options, fine)
+    _assert_close_to_peak(table, reference, 2.0 * grid.dx / factor * np.sum(np.abs(gf) ** 2))
+
+
+@PROPERTY_SETTINGS
+@given(table_cases())
+def test_wigner_table_property_angular_marginal_is_intensity(case):
+    # over one full lag-Nyquist period of 2K+1 frequencies every lag but 0
+    # sums to zero, leaving |g|^2 at each row's node
+    grid, samples, options, fine, _ = case
+    factor = 2 * options.oversample_factor
+    m = factor * grid.x_samples + 1
+    du = factor / (2.0 * grid.dx * m)
+    table = wigner_table(grid, samples, -(m - 1) / 2 * du, du, m, options, fine_samples=fine)
+    target = np.abs(_lag_grid_signal(samples, factor, options, fine)[::factor]) ** 2
+    np.testing.assert_allclose(table.sum(axis=1) * du, target, rtol=0, atol=1e-12 * target.max())
+
+
+@PROPERTY_SETTINGS
+@given(table_cases(), st.integers(1, 45))
+def test_wigner_table_property_chunking_is_bitwise_invariant(case, chunk_rows):
+    grid, samples, options, fine, (u_start, du, n_u) = case
+    whole = wigner_table(grid, samples, u_start, du, n_u, options, chunk_rows=grid.x_samples, fine_samples=fine)
+    chunked = wigner_table(grid, samples, u_start, du, n_u, options, chunk_rows=chunk_rows, fine_samples=fine)
+    assert np.array_equal(chunked, whole)
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():
