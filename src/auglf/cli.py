@@ -1,8 +1,9 @@
 """Command line front end: run a scenario file and write its outputs.
 
 Exit codes: 0 on success, 2 for configuration problems (unreadable file,
-syntax error, schema violation, bad flag value), 3 when a scenario aborts
-because a stage destroyed too much signal.
+syntax error, schema violation, non-finite number, bad flag value, or a
+setting the trace itself rejects), 3 when a scenario aborts because a stage
+destroyed too much signal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .config import ConfigError, parse_config
-from .core import InvalidConfigurationError, ScenarioAbortError
+from .core import DegenerateInputError, InvalidConfigurationError, ScenarioAbortError
 from .output import (
     fmt17,
     write_heatmap,
@@ -67,6 +68,8 @@ def _run(args) -> int:
     except ScenarioAbortError as exc:
         print(f"auglf: aborted: {exc}", file=sys.stderr)
         return 3
+    except (InvalidConfigurationError, DegenerateInputError) as exc:
+        return _fail(str(exc), 2)
 
     grid = train.grid
     x = grid.x_axis()

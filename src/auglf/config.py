@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from typing import Union
@@ -185,12 +186,14 @@ def _convert(raw: str, typ, where: str):
         if typ is int:
             return int(raw)
         if typ is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         return raw
     except ValueError:
-        raise ConfigError(
-            f"{where}: cannot read {raw!r} as {typ.__name__}"
-        ) from None
+        noun = "a finite float" if typ is float else typ.__name__
+        raise ConfigError(f"{where}: cannot read {raw!r} as {noun}") from None
 
 
 def _read(section: str, present: dict, schema: dict) -> dict:

@@ -11,6 +11,13 @@ Radiance arrays are signed float64: interference terms of the Wigner
 representation are negative-valued by nature and must not be clipped.
 All containers are frozen and their arrays are marked read-only; ops
 return new objects instead of mutating.
+
+A container copies every array it is given unless that array is already
+frozen: C-contiguous, of the container's dtype, owner of its data and
+read-only.  Such an array is taken as is.  Library functions mark the
+arrays they have just allocated read-only (``_freeze``) before wrapping
+them, so a result is never copied; a writable array from a caller is
+always copied, so mutating it later leaves the container unchanged.
 """
 
 from __future__ import annotations
@@ -187,6 +194,12 @@ def make_grid(
     return PhaseSpaceGrid(x_samples, float(x_extent), theta_samples, float(theta_extent), float(wavelength))
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly allocated array read-only, so a container takes it as is."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.shape != shape:
@@ -195,8 +208,9 @@ def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
         raise DegenerateInputError(f"{what}: empty array")
     if not np.all(np.isfinite(arr)):
         raise DegenerateInputError(f"{what}: non-finite samples")
-    arr = arr.copy()
-    arr.setflags(write=False)
+    flags = arr.flags
+    if flags.writeable or not (flags.c_contiguous and flags.owndata):
+        arr = _freeze(arr.copy())
     return arr
 
 
@@ -275,4 +289,4 @@ def project_intensity(alf: AugmentedLightField, eps_proj: float | None = None) -
             NegativeIntensityWarning,
             stacklevel=2,
         )
-    return IntensityProfile(alf.grid, values)
+    return IntensityProfile(alf.grid, _freeze(values))

@@ -36,6 +36,7 @@ from .core import (
     InvalidConfigurationError,
     PhaseSpaceGrid,
     RealnessError,
+    _freeze,
 )
 from .transformers import (
     LightFieldTransformer,
@@ -119,7 +120,7 @@ class Pinhole:
     ) -> LightFieldTransformer:
         kernel = np.zeros(_shape(grid))
         kernel[grid.x_index(self.position), :] = 1.0 / (grid.wavelength * grid.dx)
-        return LightFieldTransformer(grid, kernel, {"element": "pinhole"})
+        return LightFieldTransformer(grid, _freeze(kernel), {"element": "pinhole"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +147,7 @@ class TwoPinholes:
         kernel[grid.x_index(0.5 * (self.a + self.b)), :] += 2.0 * np.cos(
             2.0 * np.pi * (self.a - self.b) * _relative_axis(grid) / lam
         ) / (lam * grid.dx)
-        return LightFieldTransformer(grid, kernel, {"element": "two_pinholes"})
+        return LightFieldTransformer(grid, _freeze(kernel), {"element": "two_pinholes"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +177,7 @@ class RectAperture:
             / lam
         )
         kernel[np.abs(x) >= 0.5 * self.width, :] = 0.0
-        return LightFieldTransformer(grid, kernel, {"element": "rect_aperture"})
+        return LightFieldTransformer(grid, _freeze(kernel), {"element": "rect_aperture"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +214,7 @@ class AmplitudeGrating:
         kernel = np.zeros(_shape(grid))
         clipped = _deposit_rows(kernel, grid, orders, weights, "amplitude_grating")
         return LightFieldTransformer(
-            grid, kernel, {"clipped_weight": clipped, "element": "amplitude_grating"}
+            grid, _freeze(kernel), {"clipped_weight": clipped, "element": "amplitude_grating"}
         )
 
 
@@ -334,7 +335,7 @@ class PhaseGrating:
                 "phase_grating",
             )
         return LightFieldTransformer(
-            grid, kernel, {"clipped_weight": clipped_total, "element": "phase_grating"}
+            grid, _freeze(kernel), {"clipped_weight": clipped_total, "element": "phase_grating"}
         )
 
 
@@ -452,7 +453,7 @@ class Hologram:
                 kernel += np.where(on_plate, film, 0.0)
         return LightFieldTransformer(
             grid,
-            kernel,
+            _freeze(kernel),
             {"include_oscillatory": self.include_oscillatory, "element": "hologram"},
         )
 

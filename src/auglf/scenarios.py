@@ -29,6 +29,7 @@ from .core import (
     PhaseSpaceGrid,
     SamplingWarning,
     ScenarioAbortError,
+    _freeze,
     project_intensity,
 )
 from .elements import CubicPhase, ElementSpec, Hologram, Lens, RectAperture, element_label
@@ -192,7 +193,7 @@ def _source_radiance(grid: PhaseSpaceGrid, source: SourceSpec, options: TraceOpt
         radiance[grid.x_index(source.position), :] = 1.0 / (
             grid.dx * grid.theta_extent
         )
-        return AugmentedLightField(grid, radiance, {"source": "point"})
+        return AugmentedLightField(grid, _freeze(radiance), {"source": "point"})
     if isinstance(source, PlaneWave):
         half = 0.5 * grid.theta_extent
         if not (-half <= source.angle < half):
@@ -203,7 +204,7 @@ def _source_radiance(grid: PhaseSpaceGrid, source: SourceSpec, options: TraceOpt
         radiance[:, grid.theta_index(source.angle)] = 1.0 / (
             grid.dtheta * grid.x_extent
         )
-        return AugmentedLightField(grid, radiance, {"source": "plane"})
+        return AugmentedLightField(grid, _freeze(radiance), {"source": "plane"})
     if isinstance(source, FieldSource):
         return wdf_from_field(source.field, options.wdf_options)
     raise InvalidConfigurationError(f"unknown source {type(source).__name__}")

@@ -13,8 +13,9 @@ interference structure of coherent elements.
 Rows of a convolution are independent, so kernels are applied and composed
 a block of rows at a time (``_row_convolutions``).  Besides its inputs and
 its result, a dense apply holds only one block's spectra and products, about
-2 MiB whatever the grid, and gives the same bits as transforming whole
-arrays.
+3 MiB whatever the grid.  The apply transforms at the shortest length that
+keeps the n output bins free of wrap-around, ``next_fast_len(2n - 1)``, and
+gives the same bits as transforming whole arrays at that length.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     ComplexField,
     InvalidConfigurationError,
     PhaseSpaceGrid,
+    _freeze,
     _frozen_array,
 )
 from .wdf import WdfOptions, wigner_table
@@ -87,7 +89,7 @@ def identity_transformer(grid: PhaseSpaceGrid) -> LightFieldTransformer:
     n = grid.theta_samples
     kernel = np.zeros((grid.x_samples, 2 * n - 1))
     kernel[:, n - 1] = 1.0 / grid.dtheta
-    return LightFieldTransformer(grid, kernel, {"element": "identity"})
+    return LightFieldTransformer(grid, _freeze(kernel), {"element": "identity"})
 
 
 def _deposit_rows(
@@ -143,7 +145,9 @@ def _deflection_kernel(
             ClippedOrderWarning,
             stacklevel=4,  # the caller of canonical_transformer
         )
-    return LightFieldTransformer(grid, kernel, {"element": label, "clipped_columns": n_out})
+    return LightFieldTransformer(
+        grid, _freeze(kernel), {"element": label, "clipped_columns": n_out}
+    )
 
 
 def canonical_transformer(
@@ -197,7 +201,7 @@ def transformer_from_transmittance(
     table /= grid.wavelength
     return LightFieldTransformer(
         grid,
-        table,
+        _freeze(table),
         {"element": "numeric", "wdf_options": options},
     )
 
@@ -207,20 +211,20 @@ def _block_rows(nfft: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * (nfft // 2 + 1)))
 
 
-def _row_convolutions(a: np.ndarray, b: np.ndarray, nfft: int, keep: int):
-    """Linear convolutions of matching rows of ``a`` and ``b``, block by block.
+def _row_convolutions(a: np.ndarray, b: np.ndarray, nfft: int):
+    """Circular convolutions of matching rows of ``a`` and ``b``, block by block.
 
-    Yields ``(rows, full)``: the slice of rows covered and their first
-    ``keep`` convolution samples, computed through transforms of length
-    ``nfft``.  Every row is transformed on its own, so the values equal
-    those of transforming the whole arrays at once.
+    Yields ``(rows, full)``: the slice of rows covered and their ``nfft``
+    circular convolution samples, a fresh array the caller may overwrite.
+    Every row is transformed on its own, so the values equal those of
+    transforming the whole arrays at once.
     """
     step = _block_rows(nfft)
     for start in range(0, a.shape[0], step):
         rows = slice(start, start + step)
         spec = rfft(a[rows], nfft, axis=1)
         spec *= rfft(b[rows], nfft, axis=1)
-        yield rows, irfft(spec, nfft, axis=1)[:, :keep]
+        yield rows, irfft(spec, nfft, axis=1, overwrite_x=True)
 
 
 def compose_transformers(
@@ -243,10 +247,10 @@ def compose_transformers(
     lo = width - 1 - (n - 1)
     kernel = np.empty_like(first.kernel)
     for rows, full in _row_convolutions(
-        first.kernel, second.kernel, next_fast_len(2 * width - 1), 2 * width - 1
+        first.kernel, second.kernel, next_fast_len(2 * width - 1)
     ):
         kernel[rows] = full[:, lo : lo + width] * grid.dtheta
-    return LightFieldTransformer(grid, kernel, {"element": "composite"})
+    return LightFieldTransformer(grid, _freeze(kernel), {"element": "composite"})
 
 
 def apply_transformer(
@@ -259,9 +263,16 @@ def apply_transformer(
     share is reported in ``meta['theta_leak']`` (absolute signed content) and
     ``meta['theta_leak_fraction']``.
 
+    The convolution is circular, at ``nfft = next_fast_len(2n - 1)`` for n
+    angle samples.  A kernel row has 2n - 1 columns, so the kept bins
+    ``[n - 1, 2n - 2]`` receive exactly their own linear terms, and every
+    linear term outside that window wraps into some other bin outside it.
+    A row's signed leak is therefore the sum of its circular bins outside
+    the window, and its total the sum over all bins.
+
     Rows are convolved a block at a time straight into the result, so the
     working memory beyond the input and output radiance is one block's
-    spectra and products: about 2 MiB, independent of the grid.
+    spectra and products: about 3 MiB, independent of the grid.
     """
     grid = alf.grid
     if transformer.grid != grid:
@@ -269,24 +280,24 @@ def apply_transformer(
             "transformer and light field live on different grids"
         )
     n = grid.theta_samples
-    full_len = 3 * n - 2
     out = np.empty_like(alf.radiance)
     leak_rows = np.empty(grid.x_samples)
     total_in = np.empty(grid.x_samples)
     for rows, full in _row_convolutions(
-        transformer.kernel, alf.radiance, next_fast_len(full_len), full_len
+        transformer.kernel, alf.radiance, next_fast_len(2 * n - 1)
     ):
-        full = full * grid.dtheta
+        full *= grid.dtheta
         out[rows] = full[:, n - 1 : 2 * n - 1]
         leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
         total_in[rows] = np.abs(full.sum(axis=1))
+        del full  # free this block before the next one is transformed
     denom = float(total_in.sum())
     leak = float(leak_rows.sum()) * grid.dtheta * grid.dx
     frac = float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0
     meta = dict(alf.meta)
     meta["theta_leak"] = leak
     meta["theta_leak_fraction"] = frac
-    return AugmentedLightField(grid, out, meta)
+    return AugmentedLightField(grid, _freeze(out), meta)
 
 
 def apply_shield_field(

@@ -48,6 +48,7 @@ from .core import (
     DegenerateInputError,
     InvalidConfigurationError,
     PhaseSpaceGrid,
+    _freeze,
 )
 
 __all__ = ["WdfOptions", "wdf_from_field", "analytic_wdf_two_pinholes", "analytic_wdf_rect_aperture"]
@@ -213,6 +214,8 @@ def wigner_table(
     on matched grids.  With zero boundary, lags that reach past either end
     of the field pair a sample with the zero padding and vanish.
     """
+    if n_u < 2:
+        raise InvalidConfigurationError(f"need at least 2 frequencies, got n_u={n_u!r}")
     n = grid.x_samples
     factor = 2 * options.oversample_factor
     u_stop = u_start + du * (n_u - 1)
@@ -320,7 +323,7 @@ def wdf_from_field(field: ComplexField, options: WdfOptions = WdfOptions()) -> A
         "wdf_options": (options.oversample_factor, options.window, options.boundary, options.interpolation),
     }
     w /= grid.wavelength
-    return AugmentedLightField(grid, w, meta)
+    return AugmentedLightField(grid, _freeze(w), meta)
 
 
 def _deposit_column(radiance: np.ndarray, grid: PhaseSpaceGrid, x0: float, profile) -> None:

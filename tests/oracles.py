@@ -9,6 +9,7 @@ than the same code run twice.
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import resample
 
 SQRT_PI = 1.7724538509055159
@@ -97,6 +98,31 @@ def apply_dense_kernel(kernel, radiance, dtheta):
     j = np.arange(n)
     dense = kernel[:, j[:, np.newaxis] - j[np.newaxis, :] + n - 1]
     return np.einsum("xab,xb->xa", dense, radiance) * dtheta
+
+
+def linear_apply(kernel, radiance, dtheta, dx):
+    """Relative-angle kernel applied as an uncropped linear convolution.
+
+    Each row is convolved over its full 3n - 2 samples through transforms
+    of length next_fast_len(3n - 2), long enough that nothing wraps.
+    Returns the n kept samples, the signed leak (content of the 2n - 2
+    dropped samples, in power units) and the leak fraction, as
+    apply_transformer reports them.
+    """
+    n = radiance.shape[1]
+    full_len = 3 * n - 2
+    m = next_fast_len(full_len)
+    spec = rfft(kernel, m, axis=1) * rfft(radiance, m, axis=1)
+    full = irfft(spec, m, axis=1)[:, :full_len] * dtheta
+    leak_rows = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
+    denom = float(np.abs(full.sum(axis=1)).sum())
+    frac = float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0
+    return full[:, n - 1 : 2 * n - 1], float(leak_rows.sum()) * dtheta * dx, frac
+
+
+def angle_convolution(kernel, radiance, dtheta):
+    """Every linear term of a kernel apply, (x, 3n - 2), by direct sums (np.convolve)."""
+    return np.stack([np.convolve(k, r) for k, r in zip(kernel, radiance)]) * dtheta
 
 
 def young_fringe_period(wavelength, z, separation):

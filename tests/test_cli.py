@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from auglf import DegenerateInputError
 from auglf.cli import main
 from auglf.output import read_profile_csv, sha256_file
 
@@ -106,6 +107,46 @@ def test_bad_numerics_value_exits_2_before_any_output(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert "interp" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("kind = plane_wave", "kind = plane_wave\nangle = nan", "angle"),
+        ("distance = 0.02", "distance = inf", "distance"),
+        ("width = 5e-4", "width = -inf", "width"),
+    ],
+    ids=["nan_angle", "inf_distance", "minus_inf_width"],
+)
+def test_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, old, new, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not out.exists()
+
+
+def test_settings_rejected_during_the_trace_exit_2(tmp_path, capsys):
+    # a point source outside the position window passes the parser and is
+    # rejected only when the trace builds the source radiance
+    body = SMALL.replace("kind = plane_wave", "kind = point\nposition = 0.5")
+    cfg = tmp_path / "outside.cfg"
+    cfg.write_text(body)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "outside the window" in capsys.readouterr().err
+
+
+def test_degenerate_input_during_the_trace_exits_2(tmp_path, capsys, monkeypatch):
+    import auglf.cli
+
+    def degenerate(train, options):
+        raise DegenerateInputError("radiance: non-finite samples")
+
+    monkeypatch.setattr(auglf.cli, "trace_train", degenerate)
+    assert main(["run", small_config(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite samples" in capsys.readouterr().err
 
 
 def test_aborted_scenario_exits_3(tmp_path, capsys):

@@ -89,6 +89,42 @@ def test_radiance_is_stored_c_contiguous():
     assert np.array_equal(alf.radiance, a.T)
 
 
+def test_writable_caller_arrays_are_copied():
+    g = make_grid(16, 1e-3, 8, 0.01, 633e-9)
+    values = np.arange(128.0).reshape(16, 8)
+    alf = AugmentedLightField(g, values)
+    values[3, 4] = -1.0
+    assert alf.radiance is not values
+    assert alf.radiance[3, 4] == 3 * 8 + 4
+    assert values.flags.writeable  # the caller's array is left alone
+    samples = np.ones(16, complex)
+    f = ComplexField(g, samples)
+    samples[:] = 0.0
+    assert np.all(f.samples == 1.0)
+
+
+def test_frozen_arrays_are_taken_as_is_and_others_copied():
+    g = make_grid(16, 1e-3, 8, 0.01, 633e-9)
+    owned = np.arange(128.0).reshape(16, 8).copy()
+    owned.setflags(write=False)
+    assert AugmentedLightField(g, owned).radiance is owned
+    # read-only but not owning its data, not C-ordered, or of another
+    # dtype: the container makes its own frozen copy
+    base = np.arange(256.0)
+    base.setflags(write=False)
+    view = base[:128].reshape(16, 8)
+    transposed = np.ascontiguousarray(owned.T).T
+    transposed.setflags(write=False)
+    as_int = np.arange(128).reshape(16, 8)
+    as_int.setflags(write=False)
+    for values in (view, transposed, as_int):
+        radiance = AugmentedLightField(g, values).radiance
+        assert radiance is not values and not np.shares_memory(radiance, values)
+        assert radiance.flags.c_contiguous and radiance.flags.owndata
+        assert not radiance.flags.writeable
+        assert np.array_equal(radiance, values)
+
+
 def test_total_power_and_energy():
     g = make_grid(16, 1.6, 8, 0.08, 633e-9)
     f = ComplexField(g, np.full(16, 2.0))

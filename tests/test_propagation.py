@@ -1,7 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import irfft, next_fast_len, rfft, rfftfreq
 
 from auglf import (
@@ -17,7 +19,8 @@ from auglf import (
     shear_propagate,
     wdf_from_field,
 )
-from auglf.transformers import _block_rows
+from auglf import propagation
+from auglf.transformers import _BLOCK_BYTES, _block_rows
 
 LAM = 633e-9
 
@@ -207,3 +210,126 @@ def test_bandlimited_shear_working_memory_is_one_block():
     # copy, and about 3 MiB of block transforms; shifting all rows at once
     # would take 14 MiB here
     assert peak < 3 * alf.radiance.nbytes + 4 * 2**20
+
+
+# Reference: the linear shear as np.interp per angle row, zero outside the
+# window.  The blocked two-axpy shear must match it to rounding.
+
+
+def interp_shear(alf, distance):
+    grid = alf.grid
+    x = grid.x_axis()
+    rows = np.ascontiguousarray(alf.radiance.T)
+    shifts = distance * grid.theta_axis()
+    out_rows = np.array(
+        [np.interp(x - s, x, row, left=0.0, right=0.0) for s, row in zip(shifts, rows)]
+    )
+    in_sums = rows.sum(axis=1)
+    loss = float(np.abs(in_sums - out_rows.sum(axis=1)).sum()) / float(np.abs(in_sums).sum())
+    return out_rows.T, loss
+
+
+def assert_matches_interp(alf, distance):
+    out, loss = shear_propagate(alf, distance, interp="linear")
+    ref, ref_loss = interp_shear(alf, distance)
+    assert np.abs(out.radiance - ref).max() <= 1e-12 * np.abs(alf.radiance).max()
+    assert abs(loss - ref_loss) <= 1e-12
+    assert out.meta["truncation_loss"] == loss
+    assert out.radiance.flags.c_contiguous
+    return out, loss
+
+
+def linear_columns_per_block(x_samples):
+    return max(1, _BLOCK_BYTES // (8 * x_samples))
+
+
+@pytest.mark.parametrize(
+    "cols_of",
+    [lambda b: 1, lambda b: b - 1, lambda b: 2 * b + 3, lambda b: 3 * b],
+    ids=["single_column", "under_one_block", "ragged_blocks", "whole_blocks"],
+)
+def test_blocked_linear_shear_matches_interp(cols_of, monkeypatch):
+    x_samples = 512
+    theta_samples = cols_of(linear_columns_per_block(x_samples))
+    g = PhaseSpaceGrid(x_samples, x_samples * 1e-5, theta_samples, SHEAR_THETA_EXTENT, LAM)
+    distance = 37.3 * g.dx / (SHEAR_THETA_EXTENT / 2)
+    rng = np.random.default_rng(theta_samples)
+    alf = AugmentedLightField(g, rng.normal(size=(x_samples, theta_samples)), {"tag": 1})
+    out, loss = assert_matches_interp(alf, distance)
+    assert out.meta["tag"] == 1
+    # angle columns are independent, so the block size changes no bit
+    monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * x_samples)
+    one_by_one, loss_one = shear_propagate(alf, distance, interp="linear")
+    assert np.array_equal(one_by_one.radiance, out.radiance) and loss_one == loss
+
+
+def test_linear_shear_near_integer_bin_shift_on_the_coded_field_grid():
+    # 5 cm on this grid shifts column 1152 by 25.000000000000025 bins; where
+    # np.interp counts the window edge as inside is decided in floats
+    g = PhaseSpaceGrid(2048, 4.096e-3, 2048, 16e-3, LAM)
+    bins = 0.05 * g.theta_axis() / g.dx
+    assert bins[1152] != 25.0 and abs(bins[1152] - 25.0) < 1e-13
+    alf = AugmentedLightField(g, np.random.default_rng(5).normal(size=(2048, 2048)))
+    assert_matches_interp(alf, 0.05)
+
+
+@pytest.mark.parametrize("distance", [1e16, -1e300])
+def test_linear_shear_far_beyond_the_window(distance):
+    # integer shifts past int64 must neither wrap nor warn
+    g = grid_64()
+    alf = AugmentedLightField(g, np.random.default_rng(4).normal(size=(64, 64)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        out, loss = assert_matches_interp(alf, distance)
+    # only the theta = 0 row stays
+    assert np.count_nonzero(np.any(out.radiance != 0.0, axis=0)) == 1
+
+
+@st.composite
+def shear_cases(draw):
+    """Random (not smooth) radiance and a distance, often with near-integer bin shifts."""
+    x_samples = draw(st.integers(2, 40))
+    theta_samples = draw(st.integers(2, 40))
+    g = PhaseSpaceGrid(x_samples, x_samples * 1e-5, theta_samples, SHEAR_THETA_EXTENT, LAM)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radiance = rng.normal(size=(x_samples, theta_samples))
+    # bins per angle step: a whole number nudged by a few ulps, or anything
+    rate = draw(
+        st.one_of(
+            st.builds(
+                lambda k, eps: k * (1.0 + eps),
+                st.integers(-3 * x_samples, 3 * x_samples),
+                st.sampled_from([0.0, 1e-15, -1e-15, 3e-14, -3e-14, 2.0**-52]),
+            ),
+            st.floats(-3.0 * x_samples, 3.0 * x_samples),
+        ).filter(lambda r: r != 0.0)  # zero distance returns a copy; tested above
+    )
+    return AugmentedLightField(g, radiance), rate * g.dx / g.dtheta
+
+
+@pytest.mark.filterwarnings("ignore::auglf.core.TruncationWarning")  # long throws on purpose
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shear_cases())
+def test_linear_shear_property_matches_interp_and_balances_power(case):
+    alf, distance = case
+    out, loss = assert_matches_interp(alf, distance)
+    in_abs = np.abs(alf.radiance.sum(axis=0)).sum() * alf.grid.dx * alf.grid.dtheta
+    scale = np.abs(alf.radiance).sum() * alf.grid.dx * alf.grid.dtheta
+    drift = abs(out.total_power() - alf.total_power())
+    assert drift <= loss * in_abs + 1e-12 * scale
+
+
+def test_linear_shear_working_memory_is_the_result_and_its_column_blocks():
+    g = make_grid(512, 2.56e-3, 2048, 2048 * LAM / (2 * 2.56e-3), LAM)
+    alf = AugmentedLightField(g, np.random.default_rng(6).normal(size=(512, 2048)))
+    tracemalloc.start()
+    try:
+        shear_propagate(alf, 0.01, interp="linear")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result (8 MiB), taken by the container without a copy, and three
+    # 1 MiB column buffers (source, shifted, far neighbours); each
+    # full-size copy would add 8 MiB
+    assert peak < alf.radiance.nbytes + 4 * 2**20

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import irfft, next_fast_len, rfft
 
 from auglf import (
@@ -27,7 +28,7 @@ from auglf import (
     transformer_from_transmittance,
 )
 from auglf.transformers import _block_rows
-from oracles import apply_dense_kernel
+from oracles import angle_convolution, apply_dense_kernel, linear_apply
 
 LAM = 633e-9
 
@@ -246,10 +247,9 @@ def test_on_theta_axis_slice():
 def one_shot_apply(alf, transformer):
     grid = alf.grid
     n = grid.theta_samples
-    full_len = 3 * n - 2
-    m = next_fast_len(full_len)
+    m = next_fast_len(2 * n - 1)
     spec = rfft(transformer.kernel, m, axis=1) * rfft(alf.radiance, m, axis=1)
-    full = irfft(spec, m, axis=1)[:, :full_len] * grid.dtheta
+    full = irfft(spec, m, axis=1) * grid.dtheta
     leak_rows = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
     total_in = np.abs(full.sum(axis=1))
     denom = float(total_in.sum())
@@ -289,7 +289,7 @@ def dense_pair(x_samples, seed):
 
 @pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
 def test_blocked_apply_matches_one_shot_bits(rows_of):
-    x_samples = rows_of(_block_rows(next_fast_len(3 * BLOCK_THETA - 2)))
+    x_samples = rows_of(_block_rows(next_fast_len(2 * BLOCK_THETA - 1)))
     grid, kernel, _ = dense_pair(x_samples, 11)
     radiance = np.random.default_rng(12).normal(size=(x_samples, BLOCK_THETA))
     alf = AugmentedLightField(grid, radiance, {"tag": 1})
@@ -300,6 +300,11 @@ def test_blocked_apply_matches_one_shot_bits(rows_of):
     assert out.meta["theta_leak"] == leak
     assert out.meta["theta_leak_fraction"] == frac
     assert out.meta["tag"] == 1
+    # the uncropped linear convolution at next_fast_len(3n - 2)
+    lin, lin_leak, lin_frac = linear_apply(kernel, radiance, grid.dtheta, grid.dx)
+    assert np.abs(out.radiance - lin).max() <= 1e-12 * np.abs(lin).max()
+    assert abs(leak - lin_leak) <= 1e-12 * abs(lin_leak)
+    assert abs(frac - lin_frac) <= 1e-12
 
 
 @pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
@@ -315,15 +320,76 @@ def test_blocked_compose_matches_one_shot_bits(rows_of):
 
 
 def test_apply_working_memory_is_one_block():
-    g = make_grid(256, 2.56e-3, 1024, 1024 * LAM / (2 * 2.56e-3), LAM)
+    g = make_grid(512, 2.56e-3, 1024, 1024 * LAM / (2 * 2.56e-3), LAM)
     alf = random_alf(g, 6)
-    t = LightFieldTransformer(g, np.random.default_rng(7).normal(size=(256, 2047)))
+    t = LightFieldTransformer(g, np.random.default_rng(7).normal(size=(512, 2047)))
     tracemalloc.start()
     try:
         apply_transformer(alf, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the result, the container's frozen copy of it, and about 2 MiB of
-    # block transforms; whole-array transforms would take 24 MiB here
-    assert peak < 2 * alf.radiance.nbytes + 3 * 2**20
+    # the result (4 MiB), taken by the container without a copy, and about
+    # 3 MiB of block transforms; whole-array transforms would take over 30 MiB
+    assert peak < alf.radiance.nbytes + 3 * 2**20
+
+
+# Property tests of the apply at its alias-free length next_fast_len(2n - 1).
+# Angle counts n whose 2n - 1 is itself a fast length leave no bin right of
+# the kept window, so every dropped term wraps into the bins left of it.
+FAST_N = [n for n in range(2, 41) if next_fast_len(2 * n - 1) == 2 * n - 1]
+APPLY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def apply_cases(draw):
+    n = draw(st.one_of(st.sampled_from(FAST_N), st.integers(2, 40)))
+    x_samples = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, n, 0.02, LAM)
+    kernel = rng.normal(size=(x_samples, 2 * n - 1))
+    radiance = rng.normal(size=(x_samples, n))
+    return grid, kernel, radiance, rng.normal(size=(x_samples, n)), rng.normal(size=2)
+
+
+@APPLY_SETTINGS
+@given(apply_cases())
+def test_apply_property_is_linear(case):
+    grid, kernel, a, b, (alpha, beta) = case
+    t = LightFieldTransformer(grid, kernel)
+    out_a = apply_transformer(AugmentedLightField(grid, a), t)
+    out_b = apply_transformer(AugmentedLightField(grid, b), t)
+    out = apply_transformer(AugmentedLightField(grid, alpha * a + beta * b), t)
+    want = alpha * out_a.radiance + beta * out_b.radiance
+    scale = np.abs(kernel).sum() * (np.abs(a) + np.abs(b)).max() * grid.dtheta
+    assert np.abs(out.radiance - want).max() <= 1e-12 * scale
+    want_leak = alpha * out_a.meta["theta_leak"] + beta * out_b.meta["theta_leak"]
+    assert abs(out.meta["theta_leak"] - want_leak) <= 1e-12 * scale * grid.dtheta * grid.dx
+
+
+@APPLY_SETTINGS
+@given(apply_cases())
+def test_apply_property_output_plus_leak_is_the_full_convolution(case):
+    grid, kernel, radiance, _, _ = case
+    n = grid.theta_samples
+    out = apply_transformer(AugmentedLightField(grid, radiance), LightFieldTransformer(grid, kernel))
+    full = angle_convolution(kernel, radiance, grid.dtheta)
+    cell = grid.dtheta * grid.dx
+    scale = np.abs(full).sum() * cell
+    assert abs(out.total_power() + out.meta["theta_leak"] - full.sum() * cell) <= 1e-12 * scale
+    kept = full[:, n - 1 : 2 * n - 1]
+    assert np.abs(out.radiance - kept).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_numeric_kernel_table_is_wrapped_without_a_copy():
+    g = make_grid(512, 2.56e-3, 512, 512 * LAM / (2 * 2.56e-3), LAM)
+    mask = ComplexField(g, np.exp(1j * np.random.default_rng(8).uniform(0, 0.1, 512)))
+    tracemalloc.start()
+    try:
+        t = transformer_from_transmittance(mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 4 MiB table and about 1 MiB of chirp-z blocks; a frozen copy of
+    # the table would add another 4 MiB
+    assert peak < t.kernel.nbytes + 2 * 2**20

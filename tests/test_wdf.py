@@ -211,6 +211,14 @@ def test_angle_window_beyond_lag_band_rejected():
         wigner_table(g, np.ones(64, complex), -too_far, too_far / 4, 9, WdfOptions())
 
 
+@pytest.mark.parametrize("n_u", [1, 0, -3])
+def test_fewer_than_two_frequencies_rejected(n_u):
+    # one frequency has no step for the chirp scale to divide by
+    g = make_grid(16, 3.2e-4, 16, 16 * LAM / 3.2e-4, LAM)
+    with pytest.raises(InvalidConfigurationError, match="at least 2 frequencies"):
+        wigner_table(g, np.ones(16, complex), 0.0, 100.0, n_u, WdfOptions())
+
+
 def test_fine_samples_shape_checked():
     g = full_circle_grid()
     with pytest.raises(InvalidConfigurationError):
