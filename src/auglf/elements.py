@@ -40,6 +40,7 @@ from .core import (
 )
 from .transformers import (
     LightFieldTransformer,
+    NumericTransformer,
     _deflection_kernel,
     _deposit_rows,
     _relative_axis,
@@ -237,7 +238,7 @@ class CodedAperture:
 
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
-    ) -> LightFieldTransformer:
+    ) -> NumericTransformer:
         return transformer_from_transmittance(self.mask, options)
 
 

@@ -18,6 +18,15 @@ import numpy as np
 ZERO_RGB = (128, 128, 128)
 POSITIVE_RGB = (255, 0, 0)
 NEGATIVE_RGB = (0, 0, 255)
+# Rows of a matrix formatted or coloured at a time: the bulk writers hold a
+# block's text or colour planes, never the whole matrix's.
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(count: int):
+    """Slices of ``_BLOCK_ROWS`` rows covering ``count`` rows; the last may be short."""
+    for lo in range(0, count, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS, count))
 
 
 def fmt17(value: float) -> str:
@@ -61,12 +70,13 @@ def write_matrix_csv(
         )
     header = f"{row_label}\\{col_label}," + ",".join(fmt17(c) for c in col_axis)
     # one format string per row: "%.17g" prints exactly what fmt17 does
-    row_format = "%.17g," + ",".join(["%.17g"] * matrix.shape[1])
-    lines = [header]
-    for r, row in zip(np.asarray(row_axis, dtype=np.float64).tolist(), matrix.tolist()):
-        lines.append(row_format % (r, *row))
+    row_format = "%.17g," + ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    row_axis = np.asarray(row_axis, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(header + "\n")
+        for rows in _row_blocks(matrix.shape[0]):
+            pairs = zip(row_axis[rows].tolist(), matrix[rows].tolist())
+            handle.write("".join(row_format % (r, *row) for r, row in pairs))
 
 
 def read_matrix_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,24 +94,44 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(row_axis), col_axis, np.array(rows)
 
 
-def diverging_rgb(matrix: np.ndarray, vmax: Optional[float] = None) -> np.ndarray:
-    """Signed values to RGB: zero is mid-gray, positive red, negative blue."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+def _abs_max(matrix: np.ndarray) -> float:
+    """Largest magnitude in ``matrix`` (NaN if it holds one), a block of rows at a time."""
+    return float(np.max([np.abs(matrix[rows]).max() for rows in _row_blocks(len(matrix))]))
+
+
+def _rgb_blocks(matrix: np.ndarray, vmax: Optional[float]):
+    """Yield ``(rows, rgb)``: the colours of each block of rows of ``matrix``."""
     if vmax is None:
-        vmax = float(np.abs(matrix).max())
-    if vmax <= 0.0:
-        return np.full(matrix.shape + (3,), ZERO_RGB[0], dtype=np.uint8)
-    t = np.clip(matrix / vmax, -1.0, 1.0)
-    pos = np.clip(t, 0.0, 1.0)
-    neg = np.clip(-t, 0.0, 1.0)
+        vmax = _abs_max(matrix)
+    for rows in _row_blocks(matrix.shape[0]):
+        block = matrix[rows]
+        if vmax <= 0.0:
+            yield rows, np.full(block.shape + (3,), ZERO_RGB[0], dtype=np.uint8)
+            continue
+        t = np.clip(block / vmax, -1.0, 1.0)
+        pos = np.clip(t, 0.0, 1.0)
+        neg = np.clip(-t, 0.0, 1.0)
+        rgb = np.empty(block.shape + (3,), dtype=np.uint8)
+        for c in range(3):
+            channel = (
+                ZERO_RGB[c]
+                + pos * (POSITIVE_RGB[c] - ZERO_RGB[c])
+                + neg * (NEGATIVE_RGB[c] - ZERO_RGB[c])
+            )
+            rgb[..., c] = np.clip(np.rint(channel, out=channel), 0, 255, out=channel)
+        yield rows, rgb
+
+
+def diverging_rgb(matrix: np.ndarray, vmax: Optional[float] = None) -> np.ndarray:
+    """Signed values to RGB: zero is mid-gray, positive red, negative blue.
+
+    Rows are coloured a block at a time, so the float work holds one
+    block's planes besides the uint8 result.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
     rgb = np.empty(matrix.shape + (3,), dtype=np.uint8)
-    for c in range(3):
-        channel = (
-            ZERO_RGB[c]
-            + pos * (POSITIVE_RGB[c] - ZERO_RGB[c])
-            + neg * (NEGATIVE_RGB[c] - ZERO_RGB[c])
-        )
-        rgb[..., c] = np.clip(np.rint(channel, out=channel), 0, 255, out=channel)
+    for rows, block in _rgb_blocks(matrix, vmax):
+        rgb[rows] = block
     return rgb
 
 
@@ -115,16 +145,18 @@ def write_heatmap(
 
     The matrix is indexed (position, angle); the image puts position along
     the width and angle along the height with positive angles at the top.
-    Returns the two paths written.
+    Returns the two paths written.  The image is coloured and written a
+    block of pixel rows at a time.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    vmax = float(np.abs(matrix).max())
-    image = diverging_rgb(matrix.T[::-1, :], vmax if vmax > 0 else None)
-    height, width = image.shape[:2]
+    image = matrix.T[::-1, :]
+    vmax = _abs_max(image)
+    height, width = image.shape
     ppm_path = path_base + ".ppm"
     with open(ppm_path, "wb") as handle:
         handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        handle.write(image.tobytes())
+        for _, rgb in _rgb_blocks(image, vmax if vmax > 0 else None):
+            handle.write(rgb.tobytes())
     sidecar = {
         "format": "P6",
         "width": width,

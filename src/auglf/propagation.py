@@ -54,7 +54,9 @@ def shear_propagate(
         )
     grid = alf.grid
     if distance == 0.0:
-        return AugmentedLightField(grid, _freeze(alf.radiance.copy()), dict(alf.meta)), 0.0
+        meta = dict(alf.meta)
+        meta["truncation_loss"] = 0.0
+        return AugmentedLightField(grid, _freeze(alf.radiance.copy()), meta), 0.0
 
     theta = grid.theta_axis()
     shifts = distance * theta

@@ -11,11 +11,18 @@ Kernels are real but not necessarily positive; negative lobes carry the
 interference structure of coherent elements.
 
 Rows of a convolution are independent, so kernels are applied and composed
-a block of rows at a time (``_row_convolutions``).  Besides its inputs and
-its result, a dense apply holds only one block's spectra and products, about
-3 MiB whatever the grid.  The apply transforms at the shortest length that
-keeps the n output bins free of wrap-around, ``next_fast_len(2n - 1)``, and
-gives the same bits as transforming whole arrays at that length.
+a block of rows at a time (``_row_convolutions``), and every transformer
+hands out its kernel a block of rows at a time through ``rows(lo, hi)``.
+A closed-form kernel is a table (``LightFieldTransformer``) and answers by
+slicing it.  The numeric kernel of a sampled transmittance
+(``NumericTransformer``) makes each block from the transmittance's Wigner
+rows when the apply asks for it, so its ``(x_samples, 2n - 1)`` table is
+never held whole; ``kernel`` assembles that table only for callers that
+want it.  Besides its inputs and its result, an apply holds one block's
+kernel rows, spectra and products, about 3 MiB whatever the grid.  The apply
+transforms at the shortest length that keeps the n output bins free of
+wrap-around, ``next_fast_len(2n - 1)``, and gives the same bits as
+transforming whole arrays at that length.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .core import (
     _freeze,
     _frozen_array,
 )
-from .wdf import WdfOptions, wigner_table
+from .wdf import WdfOptions, WignerRows, wigner_table
 
 import warnings
 
@@ -50,22 +57,10 @@ def _relative_axis(grid: PhaseSpaceGrid) -> np.ndarray:
     return (np.arange(2 * n - 1) - (n - 1)) * grid.dtheta
 
 
-@dataclass(frozen=True, slots=True)
-class LightFieldTransformer:
-    """Per-position angle-redistribution kernel on a relative-angle axis.
+class _RelativeAngleKernel:
+    """What every transformer offers on top of ``grid``, ``rows`` and ``kernel``."""
 
-    kernel has shape ``(x_samples, 2 * theta_samples - 1)``; column ``m``
-    corresponds to a deflection of ``(m - (theta_samples - 1)) * dtheta``.
-    """
-
-    grid: PhaseSpaceGrid
-    kernel: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        expected = (self.grid.x_samples, 2 * self.grid.theta_samples - 1)
-        arr = _frozen_array(self.kernel, np.float64, expected, "kernel")
-        object.__setattr__(self, "kernel", arr)
+    __slots__ = ()
 
     def deflection_axis(self) -> np.ndarray:
         return _relative_axis(self.grid)
@@ -82,6 +77,68 @@ class LightFieldTransformer:
         offsets = np.rint(self.grid.theta_axis() / self.grid.dtheta).astype(int)
         cols = np.clip(offsets + n - 1, 0, 2 * n - 2)
         return self.kernel[:, cols]
+
+
+@dataclass(frozen=True, slots=True)
+class LightFieldTransformer(_RelativeAngleKernel):
+    """Per-position angle-redistribution kernel on a relative-angle axis, as a table.
+
+    kernel has shape ``(x_samples, 2 * theta_samples - 1)``; column ``m``
+    corresponds to a deflection of ``(m - (theta_samples - 1)) * dtheta``.
+    """
+
+    grid: PhaseSpaceGrid
+    kernel: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        expected = (self.grid.x_samples, 2 * self.grid.theta_samples - 1)
+        arr = _frozen_array(self.kernel, np.float64, expected, "kernel")
+        object.__setattr__(self, "kernel", arr)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Kernel rows lo..hi-1, a read-only view of the table."""
+        return self.kernel[lo:hi]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class NumericTransformer(_RelativeAngleKernel):
+    """Kernel of a sampled transmittance whose rows are made when asked for.
+
+    Row i is the Wigner row of the transmittance around x_i on the
+    relative-angle axis, divided by the wavelength.  ``rows`` computes a
+    block from ``source``, set up (and its settings checked) at build time,
+    so the whole ``(x_samples, 2 * theta_samples - 1)`` table never exists
+    on the apply path.  ``kernel`` assembles that table through
+    ``wigner_table`` on each access and does not keep it; the values are
+    the same bits as the rows.
+    """
+
+    grid: PhaseSpaceGrid
+    transmittance: ComplexField
+    options: WdfOptions
+    fine_samples: Optional[np.ndarray]
+    source: WignerRows
+    meta: dict
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Kernel rows lo..hi-1, a fresh array."""
+        block = np.empty((hi - lo, self.source.shape[1]))
+        self.source.write(lo, hi, block)
+        block /= self.grid.wavelength
+        return block
+
+    @property
+    def kernel(self) -> np.ndarray:
+        table = wigner_table(
+            self.grid,
+            self.transmittance.samples,
+            *_relative_frequencies(self.grid),
+            options=self.options,
+            fine_samples=self.fine_samples,
+        )
+        table /= self.grid.wavelength
+        return _freeze(table)
 
 
 def identity_transformer(grid: PhaseSpaceGrid) -> LightFieldTransformer:
@@ -162,11 +219,18 @@ def canonical_transformer(
     return spec.kernel(grid, options)
 
 
+def _relative_frequencies(grid: PhaseSpaceGrid) -> tuple[float, float, int]:
+    """``(u_start, du, n_u)`` of the relative-angle axis as spatial frequencies."""
+    n = grid.theta_samples
+    u_step = grid.dtheta / grid.wavelength
+    return -(n - 1) * u_step, u_step, 2 * n - 1
+
+
 def transformer_from_transmittance(
     transmittance: ComplexField,
     options: Optional[WdfOptions] = None,
     fine_samples: Optional[np.ndarray] = None,
-) -> LightFieldTransformer:
+) -> NumericTransformer:
     """Numeric kernel from a sampled complex transmittance.
 
     The kernel is the phase-space density of the transmittance itself,
@@ -183,25 +247,28 @@ def transformer_from_transmittance(
     oversample_factor values per sample, starting at the first x node);
     exact values there sidestep the ringing that band-limited
     interpolation adds around jumps.
+
+    The settings are checked here; the kernel rows are made block by block
+    by the apply (see NumericTransformer).
     """
     grid = transmittance.grid
     if options is None:
         options = WdfOptions(boundary="periodic")
-    n = grid.theta_samples
-    u_step = grid.dtheta / grid.wavelength
-    table = wigner_table(
+    source = WignerRows(
         grid,
         transmittance.samples,
-        u_start=-(n - 1) * u_step,
-        du=u_step,
-        n_u=2 * n - 1,
+        *_relative_frequencies(grid),
         options=options,
         fine_samples=fine_samples,
     )
-    table /= grid.wavelength
-    return LightFieldTransformer(
+    if fine_samples is not None:  # kept for ``kernel``; checked by WignerRows
+        fine_samples = _freeze(np.array(fine_samples, dtype=np.complex128))
+    return NumericTransformer(
         grid,
-        _freeze(table),
+        transmittance,
+        options,
+        fine_samples,
+        source,
         {"element": "numeric", "wdf_options": options},
     )
 
@@ -211,20 +278,23 @@ def _block_rows(nfft: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * (nfft // 2 + 1)))
 
 
-def _row_convolutions(a: np.ndarray, b: np.ndarray, nfft: int):
-    """Circular convolutions of matching rows of ``a`` and ``b``, block by block.
+def _row_convolutions(a_rows, b: np.ndarray, nfft: int):
+    """Circular convolutions of matching rows of two operands, block by block.
 
-    Yields ``(rows, full)``: the slice of rows covered and their ``nfft``
-    circular convolution samples, a fresh array the caller may overwrite.
-    Every row is transformed on its own, so the values equal those of
-    transforming the whole arrays at once.
+    ``a_rows(lo, hi)`` gives rows lo..hi-1 of the first operand (a
+    transformer's ``rows``); ``b`` is the second operand.  Yields ``(rows,
+    full)``: the slice of rows covered and their ``nfft`` circular
+    convolution samples, a fresh array the caller may overwrite.  Every row
+    is transformed on its own, so the values equal those of transforming
+    the whole arrays at once.
     """
     step = _block_rows(nfft)
-    for start in range(0, a.shape[0], step):
-        rows = slice(start, start + step)
-        spec = rfft(a[rows], nfft, axis=1)
-        spec *= rfft(b[rows], nfft, axis=1)
-        yield rows, irfft(spec, nfft, axis=1, overwrite_x=True)
+    count = b.shape[0]
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        spec = rfft(a_rows(lo, hi), nfft, axis=1)
+        spec *= rfft(b[lo:hi], nfft, axis=1)
+        yield slice(lo, hi), irfft(spec, nfft, axis=1, overwrite_x=True)
 
 
 def compose_transformers(
@@ -245,9 +315,9 @@ def compose_transformers(
     width = 2 * n - 1
     # full convolution length 4n-3; the shared axis sits centred on it
     lo = width - 1 - (n - 1)
-    kernel = np.empty_like(first.kernel)
+    kernel = np.empty((grid.x_samples, width))
     for rows, full in _row_convolutions(
-        first.kernel, second.kernel, next_fast_len(2 * width - 1)
+        first.rows, second.kernel, next_fast_len(2 * width - 1)
     ):
         kernel[rows] = full[:, lo : lo + width] * grid.dtheta
     return LightFieldTransformer(grid, _freeze(kernel), {"element": "composite"})
@@ -270,9 +340,11 @@ def apply_transformer(
     A row's signed leak is therefore the sum of its circular bins outside
     the window, and its total the sum over all bins.
 
-    Rows are convolved a block at a time straight into the result, so the
-    working memory beyond the input and output radiance is one block's
-    spectra and products: about 3 MiB, independent of the grid.
+    Rows are convolved a block at a time straight into the result, each
+    block of kernel rows taken from ``transformer.rows``, so the working
+    memory beyond the input and output radiance is one block's kernel rows,
+    spectra and products: about 3 MiB, independent of the grid, plus a
+    numeric kernel's chirp-z scratch while it makes the block's rows.
     """
     grid = alf.grid
     if transformer.grid != grid:
@@ -284,7 +356,7 @@ def apply_transformer(
     leak_rows = np.empty(grid.x_samples)
     total_in = np.empty(grid.x_samples)
     for rows, full in _row_convolutions(
-        transformer.kernel, alf.radiance, next_fast_len(2 * n - 1)
+        transformer.rows, alf.radiance, next_fast_len(2 * n - 1)
     ):
         full *= grid.dtheta
         out[rows] = full[:, n - 1 : 2 * n - 1]

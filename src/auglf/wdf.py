@@ -25,11 +25,16 @@ Bell Syst. Tech. J. 48, 1969), the Fourier upsampling and the Tukey
 window are written here on top of ``scipy.fft`` rather than taken from
 SciPy's signal package: importing that package also loads ``scipy.stats``
 and costs about a second of start-up on every run, whether or not a
-Wigner transform is computed.  The chirps are built once per table.
-Each helper follows SciPy's order of operations, so results are bitwise
-the same; tests pin them to SciPy.  The table itself goes through an
-in-place variant of the chirp-z that reuses one padded buffer per block
-of rows.
+Wigner transform is computed.  Each helper follows SciPy's order of
+operations, so results are bitwise the same; tests pin them to SciPy.
+
+Rows of the table are independent.  ``WignerRows`` does the shared set-up
+once (upsampling, lag windows, chirps) and then writes any block of rows
+into a buffer its caller owns, through an in-place variant of the chirp-z
+that reuses one padded scratch buffer per call.  ``wigner_table`` fills a
+whole table from it (the field transform); the numeric light-field
+kernel takes its rows a block at a time while it is applied, so its
+table is never held whole.
 """
 
 from __future__ import annotations
@@ -181,20 +186,18 @@ def _apodized(samples: np.ndarray, window: str) -> np.ndarray:
     return samples * _tukey(len(samples), 2 * EDGE_TAPER_FRACTION)
 
 
-def wigner_table(
-    grid: PhaseSpaceGrid,
-    samples: np.ndarray,
-    u_start: float,
-    du: float,
-    n_u: int,
-    options: WdfOptions,
-    chunk_rows: int = 32,
-    fine_samples: np.ndarray = None,
-) -> np.ndarray:
-    """Real Wigner values at every grid x node and n_u frequencies u_start + k*du.
+class WignerRows:
+    """Rows of a real Wigner table, made on demand.
 
-    Shared by the field transform (u from the grid's theta axis) and the
-    transmittance-to-kernel path (u from a symmetric relative-angle axis).
+    The table holds the Wigner values at every grid x node and n_u
+    frequencies u_start + k*du.  Everything the rows share is set up here,
+    once: the checks on the settings, the upsampled signal, the forward and
+    backward lag windows over it, and the chirp-z transform.  ``write``
+    then fills any range of rows into a buffer the caller owns, so a
+    consumer can take the table a block at a time without it ever being
+    whole.  Rows are independent and each is transformed on its own, so the
+    values do not depend on how the rows are split into calls.
+
     fine_samples, when given, supplies the signal on the lag grid (factor *
     len(samples) values, factor = 2 * oversample_factor) and replaces the
     interpolation step; use it when the signal is known analytically
@@ -214,69 +217,110 @@ def wigner_table(
     on matched grids.  With zero boundary, lags that reach past either end
     of the field pair a sample with the zero padding and vanish.
     """
-    if n_u < 2:
-        raise InvalidConfigurationError(f"need at least 2 frequencies, got n_u={n_u!r}")
-    n = grid.x_samples
-    factor = 2 * options.oversample_factor
-    u_stop = u_start + du * (n_u - 1)
-    u_max = max(abs(u_start), abs(u_stop))
-    achievable = factor / (4.0 * grid.dx)
-    if u_max > achievable * (1 + 1e-12):
-        raise InvalidConfigurationError(
-            f"requested frequencies reach {u_max:.4g} /m but the lag sampling "
-            f"supports only {achievable:.4g} /m; enlarge oversample_factor or "
-            f"shrink the angle window"
-        )
 
-    g = _apodized(np.asarray(samples, dtype=np.complex128), options.window)
-    m_total = factor * n
-    if fine_samples is not None:
-        gf = np.asarray(fine_samples, dtype=np.complex128)
-        if gf.shape != (m_total,):
+    def __init__(
+        self,
+        grid: PhaseSpaceGrid,
+        samples: np.ndarray,
+        u_start: float,
+        du: float,
+        n_u: int,
+        options: WdfOptions,
+        fine_samples: np.ndarray = None,
+        chunk_rows: int = 32,
+    ):
+        if n_u < 2:
+            raise InvalidConfigurationError(f"need at least 2 frequencies, got n_u={n_u!r}")
+        n = grid.x_samples
+        factor = 2 * options.oversample_factor
+        u_stop = u_start + du * (n_u - 1)
+        u_max = max(abs(u_start), abs(u_stop))
+        achievable = factor / (4.0 * grid.dx)
+        if u_max > achievable * (1 + 1e-12):
             raise InvalidConfigurationError(
-                f"fine_samples must have shape ({m_total},), got {gf.shape}"
+                f"requested frequencies reach {u_max:.4g} /m but the lag sampling "
+                f"supports only {achievable:.4g} /m; enlarge oversample_factor or "
+                f"shrink the angle window"
             )
-        if options.window != "none":
-            gf = gf * _tukey(m_total, 2 * EDGE_TAPER_FRACTION)
-    elif options.interpolation == "none":
-        gf = np.zeros(m_total, dtype=np.complex128)
-        gf[::factor] = g
-    else:
-        gf = _upsample(g, m_total)
-    ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
-    k_half = m_total // 2
-    n_lags = k_half + 1
-    # Lag l of row q pairs gf[q + l] with conj(gf[q - l]).  For a block of
-    # rows both factors are strided windows, over `source` and over its
-    # conjugated mirror; `source` holds gf at `off`, between zero pads or,
-    # for periodic wrap, between two copies of itself.
-    if options.boundary == "periodic":
-        source, off = np.concatenate((gf, gf, gf)), m_total
-    else:
-        pad = np.zeros(k_half, dtype=np.complex128)
-        source, off = np.concatenate((pad, gf, pad)), k_half
-    forward = sliding_window_view(source, n_lags)
-    backward = sliding_window_view(np.conj(source[::-1]), n_lags)
-    first_back = len(source) - 1 - off
-    # doubling the one-sided sum counts lag 0 twice, so it enters at half
-    # weight; so does the periodic end lag
-    half_weight = [0, n_lags - 1] if options.boundary == "periodic" else [0]
 
-    u_nodes = u_start + du * np.arange(n_u)
-    zoom = _ZoomDft(n_lags, u_nodes[0], u_nodes[-1], n_u, 1.0 / ds)
-    out = np.empty((n, n_u))
-    buf = np.empty((min(chunk_rows, n), zoom.nfft), dtype=np.complex128)
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        q = factor * lo
-        rows = buf[: hi - lo]
-        np.multiply(
-            forward[off + q::factor][: hi - lo],
-            backward[first_back - q::-factor][: hi - lo],
-            out=rows[:, :n_lags],
-        )
-        rows[:, half_weight] *= 0.5
-        zoom.real_into(rows, 2.0 * ds, out[lo:hi])
+        g = _apodized(np.asarray(samples, dtype=np.complex128), options.window)
+        m_total = factor * n
+        if fine_samples is not None:
+            gf = np.asarray(fine_samples, dtype=np.complex128)
+            if gf.shape != (m_total,):
+                raise InvalidConfigurationError(
+                    f"fine_samples must have shape ({m_total},), got {gf.shape}"
+                )
+            if options.window != "none":
+                gf = gf * _tukey(m_total, 2 * EDGE_TAPER_FRACTION)
+        elif options.interpolation == "none":
+            gf = np.zeros(m_total, dtype=np.complex128)
+            gf[::factor] = g
+        else:
+            gf = _upsample(g, m_total)
+        self._ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
+        k_half = m_total // 2
+        self._n_lags = n_lags = k_half + 1
+        # Lag l of row q pairs gf[q + l] with conj(gf[q - l]).  For a block
+        # of rows both factors are strided windows, over `source` and over
+        # its conjugated mirror; `source` holds gf at `off`, between zero
+        # pads or, for periodic wrap, between two copies of itself.
+        if options.boundary == "periodic":
+            source, off = np.concatenate((gf, gf, gf)), m_total
+        else:
+            pad = np.zeros(k_half, dtype=np.complex128)
+            source, off = np.concatenate((pad, gf, pad)), k_half
+        self._forward = sliding_window_view(source, n_lags)[off::factor]
+        first_back = len(source) - 1 - off
+        self._backward = sliding_window_view(np.conj(source[::-1]), n_lags)[first_back::-factor]
+        # doubling the one-sided sum counts lag 0 twice, so it enters at
+        # half weight; so does the periodic end lag
+        self._half_weight = [0, n_lags - 1] if options.boundary == "periodic" else [0]
+
+        u_nodes = u_start + du * np.arange(n_u)
+        self._zoom = _ZoomDft(n_lags, u_nodes[0], u_nodes[-1], n_u, 1.0 / self._ds)
+        self._chunk_rows = chunk_rows
+        self.shape = (n, n_u)
+
+    def write(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write rows lo..hi-1 of the table into out, of shape (hi - lo, n_u).
+
+        Works through ``chunk_rows`` rows at a time in one complex scratch
+        buffer of the chirp-z length, allocated per call.
+        """
+        step = self._chunk_rows
+        buf = np.empty((min(step, hi - lo), self._zoom.nfft), dtype=np.complex128)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            rows = buf[: stop - start]
+            np.multiply(
+                self._forward[start:stop],
+                self._backward[start:stop],
+                out=rows[:, : self._n_lags],
+            )
+            rows[:, self._half_weight] *= 0.5
+            self._zoom.real_into(rows, 2.0 * self._ds, out[start - lo : stop - lo])
+
+
+def wigner_table(
+    grid: PhaseSpaceGrid,
+    samples: np.ndarray,
+    u_start: float,
+    du: float,
+    n_u: int,
+    options: WdfOptions,
+    chunk_rows: int = 32,
+    fine_samples: np.ndarray = None,
+) -> np.ndarray:
+    """The whole (x_samples, n_u) table of ``WignerRows``, as one array.
+
+    Shared by the field transform (u from the grid's theta axis) and the
+    assembled form of a numeric kernel (u from a symmetric relative-angle
+    axis).
+    """
+    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine_samples, chunk_rows)
+    out = np.empty(rows.shape)
+    rows.write(0, rows.shape[0], out)
     return out
 
 

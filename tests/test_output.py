@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from auglf.output import (
     NEGATIVE_RGB,
     POSITIVE_RGB,
     ZERO_RGB,
+    _BLOCK_ROWS,
     diverging_rgb,
     fmt17,
     read_matrix_csv,
@@ -153,6 +155,57 @@ def test_heatmap_bytes_and_sidecar(tmp_path):
     assert meta["width"] == 4 and meta["height"] == 3
     assert float(meta["value_at_peak"]) == 2.0
     assert meta["x_step_m"] == "1"
+
+
+# The bulk writers work a block of _BLOCK_ROWS rows at a time; two whole
+# blocks and a short one must give the bytes of formatting all at once.
+RAGGED_ROWS = 2 * _BLOCK_ROWS + 5
+
+
+def test_blocked_matrix_csv_bytes_with_a_ragged_last_block(tmp_path):
+    rng = np.random.default_rng(21)
+    m = rng.normal(size=(RAGGED_ROWS, 7)) * 10.0 ** rng.integers(-30, 30, size=(RAGGED_ROWS, 7))
+    m[-1, :3] = [np.nan, -0.0, np.inf]
+    rows = np.linspace(-1e-3, 1e-3, RAGGED_ROWS)
+    cols = np.linspace(-2, 2, 7)
+    p = tmp_path / "matrix.csv"
+    write_matrix_csv(str(p), rows, cols, m)
+    lines = ["x_m\\theta_rad," + ",".join(fmt17(c) for c in cols)]
+    for r, row in zip(rows, m):
+        lines.append(fmt17(r) + "," + ",".join(fmt17(v) for v in row))
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_blocked_heatmap_bytes_with_a_ragged_last_block(tmp_path):
+    # the image's pixel rows are the matrix's angle columns
+    m = np.random.default_rng(22).normal(size=(9, RAGGED_ROWS))
+    m[4, RAGGED_ROWS - 1] = 8.0  # the peak sits in the short block
+    for matrix, vmax in ((m.T, None), (m.T, 0.5), (m, None)):
+        assert diverging_rgb(matrix, vmax).tobytes() == float_cube_rgb(matrix, vmax).tobytes()
+    ppm, _ = write_heatmap(str(tmp_path / "field"), m, np.arange(9.0), np.arange(RAGGED_ROWS))
+    head = f"P6\n9 {RAGGED_ROWS}\n255\n".encode("ascii")
+    assert open(ppm, "rb").read() == head + float_cube_rgb(m.T[::-1, :]).tobytes()
+
+
+def test_bulk_writers_hold_no_full_size_temporary(tmp_path):
+    # 32 blocks of 16 columns: CSV rows and heatmap pixel rows both run
+    # along the long axis, and a block is a small share of the matrix
+    m = np.random.default_rng(23).normal(size=(32 * _BLOCK_ROWS, 16))
+    long_axis = np.linspace(-1.0, 1.0, m.shape[0])
+    short_axis = np.linspace(-1.0, 1.0, m.shape[1])
+    for write in (
+        lambda: write_matrix_csv(str(tmp_path / "m.csv"), long_axis, short_axis, m),
+        lambda: write_heatmap(str(tmp_path / "m"), m.T, short_axis, long_axis),
+    ):
+        tracemalloc.start()
+        try:
+            write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block's text or colour planes; the whole matrix as text, Python
+        # floats or float colour planes would be several times its size
+        assert peak < m.nbytes / 2
 
 
 def test_write_json_deterministic_and_nan_safe(tmp_path):

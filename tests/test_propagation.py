@@ -41,9 +41,10 @@ def test_zero_distance_is_exact_copy():
     rng = np.random.default_rng(0)
     alf = AugmentedLightField(g, rng.normal(size=(64, 64)))
     out, loss = shear_propagate(alf, 0.0)
-    assert loss == 0.0
+    assert loss == 0.0 and out.meta["truncation_loss"] == 0.0
     np.testing.assert_array_equal(out.radiance, alf.radiance)
     assert out.radiance is not alf.radiance
+    assert_matches_interp(alf, 0.0)
 
 
 def test_interp_mode_validated():
@@ -303,7 +304,7 @@ def shear_cases(draw):
                 st.sampled_from([0.0, 1e-15, -1e-15, 3e-14, -3e-14, 2.0**-52]),
             ),
             st.floats(-3.0 * x_samples, 3.0 * x_samples),
-        ).filter(lambda r: r != 0.0)  # zero distance returns a copy; tested above
+        )
     )
     return AugmentedLightField(g, radiance), rate * g.dx / g.dtheta
 

@@ -19,6 +19,7 @@ from auglf import (
     Pinhole,
     Prism,
     TwoPinholes,
+    WdfOptions,
     apply_shield_field,
     apply_transformer,
     canonical_transformer,
@@ -381,15 +382,72 @@ def test_apply_property_output_plus_leak_is_the_full_convolution(case):
     assert np.abs(out.radiance - kept).max() <= 1e-12 * np.abs(full).max()
 
 
-def test_numeric_kernel_table_is_wrapped_without_a_copy():
-    g = make_grid(512, 2.56e-3, 512, 512 * LAM / (2 * 2.56e-3), LAM)
+# The numeric kernel makes its rows while the apply runs; the table it never
+# holds must give the same bits when assembled and applied as a table.
+NUMERIC_SETTINGS = {
+    "periodic": (WdfOptions(boundary="periodic"), False),
+    "zero": (WdfOptions(boundary="zero"), False),
+    "zero_fine_samples": (WdfOptions(boundary="zero"), True),
+    "periodic_oversample_2": (WdfOptions(oversample_factor=2, boundary="periodic"), False),
+}
+
+
+def random_mask(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.x_samples
+    return ComplexField(grid, rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(-3, 3, n)))
+
+
+@pytest.mark.parametrize("settings", NUMERIC_SETTINGS.values(), ids=NUMERIC_SETTINGS.keys())
+@pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
+def test_streamed_numeric_apply_matches_the_assembled_table_bits(rows_of, settings):
+    options, fine = settings
+    x_samples = rows_of(_block_rows(next_fast_len(2 * BLOCK_THETA - 1)))
+    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, BLOCK_THETA, 0.02, LAM)
+    mask = random_mask(grid, x_samples)
+    fine_samples = None
+    if fine:
+        factor = 2 * options.oversample_factor
+        fine_samples = np.repeat(mask.samples, factor)
+    t = transformer_from_transmittance(mask, options, fine_samples)
+    table = LightFieldTransformer(grid, t.kernel, t.meta)
+    alf = random_alf(grid, 14)
+    streamed = apply_transformer(alf, t)
+    assembled = apply_transformer(alf, table)
+    assert np.array_equal(streamed.radiance, assembled.radiance)
+    assert streamed.meta["theta_leak"] == assembled.meta["theta_leak"]
+    assert streamed.meta["theta_leak_fraction"] == assembled.meta["theta_leak_fraction"]
+    # any split of the rows gives the same bits as the assembled table
+    assert np.array_equal(t.rows(x_samples // 2, x_samples), table.kernel[x_samples // 2 :])
+
+
+def test_numeric_kernel_build_and_apply_never_hold_the_table():
+    g = make_grid(512, 2.56e-3, 1024, 0.06, LAM)
     mask = ComplexField(g, np.exp(1j * np.random.default_rng(8).uniform(0, 0.1, 512)))
+    alf = random_alf(g, 6)
     tracemalloc.start()
     try:
-        t = transformer_from_transmittance(mask)
+        apply_transformer(alf, transformer_from_transmittance(mask))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 4 MiB table and about 1 MiB of chirp-z blocks; a frozen copy of
-    # the table would add another 4 MiB
-    assert peak < t.kernel.nbytes + 2 * 2**20
+    # the result (4 MiB), taken by the container without a copy, and about
+    # 4 MiB of one block's kernel rows, chirp-z scratch and transforms; the
+    # 8 MiB table, held whole beside the result, would pass 12 MiB
+    table_bytes = g.x_samples * (2 * g.theta_samples - 1) * 8
+    assert peak < alf.radiance.nbytes + 5 * 2**20 < alf.radiance.nbytes + table_bytes
+
+
+def test_numeric_kernel_settings_are_checked_at_build_time():
+    g = PhaseSpaceGrid(64, 64e-5, 64, 0.02, LAM)
+    mask = random_mask(g, 3)
+    # the relative-angle axis reaches past what the lag sampling resolves
+    wide = PhaseSpaceGrid(64, 64e-5, 64, 0.2, LAM)
+    with pytest.raises(InvalidConfigurationError, match="lag sampling"):
+        transformer_from_transmittance(random_mask(wide, 3))
+    with pytest.raises(InvalidConfigurationError, match="fine_samples"):
+        transformer_from_transmittance(mask, fine_samples=np.ones(64))
+    with pytest.raises(InvalidConfigurationError, match="frequencies"):
+        transformer_from_transmittance(random_mask(PhaseSpaceGrid(64, 64e-5, 1, 0.02, LAM), 3))
+    with pytest.raises(InvalidConfigurationError, match="boundary"):
+        transformer_from_transmittance(mask, WdfOptions(boundary="mirror"))

@@ -20,7 +20,7 @@ from auglf import (
     project_intensity,
     wdf_from_field,
 )
-from auglf.wdf import _tukey, _upsample, _ZoomDft, wigner_table
+from auglf.wdf import WignerRows, _tukey, _upsample, _ZoomDft, wigner_table
 
 from oracles import (
     gaussian_wigner,
@@ -439,6 +439,20 @@ def test_wigner_table_property_chunking_is_bitwise_invariant(case, chunk_rows):
     whole = wigner_table(grid, samples, u_start, du, n_u, options, chunk_rows=grid.x_samples, fine_samples=fine)
     chunked = wigner_table(grid, samples, u_start, du, n_u, options, chunk_rows=chunk_rows, fine_samples=fine)
     assert np.array_equal(chunked, whole)
+
+
+@PROPERTY_SETTINGS
+@given(table_cases(), st.data())
+def test_wigner_rows_property_any_row_range_gives_the_table_bits(case, data):
+    grid, samples, options, fine, (u_start, du, n_u) = case
+    whole = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
+    chunk_rows = data.draw(st.integers(1, 45))
+    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine, chunk_rows)
+    lo = data.draw(st.integers(0, grid.x_samples - 1))
+    hi = data.draw(st.integers(lo + 1, grid.x_samples))
+    out = np.full((hi - lo, n_u), np.nan)
+    rows.write(lo, hi, out)
+    assert np.array_equal(out, whole[lo:hi])
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():
