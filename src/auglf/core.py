@@ -22,7 +22,9 @@ always copied, so mutating it later leaves the container unchanged.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,6 +214,39 @@ def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
     if flags.writeable or not (flags.c_contiguous and flags.owndata):
         arr = _freeze(arr.copy())
     return arr
+
+
+def _worker_count() -> int:
+    """Threads a row loop may use: the CPUs this process is allowed to run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _over_rows(count: int, work) -> None:
+    """Run ``work(lo, hi, workers)`` over rows ``[0, count)``, one range per worker.
+
+    The rows are cut into ``workers = min(_worker_count(), count)``
+    contiguous ranges.  All but the last run on a thread pool made for
+    this call, the last in the calling thread; with one worker there is no
+    pool.  ``work`` gets the worker count so that it can size its blocks
+    to its share of a memory budget.  Each range must write only its own
+    rows, so the result does not depend on the worker count.  An exception
+    raised in any range reaches the caller after every range has ended.
+    """
+    workers = max(1, min(_worker_count(), count))
+    if workers == 1:
+        work(0, count, 1)
+        return
+    bounds = [count * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [
+            pool.submit(work, bounds[k], bounds[k + 1], workers) for k in range(workers - 1)
+        ]
+        work(bounds[-2], bounds[-1], workers)
+        for future in futures:
+            future.result()
 
 
 @dataclass(frozen=True, slots=True)

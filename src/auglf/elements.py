@@ -39,6 +39,7 @@ from .core import (
     _freeze,
 )
 from .transformers import (
+    _BLOCK_BYTES,
     LightFieldTransformer,
     NumericTransformer,
     _deflection_kernel,
@@ -413,9 +414,8 @@ class Hologram:
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
         n = grid.theta_samples
-        dax = _relative_axis(grid)
+        dax = _relative_axis(grid)[np.newaxis, :]
         x = grid.x_axis()
-        lam = grid.wavelength
         d = self.source_distance
         kernel = np.zeros(_shape(grid))
         if self.width is None:
@@ -425,38 +425,49 @@ class Hologram:
                 inside = (cols >= 0) & (cols <= 2 * n - 2)
                 rows = np.nonzero(inside)[0]
                 np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
-            if self.include_oscillatory:
-                kernel += 2.0 * np.cos(
-                    (2.0 * np.pi / lam)
-                    * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
-                )
-        else:
-            # finite plate: the remaining span 2*ell(x) bounds the lag
-            # integral, so each ridge becomes a sinc of that width and the
-            # chirp cross term becomes a pair of Fresnel integrals taken
-            # between the plate edges
-            ell = np.maximum(self.width / 2 - np.abs(x), 0.0)[:, np.newaxis]
-            on_plate = ell > 0
-            for sign in (+1.0, -1.0):
-                off = dax[np.newaxis, :] - sign * x[:, np.newaxis] / d
-                kernel += np.where(on_plate, (4.0 * ell / lam) * np.sinc(4.0 * ell * off / lam), 0.0)
-            if self.include_oscillatory:
-                root = np.sqrt(lam * d)
-                s_star = d * dax[np.newaxis, :]
-                s2, c2 = fresnel(2.0 * (ell - s_star) / root)
-                s1, c1 = fresnel(-2.0 * (ell + s_star) / root)
-                segment = (c2 - c1) + 1j * (s2 - s1)
-                carrier = np.exp(
-                    1j * (2.0 * np.pi / lam)
-                    * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
-                )
-                film = (2.0 * root / lam) * (carrier * segment).real
-                kernel += np.where(on_plate, film, 0.0)
+        # the smooth terms are made a block of rows at a time: the bounded
+        # branch holds about six complex temporaries of a block at once
+        step = max(1, _BLOCK_BYTES // (4 * 16 * dax.size))
+        for lo in range(0, grid.x_samples, step):
+            rows = slice(lo, lo + step)
+            self._add_smooth_rows(kernel[rows], x[rows, np.newaxis], dax, grid.wavelength)
         return LightFieldTransformer(
             grid,
             _freeze(kernel),
             {"include_oscillatory": self.include_oscillatory, "element": "hologram"},
         )
+
+    def _add_smooth_rows(
+        self, block: np.ndarray, x: np.ndarray, dax: np.ndarray, lam: float
+    ) -> None:
+        """Add the kernel's smooth terms at positions x (a column) to block."""
+        d = self.source_distance
+        if self.width is None:
+            if self.include_oscillatory:
+                block += 2.0 * np.cos(
+                    (2.0 * np.pi / lam) * (2.0 * d + x ** 2 / d - d * dax ** 2)
+                )
+            return
+        # finite plate: the remaining span 2*ell(x) bounds the lag
+        # integral, so each ridge becomes a sinc of that width and the
+        # chirp cross term becomes a pair of Fresnel integrals taken
+        # between the plate edges
+        ell = np.maximum(self.width / 2 - np.abs(x), 0.0)
+        on_plate = ell > 0
+        for sign in (+1.0, -1.0):
+            off = dax - sign * x / d
+            block += np.where(on_plate, (4.0 * ell / lam) * np.sinc(4.0 * ell * off / lam), 0.0)
+        if self.include_oscillatory:
+            root = np.sqrt(lam * d)
+            s_star = d * dax
+            s2, c2 = fresnel(2.0 * (ell - s_star) / root)
+            s1, c1 = fresnel(-2.0 * (ell + s_star) / root)
+            segment = (c2 - c1) + 1j * (s2 - s1)
+            carrier = np.exp(
+                1j * (2.0 * np.pi / lam) * (2.0 * d + x ** 2 / d - d * dax ** 2)
+            )
+            film = (2.0 * root / lam) * (carrier * segment).real
+            block += np.where(on_plate, film, 0.0)
 
 
 ElementSpec = Union[

@@ -18,11 +18,18 @@ slicing it.  The numeric kernel of a sampled transmittance
 (``NumericTransformer``) makes each block from the transmittance's Wigner
 rows when the apply asks for it, so its ``(x_samples, 2n - 1)`` table is
 never held whole; ``kernel`` assembles that table only for callers that
-want it.  Besides its inputs and its result, an apply holds one block's
-kernel rows, spectra and products, about 3 MiB whatever the grid.  The apply
-transforms at the shortest length that keeps the n output bins free of
-wrap-around, ``next_fast_len(2n - 1)``, and gives the same bits as
-transforming whole arrays at that length.
+want it.  The apply transforms at the shortest length that keeps the n
+output bins free of wrap-around, ``next_fast_len(2n - 1)``, and gives the
+same bits as transforming whole arrays at that length.
+
+The apply splits the rows into one contiguous range per CPU the process
+may use (``core._over_rows``); each range runs its own block loop on its
+own thread into its own rows of the result, and the leak and power sums
+are taken after the join, in row order, so the bits do not depend on the
+thread count.  The workers share one block budget, a 1/w share each, so
+besides its inputs and its result an apply holds about 3 MiB of kernel
+rows, spectra and products whatever the grid and the thread count.
+``compose_transformers`` runs its blocks serially.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .core import (
     PhaseSpaceGrid,
     _freeze,
     _frozen_array,
+    _over_rows,
 )
 from .wdf import WdfOptions, WignerRows, wigner_table
 
@@ -96,8 +104,8 @@ class LightFieldTransformer(_RelativeAngleKernel):
         arr = _frozen_array(self.kernel, np.float64, expected, "kernel")
         object.__setattr__(self, "kernel", arr)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Kernel rows lo..hi-1, a read-only view of the table."""
+    def rows(self, lo: int, hi: int, workers: int = 1) -> np.ndarray:
+        """Kernel rows lo..hi-1, a read-only view of the table (``workers`` is unused)."""
         return self.kernel[lo:hi]
 
 
@@ -121,10 +129,14 @@ class NumericTransformer(_RelativeAngleKernel):
     source: WignerRows
     meta: dict
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Kernel rows lo..hi-1, a fresh array."""
+    def rows(self, lo: int, hi: int, workers: int = 1) -> np.ndarray:
+        """Kernel rows lo..hi-1, a fresh array.
+
+        ``workers`` callers making rows at once share the chirp-z scratch
+        budget (see ``WignerRows.write``).
+        """
         block = np.empty((hi - lo, self.source.shape[1]))
-        self.source.write(lo, hi, block)
+        self.source.write(lo, hi, block, workers)
         block /= self.grid.wavelength
         return block
 
@@ -273,26 +285,27 @@ def transformer_from_transmittance(
     )
 
 
-def _block_rows(nfft: int) -> int:
-    """Rows per block whose spectra of length ``nfft`` fill ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (16 * (nfft // 2 + 1)))
+def _block_rows(nfft: int, workers: int = 1) -> int:
+    """Rows per block whose spectra of length ``nfft`` fill a ``workers``-th of ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // workers // (16 * (nfft // 2 + 1)))
 
 
-def _row_convolutions(a_rows, b: np.ndarray, nfft: int):
+def _row_convolutions(a_rows, b: np.ndarray, nfft: int, start: int, stop: int, workers: int):
     """Circular convolutions of matching rows of two operands, block by block.
 
-    ``a_rows(lo, hi)`` gives rows lo..hi-1 of the first operand (a
-    transformer's ``rows``); ``b`` is the second operand.  Yields ``(rows,
-    full)``: the slice of rows covered and their ``nfft`` circular
-    convolution samples, a fresh array the caller may overwrite.  Every row
-    is transformed on its own, so the values equal those of transforming
-    the whole arrays at once.
+    ``a_rows(lo, hi, workers)`` gives rows lo..hi-1 of the first operand (a
+    transformer's ``rows``); ``b`` is the second operand.  Covers rows
+    start..stop-1 in blocks sized to a ``workers``-th of the budget, for
+    that many callers running at once.  Yields ``(rows, full)``: the slice
+    of rows covered and their ``nfft`` circular convolution samples, a
+    fresh array the caller may overwrite.  Every row is transformed on its
+    own, so the values equal those of transforming the whole arrays at
+    once.
     """
-    step = _block_rows(nfft)
-    count = b.shape[0]
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        spec = rfft(a_rows(lo, hi), nfft, axis=1)
+    step = _block_rows(nfft, workers)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        spec = rfft(a_rows(lo, hi, workers), nfft, axis=1)
         spec *= rfft(b[lo:hi], nfft, axis=1)
         yield slice(lo, hi), irfft(spec, nfft, axis=1, overwrite_x=True)
 
@@ -317,7 +330,7 @@ def compose_transformers(
     lo = width - 1 - (n - 1)
     kernel = np.empty((grid.x_samples, width))
     for rows, full in _row_convolutions(
-        first.rows, second.kernel, next_fast_len(2 * width - 1)
+        first.rows, second.kernel, next_fast_len(2 * width - 1), 0, grid.x_samples, 1
     ):
         kernel[rows] = full[:, lo : lo + width] * grid.dtheta
     return LightFieldTransformer(grid, _freeze(kernel), {"element": "composite"})
@@ -352,17 +365,22 @@ def apply_transformer(
             "transformer and light field live on different grids"
         )
     n = grid.theta_samples
+    nfft = next_fast_len(2 * n - 1)
     out = np.empty_like(alf.radiance)
     leak_rows = np.empty(grid.x_samples)
     total_in = np.empty(grid.x_samples)
-    for rows, full in _row_convolutions(
-        transformer.rows, alf.radiance, next_fast_len(2 * n - 1)
-    ):
-        full *= grid.dtheta
-        out[rows] = full[:, n - 1 : 2 * n - 1]
-        leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
-        total_in[rows] = np.abs(full.sum(axis=1))
-        del full  # free this block before the next one is transformed
+
+    def convolve(start: int, stop: int, workers: int) -> None:
+        for rows, full in _row_convolutions(
+            transformer.rows, alf.radiance, nfft, start, stop, workers
+        ):
+            full *= grid.dtheta
+            out[rows] = full[:, n - 1 : 2 * n - 1]
+            leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
+            total_in[rows] = np.abs(full.sum(axis=1))
+            del full  # free this block before the next one is transformed
+
+    _over_rows(grid.x_samples, convolve)
     denom = float(total_in.sum())
     leak = float(leak_rows.sum()) * grid.dtheta * grid.dx
     frac = float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0

@@ -32,9 +32,12 @@ Rows of the table are independent.  ``WignerRows`` does the shared set-up
 once (upsampling, lag windows, chirps) and then writes any block of rows
 into a buffer its caller owns, through an in-place variant of the chirp-z
 that reuses one padded scratch buffer per call.  ``wigner_table`` fills a
-whole table from it (the field transform); the numeric light-field
-kernel takes its rows a block at a time while it is applied, so its
-table is never held whole.
+whole table from it (the field transform), one contiguous range of rows
+per CPU the process may use, each on its own thread with a 1/w share of
+the ``chunk_rows`` scratch budget (``core._over_rows``); the bits do not
+depend on the thread count.  The numeric light-field kernel takes its
+rows a block at a time inside the apply's own ranges, so its table is
+never held whole.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .core import (
     InvalidConfigurationError,
     PhaseSpaceGrid,
     _freeze,
+    _over_rows,
 )
 
 __all__ = ["WdfOptions", "wdf_from_field", "analytic_wdf_two_pinholes", "analytic_wdf_rect_aperture"]
@@ -282,13 +286,14 @@ class WignerRows:
         self._chunk_rows = chunk_rows
         self.shape = (n, n_u)
 
-    def write(self, lo: int, hi: int, out: np.ndarray) -> None:
+    def write(self, lo: int, hi: int, out: np.ndarray, workers: int = 1) -> None:
         """Write rows lo..hi-1 of the table into out, of shape (hi - lo, n_u).
 
-        Works through ``chunk_rows`` rows at a time in one complex scratch
-        buffer of the chirp-z length, allocated per call.
+        Works through a ``workers``-th of ``chunk_rows`` rows at a time, for
+        that many writers running at once, in one complex scratch buffer of
+        the chirp-z length, allocated per call.
         """
-        step = self._chunk_rows
+        step = max(1, self._chunk_rows // workers)
         buf = np.empty((min(step, hi - lo), self._zoom.nfft), dtype=np.complex128)
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
@@ -320,7 +325,7 @@ def wigner_table(
     """
     rows = WignerRows(grid, samples, u_start, du, n_u, options, fine_samples, chunk_rows)
     out = np.empty(rows.shape)
-    rows.write(0, rows.shape[0], out)
+    _over_rows(rows.shape[0], lambda lo, hi, workers: rows.write(lo, hi, out[lo:hi], workers))
     return out
 
 

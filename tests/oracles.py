@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.special import fresnel
 from scipy.signal import resample
 
 SQRT_PI = 1.7724538509055159
@@ -123,6 +124,52 @@ def linear_apply(kernel, radiance, dtheta, dx):
 def angle_convolution(kernel, radiance, dtheta):
     """Every linear term of a kernel apply, (x, 3n - 2), by direct sums (np.convolve)."""
     return np.stack([np.convolve(k, r) for k, r in zip(kernel, radiance)]) * dtheta
+
+
+def hologram_kernel(grid, source_distance, include_oscillatory=True, width=None):
+    """Closed-form hologram kernel table, every term evaluated over the whole table at once.
+
+    The unbounded plate gives two delta ridges at deflection +-x/d plus, with
+    the oscillatory term, the chirp cross term 2 cos(...).  A plate of finite
+    width turns each ridge into a sinc of the remaining span and the cross
+    term into a pair of Fresnel integrals between the plate edges.
+    """
+    n = grid.theta_samples
+    dax = (np.arange(2 * n - 1) - (n - 1)) * grid.dtheta
+    x = grid.x_axis()
+    lam = grid.wavelength
+    d = source_distance
+    kernel = np.zeros((grid.x_samples, 2 * n - 1))
+    if width is None:
+        for sign in (+1.0, -1.0):
+            cols = np.rint((sign * x / d) / grid.dtheta).astype(int) + n - 1
+            inside = (cols >= 0) & (cols <= 2 * n - 2)
+            rows = np.nonzero(inside)[0]
+            np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
+        if include_oscillatory:
+            kernel += 2.0 * np.cos(
+                (2.0 * np.pi / lam)
+                * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
+            )
+        return kernel
+    ell = np.maximum(width / 2 - np.abs(x), 0.0)[:, np.newaxis]
+    on_plate = ell > 0
+    for sign in (+1.0, -1.0):
+        off = dax[np.newaxis, :] - sign * x[:, np.newaxis] / d
+        kernel += np.where(on_plate, (4.0 * ell / lam) * np.sinc(4.0 * ell * off / lam), 0.0)
+    if include_oscillatory:
+        root = np.sqrt(lam * d)
+        s_star = d * dax[np.newaxis, :]
+        s2, c2 = fresnel(2.0 * (ell - s_star) / root)
+        s1, c1 = fresnel(-2.0 * (ell + s_star) / root)
+        segment = (c2 - c1) + 1j * (s2 - s1)
+        carrier = np.exp(
+            1j * (2.0 * np.pi / lam)
+            * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
+        )
+        film = (2.0 * root / lam) * (carrier * segment).real
+        kernel += np.where(on_plate, film, 0.0)
+    return kernel
 
 
 def young_fringe_period(wavelength, z, separation):

@@ -1,3 +1,4 @@
+import tracemalloc
 import typing
 import warnings
 
@@ -15,6 +16,7 @@ from auglf import (
     Lens,
     PhaseGrating,
     PhasePlate,
+    PhaseSpaceGrid,
     Pinhole,
     Prism,
     RectAperture,
@@ -24,6 +26,8 @@ from auglf import (
 )
 from auglf.elements import ElementSpec
 from auglf.scenarios import Element
+
+from oracles import hologram_kernel
 
 LAM = 633e-9
 
@@ -175,6 +179,43 @@ def test_hologram_fringes():
     w = 64 * g.dx
     tw = Hologram(d, width=w).transmittance(LAM, x, g.dx)
     assert np.all(tw[np.abs(x) > w / 2 + g.dx] == 0)
+
+
+HOLOGRAM_PLATES = {
+    "unbounded": Hologram(0.1),
+    "unbounded_no_cross_term": Hologram(0.1, include_oscillatory=False),
+    "bounded": Hologram(0.1, width=1.5e-3),
+    "bounded_no_cross_term": Hologram(0.1, include_oscillatory=False, width=1.5e-3),
+}
+
+
+@pytest.mark.parametrize("plate", HOLOGRAM_PLATES.values(), ids=HOLOGRAM_PLATES.keys())
+def test_hologram_kernel_blocks_match_the_one_shot_formula_bits(plate):
+    # 203 positions: several blocks of rows and a ragged last one
+    g = PhaseSpaceGrid(203, 2.048e-3, 512, 2.2e-2, 6.33e-7)
+    want = hologram_kernel(g, plate.source_distance, plate.include_oscillatory, plate.width)
+    assert np.array_equal(plate.kernel(g).kernel, want)
+
+
+HOLOGRAM_BUILDS = {
+    # hologram.cfg's plate and grid
+    "unbounded": (Hologram(0.1), PhaseSpaceGrid(1024, 2.048e-3, 1024, 2.2e-2, 6.33e-7)),
+    "bounded": (Hologram(0.1, width=1.5e-3), PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, 6.33e-7)),
+}
+
+
+@pytest.mark.parametrize("build", HOLOGRAM_BUILDS.values(), ids=HOLOGRAM_BUILDS.keys())
+def test_hologram_kernel_build_holds_the_table_and_small_blocks(build):
+    plate, g = build
+    tracemalloc.start()
+    try:
+        table = plate.kernel(g).kernel
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # terms evaluated over the whole table would hold several table-sized
+    # temporaries at once (16 and 8 MiB of complex values, respectively)
+    assert peak < table.nbytes + 4 * 2**20
 
 
 def test_coded_aperture_alignment_and_padding():

@@ -1,0 +1,164 @@
+"""The row loops split across threads: same bits at any worker count.
+
+``auglf.core._worker_count`` is monkeypatched to force a worker count; the
+package itself always uses the CPUs the process may run on.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from scipy.fft import next_fast_len
+
+import auglf.core as core
+import test_transformers
+from auglf import (
+    AugmentedLightField,
+    ComplexField,
+    LightFieldTransformer,
+    PhaseSpaceGrid,
+    WdfOptions,
+    apply_transformer,
+    transformer_from_transmittance,
+    wdf_from_field,
+)
+from auglf.transformers import _block_rows
+from auglf.wdf import wigner_table
+
+LAM = 633e-9
+THETA = 256
+# A ragged number of rows spanning several blocks of the one-worker apply,
+# so every worker count cuts the rows into ranges of several blocks.
+MANY_ROWS = 2 * _block_rows(next_fast_len(2 * THETA - 1)) + 3
+# Worker counts against row counts; 8 workers on 5 rows is more workers than rows.
+SPLITS = {"1": (1, MANY_ROWS), "2": (2, MANY_ROWS), "3": (3, MANY_ROWS), "more_than_rows": (8, 5)}
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "_worker_count", lambda: workers)
+
+
+def grid_of(rows):
+    return PhaseSpaceGrid(rows, rows * 1e-5, THETA, 0.02, LAM)
+
+
+def random_radiance(grid, seed):
+    rng = np.random.default_rng(seed)
+    return AugmentedLightField(grid, rng.normal(size=(grid.x_samples, grid.theta_samples)))
+
+
+def random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.x_samples
+    # a gentle phase keeps the field's local frequency inside the angle window
+    return ComplexField(grid, rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(0, 0.1, n)))
+
+
+def random_table(grid, seed):
+    rng = np.random.default_rng(seed)
+    return LightFieldTransformer(grid, rng.normal(size=(grid.x_samples, 2 * THETA - 1)))
+
+
+def outputs(grid):
+    """Everything the threaded loops make on one grid."""
+    alf = random_radiance(grid, 1)
+    mask = random_field(grid, 2)
+    u = grid.u_axis()
+    applied = apply_transformer(alf, random_table(grid, 3))
+    streamed = apply_transformer(alf, transformer_from_transmittance(mask))
+    zero_edge = transformer_from_transmittance(mask, WdfOptions(boundary="zero"))
+    return {
+        "apply": applied.radiance,
+        "apply_leak": applied.meta["theta_leak"],
+        "apply_leak_fraction": applied.meta["theta_leak_fraction"],
+        "wigner_table": wigner_table(grid, mask.samples, float(u[0]), float(u[1] - u[0]), THETA, WdfOptions()),
+        "wdf_from_field": wdf_from_field(mask).radiance,
+        "streamed": streamed.radiance,
+        "streamed_leak": streamed.meta["theta_leak"],
+        "streamed_leak_fraction": streamed.meta["theta_leak_fraction"],
+        "streamed_zero_edge": apply_transformer(alf, zero_edge).radiance,
+    }
+
+
+def assert_same_bits(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("split", SPLITS.values(), ids=SPLITS.keys())
+def test_every_worker_count_gives_the_one_worker_bits(monkeypatch, split):
+    workers, rows = split
+    grid = grid_of(rows)
+    force_workers(monkeypatch, 1)
+    want = outputs(grid)
+    force_workers(monkeypatch, workers)
+    assert_same_bits(outputs(grid), want)
+
+
+class FailingRows(LightFieldTransformer):
+    """A table kernel whose rows fail on the range holding ``meta["bad_row"]``."""
+
+    __slots__ = ()
+
+    def rows(self, lo, hi, workers=1):
+        if lo <= self.meta["bad_row"] < hi:
+            raise ArithmeticError(f"row {self.meta['bad_row']}")
+        return super().rows(lo, hi, workers)
+
+
+# the first of three ranges runs on a pool thread, the last in the caller
+BAD_ROWS = {"first": 0, "last": MANY_ROWS - 1}
+
+
+@pytest.mark.parametrize("bad_row", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_a_failing_range_raises_in_the_caller_and_leaves_no_thread(monkeypatch, bad_row):
+    grid = grid_of(MANY_ROWS)
+    kernel = random_table(grid, 3).kernel
+    alf = random_radiance(grid, 1)
+    force_workers(monkeypatch, 3)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"row {bad_row}"):
+        apply_transformer(alf, FailingRows(grid, kernel, {"bad_row": bad_row}))
+    assert threading.active_count() == before
+
+
+def test_stress_many_workers_with_fast_thread_switching(monkeypatch):
+    # more workers than cores and a switch every microsecond: a lost or torn
+    # write of any range would change the bits
+    grid = grid_of(MANY_ROWS)
+    force_workers(monkeypatch, 1)
+    want = outputs(grid)
+    force_workers(monkeypatch, 4 * len(os.sched_getaffinity(0)) + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds, deadline = 0, time.monotonic() + 5.0
+        while rounds < 4 and time.monotonic() < deadline:
+            assert_same_bits(outputs(grid), want)
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds >= 1
+
+
+def test_working_memory_bounds_hold_with_four_workers(monkeypatch):
+    # four workers share one block budget, so the one-worker bounds still hold
+    force_workers(monkeypatch, 4)
+    test_transformers.test_apply_working_memory_is_one_block()
+    test_transformers.test_numeric_kernel_build_and_apply_never_hold_the_table()
+
+
+def test_worker_count_is_the_affinity_count():
+    assert core._worker_count() == len(os.sched_getaffinity(0))
+
+
+def test_import_starts_no_thread():
+    code = "import threading, auglf, auglf.cli\nprint(threading.active_count())\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
