@@ -202,18 +202,53 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every sample is finite, without a mask the size of ``arr``.
+
+    The min and max of an array are finite exactly when every sample is:
+    a NaN propagates through both, and an infinity is one of them.  A
+    complex array is checked through its real and imaginary views.
+    """
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    return all(np.isfinite(part.min()) and np.isfinite(part.max()) for part in parts)
+
+
 def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.shape != shape:
         raise InvalidConfigurationError(f"{what}: expected shape {shape}, got {arr.shape}")
     if arr.size == 0:
         raise DegenerateInputError(f"{what}: empty array")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise DegenerateInputError(f"{what}: non-finite samples")
     flags = arr.flags
     if flags.writeable or not (flags.c_contiguous and flags.owndata):
         arr = _freeze(arr.copy())
     return arr
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2-3-5-7-11-smooth integer >= target, a fast transform length.
+
+    This is what ``scipy.fft.next_fast_len`` returns by default.  Every
+    product of powers of 3, 5, 7 and 11 below the best length so far is
+    raised by the power of two that first reaches the target.
+    """
+    best = 1 << (target - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    best = min(best, p3 << (-(-target // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
 
 
 def _worker_count() -> int:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import fresnel, jv
 
 from .core import (
     ComplexField,
@@ -305,6 +304,8 @@ class PhaseGrating:
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
+        from scipy.special import jv  # here, to keep SciPy off the import path
+
         x = grid.x_axis()
         lam = grid.wavelength
         # The element couples an incoming ray into harmonics
@@ -458,6 +459,8 @@ class Hologram:
             off = dax - sign * x / d
             block += np.where(on_plate, (4.0 * ell / lam) * np.sinc(4.0 * ell * off / lam), 0.0)
         if self.include_oscillatory:
+            from scipy.special import fresnel  # here, to keep SciPy off the import path
+
             root = np.sqrt(lam * d)
             s_star = d * dax
             s2, c2 = fresnel(2.0 * (ell - s_star) / root)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.fft import fft, fftfreq, ifft
+from numpy.fft import fft, fftfreq, ifft
 
 from .core import ComplexField, InvalidConfigurationError, SamplingWarning
 
@@ -26,15 +26,15 @@ def fresnel_propagate(field: ComplexField, distance: float) -> ComplexField:
     The constant carrier phase exp(i 2 pi z / lambda) is dropped; it cancels
     in every intensity and interference observable formed within one plane.
 
-    Negative distances are rejected: backpropagation is out of scope.  The
-    method is unitary, so total energy is preserved exactly; the quadratic
-    spectral phase must however stay resolved on the frequency grid, and a
-    SamplingWarning is raised when the distance is too large for the
-    bandwidth the field actually occupies.
+    Negative and non-finite distances are rejected: backpropagation is out
+    of scope.  The method is unitary, so total energy is preserved exactly;
+    the quadratic spectral phase must however stay resolved on the
+    frequency grid, and a SamplingWarning is raised when the distance is
+    too large for the bandwidth the field actually occupies.
     """
-    if distance < 0.0:
+    if not (0.0 <= distance < np.inf):
         raise InvalidConfigurationError(
-            f"propagation distance must be non-negative, got {distance:g}"
+            f"propagation distance must be finite and non-negative, got {distance:g}"
         )
     grid = field.grid
     if distance == 0.0:

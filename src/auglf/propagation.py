@@ -11,13 +11,14 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft, rfftfreq
+from numpy.fft import irfft, rfft, rfftfreq
 
 from .core import (
     AugmentedLightField,
     InvalidConfigurationError,
     TruncationWarning,
     _freeze,
+    _next_fast_len,
 )
 from .transformers import _BLOCK_BYTES, _block_rows
 
@@ -52,6 +53,8 @@ def shear_propagate(
         raise InvalidConfigurationError(
             f"interp must be one of {_INTERP_MODES}, got {interp!r}"
         )
+    if not np.isfinite(distance):
+        raise InvalidConfigurationError(f"propagation distance must be finite, got {distance!r}")
     grid = alf.grid
     if distance == 0.0:
         meta = dict(alf.meta)
@@ -183,7 +186,7 @@ def _bandlimited_rows(n_x: int, bins: np.ndarray):
     pushed past the window is dropped rather than wrapped.
     """
     guard = int(np.ceil(np.abs(bins).max())) + 4
-    padded_len = next_fast_len(n_x + 2 * guard)
+    padded_len = _next_fast_len(n_x + 2 * guard)
     freqs = rfftfreq(padded_len)
     step = _block_rows(padded_len)
     padded = np.zeros((min(step, len(bins)), padded_len))
@@ -194,7 +197,7 @@ def _bandlimited_rows(n_x: int, bins: np.ndarray):
         spec = rfft(pad, axis=1)
         phase = -2j * np.pi * freqs[np.newaxis, :] * bins[cols, np.newaxis]
         spec *= np.exp(phase, out=phase)
-        shifted = irfft(spec, padded_len, axis=1, overwrite_x=True)
+        shifted = irfft(spec, padded_len, axis=1)
         dst[...] = shifted[:, guard : guard + n_x]
 
     return shift_rows, step

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union, get_args
 
 import numpy as np
-from scipy.fft import fft, fftfreq, ifft
+from numpy.fft import fft, fftfreq, ifft
 
 from .core import (
     AugmentedLightField,
@@ -65,14 +65,14 @@ SourceSpec = Union[PointSource, PlaneWave, FieldSource]
 
 @dataclass(frozen=True, slots=True)
 class Propagate:
-    """Free-space hop by a non-negative distance (metres)."""
+    """Free-space hop by a finite, non-negative distance (metres)."""
 
     distance: float
 
     def __post_init__(self) -> None:
-        if not (self.distance >= 0.0):
+        if not (0.0 <= self.distance < np.inf):
             raise InvalidConfigurationError(
-                f"propagation distance must be non-negative, got {self.distance!r}"
+                f"propagation distance must be finite and non-negative, got {self.distance!r}"
             )
 
 

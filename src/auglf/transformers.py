@@ -18,9 +18,10 @@ slicing it.  The numeric kernel of a sampled transmittance
 (``NumericTransformer``) makes each block from the transmittance's Wigner
 rows when the apply asks for it, so its ``(x_samples, 2n - 1)`` table is
 never held whole; ``kernel`` assembles that table only for callers that
-want it.  The apply transforms at the shortest length that keeps the n
-output bins free of wrap-around, ``next_fast_len(2n - 1)``, and gives the
-same bits as transforming whole arrays at that length.
+want it.  The apply transforms with ``numpy.fft`` at the shortest fast
+length that keeps the n output bins free of wrap-around, the smallest
+2-3-5-7-11-smooth length of at least 2n - 1 (``core._next_fast_len``),
+and gives the same bits as transforming whole arrays at that length.
 
 The apply splits the rows into one contiguous range per CPU the process
 may use (``core._over_rows``); each range runs its own block loop on its
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .core import (
     AugmentedLightField,
@@ -48,6 +49,7 @@ from .core import (
     PhaseSpaceGrid,
     _freeze,
     _frozen_array,
+    _next_fast_len,
     _over_rows,
 )
 from .wdf import WdfOptions, WignerRows, wigner_table
@@ -307,7 +309,7 @@ def _row_convolutions(a_rows, b: np.ndarray, nfft: int, start: int, stop: int, w
         hi = min(lo + step, stop)
         spec = rfft(a_rows(lo, hi, workers), nfft, axis=1)
         spec *= rfft(b[lo:hi], nfft, axis=1)
-        yield slice(lo, hi), irfft(spec, nfft, axis=1, overwrite_x=True)
+        yield slice(lo, hi), irfft(spec, nfft, axis=1)
 
 
 def compose_transformers(
@@ -330,7 +332,7 @@ def compose_transformers(
     lo = width - 1 - (n - 1)
     kernel = np.empty((grid.x_samples, width))
     for rows, full in _row_convolutions(
-        first.rows, second.kernel, next_fast_len(2 * width - 1), 0, grid.x_samples, 1
+        first.rows, second.kernel, _next_fast_len(2 * width - 1), 0, grid.x_samples, 1
     ):
         kernel[rows] = full[:, lo : lo + width] * grid.dtheta
     return LightFieldTransformer(grid, _freeze(kernel), {"element": "composite"})
@@ -346,7 +348,7 @@ def apply_transformer(
     share is reported in ``meta['theta_leak']`` (absolute signed content) and
     ``meta['theta_leak_fraction']``.
 
-    The convolution is circular, at ``nfft = next_fast_len(2n - 1)`` for n
+    The convolution is circular, at ``nfft = _next_fast_len(2n - 1)`` for n
     angle samples.  A kernel row has 2n - 1 columns, so the kept bins
     ``[n - 1, 2n - 2]`` receive exactly their own linear terms, and every
     linear term outside that window wraps into some other bin outside it.
@@ -365,7 +367,7 @@ def apply_transformer(
             "transformer and light field live on different grids"
         )
     n = grid.theta_samples
-    nfft = next_fast_len(2 * n - 1)
+    nfft = _next_fast_len(2 * n - 1)
     out = np.empty_like(alf.radiance)
     leak_rows = np.empty(grid.x_samples)
     total_in = np.empty(grid.x_samples)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from auglf import (
     AugmentedLightField,
@@ -14,6 +17,7 @@ from auglf import (
     theta_to_u,
     u_to_theta,
 )
+from auglf.core import _next_fast_len
 
 
 def test_axes_are_node_centered():
@@ -79,6 +83,42 @@ def test_containers_validate_and_freeze():
         alf.radiance[0, 0] = 1.0
     with pytest.raises(InvalidConfigurationError):
         AugmentedLightField(g, np.zeros((8, 16)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(bad):
+    g = make_grid(16, 1e-3, 8, 0.01, 633e-9)
+    radiance = np.ones((16, 8))
+    radiance[5, 3] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        AugmentedLightField(g, radiance)
+    values = np.ones(16)
+    values[-1] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        IntensityProfile(g, values)
+    for sample in (complex(bad, 0.0), complex(0.0, bad)):
+        samples = np.ones(16, complex)
+        samples[7] = sample
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            ComplexField(g, samples)
+
+
+def test_wrapping_a_frozen_array_allocates_no_mask():
+    g = make_grid(2048, 1e-3, 512, 0.01, 633e-9)
+    radiance = np.random.default_rng(0).normal(size=(2048, 512))
+    radiance.setflags(write=False)
+    samples = np.exp(1j * np.arange(2048 * 512.0))
+    samples.setflags(write=False)
+    wide = make_grid(2048 * 512, 1e-3, 8, 0.01, 633e-9)
+    tracemalloc.start()
+    try:
+        alf = AugmentedLightField(g, radiance)
+        field = ComplexField(wide, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alf.radiance is radiance and field.samples is samples
+    assert peak < 64 * 1024
 
 
 def test_radiance_is_stored_c_contiguous():
@@ -154,3 +194,10 @@ def test_project_intensity_flags_negative_residue():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         project_intensity(AugmentedLightField(g, r), eps_proj=100.0)
+
+
+def test_next_fast_len_matches_scipy():
+    for target in range(1, 2**15 + 1):
+        assert _next_fast_len(target) == next_fast_len(target), target
+    for target in (10**6 + 1, 3**13 + 1, 2**31 - 1, 10**9 + 7, 11**9 - 1, 2**40 + 1):
+        assert _next_fast_len(target) == next_fast_len(target), target

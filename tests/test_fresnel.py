@@ -39,6 +39,13 @@ def test_negative_distance_rejected():
         fresnel_propagate(gaussian_field(g, 10 * g.dx), -0.01)
 
 
+@pytest.mark.parametrize("distance", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_distance_rejected(distance):
+    g = grid(256, 1.28e-3)
+    with pytest.raises(InvalidConfigurationError, match="finite"):
+        fresnel_propagate(gaussian_field(g, 10 * g.dx), distance)
+
+
 def test_unitarity():
     g = grid()
     rng = np.random.default_rng(0)

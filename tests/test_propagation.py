@@ -53,6 +53,13 @@ def test_interp_mode_validated():
         shear_propagate(gaussian_blob(g), 0.01, interp="cubic")
 
 
+@pytest.mark.parametrize("distance", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("interp", ["bandlimited", "linear"])
+def test_non_finite_distance_rejected(distance, interp):
+    with pytest.raises(InvalidConfigurationError, match="finite"):
+        shear_propagate(gaussian_blob(grid_64()), distance, interp=interp)
+
+
 def test_whole_bin_shear_moves_rows_exactly():
     g = grid_64()
     rng = np.random.default_rng(1)

@@ -84,6 +84,12 @@ def test_abort_on_heavy_truncation():
     assert "truncated" in str(err.value)
 
 
+@pytest.mark.parametrize("distance", [float("nan"), float("inf"), float("-inf")])
+def test_propagate_rejects_non_finite_distance(distance):
+    with pytest.raises(InvalidConfigurationError, match="finite"):
+        Propagate(distance)
+
+
 def test_stage_validation():
     g = make_grid(64, 1.28e-3, 64, 1e-2, LAM)
     with pytest.raises(InvalidConfigurationError):

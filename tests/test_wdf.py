@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from auglf import (
     ComplexField,
     DegenerateInputError,
     InvalidConfigurationError,
+    PhaseGrating,
     WdfOptions,
     analytic_wdf_rect_aperture,
     analytic_wdf_two_pinholes,
@@ -24,6 +26,7 @@ from auglf.wdf import WignerRows, _tukey, _upsample, _ZoomDft, wigner_table
 
 from oracles import (
     gaussian_wigner,
+    hologram_kernel,
     rect_wigner,
     wigner_from_samples_direct,
     wigner_quadrature,
@@ -455,13 +458,51 @@ def test_wigner_rows_property_any_row_range_gives_the_table_bits(case, data):
     assert np.array_equal(out, whole[lo:hi])
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded():
-    # scipy.signal (which loads scipy.stats) costs about a second of import;
-    # nothing on the package's import path may bring it back
-    code = (
-        "import sys, auglf, auglf.cli\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+_SCIPY_FREE_RUN = """
+import sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import auglf, auglf.cli
+print("scipy after import", scipy_modules())
+assert auglf.cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("scipy after hologram.cfg", scipy_modules())
+g = auglf.make_grid(64, 1.28e-3, 64, 1e-2, 633e-9)
+x = g.x_axis()
+mask = auglf.ComplexField(g, (np.abs(x) < 4e-4) * np.exp(1j * np.sin(x / 1e-4)))
+beam = auglf.ComplexField(g, np.exp(-((x / 3e-4) ** 2)))
+train = auglf.OpticalTrain(
+    g,
+    auglf.FieldSource(beam),
+    (auglf.Element(auglf.CodedAperture(mask)), auglf.Propagate(0.01)),
+)
+auglf.trace_train(train)
+print("scipy after coded aperture", scipy_modules())
+np.save(sys.argv[3], auglf.PhaseGrating(2.0, 1e-4).kernel(g).kernel)
+np.save(sys.argv[4], auglf.Hologram(0.1, width=1.5e-3).kernel(g).kernel)
+"""
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
+    # importing scipy.fft or scipy.special costs about 0.3 s and 22 MiB on
+    # every run, and scipy.signal (which loads scipy.stats) about a second;
+    # the import and a run load no SciPy module, and only the kernels that
+    # evaluate special functions import scipy.special, when they run
+    config = Path(__file__).resolve().parents[1] / "configs" / "hologram.cfg"
+    grating, hologram = tmp_path / "grating.npy", tmp_path / "hologram.npy"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(config), str(tmp_path / "out"),
+         str(grating), str(hologram)],
+        capture_output=True, text=True,
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert [line for line in proc.stdout.splitlines() if line.startswith("scipy")] == [
+        "scipy after import []",
+        "scipy after hologram.cfg []",
+        "scipy after coded aperture []",
+    ]
+    g = make_grid(64, 1.28e-3, 64, 1e-2, 633e-9)
+    assert np.array_equal(np.load(grating), PhaseGrating(2.0, 1e-4).kernel(g).kernel)
+    assert np.array_equal(np.load(hologram), hologram_kernel(g, 0.1, True, 1.5e-3))
