@@ -43,6 +43,7 @@ from .transformers import (
     NumericTransformer,
     _deflection_kernel,
     _deposit_rows,
+    _order_kernel,
     _relative_axis,
     transformer_from_transmittance,
 )
@@ -213,10 +214,8 @@ class AmplitudeGrating:
         )
         weights = np.stack([dc, half_order, half_order, full_order, full_order])
         kernel = np.zeros(_shape(grid))
-        clipped = _deposit_rows(kernel, grid, orders, weights, "amplitude_grating")
-        return LightFieldTransformer(
-            grid, _freeze(kernel), {"clipped_weight": clipped, "element": "amplitude_grating"}
-        )
+        clipped = _deposit_rows(kernel, grid, orders, weights)
+        return _order_kernel(grid, kernel, clipped, "amplitude_grating")
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,11 +334,8 @@ class PhaseGrating:
                 grid,
                 np.array([0.5 * lam * s / self.period]),
                 profile.real[np.newaxis, :],
-                "phase_grating",
             )
-        return LightFieldTransformer(
-            grid, _freeze(kernel), {"clipped_weight": clipped_total, "element": "phase_grating"}
-        )
+        return _order_kernel(grid, kernel, clipped_total, "phase_grating")
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,7 +3,8 @@
 Every writer here produces byte-identical files for identical inputs: floats
 are printed with 17 significant digits (lossless for doubles), JSON keys are
 sorted, and nothing embeds a timestamp or a path from outside the output
-directory.
+directory.  CSV tables hold exactly the bytes of ``"%.17g" % x`` per cell,
+formatted a block of cells at a time by :func:`auglf.csvtext.format_cells`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .csvtext import format_cells
+
 ZERO_RGB = (128, 128, 128)
 POSITIVE_RGB = (255, 0, 0)
 NEGATIVE_RGB = (0, 0, 255)
-# Rows of a matrix formatted or coloured at a time: the bulk writers hold a
-# block's text or colour planes, never the whole matrix's.
+# Rows of a matrix coloured at a time: the heatmap writer holds a block's
+# colour planes, never the whole matrix's.
 _BLOCK_ROWS = 64
+# Cells of a CSV table formatted at a time.  A block's working arrays and
+# text take about 100 bytes a cell, so a block holds about 75 KiB.
+_BLOCK_CELLS = 768
 
 
 def _row_blocks(count: int):
@@ -34,6 +40,39 @@ def fmt17(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_table(handle, lead: np.ndarray, rest: np.ndarray) -> None:
+    """Write the rows ``lead[r], rest[r, 0], ..., rest[r, -1]`` as CSV lines.
+
+    The table is read row by row into a staging buffer of ``_BLOCK_CELLS``
+    cells, which is formatted and written whenever it is full, so block
+    boundaries fall anywhere in a row.
+    """
+    rows, width = len(lead), rest.shape[1] + 1
+    total = rows * width
+    stage = np.empty(min(_BLOCK_CELLS, total))
+    for first in range(0, total, _BLOCK_CELLS):
+        n = min(_BLOCK_CELLS, total - first)
+        i = 0
+        while i < n:
+            r, c = divmod(first + i, width)
+            if c == 0 and n - i >= width:  # whole rows
+                k = (n - i) // width
+                block = stage[i : i + k * width].reshape(k, width)
+                block[:, 0] = lead[r : r + k]
+                block[:, 1:] = rest[r : r + k]
+                i += k * width
+            else:  # the part of row r from column c that fits
+                m = min(width - c, n - i)
+                part = stage[i : i + m]
+                if c == 0:
+                    part[0] = lead[r]
+                    part[1:] = rest[r, : m - 1]
+                else:
+                    part[:] = rest[r, c - 1 : c - 1 + m]
+                i += m
+        handle.write(format_cells(stage[:n], width, first))
+
+
 def write_profile_csv(
     path: str, axis: np.ndarray, values: np.ndarray,
     axis_label: str = "x_m", value_label: str = "intensity",
@@ -41,10 +80,11 @@ def write_profile_csv(
     """Two-column CSV with a header row."""
     axis = np.asarray(axis, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    lines = [f"{axis_label},{value_label}"]
-    lines.extend("%.17g,%.17g" % pair for pair in zip(axis.tolist(), values.tolist()))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    if axis.shape != values.shape or axis.ndim != 1:
+        raise ValueError(f"profile shapes differ: axis {axis.shape}, values {values.shape}")
+    with open(path, "wb") as handle:
+        handle.write(f"{axis_label},{value_label}\n".encode("utf-8"))
+        _write_table(handle, axis, values[:, np.newaxis])
 
 
 def read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -68,15 +108,14 @@ def write_matrix_csv(
             f"matrix shape {matrix.shape} does not match axes "
             f"({len(row_axis)}, {len(col_axis)})"
         )
-    header = f"{row_label}\\{col_label}," + ",".join(fmt17(c) for c in col_axis)
-    # one format string per row: "%.17g" prints exactly what fmt17 does
-    row_format = "%.17g," + ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    if not len(col_axis):
+        raise ValueError("matrix has no columns")
     row_axis = np.asarray(row_axis, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        for rows in _row_blocks(matrix.shape[0]):
-            pairs = zip(row_axis[rows].tolist(), matrix[rows].tolist())
-            handle.write("".join(row_format % (r, *row) for r, row in pairs))
+    col_axis = np.asarray(col_axis, dtype=np.float64)
+    with open(path, "wb") as handle:
+        handle.write(f"{row_label}\\{col_label},".encode("utf-8"))
+        _write_table(handle, col_axis[:1], col_axis[np.newaxis, 1:])  # one row: the column axis
+        _write_table(handle, row_axis, matrix)
 
 
 def read_matrix_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -183,22 +183,29 @@ def _bandlimited_rows(n_x: int, bins: np.ndarray):
     """Row shifter of the exact Fourier shift by ``bins`` samples, and its block size.
 
     Rows are zero-padded by a guard beyond the largest shift, so content
-    pushed past the window is dropped rather than wrapped.
+    pushed past the window is dropped rather than wrapped.  The padded rows,
+    their spectra, the phase ramps and the shifted rows live in buffers
+    made once per shear; every block is transformed into them through
+    ``out=``.
     """
     guard = int(np.ceil(np.abs(bins).max())) + 4
     padded_len = _next_fast_len(n_x + 2 * guard)
-    freqs = rfftfreq(padded_len)
+    ramp = -2j * np.pi * rfftfreq(padded_len)[np.newaxis, :]
     step = _block_rows(padded_len)
-    padded = np.zeros((min(step, len(bins)), padded_len))
+    rows = min(step, len(bins))
+    padded = np.zeros((rows, padded_len))
+    spectra = np.empty((rows, ramp.shape[1]), complex)
+    phases = np.empty_like(spectra)
+    shifted = np.empty_like(padded)
 
     def shift_rows(cols: slice, src: np.ndarray, dst: np.ndarray) -> None:
-        pad = padded[: len(src)]
+        pad, spec, phase, out = (buf[: len(src)] for buf in (padded, spectra, phases, shifted))
         pad[:, guard : guard + n_x] = src
-        spec = rfft(pad, axis=1)
-        phase = -2j * np.pi * freqs[np.newaxis, :] * bins[cols, np.newaxis]
+        rfft(pad, axis=1, out=spec)
+        np.multiply(ramp, bins[cols, np.newaxis], out=phase)
         spec *= np.exp(phase, out=phase)
-        shifted = irfft(spec, padded_len, axis=1)
-        dst[...] = shifted[:, guard : guard + n_x]
+        irfft(spec, padded_len, axis=1, out=out)
+        dst[...] = out[:, guard : guard + n_x]
 
     return shift_rows, step
 

@@ -168,13 +168,13 @@ def _deposit_rows(
     grid: PhaseSpaceGrid,
     deflections: np.ndarray,
     weights: np.ndarray,
-    label: str,
 ) -> float:
     """Add delta rows ``weights[k] / dtheta`` at the given deflections.
 
     deflections: (n_rows,) deflection of each order; weights: (n_rows, x_samples)
     or (n_rows,).  Returns the total weight magnitude clipped because an order
-    fell outside the representable deflection range.
+    fell outside the representable deflection range; the caller warns once
+    for the whole kernel (``_order_kernel``).
     """
     n = grid.theta_samples
     cols = np.rint(deflections / grid.dtheta).astype(int) + n - 1
@@ -188,6 +188,13 @@ def _deposit_rows(
             kernel[:, col] += weights[k] / grid.dtheta
         else:
             clipped += float(np.abs(weights[k]).sum()) * grid.dx
+    return clipped
+
+
+def _order_kernel(
+    grid: PhaseSpaceGrid, kernel: np.ndarray, clipped: float, label: str
+) -> LightFieldTransformer:
+    """Transformer of a grating's deposited orders, warning once if any were clipped."""
     if clipped > 0.0:
         warnings.warn(
             f"{label}: diffraction orders outside the angular window were "
@@ -195,7 +202,9 @@ def _deposit_rows(
             ClippedOrderWarning,
             stacklevel=4,  # the caller of canonical_transformer
         )
-    return clipped
+    return LightFieldTransformer(
+        grid, _freeze(kernel), {"clipped_weight": clipped, "element": label}
+    )
 
 
 def _deflection_kernel(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import fresnel
+from scipy.special import fresnel, jv
 from scipy.signal import resample
 
 SQRT_PI = 1.7724538509055159
@@ -172,6 +172,36 @@ def hologram_kernel(grid, source_distance, include_oscillatory=True, width=None)
     return kernel
 
 
+def phase_grating_orders(grid, depth, period, floor=1e-14):
+    """Phase grating kernel order by order, and the weight of the orders off the window.
+
+    Order s deflects by lam s / (2 period) with profile
+    sum_n J_{s-n}(depth) J_n(depth) cos(2 pi (s - 2n) x / period), summed
+    term by term over the pairs whose Bessel product exceeds ``floor``.  An
+    order whose column falls outside the kernel adds sum |profile| dx to the
+    clipped weight instead.
+    """
+    n = grid.theta_samples
+    x = grid.x_axis()
+    m_max = int(np.ceil(depth)) + 25
+    kernel = np.zeros((grid.x_samples, 2 * n - 1))
+    clipped = 0.0
+    for s in range(-2 * m_max, 2 * m_max + 1):
+        profile = np.zeros_like(x)
+        for m in range(max(-m_max, s - m_max), min(m_max, s + m_max) + 1):
+            c = jv(s - m, depth) * jv(m, depth)
+            if abs(c) > floor:
+                profile += c * np.cos(2.0 * np.pi * (s - 2 * m) * x / period)
+        if not profile.any():
+            continue
+        col = int(np.rint(0.5 * grid.wavelength * s / period / grid.dtheta)) + n - 1
+        if 0 <= col <= 2 * n - 2:
+            kernel[:, col] += profile / grid.dtheta
+        else:
+            clipped += float(np.abs(profile).sum()) * grid.dx
+    return kernel, clipped
+
+
 def young_fringe_period(wavelength, z, separation):
     """Fringe spacing of two mutually coherent points after distance z."""
     return wavelength * z / abs(separation)
@@ -243,3 +273,30 @@ def first_zero_distance(values, center_index, dx, direction=1, floor_frac=0.02):
             shift = 0.0 if denom == 0 else 0.5 * (v[i - 1] - v[i + 1]) / denom
             return abs(i + shift - center_index) * dx
     return float("nan")
+
+
+def cells_17g(values, width, first):
+    """Text of cells ``first, first + 1, ...`` of a table ``width`` wide, value by value.
+
+    Each value is printed with Python's ``"%.17g"`` and followed by a newline
+    when it ends a table row, by a comma otherwise.
+    """
+    return "".join(
+        "%.17g%s" % (v, "\n" if (first + i) % width == width - 1 else ",")
+        for i, v in enumerate(np.asarray(values, dtype=np.float64).tolist())
+    ).encode("utf-8")
+
+
+def matrix_csv_text(row_axis, col_axis, matrix, row_label="x_m", col_label="theta_rad"):
+    """Matrix CSV bytes as a per-value writer prints them: one "%.17g" per cell."""
+    header = f"{row_label}\\{col_label}," + ",".join("%.17g" % c for c in np.asarray(col_axis).tolist())
+    row_format = "%.17g," + ",".join(["%.17g"] * np.shape(matrix)[1]) + "\n"
+    rows = zip(np.asarray(row_axis).tolist(), np.asarray(matrix).tolist())
+    return (header + "\n" + "".join(row_format % (r, *row) for r, row in rows)).encode("utf-8")
+
+
+def profile_csv_text(axis, values, axis_label="x_m", value_label="intensity"):
+    """Two-column CSV bytes as a per-value writer prints them."""
+    lines = [f"{axis_label},{value_label}"]
+    lines.extend("%.17g,%.17g" % pair for pair in zip(np.asarray(axis).tolist(), np.asarray(values).tolist()))
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auglf.output import (
     NEGATIVE_RGB,
     POSITIVE_RGB,
     ZERO_RGB,
+    _BLOCK_CELLS,
     _BLOCK_ROWS,
     diverging_rgb,
     fmt17,
@@ -20,6 +22,8 @@ from auglf.output import (
     write_matrix_csv,
     write_profile_csv,
 )
+from auglf.csvtext import format_cells
+from oracles import cells_17g, matrix_csv_text, profile_csv_text
 
 
 def test_fmt17_round_trips_doubles():
@@ -237,3 +241,87 @@ def test_manifest_is_deterministic(tmp_path):
     assert data["outputs"][0]["sha256"] == sha256_file(str(f1))
     assert data["outputs"][0]["bytes"] == 4
     assert data["config"]["grid.x_samples"] == "64"
+
+
+# The table writers format cells with numpy; every cell must carry exactly
+# the bytes of Python's "%.17g".
+
+
+def assert_cells_match_17g(values, width=7, first=3):
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    step = 1 << 14
+    for lo in range(0, len(values), step):
+        chunk = values[lo : lo + step]
+        assert format_cells(chunk, width, first + lo) == cells_17g(chunk, width, first + lo)
+
+
+def test_cells_match_17g_on_random_bit_patterns():
+    # every exponent, sign and mantissa: NaNs and subnormals included
+    bits = np.random.default_rng(20240601).integers(0, 2**64, size=2_000_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    step = 1 << 14
+    for lo in range(0, len(values), step):
+        chunk = values[lo : lo + step]
+        assert format_cells(chunk, 1, 0) == (("%.17g\n" * len(chunk)) % tuple(chunk.tolist())).encode()
+
+
+POWERS = np.array([10.0 ** k for k in range(-300, 301)])
+TIES = [
+    1234567890123456.75,  # the 18th significant digit is an exact 5
+    -1234567890123456.25,
+    1125899906842624.75,
+    2251799813685247.5 / 2,
+    0.5 ** 60 * 1234567890123456.75,
+]
+EDGES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308, 1.7976931348623157e308,
+    9.9999999999999995e-5, 1e-4, 1e-5, 0.00010000000000000001, 1e16, 99999999999999999.0,
+    1e17, 99999999999999984.0, 1e99, 9.9999999999999997e98, 1e100, 9.9999999999999998e99,
+    1e-99, 1e-100, 1.2345e-99, 1.2345e-101, 1e280, 1e-280, 1.5e280, 1.5e-281, 0.1, 1.0,
+    100.0, 123.456, 1e15, 123456789012345678.0, np.inf, np.nan,
+]
+
+
+def near_ties():
+    # x = m / 2**74 with x * 10**23 = D + 1/2 + j / 2**51: within 1e-14 of a
+    # tie, with a scale 10**23 that is not a double; Python prints these
+    inverse = pow(5**23, -1, 2**51)
+    return [((2**50 + j) * inverse % 2**51 + 2**52) / 2**74 for j in range(-40, 41) if j]
+
+
+def test_cells_match_17g_on_edges_powers_of_ten_and_ties():
+    near = POWERS.view(np.int64)[:, np.newaxis] + np.arange(-3, 4)
+    values = np.concatenate([EDGES, TIES, near_ties(), POWERS, near.ravel().view(np.float64)])
+    assert_cells_match_17g(np.concatenate([values, -values]))
+    snan = np.array([0x7FF0000000000001, 0xFFF4000000000000], dtype=np.uint64).view(np.float64)
+    assert_cells_match_17g(snan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+    st.integers(1, 9),
+    st.integers(0, 20),
+)
+def test_cells_match_17g_property(values, width, first):
+    assert format_cells(np.array(values, dtype=np.float64), width, first) == cells_17g(
+        values, width, first
+    )
+
+
+@pytest.mark.parametrize("cols", [1, 3, _BLOCK_CELLS - 2, _BLOCK_CELLS, 2 * _BLOCK_CELLS + 5])
+def test_matrix_csv_bytes_across_cell_blocks(tmp_path, cols):
+    # rows straddle the cell blocks, and the last block is short
+    rows = 3 * _BLOCK_CELLS // cols + 2
+    rng = np.random.default_rng(cols)
+    m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, cols))
+    m[rng.random(size=m.shape) < 0.2] = 0.0
+    m.flat[-1] = -0.0
+    row_axis = np.linspace(-1e-3, 1e-3, rows)
+    col_axis = np.linspace(-0.05, 0.05, cols)
+    p = tmp_path / "matrix.csv"
+    write_matrix_csv(str(p), row_axis, col_axis, m)
+    assert p.read_bytes() == matrix_csv_text(row_axis, col_axis, m)
+    q = tmp_path / "profile.csv"
+    write_profile_csv(str(q), m[:, 0], m[:, -1], "a", "b")
+    assert q.read_bytes() == profile_csv_text(m[:, 0], m[:, -1], "a", "b")

@@ -208,16 +208,48 @@ def test_blocked_bandlimited_shear_matches_one_shot_bits(rows_of):
 def test_bandlimited_shear_working_memory_is_one_block():
     g = make_grid(256, 2.56e-3, 1024, 1024 * LAM / (2 * 2.56e-3), LAM)
     alf = AugmentedLightField(g, np.random.default_rng(6).normal(size=(256, 1024)))
+    bins = 0.01 * g.theta_axis() / g.dx
+    padded_len = next_fast_len(256 + 2 * (int(np.ceil(np.abs(bins).max())) + 4))
+    rows = min(_block_rows(padded_len), 1024)
+    # padded and shifted rows, their spectra and phase ramps, and the
+    # source and shifted columns
+    buffers = rows * (2 * 8 * padded_len + 2 * 16 * (padded_len // 2 + 1) + 2 * 8 * 256)
     tracemalloc.start()
     try:
         shear_propagate(alf, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the row-major input copy, the shifted rows, the container's frozen
-    # copy, and about 3 MiB of block transforms; shifting all rows at once
-    # would take 14 MiB here
-    assert peak < 3 * alf.radiance.nbytes + 4 * 2**20
+    # the result, taken by the container without a copy, and the block
+    # buffers, each made once; shifting all rows at once would take 14 MiB
+    assert peak < alf.radiance.nbytes + buffers + 2**20
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bandlimited_shear_transforms_into_buffers_made_once(monkeypatch, sign):
+    outs = {"rfft": [], "irfft": []}
+
+    def spy(name):
+        transform = getattr(propagation, name)
+
+        def call(*args, out=None, **kwargs):
+            outs[name].append(out)
+            return transform(*args, out=out, **kwargs)
+
+        return call
+
+    for name in outs:
+        monkeypatch.setattr(propagation, name, spy(name))
+    theta_samples = 2 * shear_rows_per_block() + 3  # two whole blocks and a short one
+    g = PhaseSpaceGrid(SHEAR_X, SHEAR_X * 1e-5, theta_samples, SHEAR_THETA_EXTENT, LAM)
+    distance = sign * SHEAR_BINS * g.dx / (SHEAR_THETA_EXTENT / 2)
+    alf = AugmentedLightField(g, np.random.default_rng(7).normal(size=(SHEAR_X, theta_samples)))
+    out, loss = shear_propagate(alf, distance)
+    ref, ref_loss = one_shot_shear(alf, distance)
+    assert np.array_equal(out.radiance, ref) and loss == ref_loss
+    for blocks in outs.values():
+        assert [len(o) for o in blocks] == [shear_rows_per_block()] * 2 + [3]
+        assert all(o.base is blocks[0].base is not None for o in blocks)
 
 
 # Reference: the linear shear as np.interp per angle row, zero outside the

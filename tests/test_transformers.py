@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from auglf import (
     transformer_from_transmittance,
 )
 from auglf.transformers import _block_rows
-from oracles import angle_convolution, apply_dense_kernel, linear_apply
+from oracles import angle_convolution, apply_dense_kernel, linear_apply, phase_grating_orders
 
 LAM = 633e-9
 
@@ -229,6 +230,27 @@ def test_clipped_orders_warn():
     g = resonant_grid()
     with pytest.warns(ClippedOrderWarning):
         canonical_transformer(on_bin_prism(g, 4 * g.theta_samples), g)
+
+
+@pytest.mark.parametrize("depth", [2.0, 7.5])
+def test_grating_warns_once_with_the_summed_clipped_weight(depth):
+    # on a 512 x 512 grid dozens of orders of each grating fall partly or
+    # wholly outside the angle window; one warning carries their total
+    g = PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, LAM)
+    for spec in (PhaseGrating(depth, 1e-4), AmplitudeGrating(depth / 7.5, 2e-5)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t = canonical_transformer(spec, g)
+        clipped = [w for w in caught if issubclass(w.category, ClippedOrderWarning)]
+        assert len(clipped) == 1
+        assert clipped[0].filename == __file__
+        weight = t.meta["clipped_weight"]
+        assert weight > 0 and f"clipped weight {weight:.3g}" in str(clipped[0].message)
+    kernel, expected = phase_grating_orders(g, depth, 1e-4)
+    with pytest.warns(ClippedOrderWarning):
+        t = canonical_transformer(PhaseGrating(depth, 1e-4), g)
+    assert t.meta["clipped_weight"] == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(t.kernel, kernel, rtol=0, atol=1e-12 * np.abs(kernel).max())
 
 
 def test_on_theta_axis_slice():
