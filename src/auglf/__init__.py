@@ -22,13 +22,9 @@ from .core import (
     TruncationWarning,
     make_grid,
     project_intensity,
-    theta_to_u,
-    u_to_theta,
 )
 from .wdf import (
     WdfOptions,
-    analytic_wdf_rect_aperture,
-    analytic_wdf_two_pinholes,
     wdf_from_field,
 )
 from .elements import (
@@ -47,14 +43,11 @@ from .elements import (
 )
 from .transformers import (
     LightFieldTransformer,
-    apply_shield_field,
     apply_transformer,
     canonical_transformer,
-    compose_transformers,
-    identity_transformer,
     transformer_from_transmittance,
 )
-from .propagation import fraunhofer_rotate, shear_propagate
+from .propagation import shear_propagate
 from .fresnel import apply_mask, fresnel_propagate
 from .scenarios import (
     ComparisonReport,
@@ -70,7 +63,6 @@ from .scenarios import (
     TrainTrace,
     cubic_phase_psf_sweep,
     hologram_record,
-    intensity_skewness,
     normalized_cross_correlation,
     trace_train,
 )

@@ -91,28 +91,16 @@ _BOOL_STATES = {
 class ScenarioConfig:
     """A parsed, fully validated scenario description."""
 
-    x_samples: int
-    x_extent: float
-    theta_samples: int
-    theta_extent: float
-    wavelength: float
+    grid: PhaseSpaceGrid
     source: Union[PlaneWave, PointSource]
     stages: tuple
     output: OutputOptions
     numerics: dict
 
-    def grid(self, grid_scale: int = 1) -> PhaseSpaceGrid:
-        return make_grid(
-            self.x_samples * grid_scale,
-            self.x_extent,
-            self.theta_samples * grid_scale,
-            self.theta_extent,
-            self.wavelength,
-        )
-
     def train(self, grid_scale: int = 1) -> OpticalTrain:
+        """The scenario's train, on the grid with both sample counts times ``grid_scale``."""
         return OpticalTrain(
-            self.grid(grid_scale),
+            _scaled(self.grid, grid_scale),
             self.source,
             self.stages,
             observation=self.output.observation,
@@ -137,12 +125,7 @@ class ScenarioConfig:
         Settings left unset (None) are omitted, so every line reads back as
         a scenario-file value.
         """
-        out = {
-            f"grid.{f.name}": _fmt(getattr(self, f.name))
-            for f in dataclasses.fields(PhaseSpaceGrid)
-        }
-        out["grid.x_samples"] = str(self.x_samples * grid_scale)
-        out["grid.theta_samples"] = str(self.theta_samples * grid_scale)
+        out = _echo_fields("grid", _scaled(self.grid, grid_scale))
         out["grid.scale"] = str(grid_scale)
         out["source.kind"] = next(k for k, cls in _SOURCES.items() if type(self.source) is cls)
         out.update(_echo_fields("source", self.source))
@@ -159,6 +142,12 @@ class ScenarioConfig:
         for key, value in self.numerics.items():
             out[f"numerics.{key}"] = _fmt(value)
         return out
+
+
+def _scaled(grid: PhaseSpaceGrid, scale: int) -> PhaseSpaceGrid:
+    return dataclasses.replace(
+        grid, x_samples=grid.x_samples * scale, theta_samples=grid.theta_samples * scale
+    )
 
 
 def _fmt(value) -> str:
@@ -303,7 +292,7 @@ def parse_config(path: str) -> ScenarioConfig:
     numerics = _read("numerics", sections.get("numerics", {}), _NUMERICS_KEYS)
 
     cfg = ScenarioConfig(
-        **grid,
+        grid=_checked("", make_grid, **grid),
         source=source,
         stages=tuple(stages),
         output=OutputOptions(**output),

@@ -36,8 +36,6 @@ __all__ = [
     "IntensityProfile",
     "make_grid",
     "project_intensity",
-    "theta_to_u",
-    "u_to_theta",
     "InvalidConfigurationError",
     "DegenerateInputError",
     "ScenarioAbortError",
@@ -98,16 +96,6 @@ class TruncationWarning(UserWarning):
     """A transport step pushed a significant share of the signal out of the window."""
 
 
-def theta_to_u(theta, wavelength: float):
-    """Exact angle -> spatial-frequency conversion, u = theta / wavelength."""
-    return np.asarray(theta, dtype=float) / wavelength
-
-
-def u_to_theta(u, wavelength: float):
-    """Exact spatial-frequency -> angle conversion, theta = u * wavelength."""
-    return np.asarray(u, dtype=float) * wavelength
-
-
 @dataclass(frozen=True, slots=True)
 class PhaseSpaceGrid:
     """Shared (x, theta) sampling lattice.
@@ -164,13 +152,12 @@ def make_grid(
     theta_samples: int,
     theta_extent: float,
     wavelength: float,
-    paraxial_limit: float = PARAXIAL_HALF_ANGLE,
 ) -> PhaseSpaceGrid:
     """Validate and build a phase-space grid.
 
     Raises InvalidConfigurationError for non-positive extents, sample
     counts below 2, or a non-positive wavelength.  A half-angle window
-    beyond `paraxial_limit` is legal but draws a ParaxialGuardWarning,
+    beyond ``PARAXIAL_HALF_ANGLE`` is legal but draws a ParaxialGuardWarning,
     since every operator here is paraxial.
     """
     if int(x_samples) != x_samples or int(theta_samples) != theta_samples:
@@ -186,10 +173,10 @@ def make_grid(
         )
     if not wavelength > 0:
         raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength!r}")
-    if theta_extent / 2 > paraxial_limit:
+    if theta_extent / 2 > PARAXIAL_HALF_ANGLE:
         warnings.warn(
             f"half-angle window {theta_extent / 2:.3g} rad exceeds the paraxial guard "
-            f"{paraxial_limit:.3g} rad; small-angle formulas degrade out here",
+            f"{PARAXIAL_HALF_ANGLE:.3g} rad; small-angle formulas degrade out here",
             ParaxialGuardWarning,
             stacklevel=2,
         )

@@ -9,9 +9,13 @@ physics built from them:
   nominal window (padded wave pipeline): parametric elements continue
   analytically, a CodedAperture is opaque outside its sampled support, a
   PhasePlate is transparent there.
-- ``kernel(grid, options)``: the element's closed-form light-field
-  transformer.  A coded aperture falls back to the numeric path through
-  its sampled transmittance.
+- ``kernel(grid, options)``: the element's light-field transformer.
+  Elements whose kernel is a few delta rows or columns (pinholes,
+  gratings, deflectors, the unbounded hologram) build it in closed form.
+  Dense kernels (the slit, the bounded hologram, a coded aperture) are
+  the numeric Wigner kernel of the sampled transmittance
+  (``transformer_from_transmittance``); their closed forms are test
+  oracles.
 - ``deflection(wavelength, x)``, on slowly-varying phase elements only:
   the ray deflection profile d_theta(x) = (lambda / 2 pi) * dphi/dx, whose
   single delta per position is their kernel.
@@ -96,6 +100,14 @@ def _rect(x: np.ndarray, width: float) -> np.ndarray:
     return t
 
 
+def _transmittance_kernel(
+    spec, grid: PhaseSpaceGrid, options: Optional[WdfOptions]
+) -> NumericTransformer:
+    """Numeric kernel of ``spec``'s transmittance on the grid, zero boundary by default."""
+    t = spec.transmittance(grid.wavelength, grid.x_axis(), grid.dx)
+    return transformer_from_transmittance(ComplexField(grid, t), options or WdfOptions())
+
+
 class _Deflector:
     """Kernel of a pure phase element: one delta per position at its deflection."""
 
@@ -167,19 +179,8 @@ class RectAperture:
 
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
-    ) -> LightFieldTransformer:
-        x = grid.x_axis()
-        lam = grid.wavelength
-        width_left = np.clip(self.width - 2.0 * np.abs(x), 0.0, None)
-        u = _relative_axis(grid)[np.newaxis, :] / lam
-        kernel = (
-            2.0
-            * width_left[:, np.newaxis]
-            * np.sinc(2.0 * u * width_left[:, np.newaxis])
-            / lam
-        )
-        kernel[np.abs(x) >= 0.5 * self.width, :] = 0.0
-        return LightFieldTransformer(grid, _freeze(kernel), {"element": "rect_aperture"})
+    ) -> NumericTransformer:
+        return _transmittance_kernel(self, grid, options)
 
 
 @dataclass(frozen=True, slots=True)
@@ -379,11 +380,11 @@ class Hologram:
 
     The transmittance keeps both conjugate chirps (DC dropped); on
     reconstruction one converges to a real image at z = source_distance.
-    include_oscillatory controls whether the canonical kernel keeps the
-    cross term between the two chirps.  width, when set, limits the
-    recorded plate to |x| <= width/2: the kernel's deflection ridges then
-    broaden into sinc profiles whose width follows the remaining plate
-    span at each position.
+    The kernel of the unbounded plate is closed-form: a sharp deflection
+    ridge per chirp and, with include_oscillatory, the cross term between
+    them.  width, when set, limits the recorded plate to |x| <= width/2,
+    and the kernel is the numeric one of that bounded transmittance, which
+    always carries the cross term; include_oscillatory must then stay on.
     """
 
     source_distance: float
@@ -399,6 +400,11 @@ class Hologram:
             raise InvalidConfigurationError(
                 f"hologram plate width must be positive, got {self.width!r}"
             )
+        if self.width is not None and not self.include_oscillatory:
+            raise InvalidConfigurationError(
+                "include_oscillatory = off needs an unbounded plate: the kernel "
+                "of a bounded plate always carries the cross term"
+            )
 
     def transmittance(self, wavelength: float, x: np.ndarray, dx: float) -> np.ndarray:
         d = self.source_distance
@@ -409,64 +415,35 @@ class Hologram:
 
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
-    ) -> LightFieldTransformer:
+    ) -> Union[LightFieldTransformer, NumericTransformer]:
+        if self.width is not None:
+            return _transmittance_kernel(self, grid, options)
         n = grid.theta_samples
         dax = _relative_axis(grid)[np.newaxis, :]
         x = grid.x_axis()
         d = self.source_distance
+        lam = grid.wavelength
         kernel = np.zeros(_shape(grid))
-        if self.width is None:
-            # unbounded plate: each chirp is a sharp deflection ridge
-            for sign in (+1.0, -1.0):
-                cols = np.rint((sign * x / d) / grid.dtheta).astype(int) + n - 1
-                inside = (cols >= 0) & (cols <= 2 * n - 2)
-                rows = np.nonzero(inside)[0]
-                np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
-        # the smooth terms are made a block of rows at a time: the bounded
-        # branch holds about six complex temporaries of a block at once
-        step = max(1, _BLOCK_BYTES // (4 * 16 * dax.size))
-        for lo in range(0, grid.x_samples, step):
-            rows = slice(lo, lo + step)
-            self._add_smooth_rows(kernel[rows], x[rows, np.newaxis], dax, grid.wavelength)
+        # each chirp is a sharp deflection ridge
+        for sign in (+1.0, -1.0):
+            cols = np.rint((sign * x / d) / grid.dtheta).astype(int) + n - 1
+            inside = (cols >= 0) & (cols <= 2 * n - 2)
+            rows = np.nonzero(inside)[0]
+            np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
+        if self.include_oscillatory:
+            # the cross term is added 128 KiB of rows at a time, so its
+            # temporaries stay small beside the table
+            step = max(1, _BLOCK_BYTES // (64 * dax.size))
+            for lo in range(0, grid.x_samples, step):
+                xs = x[lo : lo + step, np.newaxis]
+                kernel[lo : lo + step] += 2.0 * np.cos(
+                    (2.0 * np.pi / lam) * (2.0 * d + xs ** 2 / d - d * dax ** 2)
+                )
         return LightFieldTransformer(
             grid,
             _freeze(kernel),
             {"include_oscillatory": self.include_oscillatory, "element": "hologram"},
         )
-
-    def _add_smooth_rows(
-        self, block: np.ndarray, x: np.ndarray, dax: np.ndarray, lam: float
-    ) -> None:
-        """Add the kernel's smooth terms at positions x (a column) to block."""
-        d = self.source_distance
-        if self.width is None:
-            if self.include_oscillatory:
-                block += 2.0 * np.cos(
-                    (2.0 * np.pi / lam) * (2.0 * d + x ** 2 / d - d * dax ** 2)
-                )
-            return
-        # finite plate: the remaining span 2*ell(x) bounds the lag
-        # integral, so each ridge becomes a sinc of that width and the
-        # chirp cross term becomes a pair of Fresnel integrals taken
-        # between the plate edges
-        ell = np.maximum(self.width / 2 - np.abs(x), 0.0)
-        on_plate = ell > 0
-        for sign in (+1.0, -1.0):
-            off = dax - sign * x / d
-            block += np.where(on_plate, (4.0 * ell / lam) * np.sinc(4.0 * ell * off / lam), 0.0)
-        if self.include_oscillatory:
-            from scipy.special import fresnel  # here, to keep SciPy off the import path
-
-            root = np.sqrt(lam * d)
-            s_star = d * dax
-            s2, c2 = fresnel(2.0 * (ell - s_star) / root)
-            s1, c1 = fresnel(-2.0 * (ell + s_star) / root)
-            segment = (c2 - c1) + 1j * (s2 - s1)
-            carrier = np.exp(
-                1j * (2.0 * np.pi / lam) * (2.0 * d + x ** 2 / d - d * dax ** 2)
-            )
-            film = (2.0 * root / lam) * (carrier * segment).real
-            block += np.where(on_plate, film, 0.0)
 
 
 ElementSpec = Union[

@@ -1,9 +1,7 @@
 """Free-space transport of phase-space radiance.
 
 Paraxial propagation acts on radiance as a shear: each angle row slides in
-position by ``z * theta`` while the angle coordinate is untouched.  The
-far-field limit is available separately as a quarter rotation of the plane
-on square grids.
+position by ``z * theta`` while the angle coordinate is untouched.
 """
 
 from __future__ import annotations
@@ -208,33 +206,3 @@ def _bandlimited_rows(n_x: int, bins: np.ndarray):
         dst[...] = out[:, guard : guard + n_x]
 
     return shift_rows, step
-
-
-def fraunhofer_rotate(alf: AugmentedLightField) -> AugmentedLightField:
-    """Quarter rotation of the phase plane: the far-field limit.
-
-    Position maps to angle and angle to (negated) position, so a pure
-    position structure becomes a pure angle structure and vice versa.  The
-    grid must be square (equal sample counts on both axes) for the rotation
-    to be a bin-exact permutation; the physical scale relating the outgoing
-    position axis to the incoming angle axis is recorded in
-    ``meta['fraunhofer_scale']`` (metres per radian).
-
-    The half-open axes have no partner for the lowest-index line, so that
-    single row of the output is zeroed; interior content is permuted without
-    loss.
-    """
-    grid = alf.grid
-    n = grid.x_samples
-    if grid.theta_samples != n:
-        raise InvalidConfigurationError(
-            f"far-field rotation needs a square grid, got {n} position and "
-            f"{grid.theta_samples} angle samples; rebuild the grid with "
-            "matching counts"
-        )
-    out = np.zeros_like(alf.radiance)
-    # out[i, j] = in[n - j, i] for j >= 1; the j = 0 column has no source bin.
-    out[:, 1:] = alf.radiance[n - 1 : 0 : -1, :].T
-    meta = dict(alf.meta)
-    meta["fraunhofer_scale"] = grid.x_extent / grid.theta_extent
-    return AugmentedLightField(grid, out, meta)

@@ -376,20 +376,6 @@ def normalized_cross_correlation(
     return float(dp @ dq / denom)
 
 
-def intensity_skewness(values: np.ndarray, x: np.ndarray) -> float:
-    """Third standardized moment of a non-negative profile."""
-    w = np.clip(np.asarray(values, dtype=np.float64), 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        return 0.0
-    w = w / total
-    mu = float((w * x).sum())
-    var = float((w * (x - mu) ** 2).sum())
-    if var <= 0.0:
-        return 0.0
-    return float((w * (x - mu) ** 3).sum() / var**1.5)
-
-
 @dataclass(frozen=True)
 class PsfSweepResult:
     """Point-spread functions over a defocus sweep, from both pipelines.

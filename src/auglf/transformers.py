@@ -10,16 +10,17 @@ kernel is a linear convolution along the angle axis.
 Kernels are real but not necessarily positive; negative lobes carry the
 interference structure of coherent elements.
 
-Rows of a convolution are independent, so kernels are applied and composed
-a block of rows at a time (``_row_convolutions``), and every transformer
-hands out its kernel a block of rows at a time through ``rows(lo, hi)``.
-A closed-form kernel is a table (``LightFieldTransformer``) and answers by
-slicing it.  The numeric kernel of a sampled transmittance
-(``NumericTransformer``) makes each block from the transmittance's Wigner
-rows when the apply asks for it, so its ``(x_samples, 2n - 1)`` table is
-never held whole; ``kernel`` assembles that table only for callers that
-want it.  The apply transforms with ``numpy.fft`` at the shortest fast
-length that keeps the n output bins free of wrap-around, the smallest
+Rows of a convolution are independent, so kernels are applied a block of
+rows at a time, and every transformer hands out its kernel a block of rows
+at a time through ``rows(lo, hi)``.  A closed-form kernel is a table
+(``LightFieldTransformer``) and answers by slicing it; elements build one
+only when their kernel is a few delta rows or columns.  The numeric kernel
+of a sampled transmittance (``NumericTransformer``), which every dense
+element uses, makes each block from the transmittance's Wigner rows when
+the apply asks for it, so its ``(x_samples, 2n - 1)`` table is never held
+whole; ``kernel`` assembles that table only for callers that want it.
+The apply transforms with ``numpy.fft`` at the shortest fast length that
+keeps the n output bins free of wrap-around, the smallest
 2-3-5-7-11-smooth length of at least 2n - 1 (``core._next_fast_len``),
 and gives the same bits as transforming whole arrays at that length.
 
@@ -30,7 +31,6 @@ are taken after the join, in row order, so the bits do not depend on the
 thread count.  The workers share one block budget, a 1/w share each, so
 besides its inputs and its result an apply holds about 3 MiB of kernel
 rows, spectra and products whatever the grid and the thread count.
-``compose_transformers`` runs its blocks serially.
 """
 
 from __future__ import annotations
@@ -67,30 +67,8 @@ def _relative_axis(grid: PhaseSpaceGrid) -> np.ndarray:
     return (np.arange(2 * n - 1) - (n - 1)) * grid.dtheta
 
 
-class _RelativeAngleKernel:
-    """What every transformer offers on top of ``grid``, ``rows`` and ``kernel``."""
-
-    __slots__ = ()
-
-    def deflection_axis(self) -> np.ndarray:
-        return _relative_axis(self.grid)
-
-    def on_theta_axis(self) -> np.ndarray:
-        """Kernel resampled onto the grid's absolute angle axis.
-
-        Picks the relative-axis column nearest each grid angle.  On an even
-        angle count the grid angles coincide with kernel columns exactly, so
-        this is a plain slice.  This is what a unit plane-wave probe at zero
-        angle returns when pushed through the kernel.
-        """
-        n = self.grid.theta_samples
-        offsets = np.rint(self.grid.theta_axis() / self.grid.dtheta).astype(int)
-        cols = np.clip(offsets + n - 1, 0, 2 * n - 2)
-        return self.kernel[:, cols]
-
-
 @dataclass(frozen=True, slots=True)
-class LightFieldTransformer(_RelativeAngleKernel):
+class LightFieldTransformer:
     """Per-position angle-redistribution kernel on a relative-angle axis, as a table.
 
     kernel has shape ``(x_samples, 2 * theta_samples - 1)``; column ``m``
@@ -112,7 +90,7 @@ class LightFieldTransformer(_RelativeAngleKernel):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class NumericTransformer(_RelativeAngleKernel):
+class NumericTransformer:
     """Kernel of a sampled transmittance whose rows are made when asked for.
 
     Row i is the Wigner row of the transmittance around x_i on the
@@ -153,14 +131,6 @@ class NumericTransformer(_RelativeAngleKernel):
         )
         table /= self.grid.wavelength
         return _freeze(table)
-
-
-def identity_transformer(grid: PhaseSpaceGrid) -> LightFieldTransformer:
-    """Kernel that leaves any light field unchanged under apply_transformer."""
-    n = grid.theta_samples
-    kernel = np.zeros((grid.x_samples, 2 * n - 1))
-    kernel[:, n - 1] = 1.0 / grid.dtheta
-    return LightFieldTransformer(grid, _freeze(kernel), {"element": "identity"})
 
 
 def _deposit_rows(
@@ -233,11 +203,10 @@ def _deflection_kernel(
 def canonical_transformer(
     spec, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
 ) -> LightFieldTransformer:
-    """Closed-form kernel of a catalogued element: ``spec.kernel(grid, options)``.
+    """Kernel of a catalogued element: ``spec.kernel(grid, options)``.
 
-    Each element class of :mod:`auglf.elements` builds its own kernel; a
-    coded aperture falls back to the numeric path through its sampled
-    transmittance.
+    Each element class of :mod:`auglf.elements` builds its own kernel,
+    closed-form or numeric.
     """
     return spec.kernel(grid, options)
 
@@ -301,52 +270,6 @@ def _block_rows(nfft: int, workers: int = 1) -> int:
     return max(1, _BLOCK_BYTES // workers // (16 * (nfft // 2 + 1)))
 
 
-def _row_convolutions(a_rows, b: np.ndarray, nfft: int, start: int, stop: int, workers: int):
-    """Circular convolutions of matching rows of two operands, block by block.
-
-    ``a_rows(lo, hi, workers)`` gives rows lo..hi-1 of the first operand (a
-    transformer's ``rows``); ``b`` is the second operand.  Covers rows
-    start..stop-1 in blocks sized to a ``workers``-th of the budget, for
-    that many callers running at once.  Yields ``(rows, full)``: the slice
-    of rows covered and their ``nfft`` circular convolution samples, a
-    fresh array the caller may overwrite.  Every row is transformed on its
-    own, so the values equal those of transforming the whole arrays at
-    once.
-    """
-    step = _block_rows(nfft, workers)
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        spec = rfft(a_rows(lo, hi, workers), nfft, axis=1)
-        spec *= rfft(b[lo:hi], nfft, axis=1)
-        yield slice(lo, hi), irfft(spec, nfft, axis=1)
-
-
-def compose_transformers(
-    first: LightFieldTransformer,
-    second: LightFieldTransformer,
-) -> LightFieldTransformer:
-    """Kernel of two stacked screens applied in sequence at one plane.
-
-    Row-wise convolution over the deflection axis: a deflection a from the
-    first screen followed by b from the second lands at a + b.  The result
-    is cropped back to the shared relative-angle axis; deflections pushed
-    beyond it are dropped, mirroring apply_transformer's angle window.
-    """
-    if first.grid is not second.grid and first.grid != second.grid:
-        raise InvalidConfigurationError("composed transformers must share a grid")
-    grid = first.grid
-    n = grid.theta_samples
-    width = 2 * n - 1
-    # full convolution length 4n-3; the shared axis sits centred on it
-    lo = width - 1 - (n - 1)
-    kernel = np.empty((grid.x_samples, width))
-    for rows, full in _row_convolutions(
-        first.rows, second.kernel, _next_fast_len(2 * width - 1), 0, grid.x_samples, 1
-    ):
-        kernel[rows] = full[:, lo : lo + width] * grid.dtheta
-    return LightFieldTransformer(grid, _freeze(kernel), {"element": "composite"})
-
-
 def apply_transformer(
     alf: AugmentedLightField, transformer: LightFieldTransformer
 ) -> AugmentedLightField:
@@ -382,14 +305,19 @@ def apply_transformer(
     total_in = np.empty(grid.x_samples)
 
     def convolve(start: int, stop: int, workers: int) -> None:
-        for rows, full in _row_convolutions(
-            transformer.rows, alf.radiance, nfft, start, stop, workers
-        ):
+        # every row is transformed on its own, so the values equal those of
+        # transforming the whole arrays at once
+        step = _block_rows(nfft, workers)
+        for lo in range(start, stop, step):
+            rows = slice(lo, min(lo + step, stop))
+            spec = rfft(transformer.rows(rows.start, rows.stop, workers), nfft, axis=1)
+            spec *= rfft(alf.radiance[rows], nfft, axis=1)
+            full = irfft(spec, nfft, axis=1)
             full *= grid.dtheta
             out[rows] = full[:, n - 1 : 2 * n - 1]
             leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
             total_in[rows] = np.abs(full.sum(axis=1))
-            del full  # free this block before the next one is transformed
+            del spec, full  # free this block before the next one is transformed
 
     _over_rows(grid.x_samples, convolve)
     denom = float(total_in.sum())
@@ -399,21 +327,3 @@ def apply_transformer(
     meta["theta_leak"] = leak
     meta["theta_leak_fraction"] = frac
     return AugmentedLightField(grid, _freeze(out), meta)
-
-
-def apply_shield_field(
-    alf: AugmentedLightField, shield: np.ndarray
-) -> AugmentedLightField:
-    """Attenuate radiance ray by ray with occlusion factors in [0, 1]."""
-    shield = np.asarray(shield, dtype=np.float64)
-    if shield.shape != alf.radiance.shape:
-        raise InvalidConfigurationError(
-            f"shield shape {shield.shape} does not match radiance "
-            f"{alf.radiance.shape}"
-        )
-    if not np.all(np.isfinite(shield)):
-        raise InvalidConfigurationError("shield contains non-finite entries")
-    if shield.min() < 0.0 or shield.max() > 1.0:
-        raise InvalidConfigurationError("shield factors must lie in [0, 1]")
-    return AugmentedLightField(alf.grid, alf.radiance * shield, dict(alf.meta))
-

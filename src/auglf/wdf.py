@@ -64,7 +64,7 @@ from .core import (
     _over_rows,
 )
 
-__all__ = ["WdfOptions", "wdf_from_field", "analytic_wdf_two_pinholes", "analytic_wdf_rect_aperture"]
+__all__ = ["WdfOptions", "wdf_from_field"]
 
 # Fraction of the window tapered on each side by the raised-cosine option.
 EDGE_TAPER_FRACTION = 0.1
@@ -378,52 +378,3 @@ def wdf_from_field(field: ComplexField, options: WdfOptions = WdfOptions()) -> A
     }
     w /= grid.wavelength
     return AugmentedLightField(grid, _freeze(w), meta)
-
-
-def _deposit_column(radiance: np.ndarray, grid: PhaseSpaceGrid, x0: float, profile) -> None:
-    radiance[grid.x_index(x0), :] += profile / (grid.wavelength * grid.dx)
-
-
-def analytic_wdf_two_pinholes(grid: PhaseSpaceGrid, a: float, b: float) -> AugmentedLightField:
-    """Closed-form two-pinhole radiance: two flat columns plus the midpoint oscillation.
-
-    Deposits delta(x-a) + delta(x-b) + 2 delta(x-(a+b)/2) cos(2 pi (a-b) theta / lambda)
-    at nearest nodes with the 1/dx delta convention.  The midpoint column
-    carries zero net intensity when (a-b) * theta_extent / lambda is an
-    integer (whole oscillation periods inside the window); tests and the
-    shipped configs choose grids that way.
-    """
-    if a == b:
-        raise DegenerateInputError("pinholes coincide; use a single pinhole instead")
-    half = grid.x_extent / 2
-    for name, pos in (("a", a), ("b", b)):
-        if not (-half <= pos < half):
-            raise InvalidConfigurationError(f"pinhole {name}={pos!r} outside the window [{-half}, {half})")
-    theta = grid.theta_axis()
-    radiance = np.zeros((grid.x_samples, grid.theta_samples))
-    _deposit_column(radiance, grid, a, np.ones_like(theta))
-    _deposit_column(radiance, grid, b, np.ones_like(theta))
-    _deposit_column(radiance, grid, (a + b) / 2, 2.0 * np.cos(2.0 * np.pi * (a - b) * theta / grid.wavelength))
-    return AugmentedLightField(grid, radiance)
-
-
-def analytic_wdf_rect_aperture(grid: PhaseSpaceGrid, aperture: float) -> AugmentedLightField:
-    """Closed-form radiance of a hard slit of full width `aperture`.
-
-    Triangular envelope in x; along angle a sinc whose width scales as
-    lambda / (2A - 4|x|), evaluated exactly on the grid nodes.
-    """
-    if aperture <= 0:
-        raise InvalidConfigurationError(f"aperture must be positive, got {aperture!r}")
-    if aperture > grid.x_extent:
-        warnings.warn(
-            f"aperture {aperture:.3g} m exceeds the {grid.x_extent:.3g} m window; the wings are cut",
-            BandwidthWarning,
-            stacklevel=2,
-        )
-    x = grid.x_axis()[:, None]
-    u = grid.u_axis()[None, :]
-    width = aperture - 2.0 * np.abs(x)
-    w = np.where(width > 0, width, 0.0)
-    values = 2.0 * w * np.sinc(2.0 * u * w) / grid.wavelength
-    return AugmentedLightField(grid, np.where(width > 0, values, 0.0))

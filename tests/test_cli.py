@@ -101,6 +101,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_bounded_hologram_without_cross_term_exits_2(tmp_path, capsys):
+    stage = (
+        "\n[stage.3]\nkind = element\nelement = hologram\nsource_distance = 0.1\n"
+        "width = 1.5e-3\ninclude_oscillatory = off\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", small_config(tmp_path, stage), "--out", str(out)]) == 2
+    assert "unbounded plate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_numerics_value_exits_2_before_any_output(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = small_config(tmp_path, "\n[numerics]\ninterp = cubic\n")

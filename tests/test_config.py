@@ -62,24 +62,22 @@ def write(tmp_path, body, name="scenario.cfg"):
 
 def test_parses_minimal_scenario(tmp_path):
     cfg = parse_config(write(tmp_path, BASE))
-    assert cfg.x_samples == 256
+    assert cfg.grid == PhaseSpaceGrid(256, 2.048e-3, 256, 1.2e-2, 633e-9)
     assert isinstance(cfg.source, PlaneWave) and cfg.source.angle == 0.0
     assert len(cfg.stages) == 2
     assert cfg.stages[0].spec == RectAperture(5e-4)
     assert isinstance(cfg.stages[1], Propagate) and cfg.stages[1].distance == 0.05
-    g = cfg.grid()
-    assert g.x_samples == 256 and g.theta_extent == 1.2e-2
     train = cfg.train()
-    assert isinstance(train, OpticalTrain)
+    assert isinstance(train, OpticalTrain) and train.grid == cfg.grid
     opts = cfg.trace_options()
     assert opts.interp == "linear" and opts.oracle_pad == 2
 
 
 def test_grid_scale_multiplies_sample_counts(tmp_path):
     cfg = parse_config(write(tmp_path, BASE))
-    g = cfg.grid(grid_scale=2)
+    g = cfg.train(grid_scale=2).grid
     assert g.x_samples == 512 and g.theta_samples == 512
-    assert g.x_extent == cfg.x_extent  # extent fixed, resolution doubles
+    assert g.x_extent == cfg.grid.x_extent  # extent fixed, resolution doubles
     assert cfg.echo(grid_scale=2)["grid.x_samples"] == "512"
 
 
@@ -155,7 +153,8 @@ ROUND_TRIP_SPECS = (
     CubicPhase(4e9),
     PhaseGrating(2.5, 1e-4),
     Hologram(0.1),
-    Hologram(0.2, include_oscillatory=False, width=1.5e-3),
+    Hologram(0.2, include_oscillatory=False),
+    Hologram(0.2, width=1.5e-3),
 )
 
 

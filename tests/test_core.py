@@ -14,8 +14,6 @@ from auglf import (
     ParaxialGuardWarning,
     make_grid,
     project_intensity,
-    theta_to_u,
-    u_to_theta,
 )
 from auglf.core import _next_fast_len
 
@@ -45,12 +43,6 @@ def test_index_round_trip():
     assert g.x_index(x[10] + 0.4 * g.dx) == 10
     assert g.x_index(-1.0) == 0
     assert g.x_index(1.0) == 127
-
-
-def test_angle_frequency_conversion_is_exact():
-    lam = 5e-7
-    th = np.array([-0.01, 0.0, 0.004])
-    np.testing.assert_array_equal(u_to_theta(theta_to_u(th, lam), lam), th)
 
 
 def test_make_grid_rejects_bad_values():

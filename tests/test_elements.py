@@ -7,6 +7,7 @@ import pytest
 
 from auglf import (
     AmplitudeGrating,
+    AugmentedLightField,
     CodedAperture,
     ComplexField,
     CubicPhase,
@@ -21,13 +22,14 @@ from auglf import (
     Prism,
     RectAperture,
     TwoPinholes,
+    apply_transformer,
     element_label,
     make_grid,
 )
 from auglf.elements import ElementSpec
 from auglf.scenarios import Element
 
-from oracles import hologram_kernel
+from oracles import hologram_kernel, rect_wigner
 
 LAM = 633e-9
 
@@ -57,14 +59,17 @@ def test_closed_form_kernels_carry_the_element_label():
         PhaseGrating(1.0, 1e-4),
         PhasePlate(np.linspace(0.0, 3.0, 64) ** 2),
         Hologram(0.1),
+        Hologram(0.1, width=4e-4),
     )
-    # every element class but the coded aperture, which takes the numeric path
-    closed_form = set(typing.get_args(ElementSpec)) - {CodedAperture}
-    assert {type(spec) for spec in specs} == closed_form
+    # every element class but the coded aperture; the slit and the bounded
+    # hologram take the numeric path of their transmittance
+    assert {type(spec) for spec in specs} == set(typing.get_args(ElementSpec)) - {CodedAperture}
+    numeric = (RectAperture(4e-4), Hologram(0.1, width=4e-4))
     for spec in specs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert spec.kernel(g).meta["element"] == element_label(spec)
+            label = "numeric" if spec in numeric else element_label(spec)
+            assert spec.kernel(g).meta["element"] == label
 
 
 def test_constructor_validation():
@@ -90,6 +95,9 @@ def test_constructor_validation():
         Hologram(-0.1)
     with pytest.raises(InvalidConfigurationError):
         Hologram(0.1, width=0.0)
+    # the numeric kernel of a bounded plate always carries the cross term
+    with pytest.raises(InvalidConfigurationError, match="unbounded plate"):
+        Hologram(0.1, include_oscillatory=False, width=1.5e-3)
 
 
 def test_pinhole_spike_convention():
@@ -184,8 +192,6 @@ def test_hologram_fringes():
 HOLOGRAM_PLATES = {
     "unbounded": Hologram(0.1),
     "unbounded_no_cross_term": Hologram(0.1, include_oscillatory=False),
-    "bounded": Hologram(0.1, width=1.5e-3),
-    "bounded_no_cross_term": Hologram(0.1, include_oscillatory=False, width=1.5e-3),
 }
 
 
@@ -193,14 +199,13 @@ HOLOGRAM_PLATES = {
 def test_hologram_kernel_blocks_match_the_one_shot_formula_bits(plate):
     # 203 positions: several blocks of rows and a ragged last one
     g = PhaseSpaceGrid(203, 2.048e-3, 512, 2.2e-2, 6.33e-7)
-    want = hologram_kernel(g, plate.source_distance, plate.include_oscillatory, plate.width)
+    want = hologram_kernel(g, plate.source_distance, plate.include_oscillatory)
     assert np.array_equal(plate.kernel(g).kernel, want)
 
 
 HOLOGRAM_BUILDS = {
     # hologram.cfg's plate and grid
     "unbounded": (Hologram(0.1), PhaseSpaceGrid(1024, 2.048e-3, 1024, 2.2e-2, 6.33e-7)),
-    "bounded": (Hologram(0.1, width=1.5e-3), PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, 6.33e-7)),
 }
 
 
@@ -213,9 +218,55 @@ def test_hologram_kernel_build_holds_the_table_and_small_blocks(build):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # terms evaluated over the whole table would hold several table-sized
-    # temporaries at once (16 and 8 MiB of complex values, respectively)
+    # the cross term evaluated over the whole table would hold several
+    # table-sized temporaries at once (16 MiB each)
     assert peak < table.nbytes + 4 * 2**20
+
+
+def rel_axis(g):
+    return (np.arange(2 * g.theta_samples - 1) - (g.theta_samples - 1)) * g.dtheta
+
+
+# Dense kernels are numeric; their closed forms are the oracles.  Each
+# bound sits above the largest difference measured on that grid, as a
+# share of the kernel's peak: 0.27 % for single_lens's 1 mm slit on
+# 2048 x 2048, 1.0 % for a 0.5 mm slit on 256 x 256 (the sinc lobes are
+# coarser there) and 0.04 % for a 1.5 mm hologram plate on 512 x 512.
+SLITS = {
+    "single_lens_2048": (RectAperture(1e-3), PhaseSpaceGrid(2048, 8.192e-3, 2048, 6e-2, LAM), 4e-3),
+    "small_256": (RectAperture(5e-4), PhaseSpaceGrid(256, 2.048e-3, 256, 1.2e-2, LAM), 2e-2),
+}
+
+
+@pytest.mark.parametrize("case", SLITS.values(), ids=SLITS.keys())
+def test_slit_kernel_matches_the_closed_form_wigner(case):
+    slit, g, bound = case
+    got = slit.kernel(g).kernel
+    want = rect_wigner(g.x_axis()[:, None], rel_axis(g)[None, :] / LAM, slit.width) / LAM
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+def test_bounded_hologram_kernel_matches_the_closed_form():
+    g = PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, 6.33e-7)
+    got = Hologram(0.1, width=1.5e-3).kernel(g).kernel
+    want = hologram_kernel(g, 0.1, True, 1.5e-3)
+    assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
+
+
+def test_bounded_hologram_kernel_build_and_apply_hold_no_table():
+    g = PhaseSpaceGrid(1024, 2.048e-3, 1024, 2.2e-2, 6.33e-7)
+    radiance = np.random.default_rng(5).normal(size=(g.x_samples, g.theta_samples))
+    alf = AugmentedLightField(g, radiance)
+    tracemalloc.start()
+    try:
+        apply_transformer(alf, Hologram(0.1, width=1.5e-3).kernel(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result (8 MiB) and a few MiB of one block's kernel rows, chirp-z
+    # scratch and transforms; the 16 MiB table would not fit
+    table_bytes = g.x_samples * (2 * g.theta_samples - 1) * 8
+    assert peak < alf.radiance.nbytes + 6 * 2**20 < alf.radiance.nbytes + table_bytes
 
 
 def test_coded_aperture_alignment_and_padding():

@@ -22,6 +22,7 @@ from auglf.output import (
     write_matrix_csv,
     write_profile_csv,
 )
+from auglf import csvtext
 from auglf.csvtext import format_cells
 from oracles import cells_17g, matrix_csv_text, profile_csv_text
 
@@ -201,6 +202,9 @@ def test_bulk_writers_hold_no_full_size_temporary(tmp_path):
         lambda: write_matrix_csv(str(tmp_path / "m.csv"), long_axis, short_axis, m),
         lambda: write_heatmap(str(tmp_path / "m"), m.T, short_axis, long_axis),
     ):
+        # the formatting tables, built on first use, are charged on every run
+        # whether or not an earlier test built them
+        csvtext._format_tables.cache_clear()
         tracemalloc.start()
         try:
             write()

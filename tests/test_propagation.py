@@ -12,7 +12,6 @@ from auglf import (
     InvalidConfigurationError,
     PhaseSpaceGrid,
     TruncationWarning,
-    fraunhofer_rotate,
     fresnel_propagate,
     make_grid,
     project_intensity,
@@ -128,33 +127,6 @@ def test_shear_matches_wave_pipeline():
     got = project_intensity(moved).values
     want = np.abs(fresnel_propagate(ComplexField(g, fld), z).samples) ** 2
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
-
-
-def test_rotation_requires_square_grid():
-    g = make_grid(64, 1.28e-3, 32, 1e-2, LAM)
-    alf = AugmentedLightField(g, np.ones((64, 32)))
-    with pytest.raises(InvalidConfigurationError):
-        fraunhofer_rotate(alf)
-
-
-def test_rotation_permutes_bins():
-    g = grid_64()
-    r = np.zeros((64, 64))
-    r[40, 10] = 5.0
-    out = fraunhofer_rotate(AugmentedLightField(g, r))
-    assert out.radiance[10, 24] == 5.0
-    assert np.count_nonzero(out.radiance) == 1
-    assert np.all(out.radiance[:, 0] == 0.0)
-    assert out.meta["fraunhofer_scale"] == pytest.approx(g.x_extent / g.theta_extent)
-
-
-def test_rotation_conserves_interior_content():
-    g = grid_64()
-    rng = np.random.default_rng(3)
-    r = rng.uniform(size=(64, 64))
-    r[0, :] = 0.0  # the unpaired line; everything else must survive
-    out = fraunhofer_rotate(AugmentedLightField(g, r))
-    assert out.radiance.sum() == pytest.approx(r.sum(), rel=1e-12)
 
 
 # Reference: the bandlimited shear over all angle rows at once, the form the

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,15 +22,16 @@ from auglf import (
     TwoPinholes,
     cubic_phase_psf_sweep,
     hologram_record,
-    intensity_skewness,
     make_grid,
     normalized_cross_correlation,
     project_intensity,
     trace_train,
 )
 from auglf import Lens
+from auglf.config import parse_config
 
 LAM = 633e-9
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_young_train_agrees_with_wave_pipeline():
@@ -56,6 +58,16 @@ def test_young_train_agrees_with_wave_pipeline():
         "propagate_0.1m",
     ]
     assert trace.report.truncation_loss < 0.9
+
+
+def test_single_lens_config_agrees_with_wave_pipeline():
+    cfg = parse_config(str(CONFIG_DIR / "single_lens.cfg"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeIntensityWarning)
+        trace = trace_train(cfg.train(), cfg.trace_options())
+    # measured 0.0333 with the spot peak on the wave reference's
+    assert trace.report.relative_l2_error < 0.04
+    assert abs(trace.report.peak_offset_cells) <= 2
 
 
 def test_virtual_source_leaves_intensity_dark():
@@ -168,15 +180,6 @@ def test_cross_correlation_properties():
         normalized_cross_correlation(p, p[:-1])
     with pytest.raises(InvalidConfigurationError):
         normalized_cross_correlation(p.reshape(-1, 1), p.reshape(-1, 1))
-
-
-def test_skewness_sign_and_symmetry():
-    x = np.linspace(-1, 1, 401)
-    sym = np.exp(-(x ** 2) / 0.02)
-    assert abs(intensity_skewness(sym, x)) < 1e-9
-    tail = np.where(x > -0.1, np.exp(-np.maximum(x + 0.1, 0) / 0.15), 0.0)
-    assert intensity_skewness(tail, x) > 0.5
-    assert intensity_skewness(tail[::-1], x) < -0.5
 
 
 def test_hologram_recording_guard():

@@ -13,11 +13,10 @@ from auglf import (
     BandwidthWarning,
     ComplexField,
     DegenerateInputError,
+    Hologram,
     InvalidConfigurationError,
     PhaseGrating,
     WdfOptions,
-    analytic_wdf_rect_aperture,
-    analytic_wdf_two_pinholes,
     make_grid,
     project_intensity,
     wdf_from_field,
@@ -26,7 +25,6 @@ from auglf.wdf import WignerRows, _tukey, _upsample, _ZoomDft, wigner_table
 
 from oracles import (
     gaussian_wigner,
-    hologram_kernel,
     rect_wigner,
     wigner_from_samples_direct,
     wigner_quadrature,
@@ -149,32 +147,6 @@ def test_rect_field_against_closed_form():
     ana = rect_wigner(x[:, None], g.u_axis()[None, :], A) / LAM
     err = np.linalg.norm(W.radiance - ana) / np.linalg.norm(ana)
     assert err < 0.03
-
-
-def test_analytic_two_pinholes_structure():
-    g = make_grid(256, 2.56e-3, 256, 1.899e-2, LAM)
-    a, b = 16 * g.dx, -16 * g.dx
-    W = analytic_wdf_two_pinholes(g, a, b)
-    occupied = np.nonzero(np.abs(W.radiance).sum(axis=1))[0]
-    assert set(occupied) == {g.x_index(b), g.x_index(0.0), g.x_index(a)}
-    mid = W.radiance[g.x_index(0.0)]
-    theta = g.theta_axis()
-    target = 2.0 * np.cos(2 * np.pi * (a - b) * theta / LAM) / (LAM * g.dx)
-    np.testing.assert_allclose(mid, target, rtol=0, atol=1e-9 * np.abs(target).max())
-    with pytest.raises(DegenerateInputError):
-        analytic_wdf_two_pinholes(g, a, a)
-    with pytest.raises(InvalidConfigurationError):
-        analytic_wdf_two_pinholes(g, 2.0, b)
-
-
-def test_analytic_rect_matches_oracle_formula():
-    g = make_grid(128, 1.28e-3, 128, 0.02, LAM)
-    A = 40 * g.dx
-    W = analytic_wdf_rect_aperture(g, A)
-    ana = rect_wigner(g.x_axis()[:, None], g.u_axis()[None, :], A) / LAM
-    np.testing.assert_allclose(W.radiance, ana, rtol=0, atol=1e-12 * np.abs(ana).max())
-    with pytest.raises(InvalidConfigurationError):
-        analytic_wdf_rect_aperture(g, -1.0)
 
 
 def test_zero_field_is_degenerate():
@@ -480,16 +452,18 @@ train = auglf.OpticalTrain(
 )
 auglf.trace_train(train)
 print("scipy after coded aperture", scipy_modules())
-np.save(sys.argv[3], auglf.PhaseGrating(2.0, 1e-4).kernel(g).kernel)
 np.save(sys.argv[4], auglf.Hologram(0.1, width=1.5e-3).kernel(g).kernel)
+print("scipy after bounded hologram", scipy_modules())
+np.save(sys.argv[3], auglf.PhaseGrating(2.0, 1e-4).kernel(g).kernel)
 """
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
     # importing scipy.fft or scipy.special costs about 0.3 s and 22 MiB on
     # every run, and scipy.signal (which loads scipy.stats) about a second;
-    # the import and a run load no SciPy module, and only the kernels that
-    # evaluate special functions import scipy.special, when they run
+    # the import and a run load no SciPy module, and only the grating
+    # kernels, which evaluate special functions, import scipy.special when
+    # they run; the bounded hologram's kernel is numeric and loads none
     config = Path(__file__).resolve().parents[1] / "configs" / "hologram.cfg"
     grating, hologram = tmp_path / "grating.npy", tmp_path / "hologram.npy"
     proc = subprocess.run(
@@ -502,7 +476,8 @@ def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
         "scipy after import []",
         "scipy after hologram.cfg []",
         "scipy after coded aperture []",
+        "scipy after bounded hologram []",
     ]
     g = make_grid(64, 1.28e-3, 64, 1e-2, 633e-9)
     assert np.array_equal(np.load(grating), PhaseGrating(2.0, 1e-4).kernel(g).kernel)
-    assert np.array_equal(np.load(hologram), hologram_kernel(g, 0.1, True, 1.5e-3))
+    assert np.array_equal(np.load(hologram), Hologram(0.1, width=1.5e-3).kernel(g).kernel)
