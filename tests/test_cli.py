@@ -64,6 +64,16 @@ def test_run_writes_expected_files(tmp_path):
     assert manifest["config"]["cli.compare_oracle"] == "on"
 
 
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_every_shipped_config_runs(tmp_path, config):
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]
+    for entry in manifest["outputs"]:
+        assert entry["sha256"] == sha256_file(str(out / entry["path"])), entry["path"]
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cfg = small_config(tmp_path)

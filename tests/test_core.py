@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from auglf import (
     make_grid,
     project_intensity,
 )
-from auglf.core import _next_fast_len
+from auglf.core import PARAXIAL_HALF_ANGLE, _next_fast_len
 
 
 def test_axes_are_node_centered():
@@ -59,6 +60,15 @@ def test_make_grid_rejects_bad_values():
 def test_wide_angle_window_warns():
     with pytest.warns(ParaxialGuardWarning):
         make_grid(64, 1e-3, 64, 0.5, 633e-9)
+
+
+def test_paraxial_guard_starts_past_its_half_angle():
+    edge = 2 * PARAXIAL_HALF_ANGLE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ParaxialGuardWarning)
+        make_grid(64, 1e-3, 64, edge, 633e-9)
+    with pytest.warns(ParaxialGuardWarning):
+        make_grid(64, 1e-3, 64, np.nextafter(edge, np.inf), 633e-9)
 
 
 def test_containers_validate_and_freeze():

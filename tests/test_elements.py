@@ -253,6 +253,33 @@ def test_bounded_hologram_kernel_matches_the_closed_form():
     assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
 
 
+DENSE_PLATES = {
+    "slit": (RectAperture(5e-4), PhaseSpaceGrid(256, 2.048e-3, 256, 1.2e-2, LAM)),
+    "bounded_hologram": (Hologram(0.1, width=1.5e-3), PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, LAM)),
+}
+
+
+@pytest.mark.parametrize("case", DENSE_PLATES.values(), ids=DENSE_PLATES.keys())
+def test_centred_dense_kernels_are_even_in_position_and_angle(case):
+    # both transmittances are even in x, so their Wigner kernels are even
+    # in position and in deflection; on the node-centred axis row i
+    # mirrors row n - i, and row 0 has no partner
+    plate, g = case
+    K = plate.kernel(g).kernel
+    scale = np.abs(K).max()
+    assert np.abs(K[1:] - K[:0:-1]).max() <= 1e-12 * scale
+    assert np.abs(K - K[:, ::-1]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", DENSE_PLATES.values(), ids=DENSE_PLATES.keys())
+def test_dense_kernels_reject_an_angle_window_their_lag_sampling_misses(case):
+    plate, _ = case
+    # a 10 um pitch samples lags up to wavelength / (2 dx) = 0.0317 rad of deflection
+    with pytest.raises(InvalidConfigurationError, match="lag sampling"):
+        plate.kernel(make_grid(256, 2.56e-3, 256, 0.1, LAM))
+    assert plate.kernel(make_grid(256, 2.56e-3, 256, 0.03, LAM)).kernel.shape == (256, 511)
+
+
 def test_bounded_hologram_kernel_build_and_apply_hold_no_table():
     g = PhaseSpaceGrid(1024, 2.048e-3, 1024, 2.2e-2, 6.33e-7)
     radiance = np.random.default_rng(5).normal(size=(g.x_samples, g.theta_samples))

@@ -10,8 +10,11 @@ from auglf import (
     AugmentedLightField,
     ComplexField,
     InvalidConfigurationError,
+    Lens,
     PhaseSpaceGrid,
     TruncationWarning,
+    apply_transformer,
+    canonical_transformer,
     fresnel_propagate,
     make_grid,
     project_intensity,
@@ -127,6 +130,40 @@ def test_shear_matches_wave_pipeline():
     got = project_intensity(moved).values
     want = np.abs(fresnel_propagate(ComplexField(g, fld), z).samples) ** 2
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
+
+
+def fourier_system(alf):
+    """Propagate f, pass a lens of focal length f, propagate f: (x, theta) -> (f theta, -x / f)."""
+    g = alf.grid
+    f = g.dx / g.dtheta  # one position step per angle bin: every move is whole bins
+    alf, _ = shear_propagate(alf, f, interp="linear")
+    alf = apply_transformer(alf, canonical_transformer(Lens(f), g))
+    out, _ = shear_propagate(alf, f, interp="linear")
+    return out.radiance
+
+
+def test_rotation_permutes_bins():
+    g = grid_64()
+    r = np.zeros((64, 64))
+    r[40, 10] = 5.0  # (x, theta) = (8 dx, -22 dtheta)
+    out = fourier_system(AugmentedLightField(g, r)).copy()
+    assert out[10, 24] == pytest.approx(5.0, rel=1e-12)  # (-22 dx, -8 dtheta)
+    out[10, 24] = 0.0
+    assert np.abs(out).max() < 1e-12
+
+
+def test_rotation_conserves_interior_content():
+    g = grid_64()
+    rng = np.random.default_rng(3)
+    i, j = np.meshgrid(np.arange(64) - 32, np.arange(64) - 32, indexing="ij")
+    # inside this disk no ray leaves the window between the three steps
+    r = np.where(i ** 2 + j ** 2 <= 20 ** 2, rng.uniform(size=(64, 64)), 0.0)
+    out = fourier_system(AugmentedLightField(g, r))
+    # a quarter turn: out[j, 64 - i] = r[i, j]; row 0 has no partner
+    want = np.zeros_like(r)
+    want[:, 1:] = r[63:0:-1, :].T
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    assert out.sum() == pytest.approx(r.sum(), rel=1e-12)
 
 
 # Reference: the bandlimited shear over all angle rows at once, the form the

@@ -13,6 +13,7 @@ from auglf import (
     CodedAperture,
     ComplexField,
     InvalidConfigurationError,
+    Lens,
     LightFieldTransformer,
     PhaseGrating,
     PhaseSpaceGrid,
@@ -90,6 +91,57 @@ def test_two_pinholes_midpoint_oscillation():
     rel = (np.arange(2 * g.theta_samples - 1) - (g.theta_samples - 1)) * g.dtheta
     expect = 2.0 * np.cos(2 * np.pi * (a - b) * rel / LAM) / (LAM * g.dx)
     np.testing.assert_allclose(mid, expect, atol=1e-9 / (LAM * g.dx))
+
+
+def test_prism_composition_adds_deflections():
+    # two on-bin prisms in a row move the field by whole angle bins, as one
+    # prism of the summed deflection does; what leaves the window on the
+    # way is lost either way
+    g = resonant_grid()
+    alf = random_alf(g, 5)
+    t3, t5, t8 = (canonical_transformer(on_bin_prism(g, k), g) for k in (3, 5, 8))
+    got = apply_transformer(apply_transformer(alf, t3), t5)
+    want = apply_transformer(alf, t8)
+    scale = np.abs(alf.radiance).max()
+    np.testing.assert_allclose(got.radiance, want.radiance, atol=1e-10 * scale)
+    np.testing.assert_allclose(want.radiance[:, 8:], alf.radiance[:, :-8], atol=1e-10 * scale)
+    np.testing.assert_allclose(want.radiance[:, :8], 0.0, atol=1e-10 * scale)
+
+
+def test_lens_composition_adds_power():
+    g = resonant_grid()
+    # dx/f equal to one angle bin per position step keeps every deflection on-bin
+    f = g.dx / g.dtheta
+    ta = canonical_transformer(Lens(f), g)
+    with pytest.warns(ClippedOrderWarning):
+        # the f/2 lens bends the outermost row just past the kernel's end
+        tb = canonical_transformer(Lens(f / 2), g)
+    alf = random_alf(g, 6)
+    got = apply_transformer(apply_transformer(alf, ta), ta).radiance
+    want = apply_transformer(alf, tb).radiance
+    keep = slice(1, g.x_samples)
+    scale = np.abs(alf.radiance).max()
+    np.testing.assert_allclose(got[keep], want[keep], atol=1e-10 * scale)
+
+
+def test_elements_at_one_plane_commute():
+    # each kernel convolves every position's angle row, and convolutions
+    # commute; the field is confined to the central angles so that no
+    # order of the three leaves the window
+    g = resonant_grid()
+    a = canonical_transformer(on_bin_prism(g, 2), g)
+    b = canonical_transformer(Lens(8 * g.dx / g.dtheta), g)
+    c = canonical_transformer(AmplitudeGrating(0.6, g.x_extent / 16), g)
+    radiance = random_alf(g, 7).radiance.copy()
+    centre = np.abs(np.arange(g.theta_samples) - g.theta_samples // 2) <= 8
+    radiance[:, ~centre] = 0.0
+    alf = AugmentedLightField(g, radiance)
+    left = apply_transformer(apply_transformer(apply_transformer(alf, a), b), c)
+    right = apply_transformer(apply_transformer(apply_transformer(alf, c), b), a)
+    scale = np.abs(left.radiance).max()
+    np.testing.assert_allclose(left.radiance, right.radiance, atol=1e-10 * scale)
+    for out in (left, right):
+        assert abs(out.meta["theta_leak"]) < 1e-10 * np.abs(alf.radiance).sum() * g.dx * g.dtheta
 
 
 def test_amplitude_grating_matches_numeric_kernel():

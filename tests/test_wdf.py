@@ -16,6 +16,7 @@ from auglf import (
     Hologram,
     InvalidConfigurationError,
     PhaseGrating,
+    TwoPinholes,
     WdfOptions,
     make_grid,
     project_intensity,
@@ -147,6 +148,23 @@ def test_rect_field_against_closed_form():
     ana = rect_wigner(x[:, None], g.u_axis()[None, :], A) / LAM
     err = np.linalg.norm(W.radiance - ana) / np.linalg.norm(ana)
     assert err < 0.03
+
+
+def test_analytic_two_pinholes_structure():
+    # the two-pinhole kernel is the closed-form Wigner function of two
+    # spikes: a flat row at each pinhole and a fringe row at their midpoint
+    g = make_grid(256, 2.56e-3, 256, 1.899e-2, LAM)
+    a, b = 16 * g.dx, -16 * g.dx
+    K = TwoPinholes(a, b).kernel(g).kernel
+    occupied = np.nonzero(np.abs(K).sum(axis=1))[0]
+    assert set(occupied) == {g.x_index(b), g.x_index(0.0), g.x_index(a)}
+    flat = 1.0 / (LAM * g.dx)
+    assert np.all(K[g.x_index(a)] == flat) and np.all(K[g.x_index(b)] == flat)
+    rel = (np.arange(2 * g.theta_samples - 1) - (g.theta_samples - 1)) * g.dtheta
+    target = 2.0 * np.cos(2 * np.pi * (a - b) * rel / LAM) * flat
+    np.testing.assert_allclose(K[g.x_index(0.0)], target, rtol=0, atol=1e-9 * flat)
+    with pytest.raises(InvalidConfigurationError):
+        TwoPinholes(a, a)
 
 
 def test_zero_field_is_degenerate():
