@@ -62,7 +62,6 @@ from .scenarios import (
     TraceOptions,
     TrainTrace,
     cubic_phase_psf_sweep,
-    hologram_record,
     normalized_cross_correlation,
     trace_train,
 )

@@ -85,7 +85,7 @@ def _run(args) -> int:
             emit_heatmap(f"stage_{record.index:02d}_{record.label}",
                          record.alf.radiance)
 
-    if train.observation == "full-phase-space":
+    if cfg.output.observation == "full-phase-space":
         if cfg.output.heatmaps:
             emit_heatmap("final_radiance", trace.final.radiance)
         if cfg.output.tables:

@@ -6,11 +6,13 @@ optional ``[output]`` and ``[numerics]`` sections.  Every key is validated;
 unknown sections or keys are rejected so typos fail loudly instead of
 silently running with defaults.
 
-The keys of ``[grid]``, ``[source]``, ``[output]`` and of each stage are
-the fields of the dataclass the section builds (PhaseSpaceGrid, the source
-classes, OutputOptions, Propagate and the element classes), with their
-types and defaults.  An element's kind is its ``element_label``; elements
-with array fields (CodedAperture, PhasePlate) are API-only.
+The keys of every section are the fields of the dataclass it builds
+(PhaseSpaceGrid, the source classes, Propagate, the element classes,
+OutputOptions and TraceOptions), with their types and defaults; the
+parser, the validation and the echo all read them from there.
+TraceOptions.compare_oracle is the command line's ``--compare-oracle``,
+not a ``[numerics]`` key.  An element's kind is its ``element_label``;
+elements with array fields (CodedAperture, PhasePlate) are API-only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .scenarios import (
     Propagate,
     TraceOptions,
 )
-from .wdf import WdfOptions
 
 
 class ConfigError(InvalidConfigurationError):
@@ -46,15 +47,24 @@ class OutputOptions:
     heatmaps: bool = True
     observation: str = "intensity"
 
+    def __post_init__(self) -> None:
+        if self.observation not in ("intensity", "full-phase-space"):
+            raise InvalidConfigurationError(
+                f"observation must be intensity or full-phase-space, got {self.observation!r}"
+            )
+
 
 def _schema(cls) -> typing.Optional[dict]:
     """``{key: (type, default)}`` of a dataclass; None if a field is no INI scalar.
 
     An ``Optional[T]`` field reads as ``T`` and defaults to None when absent.
+    Fields the constructor does not take are no keys.
     """
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
         typ = hints[f.name]
         if typing.get_origin(typ) is Union:
             typ = next(t for t in typing.get_args(typ) if t is not type(None))
@@ -72,14 +82,8 @@ _ELEMENTS = {
     if _schema(cls) is not None
 }
 
-_NUMERICS_KEYS = {
-    "interp": (str, "linear"),
-    "oracle_pad": (int, 2),
-    "match_etendue": (bool, True),
-    "abort_loss": (float, 0.9),
-    "oversample": (int, 1),
-    "window": (str, "none"),
-}
+# compare_oracle is set on the command line, never in a scenario file
+_NUMERICS = {k: v for k, v in _schema(TraceOptions).items() if k != "compare_oracle"}
 
 _BOOL_STATES = {
     "1": True, "yes": True, "true": True, "on": True,
@@ -95,29 +99,14 @@ class ScenarioConfig:
     source: Union[PlaneWave, PointSource]
     stages: tuple
     output: OutputOptions
-    numerics: dict
+    options: TraceOptions
 
     def train(self, grid_scale: int = 1) -> OpticalTrain:
         """The scenario's train, on the grid with both sample counts times ``grid_scale``."""
-        return OpticalTrain(
-            _scaled(self.grid, grid_scale),
-            self.source,
-            self.stages,
-            observation=self.output.observation,
-        )
+        return OpticalTrain(_scaled(self.grid, grid_scale), self.source, self.stages)
 
     def trace_options(self, compare_oracle: bool = True) -> TraceOptions:
-        n = self.numerics
-        return TraceOptions(
-            interp=n["interp"],
-            oracle_pad=n["oracle_pad"],
-            match_etendue=n["match_etendue"],
-            abort_loss=n["abort_loss"],
-            compare_oracle=compare_oracle,
-            wdf_options=WdfOptions(
-                oversample_factor=n["oversample"], window=n["window"]
-            ),
-        )
+        return dataclasses.replace(self.options, compare_oracle=compare_oracle)
 
     def echo(self, grid_scale: int = 1) -> dict:
         """Flat string map of every resolved setting, defaults included.
@@ -139,8 +128,7 @@ class ScenarioConfig:
                 out[f"{prefix}.element"] = element_label(stage.spec)
                 out.update(_echo_fields(prefix, stage.spec))
         out.update(_echo_fields("output", self.output))
-        for key, value in self.numerics.items():
-            out[f"numerics.{key}"] = _fmt(value)
+        out.update(_echo_fields("numerics", self.options, _NUMERICS))
         return out
 
 
@@ -158,10 +146,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _echo_fields(prefix: str, obj) -> dict:
-    """Echo lines of a dataclass's fields; unset (None) ones have no INI value and are left out."""
-    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
-    return {f"{prefix}.{name}": _fmt(value) for name, value in values if value is not None}
+def _echo_fields(prefix: str, obj, schema: typing.Optional[dict] = None) -> dict:
+    """Echo lines of a dataclass's keys (``schema``, by default its own).
+
+    Unset (None) values have no INI value and are left out.
+    """
+    values = ((key, getattr(obj, key)) for key in schema or _schema(type(obj)))
+    return {f"{prefix}.{key}": _fmt(value) for key, value in values if value is not None}
 
 
 def _convert(raw: str, typ, where: str):
@@ -203,16 +194,17 @@ def _read(section: str, present: dict, schema: dict) -> dict:
     return values
 
 
-def _checked(where: str, build, **kwargs):
-    """``build(**kwargs)``, with its validation errors raised as ConfigError."""
+def _section(section: str, present: dict, cls, schema: typing.Optional[dict] = None):
+    """``cls`` built from the keys of ``schema`` (default: its own); its errors raise ConfigError."""
+    values = _read(section, present, schema or _schema(cls))
     try:
-        return build(**kwargs)
+        return cls(**values)
     except InvalidConfigurationError as exc:
-        raise ConfigError(f"{where}{exc}") from None
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
-def _build(section: str, present: dict, kind_key: str, kinds: dict, noun: str):
-    """The dataclass that ``present[kind_key]`` names, built from the other keys."""
+def _kind(section: str, present: dict, kind_key: str, kinds, noun: str) -> str:
+    """``present[kind_key]``, taken out of ``present``; one of ``kinds``."""
     if kind_key not in present:
         raise ConfigError(f"[{section}]: missing required key {kind_key}")
     kind = present.pop(kind_key).strip()
@@ -221,8 +213,7 @@ def _build(section: str, present: dict, kind_key: str, kinds: dict, noun: str):
             f"[{section}]: unknown {noun} {kind!r}; expected one of "
             f"{', '.join(sorted(kinds))}"
         )
-    cls = kinds[kind]
-    return _checked(f"[{section}]: ", cls, **_read(section, present, _schema(cls)))
+    return kind
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -263,41 +254,25 @@ def parse_config(path: str) -> ScenarioConfig:
             raise ConfigError(f"missing required section [{required}]")
     if not stage_numbers:
         raise ConfigError("scenario has no [stage.N] sections")
-    expected = set(range(1, len(stage_numbers) + 1))
-    if set(stage_numbers) != expected:
-        raise ConfigError(
-            "stage numbers must be contiguous from 1, got "
-            f"{sorted(stage_numbers)}"
-        )
+    if sorted(stage_numbers) != list(range(1, len(stage_numbers) + 1)):
+        raise ConfigError(f"stage numbers must be contiguous from 1, got {sorted(stage_numbers)}")
 
-    grid = _read("grid", sections["grid"], _schema(PhaseSpaceGrid))
-    source = _build("source", sections["source"], "kind", _SOURCES, "source")
+    grid = _section("grid", sections["grid"], make_grid, _schema(PhaseSpaceGrid))
+    kind = _kind("source", sections["source"], "kind", _SOURCES, "source")
+    source = _section("source", sections["source"], _SOURCES[kind])
     stages = []
     for n in sorted(stage_numbers):
         section = stage_numbers[n]
         present = sections[section]
-        if "kind" not in present:
-            raise ConfigError(f"[{section}]: missing required key kind")
-        kind = present.pop("kind").strip()
-        if kind == "propagate":
-            schema = _schema(Propagate)
-            stages.append(_checked(f"[{section}]: ", Propagate, **_read(section, present, schema)))
-        elif kind == "element":
-            stages.append(Element(_build(section, present, "element", _ELEMENTS, "element")))
+        if _kind(section, present, "kind", ("propagate", "element"), "stage kind") == "propagate":
+            stages.append(_section(section, present, Propagate))
         else:
-            raise ConfigError(
-                f"[{section}]: kind must be propagate or element, got {kind!r}"
-            )
-    output = _read("output", sections.get("output", {}), _schema(OutputOptions))
-    numerics = _read("numerics", sections.get("numerics", {}), _NUMERICS_KEYS)
-
-    cfg = ScenarioConfig(
-        grid=_checked("", make_grid, **grid),
+            element = _ELEMENTS[_kind(section, present, "element", _ELEMENTS, "element")]
+            stages.append(Element(_section(section, present, element)))
+    return ScenarioConfig(
+        grid=grid,
         source=source,
         stages=tuple(stages),
-        output=OutputOptions(**output),
-        numerics=numerics,
+        output=_section("output", sections.get("output", {}), OutputOptions),
+        options=_section("numerics", sections.get("numerics", {}), TraceOptions, _NUMERICS),
     )
-    _checked("", cfg.train)
-    _checked("[numerics]: ", cfg.trace_options)
-    return cfg

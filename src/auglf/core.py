@@ -140,6 +140,12 @@ class PhaseSpaceGrid:
         i = int(round((x + 0.5 * self.x_extent) / self.dx))
         return min(max(i, 0), self.x_samples - 1)
 
+    def checked_x_index(self, x: float, what: str) -> int:
+        """``x_index`` of a position that must lie in [-x_extent/2, x_extent/2)."""
+        if not (-0.5 * self.x_extent <= x < 0.5 * self.x_extent):
+            raise InvalidConfigurationError(f"{what} at {x:g} m lies outside the window")
+        return self.x_index(x)
+
     def theta_index(self, theta: float) -> int:
         """Nearest-node index for an angle; clipped to the window."""
         j = int(round((theta + 0.5 * self.theta_extent) / self.dtheta))

@@ -28,6 +28,7 @@ convention the Wigner module uses).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -39,6 +40,7 @@ from .core import (
     InvalidConfigurationError,
     PhaseSpaceGrid,
     RealnessError,
+    SamplingWarning,
     _freeze,
 )
 from .transformers import (
@@ -133,7 +135,7 @@ class Pinhole:
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
         kernel = np.zeros(_shape(grid))
-        kernel[grid.x_index(self.position), :] = 1.0 / (grid.wavelength * grid.dx)
+        kernel[grid.checked_x_index(self.position, "pinhole"), :] = 1.0 / (grid.wavelength * grid.dx)
         return LightFieldTransformer(grid, _freeze(kernel), {"element": "pinhole"})
 
 
@@ -156,8 +158,8 @@ class TwoPinholes:
     ) -> LightFieldTransformer:
         lam = grid.wavelength
         kernel = np.zeros(_shape(grid))
-        kernel[grid.x_index(self.a), :] += 1.0 / (lam * grid.dx)
-        kernel[grid.x_index(self.b), :] += 1.0 / (lam * grid.dx)
+        kernel[grid.checked_x_index(self.a, "pinhole a"), :] += 1.0 / (lam * grid.dx)
+        kernel[grid.checked_x_index(self.b, "pinhole b"), :] += 1.0 / (lam * grid.dx)
         kernel[grid.x_index(0.5 * (self.a + self.b)), :] += 2.0 * np.cos(
             2.0 * np.pi * (self.a - self.b) * _relative_axis(grid) / lam
         ) / (lam * grid.dx)
@@ -385,6 +387,8 @@ class Hologram:
     them.  width, when set, limits the recorded plate to |x| <= width/2,
     and the kernel is the numeric one of that bounded transmittance, which
     always carries the cross term; include_oscillatory must then stay on.
+    Either kernel warns (SamplingWarning) when the grid undersamples the
+    recorded chirp at the window edge.
     """
 
     source_distance: float
@@ -416,6 +420,14 @@ class Hologram:
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> Union[LightFieldTransformer, NumericTransformer]:
+        edge_freq = 0.5 * grid.x_extent / (grid.wavelength * self.source_distance)
+        if edge_freq > 0.5 / grid.dx:
+            warnings.warn(
+                f"recorded fringe frequency {edge_freq:g} cycles/m at the window edge "
+                f"exceeds the grid Nyquist {0.5 / grid.dx:g}; the recording is undersampled",
+                SamplingWarning,
+                stacklevel=3,  # the caller of canonical_transformer
+            )
         if self.width is not None:
             return _transmittance_kernel(self, grid, options)
         n = grid.theta_samples

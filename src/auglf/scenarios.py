@@ -14,7 +14,6 @@ window so both pipelines transport the same etendue.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union, get_args
 
@@ -27,12 +26,11 @@ from .core import (
     IntensityProfile,
     InvalidConfigurationError,
     PhaseSpaceGrid,
-    SamplingWarning,
     ScenarioAbortError,
     _freeze,
     project_intensity,
 )
-from .elements import CubicPhase, ElementSpec, Hologram, Lens, RectAperture, element_label
+from .elements import CubicPhase, ElementSpec, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
 from .propagation import _INTERP_MODES, shear_propagate
 from .transformers import apply_transformer, canonical_transformer
@@ -91,15 +89,12 @@ class Element:
 
 Stage = Union[Propagate, Element]
 
-_OBSERVATIONS = ("intensity", "full-phase-space")
-
 
 @dataclass(frozen=True)
 class OpticalTrain:
     grid: PhaseSpaceGrid
     source: SourceSpec
     stages: tuple
-    observation: str = "intensity"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -108,10 +103,6 @@ class OpticalTrain:
                 raise InvalidConfigurationError(
                     f"stage {k} is {type(stage).__name__}, expected Propagate or Element"
                 )
-        if self.observation not in _OBSERVATIONS:
-            raise InvalidConfigurationError(
-                f"observation must be one of {_OBSERVATIONS}, got {self.observation!r}"
-            )
         if isinstance(self.source, FieldSource) and self.source.field.grid != self.grid:
             raise InvalidConfigurationError(
                 "field source was sampled on a different grid than the train"
@@ -122,6 +113,8 @@ class OpticalTrain:
 class TraceOptions:
     """Numerical choices shared by one trace.
 
+    Each field but compare_oracle is a ``[numerics]`` key of a scenario file.
+
     interp          : shear interpolation; linear is robust for the spike-like
                       radiance of ideal sources, bandlimited is exact for
                       smooth fields
@@ -130,6 +123,9 @@ class TraceOptions:
                       so both pipelines carry the same etendue
     abort_loss      : abort the trace when a single stage truncates more than
                       this fraction of the signal
+    oversample, window : WdfOptions oversample_factor and window of every
+                      Wigner transform and numeric kernel, built and checked
+                      once as ``wdf_options``
     compare_oracle  : run the wave pipeline and fill the comparison fields
     """
 
@@ -137,10 +133,15 @@ class TraceOptions:
     oracle_pad: int = 2
     match_etendue: bool = True
     abort_loss: float = 0.9
+    oversample: int = 1
+    window: str = "none"
     compare_oracle: bool = True
-    wdf_options: WdfOptions = field(default_factory=WdfOptions)
+    wdf_options: WdfOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "wdf_options", WdfOptions(oversample_factor=self.oversample, window=self.window)
+        )
         if self.interp not in _INTERP_MODES:
             raise InvalidConfigurationError(
                 f"interp must be one of {_INTERP_MODES}, got {self.interp!r}"
@@ -184,13 +185,8 @@ class TrainTrace:
 
 def _source_radiance(grid: PhaseSpaceGrid, source: SourceSpec, options: TraceOptions):
     if isinstance(source, PointSource):
-        half = 0.5 * grid.x_extent
-        if not (-half <= source.position < half):
-            raise InvalidConfigurationError(
-                f"point source at {source.position:g} m lies outside the window"
-            )
         radiance = np.zeros((grid.x_samples, grid.theta_samples))
-        radiance[grid.x_index(source.position), :] = 1.0 / (
+        radiance[grid.checked_x_index(source.position, "point source"), :] = 1.0 / (
             grid.dx * grid.theta_extent
         )
         return AugmentedLightField(grid, _freeze(radiance), {"source": "point"})
@@ -456,24 +452,3 @@ def cubic_phase_psf_sweep(
         oracle_similarity=_similarity_matrix(oracle_arr) if have_oracle else None,
         reports=tuple(reports),
     )
-
-
-def hologram_record(grid: PhaseSpaceGrid, source_distance: float,
-                    include_oscillatory: bool = True) -> Hologram:
-    """Prepare the recorded interference mask of an on-axis point source.
-
-    Validates that the recording chirp is resolvable on the grid: its local
-    spatial frequency at the window edge must stay under the Nyquist limit,
-    otherwise a SamplingWarning is raised.
-    """
-    spec = Hologram(source_distance, include_oscillatory)
-    edge_freq = 0.5 * grid.x_extent / (grid.wavelength * source_distance)
-    if edge_freq > 0.5 / grid.dx:
-        warnings.warn(
-            f"recorded fringe frequency {edge_freq:g} cycles/m at the window "
-            f"edge exceeds the grid Nyquist {0.5 / grid.dx:g}; the recording "
-            "is undersampled",
-            SamplingWarning,
-            stacklevel=2,
-        )
-    return spec

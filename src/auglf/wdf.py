@@ -85,17 +85,11 @@ class WdfOptions:
         fields that decay inside the window); "periodic" wraps around,
         which is the faithful choice for transmittance masks that
         continue beyond the simulated patch (gratings, uniform plates).
-    interpolation : how half-sample values are obtained.  "sinc" uses
-        band-limited resampling, exact for fields that are smooth at the
-        sample scale.  "none" leaves them zero, which is exact for masks
-        made of isolated single-sample spikes (pinholes); it aliases
-        smooth content, so never use it for resolved masks.
     """
 
     oversample_factor: int = 1
     window: str = "none"
     boundary: str = "zero"
-    interpolation: str = "sinc"
 
     def __post_init__(self):
         if self.oversample_factor not in (1, 2, 4):
@@ -106,13 +100,6 @@ class WdfOptions:
             raise InvalidConfigurationError(f"unknown window {self.window!r}")
         if self.boundary not in ("zero", "periodic"):
             raise InvalidConfigurationError(f"unknown boundary {self.boundary!r}")
-        if self.interpolation not in ("sinc", "none"):
-            raise InvalidConfigurationError(f"unknown interpolation {self.interpolation!r}")
-        if self.interpolation == "none" and self.oversample_factor != 1:
-            raise InvalidConfigurationError(
-                "interpolation 'none' fixes the lag step at the sample step; "
-                "oversample_factor must stay 1"
-            )
 
 
 def _tukey(m: int, alpha: float) -> np.ndarray:
@@ -262,9 +249,6 @@ class WignerRows:
                 )
             if options.window != "none":
                 gf = gf * _tukey(m_total, 2 * EDGE_TAPER_FRACTION)
-        elif options.interpolation == "none":
-            gf = np.zeros(m_total, dtype=np.complex128)
-            gf[::factor] = g
         else:
             gf = _upsample(g, m_total)
         self._ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
@@ -374,7 +358,7 @@ def wdf_from_field(field: ComplexField, options: WdfOptions = WdfOptions()) -> A
     u_axis = grid.u_axis()
     w = wigner_table(grid, field.samples, float(u_axis[0]), grid.dtheta / grid.wavelength, grid.theta_samples, options)
     meta = {
-        "wdf_options": (options.oversample_factor, options.window, options.boundary, options.interpolation),
+        "wdf_options": (options.oversample_factor, options.window, options.boundary),
     }
     w /= grid.wavelength
     return AugmentedLightField(grid, _freeze(w), meta)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from auglf import DegenerateInputError
+from auglf import DegenerateInputError, SamplingWarning
 from auglf.cli import main
 from auglf.output import read_profile_csv, sha256_file
 
@@ -157,6 +157,22 @@ def test_settings_rejected_during_the_trace_exit_2(tmp_path, capsys):
     cfg.write_text(body)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "outside the window" in capsys.readouterr().err
+
+
+def test_pinhole_outside_the_window_exits_2(tmp_path, capsys):
+    # two_pinholes b lies 2 m off axis, far outside the 2.048 mm window
+    stage = "\n[stage.3]\nkind = element\nelement = two_pinholes\na = 1e-4\nb = 2.0\n"
+    assert main(["run", small_config(tmp_path, stage), "--out", str(tmp_path / "o")]) == 2
+    assert "pinhole b at 2 m lies outside the window" in capsys.readouterr().err
+
+
+def test_undersampled_hologram_warns_on_run(tmp_path):
+    # a 1 mm recording distance puts the chirp's edge frequency at 1.6e6
+    # cycles/m, past the grid Nyquist of 6.25e4
+    stage = "\n[stage.3]\nkind = element\nelement = hologram\nsource_distance = 1e-3\n"
+    out = str(tmp_path / "o")
+    with pytest.warns(SamplingWarning, match="undersampled"):
+        assert main(["run", small_config(tmp_path, stage), "--out", out, "--compare-oracle", "off"]) == 0
 
 
 def test_degenerate_input_during_the_trace_exits_2(tmp_path, capsys, monkeypatch):

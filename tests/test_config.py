@@ -18,12 +18,13 @@ from auglf import (
     Prism,
     Propagate,
     RectAperture,
+    TraceOptions,
     TwoPinholes,
     element_label,
 )
 from auglf.config import (
     _ELEMENTS,
-    _NUMERICS_KEYS,
+    _NUMERICS,
     _SOURCES,
     ConfigError,
     OutputOptions,
@@ -71,6 +72,9 @@ def test_parses_minimal_scenario(tmp_path):
     assert isinstance(train, OpticalTrain) and train.grid == cfg.grid
     opts = cfg.trace_options()
     assert opts.interp == "linear" and opts.oracle_pad == 2
+    # no [numerics] section: the trace's own defaults, so the two cannot drift
+    assert opts == TraceOptions() and opts.wdf_options == TraceOptions().wdf_options
+    assert cfg.trace_options(compare_oracle=False) == TraceOptions(compare_oracle=False)
 
 
 def test_grid_scale_multiplies_sample_counts(tmp_path):
@@ -193,7 +197,7 @@ def test_readme_lists_every_kind_and_key():
         assert f"`{kind}` (key `{', '.join(_schema(cls))}`" in section, kind
     for name in ("grid", "source", "stage.1", "output", "numerics"):
         assert f"`[{name}]`" in section, name
-    keys = [*_schema(PhaseSpaceGrid), *_schema(Propagate), *_schema(OutputOptions), *_NUMERICS_KEYS]
+    keys = [*_schema(PhaseSpaceGrid), *_schema(Propagate), *_schema(OutputOptions), *_NUMERICS]
     for key in keys:
         assert f"`{key}`" in section, key
 
@@ -222,6 +226,7 @@ def test_two_pinhole_stage(tmp_path):
         (lambda b: b + "\n[numerics]\noversample = 3\n", "oversample"),
         (lambda b: b + "\n[numerics]\noracle_pad = 0\n", "oracle_pad"),
         (lambda b: b + "\n[numerics]\nabort_loss = 1.5\n", "abort_loss"),
+        (lambda b: b + "\n[numerics]\ncompare_oracle = off\n", "compare_oracle"),
         (lambda b: b + "\n[output]\nobservation = radiance\n", "observation"),
     ],
 )

@@ -112,6 +112,28 @@ def test_pinhole_spike_convention():
     assert t2[g.x_index(32 * g.dx)] == 1.0 / g.dx
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [Pinhole(0.64e-3), Pinhole(-0.65e-3), TwoPinholes(2.0, -1e-4), TwoPinholes(1e-4, -0.64000001e-3)],
+    ids=["pinhole_right_edge", "pinhole_left", "two_pinholes_far", "two_pinholes_left"],
+)
+def test_pinholes_off_the_window_are_rejected(spec):
+    # the window is [-x_extent/2, x_extent/2): a pinhole past either end
+    # would otherwise be clipped onto the edge row
+    g = make_grid(64, 1.28e-3, 64, 1e-2, LAM)
+    with pytest.raises(InvalidConfigurationError, match="outside the window"):
+        spec.kernel(g)
+
+
+def test_pinholes_at_the_window_edges_keep_their_rows():
+    g = make_grid(64, 1.28e-3, 64, 1e-2, LAM)
+    left, right = -0.64e-3, 0.64e-3 - g.dx  # the first and last nodes
+    assert np.flatnonzero(Pinhole(left).kernel(g).kernel.any(axis=1)).tolist() == [0]
+    assert np.flatnonzero(Pinhole(right).kernel(g).kernel.any(axis=1)).tolist() == [63]
+    rows = TwoPinholes(left, right - g.dx).kernel(g).kernel.any(axis=1)
+    assert np.flatnonzero(rows).tolist() == [0, 31, 62]
+
+
 def test_rect_halves_its_edge_samples():
     g = axis()
     x = g.x_axis()

@@ -9,6 +9,7 @@ from auglf import (
     ComplexField,
     Element,
     FieldSource,
+    Hologram,
     InvalidConfigurationError,
     NegativeIntensityWarning,
     OpticalTrain,
@@ -21,14 +22,13 @@ from auglf import (
     TruncationWarning,
     TwoPinholes,
     cubic_phase_psf_sweep,
-    hologram_record,
     make_grid,
     normalized_cross_correlation,
     project_intensity,
     trace_train,
 )
 from auglf import Lens
-from auglf.config import parse_config
+from auglf.config import OutputOptions, parse_config
 
 LAM = 633e-9
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -106,8 +106,8 @@ def test_stage_validation():
     g = make_grid(64, 1.28e-3, 64, 1e-2, LAM)
     with pytest.raises(InvalidConfigurationError):
         OpticalTrain(g, PlaneWave(0.0), ("not a stage",))
-    with pytest.raises(InvalidConfigurationError):
-        OpticalTrain(g, PlaneWave(0.0), (), observation="hologram")
+    with pytest.raises(InvalidConfigurationError, match="observation"):
+        OutputOptions(observation="hologram")
     with pytest.raises(InvalidConfigurationError):
         Propagate(-0.1)
     with pytest.raises(InvalidConfigurationError):
@@ -183,12 +183,16 @@ def test_cross_correlation_properties():
 
 
 def test_hologram_recording_guard():
+    # the recorded chirp's edge frequency x_extent / (2 lambda d) against the
+    # grid Nyquist 1 / (2 dx): 1.1e4 of 2.5e5 cycles/m at d = 0.15 m, 1.6e6 at 1 mm
     g = make_grid(1024, 2.048e-3, 1024, 1.899e-2, LAM)
-    spec = hologram_record(g, 0.15)
-    assert spec.source_distance == 0.15
-    assert spec.include_oscillatory
-    with pytest.warns(SamplingWarning):
-        hologram_record(g, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SamplingWarning)
+        Hologram(0.15).kernel(g)
+        Hologram(0.15, width=1.5e-3).kernel(g)
+    for spec in (Hologram(1e-3), Hologram(1e-3, width=1.5e-3)):
+        with pytest.warns(SamplingWarning, match="undersampled"):
+            spec.kernel(g)
 
 
 def test_defocus_sweep_shapes():

@@ -98,7 +98,7 @@ def test_realness_residue_reported():
     u = g.u_axis()
     table = wigner_table(g, rng.normal(size=64) + 0j, float(u[0]), float(u[1] - u[0]), 64, WdfOptions())
     assert type(table) is np.ndarray and table.dtype == np.float64
-    assert W.meta["wdf_options"] == (1, "none", "zero", "sinc")
+    assert W.meta["wdf_options"] == (1, "none", "zero")
 
 
 def test_shift_covariance():
@@ -190,10 +190,6 @@ def test_options_validation():
         WdfOptions(window="hann")
     with pytest.raises(InvalidConfigurationError):
         WdfOptions(boundary="reflect")
-    with pytest.raises(InvalidConfigurationError):
-        WdfOptions(interpolation="cubic")
-    with pytest.raises(InvalidConfigurationError):
-        WdfOptions(interpolation="none", oversample_factor=2)
 
 
 def test_angle_window_beyond_lag_band_rejected():
@@ -286,10 +282,6 @@ def _lag_grid_signal(samples, factor, options, fine_samples=None):
     g = np.asarray(samples, dtype=complex)
     if options.window != "none":
         g = g * tukey(len(g), 0.2)
-    if options.interpolation == "none":
-        gf = np.zeros(m_total, dtype=complex)
-        gf[::factor] = g
-        return gf
     return resample(g, m_total)
 
 
@@ -361,17 +353,10 @@ def test_wigner_table_error_to_direct_oracle_within_two_sided(oversample):
     assert err < 1e-13 * np.linalg.norm(direct)
 
 
-def _valid_options():
-    out = []
-    for combo in itertools.product((1, 2, 4), ("none", "raised-cosine"), ("zero", "periodic"), ("sinc", "none")):
-        try:
-            out.append(WdfOptions(*combo))
-        except InvalidConfigurationError:
-            pass
-    return out
-
-
-VALID_OPTIONS = _valid_options()
+VALID_OPTIONS = [
+    WdfOptions(*combo)
+    for combo in itertools.product((1, 2, 4), ("none", "raised-cosine"), ("zero", "periodic"))
+]
 
 
 @st.composite
