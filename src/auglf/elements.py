@@ -10,15 +10,16 @@ physics built from them:
   analytically, a CodedAperture is opaque outside its sampled support, a
   PhasePlate is transparent there.
 - ``kernel(grid, options)``: the element's light-field transformer.
-  Elements whose kernel is a few delta rows or columns (pinholes,
-  gratings, deflectors, the unbounded hologram) build it in closed form.
-  Dense kernels (the slit, the bounded hologram, a coded aperture) are
-  the numeric Wigner kernel of the sampled transmittance
-  (``transformer_from_transmittance``); their closed forms are test
-  oracles.
-- ``deflection(wavelength, x)``, on slowly-varying phase elements only:
-  the ray deflection profile d_theta(x) = (lambda / 2 pi) * dphi/dx, whose
-  single delta per position is their kernel.
+  Elements whose kernel is a set of delta lines (pinholes, gratings, the
+  prism and the lens) build it in closed form.  Every other element's
+  kernel is the numeric Wigner kernel of its transmittance
+  (``transformer_from_transmittance``): the slit, the cubic phase plate
+  and the hologram from their analytic transmittance on the lag grid, a
+  phase plate and a coded aperture from their samples.  Their closed
+  forms are test oracles.
+- ``deflection(wavelength, x)``, on the prism and the lens only: the ray
+  deflection profile d_theta(x) = (lambda / 2 pi) * dphi/dx, whose single
+  delta per position is their kernel.
 
 Conventions: a converging lens (focal_length > 0) deflects a ray at
 height x by -x/f, i.e. carries phase -pi x^2 / (lambda f); idealized
@@ -35,6 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
+    ClippedOrderWarning,
     ComplexField,
     DegenerateInputError,
     InvalidConfigurationError,
@@ -44,10 +46,8 @@ from .core import (
     _freeze,
 )
 from .transformers import (
-    _BLOCK_BYTES,
     LightFieldTransformer,
     NumericTransformer,
-    _deflection_kernel,
     _deposit_rows,
     _order_kernel,
     _relative_axis,
@@ -105,21 +105,45 @@ def _rect(x: np.ndarray, width: float) -> np.ndarray:
 def _transmittance_kernel(
     spec, grid: PhaseSpaceGrid, options: Optional[WdfOptions]
 ) -> NumericTransformer:
-    """Numeric kernel of ``spec``'s transmittance on the grid, zero boundary by default."""
-    t = spec.transmittance(grid.wavelength, grid.x_axis(), grid.dx)
-    return transformer_from_transmittance(ComplexField(grid, t), options or WdfOptions())
+    """Numeric kernel of ``spec``'s analytic transmittance, zero boundary by default.
+
+    The transmittance is evaluated on the lag grid itself (2 * oversample
+    points per sample, from the first x node), so a jump such as a slit's
+    edge is not replaced by a band-limited interpolant that rings.
+    """
+    options = options or WdfOptions()
+    factor = 2 * options.oversample_factor
+    x = grid.x_axis()
+    fine_x = x[0] + (grid.dx / factor) * np.arange(factor * grid.x_samples)
+    t = spec.transmittance(grid.wavelength, x, grid.dx)
+    fine = spec.transmittance(grid.wavelength, fine_x, grid.dx / factor)
+    return transformer_from_transmittance(ComplexField(grid, t), options, fine)
 
 
 class _Deflector:
-    """Kernel of a pure phase element: one delta per position at its deflection."""
+    """Kernel of the prism and the lens: one delta per position at its deflection."""
 
     __slots__ = ()
 
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
+        n = grid.theta_samples
         bend = self.deflection(grid.wavelength, grid.x_axis())
-        return _deflection_kernel(grid, bend, element_label(self))
+        cols = np.rint(bend / grid.dtheta).astype(int) + n - 1
+        inside = (cols >= 0) & (cols <= 2 * n - 2)
+        kernel = np.zeros(_shape(grid))
+        kernel[np.nonzero(inside)[0], cols[inside]] = 1.0 / grid.dtheta
+        n_out = int((~inside).sum())
+        label = element_label(self)
+        if n_out:
+            warnings.warn(
+                f"{label}: deflection left the angular window at {n_out} of "
+                f"{grid.x_samples} positions; those columns were dropped",
+                ClippedOrderWarning,
+                stacklevel=3,  # the caller of canonical_transformer
+            )
+        return LightFieldTransformer(grid, _freeze(kernel), {"element": label, "clipped_columns": n_out})
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,7 +299,7 @@ class Lens(_Deflector):
 
 
 @dataclass(frozen=True, slots=True)
-class CubicPhase(_Deflector):
+class CubicPhase:
     """Cubic mask phi = coefficient * x^3 (rad/m^3); the wavefront-coding element."""
 
     coefficient: float
@@ -283,8 +307,10 @@ class CubicPhase(_Deflector):
     def transmittance(self, wavelength: float, x: np.ndarray, dx: float) -> np.ndarray:
         return np.exp(1j * self.coefficient * x ** 3)
 
-    def deflection(self, wavelength: float, x: np.ndarray) -> np.ndarray:
-        return 3.0 * wavelength * self.coefficient * x ** 2 / (2.0 * np.pi)
+    def kernel(
+        self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
+    ) -> NumericTransformer:
+        return _transmittance_kernel(self, grid, options)
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,7 +368,7 @@ class PhaseGrating:
 
 
 @dataclass(frozen=True, slots=True)
-class PhasePlate(_Deflector):
+class PhasePlate:
     """Free-form phase profile sampled on the grid's x axis (radians)."""
 
     phase: np.ndarray
@@ -369,11 +395,14 @@ class PhasePlate(_Deflector):
             t[start : start + n] = np.exp(1j * self.phase)
         return t
 
-    def deflection(self, wavelength: float, x: np.ndarray) -> np.ndarray:
-        if len(x) != len(self.phase):
+    def kernel(
+        self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
+    ) -> NumericTransformer:
+        if len(self.phase) != grid.x_samples:
             raise InvalidConfigurationError("phase plate profile does not match the grid")
-        grad = np.gradient(self.phase, x)
-        return wavelength * grad / (2.0 * np.pi)
+        # sampled, so its lag-grid values come from band-limited interpolation
+        t = ComplexField(grid, np.exp(1j * self.phase))
+        return transformer_from_transmittance(t, options or WdfOptions())
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,17 +411,14 @@ class Hologram:
 
     The transmittance keeps both conjugate chirps (DC dropped); on
     reconstruction one converges to a real image at z = source_distance.
-    The kernel of the unbounded plate is closed-form: a sharp deflection
-    ridge per chirp and, with include_oscillatory, the cross term between
-    them.  width, when set, limits the recorded plate to |x| <= width/2,
-    and the kernel is the numeric one of that bounded transmittance, which
-    always carries the cross term; include_oscillatory must then stay on.
-    Either kernel warns (SamplingWarning) when the grid undersamples the
-    recorded chirp at the window edge.
+    width, when set, limits the recorded plate to |x| <= width/2; unset,
+    the plate fills the position window.  The kernel is the numeric one of
+    the transmittance: a deflection ridge per chirp and the cross term
+    between them.  It warns (SamplingWarning) when the grid undersamples
+    the recorded chirp at the window edge.
     """
 
     source_distance: float
-    include_oscillatory: bool = True
     width: Optional[float] = None
 
     def __post_init__(self):
@@ -404,11 +430,6 @@ class Hologram:
             raise InvalidConfigurationError(
                 f"hologram plate width must be positive, got {self.width!r}"
             )
-        if self.width is not None and not self.include_oscillatory:
-            raise InvalidConfigurationError(
-                "include_oscillatory = off needs an unbounded plate: the kernel "
-                "of a bounded plate always carries the cross term"
-            )
 
     def transmittance(self, wavelength: float, x: np.ndarray, dx: float) -> np.ndarray:
         d = self.source_distance
@@ -419,7 +440,7 @@ class Hologram:
 
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
-    ) -> Union[LightFieldTransformer, NumericTransformer]:
+    ) -> NumericTransformer:
         edge_freq = 0.5 * grid.x_extent / (grid.wavelength * self.source_distance)
         if edge_freq > 0.5 / grid.dx:
             warnings.warn(
@@ -428,34 +449,7 @@ class Hologram:
                 SamplingWarning,
                 stacklevel=3,  # the caller of canonical_transformer
             )
-        if self.width is not None:
-            return _transmittance_kernel(self, grid, options)
-        n = grid.theta_samples
-        dax = _relative_axis(grid)[np.newaxis, :]
-        x = grid.x_axis()
-        d = self.source_distance
-        lam = grid.wavelength
-        kernel = np.zeros(_shape(grid))
-        # each chirp is a sharp deflection ridge
-        for sign in (+1.0, -1.0):
-            cols = np.rint((sign * x / d) / grid.dtheta).astype(int) + n - 1
-            inside = (cols >= 0) & (cols <= 2 * n - 2)
-            rows = np.nonzero(inside)[0]
-            np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
-        if self.include_oscillatory:
-            # the cross term is added 128 KiB of rows at a time, so its
-            # temporaries stay small beside the table
-            step = max(1, _BLOCK_BYTES // (64 * dax.size))
-            for lo in range(0, grid.x_samples, step):
-                xs = x[lo : lo + step, np.newaxis]
-                kernel[lo : lo + step] += 2.0 * np.cos(
-                    (2.0 * np.pi / lam) * (2.0 * d + xs ** 2 / d - d * dax ** 2)
-                )
-        return LightFieldTransformer(
-            grid,
-            _freeze(kernel),
-            {"include_oscillatory": self.include_oscillatory, "element": "hologram"},
-        )
+        return _transmittance_kernel(self, grid, options)
 
 
 ElementSpec = Union[

@@ -177,29 +177,6 @@ def _order_kernel(
     )
 
 
-def _deflection_kernel(
-    grid: PhaseSpaceGrid, bend: np.ndarray, label: str
-) -> LightFieldTransformer:
-    """Kernel for a pure phase element: one delta per position at its deflection."""
-    n = grid.theta_samples
-    cols = np.rint(bend / grid.dtheta).astype(int) + n - 1
-    inside = (cols >= 0) & (cols <= 2 * n - 2)
-    kernel = np.zeros((grid.x_samples, 2 * n - 1))
-    rows = np.nonzero(inside)[0]
-    np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
-    n_out = int((~inside).sum())
-    if n_out:
-        warnings.warn(
-            f"{label}: deflection left the angular window at {n_out} of "
-            f"{grid.x_samples} positions; those columns were dropped",
-            ClippedOrderWarning,
-            stacklevel=4,  # the caller of canonical_transformer
-        )
-    return LightFieldTransformer(
-        grid, _freeze(kernel), {"element": label, "clipped_columns": n_out}
-    )
-
-
 def canonical_transformer(
     spec, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
 ) -> LightFieldTransformer:

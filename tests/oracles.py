@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import fresnel, jv
+from scipy.special import airy, fresnel, jv
 from scipy.signal import resample
 
 SQRT_PI = 1.7724538509055159
@@ -126,13 +126,12 @@ def angle_convolution(kernel, radiance, dtheta):
     return np.stack([np.convolve(k, r) for k, r in zip(kernel, radiance)]) * dtheta
 
 
-def hologram_kernel(grid, source_distance, include_oscillatory=True, width=None):
-    """Closed-form hologram kernel table, every term evaluated over the whole table at once.
+def hologram_kernel(grid, source_distance, width):
+    """Closed-form kernel table of a hologram plate of finite width, evaluated over the whole table at once.
 
-    The unbounded plate gives two delta ridges at deflection +-x/d plus, with
-    the oscillatory term, the chirp cross term 2 cos(...).  A plate of finite
-    width turns each ridge into a sinc of the remaining span and the cross
-    term into a pair of Fresnel integrals between the plate edges.
+    Each recorded chirp gives a sinc ridge of the remaining span around
+    deflection +-x/d, and the chirp cross term a pair of Fresnel integrals
+    between the plate edges.
     """
     n = grid.theta_samples
     dax = (np.arange(2 * n - 1) - (n - 1)) * grid.dtheta
@@ -140,36 +139,39 @@ def hologram_kernel(grid, source_distance, include_oscillatory=True, width=None)
     lam = grid.wavelength
     d = source_distance
     kernel = np.zeros((grid.x_samples, 2 * n - 1))
-    if width is None:
-        for sign in (+1.0, -1.0):
-            cols = np.rint((sign * x / d) / grid.dtheta).astype(int) + n - 1
-            inside = (cols >= 0) & (cols <= 2 * n - 2)
-            rows = np.nonzero(inside)[0]
-            np.add.at(kernel, (rows, cols[inside]), 1.0 / grid.dtheta)
-        if include_oscillatory:
-            kernel += 2.0 * np.cos(
-                (2.0 * np.pi / lam)
-                * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
-            )
-        return kernel
     ell = np.maximum(width / 2 - np.abs(x), 0.0)[:, np.newaxis]
     on_plate = ell > 0
     for sign in (+1.0, -1.0):
         off = dax[np.newaxis, :] - sign * x[:, np.newaxis] / d
         kernel += np.where(on_plate, (4.0 * ell / lam) * np.sinc(4.0 * ell * off / lam), 0.0)
-    if include_oscillatory:
-        root = np.sqrt(lam * d)
-        s_star = d * dax[np.newaxis, :]
-        s2, c2 = fresnel(2.0 * (ell - s_star) / root)
-        s1, c1 = fresnel(-2.0 * (ell + s_star) / root)
-        segment = (c2 - c1) + 1j * (s2 - s1)
-        carrier = np.exp(
-            1j * (2.0 * np.pi / lam)
-            * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
-        )
-        film = (2.0 * root / lam) * (carrier * segment).real
-        kernel += np.where(on_plate, film, 0.0)
+    root = np.sqrt(lam * d)
+    s_star = d * dax[np.newaxis, :]
+    s2, c2 = fresnel(2.0 * (ell - s_star) / root)
+    s1, c1 = fresnel(-2.0 * (ell + s_star) / root)
+    segment = (c2 - c1) + 1j * (s2 - s1)
+    carrier = np.exp(
+        1j * (2.0 * np.pi / lam)
+        * (2.0 * d + x[:, np.newaxis] ** 2 / d - d * dax[np.newaxis, :] ** 2)
+    )
+    film = (2.0 * root / lam) * (carrier * segment).real
+    kernel += np.where(on_plate, film, 0.0)
     return kernel
+
+
+def cubic_phase_kernel(grid, coefficient):
+    """Closed-form kernel table of the unbounded cubic plate exp(i c x^3).
+
+    Its lag products are exp(i ((3 c x^2 - 2 pi u) s + c s^3 / 4)), and the
+    integral over every lag s is an Airy function:
+    W(x, u) = 2 pi |a| Ai(a (3 c x^2 - 2 pi u)) with a = (4 / (3 c))^(1/3).
+    The kernel is W at u = deflection / lambda, divided by lambda.
+    """
+    n = grid.theta_samples
+    u = (np.arange(2 * n - 1) - (n - 1)) * grid.dtheta / grid.wavelength
+    x = grid.x_axis()[:, np.newaxis]
+    a = np.cbrt(4.0 / (3.0 * coefficient))
+    ai = airy(a * (3.0 * coefficient * x ** 2 - 2.0 * np.pi * u[np.newaxis, :]))[0]
+    return 2.0 * np.pi * abs(a) * ai / grid.wavelength
 
 
 def phase_grating_orders(grid, depth, period, floor=1e-14):

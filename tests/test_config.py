@@ -131,11 +131,11 @@ def test_source_fields_and_booleans(tmp_path):
     assert cfg.trace_options().wdf_options.oversample_factor == 2
 
 
-def test_hologram_stage_round_trip(tmp_path):
+def test_hologram_include_oscillatory_key_is_rejected(tmp_path):
+    # the hologram kernel always carries the cross term; there is no switch
     body = BASE + "\n[stage.3]\nkind = element\nelement = hologram\nsource_distance = 0.1\ninclude_oscillatory = off\n"
-    cfg = parse_config(write(tmp_path, body))
-    spec = cfg.stages[2].spec
-    assert spec == Hologram(0.1, include_oscillatory=False)
+    with pytest.raises(ConfigError, match="include_oscillatory"):
+        parse_config(write(tmp_path, body))
 
 
 def test_hologram_width_key(tmp_path):
@@ -157,7 +157,6 @@ ROUND_TRIP_SPECS = (
     CubicPhase(4e9),
     PhaseGrating(2.5, 1e-4),
     Hologram(0.1),
-    Hologram(0.2, include_oscillatory=False),
     Hologram(0.2, width=1.5e-3),
 )
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter1d
 
 from auglf import (
     AmplitudeGrating,
@@ -29,7 +30,7 @@ from auglf import (
 from auglf.elements import ElementSpec
 from auglf.scenarios import Element
 
-from oracles import hologram_kernel, rect_wigner
+from oracles import cubic_phase_kernel, hologram_kernel, rect_wigner
 
 LAM = 633e-9
 
@@ -61,14 +62,14 @@ def test_closed_form_kernels_carry_the_element_label():
         Hologram(0.1),
         Hologram(0.1, width=4e-4),
     )
-    # every element class but the coded aperture; the slit and the bounded
-    # hologram take the numeric path of their transmittance
+    # every element class but the coded aperture; only the delta-line kernels
+    # are closed-form, the rest take the numeric path of their transmittance
     assert {type(spec) for spec in specs} == set(typing.get_args(ElementSpec)) - {CodedAperture}
-    numeric = (RectAperture(4e-4), Hologram(0.1, width=4e-4))
+    numeric = (RectAperture, CubicPhase, PhasePlate, Hologram)
     for spec in specs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            label = "numeric" if spec in numeric else element_label(spec)
+            label = "numeric" if isinstance(spec, numeric) else element_label(spec)
             assert spec.kernel(g).meta["element"] == label
 
 
@@ -95,9 +96,6 @@ def test_constructor_validation():
         Hologram(-0.1)
     with pytest.raises(InvalidConfigurationError):
         Hologram(0.1, width=0.0)
-    # the numeric kernel of a bounded plate always carries the cross term
-    with pytest.raises(InvalidConfigurationError, match="unbounded plate"):
-        Hologram(0.1, include_oscillatory=False, width=1.5e-3)
 
 
 def test_pinhole_spike_convention():
@@ -177,24 +175,16 @@ def test_deflection_profiles():
         Prism(2e4).deflection(LAM, x), LAM * 2e4 / (2 * np.pi), atol=1e-15
     )
     np.testing.assert_allclose(Lens(0.2).deflection(LAM, x), -x / 0.2, atol=1e-15)
-    alpha = 3e9
-    np.testing.assert_allclose(
-        CubicPhase(alpha).deflection(LAM, x),
-        3 * LAM * alpha * x ** 2 / (2 * np.pi),
-        atol=1e-15,
-    )
-    # a plate holding a linear ramp acts as the matching prism
-    slope = 1.5e4
-    plate = PhasePlate(slope * x)
-    np.testing.assert_allclose(
-        plate.deflection(LAM, x),
-        LAM * slope / (2 * np.pi),
-        rtol=1e-9,
-    )
-    with pytest.raises(InvalidConfigurationError):
-        plate.deflection(LAM, x[:-1])
-    # amplitude elements have no single-valued deflection profile
-    assert not hasattr(RectAperture(1e-4), "deflection")
+    # only the prism and the lens have a delta-line kernel; every other
+    # element takes the numeric kernel of its transmittance
+    for spec in (RectAperture(1e-4), CubicPhase(3e9), PhasePlate(1.5e4 * x), Hologram(0.1)):
+        assert not hasattr(spec, "deflection"), spec
+
+
+def test_phase_plate_kernel_needs_a_profile_per_position():
+    g = axis()
+    with pytest.raises(InvalidConfigurationError, match="does not match the grid"):
+        PhasePlate(np.zeros(g.x_samples - 1)).kernel(g)
 
 
 def test_hologram_fringes():
@@ -209,40 +199,6 @@ def test_hologram_fringes():
     w = 64 * g.dx
     tw = Hologram(d, width=w).transmittance(LAM, x, g.dx)
     assert np.all(tw[np.abs(x) > w / 2 + g.dx] == 0)
-
-
-HOLOGRAM_PLATES = {
-    "unbounded": Hologram(0.1),
-    "unbounded_no_cross_term": Hologram(0.1, include_oscillatory=False),
-}
-
-
-@pytest.mark.parametrize("plate", HOLOGRAM_PLATES.values(), ids=HOLOGRAM_PLATES.keys())
-def test_hologram_kernel_blocks_match_the_one_shot_formula_bits(plate):
-    # 203 positions: several blocks of rows and a ragged last one
-    g = PhaseSpaceGrid(203, 2.048e-3, 512, 2.2e-2, 6.33e-7)
-    want = hologram_kernel(g, plate.source_distance, plate.include_oscillatory)
-    assert np.array_equal(plate.kernel(g).kernel, want)
-
-
-HOLOGRAM_BUILDS = {
-    # hologram.cfg's plate and grid
-    "unbounded": (Hologram(0.1), PhaseSpaceGrid(1024, 2.048e-3, 1024, 2.2e-2, 6.33e-7)),
-}
-
-
-@pytest.mark.parametrize("build", HOLOGRAM_BUILDS.values(), ids=HOLOGRAM_BUILDS.keys())
-def test_hologram_kernel_build_holds_the_table_and_small_blocks(build):
-    plate, g = build
-    tracemalloc.start()
-    try:
-        table = plate.kernel(g).kernel
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the cross term evaluated over the whole table would hold several
-    # table-sized temporaries at once (16 MiB each)
-    assert peak < table.nbytes + 4 * 2**20
 
 
 def rel_axis(g):
@@ -271,25 +227,55 @@ def test_slit_kernel_matches_the_closed_form_wigner(case):
 def test_bounded_hologram_kernel_matches_the_closed_form():
     g = PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, 6.33e-7)
     got = Hologram(0.1, width=1.5e-3).kernel(g).kernel
-    want = hologram_kernel(g, 0.1, True, 1.5e-3)
+    want = hologram_kernel(g, 0.1, 1.5e-3)
     assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
+
+
+CUBIC_GRID = PhaseSpaceGrid(512, 2.048e-3, 512, 2e-2, LAM)
+
+
+def test_cubic_phase_kernel_matches_the_airy_form():
+    # cubic_phase.cfg's coefficient.  Away from the window edges the numeric
+    # kernel follows the Airy form of the unbounded plate; the plate's ends
+    # add fine ripple in angle, which the smoothing takes out.  Measured
+    # 0.021; a ray-optics kernel (one delta at each position's deflection)
+    # scores 0.185.
+    g = CUBIC_GRID
+    rows = np.abs(g.x_axis()) < g.x_extent / 8
+    got = gaussian_filter1d(CubicPhase(4e9).kernel(g).kernel[rows], 5, axis=1)
+    want = gaussian_filter1d(cubic_phase_kernel(g, 4e9)[rows], 5, axis=1)
+    assert np.linalg.norm(got - want) <= 0.05 * np.linalg.norm(want)
+
+
+def test_phase_plate_of_a_cubic_matches_the_cubic_plate():
+    # the sampled profile is interpolated between nodes, the cubic plate's
+    # values are exact there; measured 0.30 % of the peak apart
+    g = CUBIC_GRID
+    plate = PhasePlate(4e9 * g.x_axis() ** 3).kernel(g).kernel
+    cubic = CubicPhase(4e9).kernel(g).kernel
+    assert np.abs(plate - cubic).max() <= 1e-2 * np.abs(cubic).max()
 
 
 DENSE_PLATES = {
     "slit": (RectAperture(5e-4), PhaseSpaceGrid(256, 2.048e-3, 256, 1.2e-2, LAM)),
     "bounded_hologram": (Hologram(0.1, width=1.5e-3), PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, LAM)),
+    "unbounded_hologram": (Hologram(0.1), PhaseSpaceGrid(512, 2.048e-3, 512, 2.2e-2, LAM)),
 }
 
 
 @pytest.mark.parametrize("case", DENSE_PLATES.values(), ids=DENSE_PLATES.keys())
 def test_centred_dense_kernels_are_even_in_position_and_angle(case):
-    # both transmittances are even in x, so their Wigner kernels are even
-    # in position and in deflection; on the node-centred axis row i
-    # mirrors row n - i, and row 0 has no partner
+    # every transmittance here is real and even in x, so its Wigner kernel
+    # is even in deflection and in position; on the node-centred axis row i
+    # mirrors row n - i, and row 0 has no partner.  A plate that fills the
+    # window is nonzero at the first node, whose mirror lies past the last
+    # node, so its kernel is even in deflection only (1.8e-3 of the peak
+    # apart in position for the unbounded hologram).
     plate, g = case
     K = plate.kernel(g).kernel
     scale = np.abs(K).max()
-    assert np.abs(K[1:] - K[:0:-1]).max() <= 1e-12 * scale
+    if plate.width is not None:
+        assert np.abs(K[1:] - K[:0:-1]).max() <= 1e-12 * scale
     assert np.abs(K - K[:, ::-1]).max() <= 1e-12 * scale
 
 
@@ -302,13 +288,15 @@ def test_dense_kernels_reject_an_angle_window_their_lag_sampling_misses(case):
     assert plate.kernel(make_grid(256, 2.56e-3, 256, 0.03, LAM)).kernel.shape == (256, 511)
 
 
-def test_bounded_hologram_kernel_build_and_apply_hold_no_table():
+@pytest.mark.parametrize("plate", [Hologram(0.1, width=1.5e-3), Hologram(0.1)], ids=["bounded", "unbounded"])
+def test_hologram_kernel_build_and_apply_hold_no_table(plate):
+    # hologram.cfg's grid
     g = PhaseSpaceGrid(1024, 2.048e-3, 1024, 2.2e-2, 6.33e-7)
     radiance = np.random.default_rng(5).normal(size=(g.x_samples, g.theta_samples))
     alf = AugmentedLightField(g, radiance)
     tracemalloc.start()
     try:
-        apply_transformer(alf, Hologram(0.1, width=1.5e-3).kernel(g))
+        apply_transformer(alf, plate.kernel(g))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
