@@ -15,8 +15,8 @@ physics built from them:
   kernel is the numeric Wigner kernel of its transmittance
   (``transformer_from_transmittance``): the slit, the cubic phase plate
   and the hologram from their analytic transmittance on the lag grid, a
-  phase plate and a coded aperture from their samples.  Their closed
-  forms are test oracles.
+  phase plate and a coded aperture from their samples on the grid.
+  Their closed forms are test oracles.
 - ``deflection(wavelength, x)``, on the prism and the lens only: the ray
   deflection profile d_theta(x) = (lambda / 2 pi) * dphi/dx, whose single
   delta per position is their kernel.
@@ -265,7 +265,9 @@ class CodedAperture:
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> NumericTransformer:
-        return transformer_from_transmittance(self.mask, options)
+        if grid != self.mask.grid:
+            raise InvalidConfigurationError("coded aperture mask is not sampled on the grid")
+        return transformer_from_transmittance(self.mask, options or WdfOptions())
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,7 +4,8 @@ Every writer here produces byte-identical files for identical inputs: floats
 are printed with 17 significant digits (lossless for doubles), JSON keys are
 sorted, and nothing embeds a timestamp or a path from outside the output
 directory.  CSV tables hold exactly the bytes of ``"%.17g" % x`` per cell,
-formatted a block of cells at a time by :func:`auglf.csvtext.format_cells`.
+formatted by :func:`auglf.csvtext.format_cells` a block of whole rows at a
+time; a block is about a 128th of the table.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ NEGATIVE_RGB = (0, 0, 255)
 # Rows of a matrix coloured at a time: the heatmap writer holds a block's
 # colour planes, never the whole matrix's.
 _BLOCK_ROWS = 64
-# Cells of a CSV table formatted at a time.  A block's working arrays and
-# text take about 100 bytes a cell, so a block holds about 75 KiB.
+# Fewest cells of a CSV table formatted at a time, unless one row is more.
+# Larger tables are formatted a 128th at a time, which spreads numpy's
+# per-call cost over more cells.  A block's working arrays and text take
+# about 100 bytes a cell: about 75 KiB at the floor, and about 1 MiB for a
+# 1024 x 1025 table.
 _BLOCK_CELLS = 768
 
 
@@ -43,34 +47,18 @@ def fmt17(value: float) -> str:
 def _write_table(handle, lead: np.ndarray, rest: np.ndarray) -> None:
     """Write the rows ``lead[r], rest[r, 0], ..., rest[r, -1]`` as CSV lines.
 
-    The table is read row by row into a staging buffer of ``_BLOCK_CELLS``
-    cells, which is formatted and written whenever it is full, so block
-    boundaries fall anywhere in a row.
+    Whole rows are copied into a staging array and formatted a block at a
+    time.  A block is about a 128th of the table, and at least
+    ``_BLOCK_CELLS`` cells or one row.
     """
     rows, width = len(lead), rest.shape[1] + 1
-    total = rows * width
-    stage = np.empty(min(_BLOCK_CELLS, total))
-    for first in range(0, total, _BLOCK_CELLS):
-        n = min(_BLOCK_CELLS, total - first)
-        i = 0
-        while i < n:
-            r, c = divmod(first + i, width)
-            if c == 0 and n - i >= width:  # whole rows
-                k = (n - i) // width
-                block = stage[i : i + k * width].reshape(k, width)
-                block[:, 0] = lead[r : r + k]
-                block[:, 1:] = rest[r : r + k]
-                i += k * width
-            else:  # the part of row r from column c that fits
-                m = min(width - c, n - i)
-                part = stage[i : i + m]
-                if c == 0:
-                    part[0] = lead[r]
-                    part[1:] = rest[r, : m - 1]
-                else:
-                    part[:] = rest[r, c - 1 : c - 1 + m]
-                i += m
-        handle.write(format_cells(stage[:n], width, first))
+    step = max(1, max(_BLOCK_CELLS, rows * width // 128) // width)
+    stage = np.empty((min(step, rows), width))
+    for lo in range(0, rows, step):
+        block = stage[: min(step, rows - lo)]
+        block[:, 0] = lead[lo : lo + step]
+        block[:, 1:] = rest[lo : lo + step]
+        handle.write(format_cells(block.ravel(), width, lo * width))
 
 
 def write_profile_csv(
@@ -85,12 +73,6 @@ def write_profile_csv(
     with open(path, "wb") as handle:
         handle.write(f"{axis_label},{value_label}\n".encode("utf-8"))
         _write_table(handle, axis, values[:, np.newaxis])
-
-
-def read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
-    data = np.atleast_2d(data)
-    return data[:, 0].copy(), data[:, 1].copy()
 
 
 def write_matrix_csv(
@@ -116,21 +98,6 @@ def write_matrix_csv(
         handle.write(f"{row_label}\\{col_label},".encode("utf-8"))
         _write_table(handle, col_axis[:1], col_axis[np.newaxis, 1:])  # one row: the column axis
         _write_table(handle, row_axis, matrix)
-
-
-def read_matrix_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split(",")
-        col_axis = np.array([float(v) for v in header[1:]])
-        rows = []
-        row_axis = []
-        for line in handle:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) < 2:
-                continue
-            row_axis.append(float(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    return np.array(row_axis), col_axis, np.array(rows)
 
 
 def _abs_max(matrix: np.ndarray) -> float:
@@ -159,19 +126,6 @@ def _rgb_blocks(matrix: np.ndarray, vmax: Optional[float]):
             )
             rgb[..., c] = np.clip(np.rint(channel, out=channel), 0, 255, out=channel)
         yield rows, rgb
-
-
-def diverging_rgb(matrix: np.ndarray, vmax: Optional[float] = None) -> np.ndarray:
-    """Signed values to RGB: zero is mid-gray, positive red, negative blue.
-
-    Rows are coloured a block at a time, so the float work holds one
-    block's planes besides the uint8 result.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    rgb = np.empty(matrix.shape + (3,), dtype=np.uint8)
-    for rows, block in _rgb_blocks(matrix, vmax):
-        rgb[rows] = block
-    return rgb
 
 
 def write_heatmap(

@@ -3,11 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from auglf import DegenerateInputError, SamplingWarning
 from auglf.cli import main
-from auglf.output import read_profile_csv, sha256_file
+from auglf.config import parse_config
+from auglf.output import sha256_file
+from auglf.scenarios import trace_train
+from oracles import matrix_csv_text
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -31,6 +35,11 @@ width = 5e-4
 kind = propagate
 distance = 0.02
 """
+
+
+def read_profile_csv(path):
+    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64))
+    return data[:, 0], data[:, 1]
 
 
 def small_config(tmp_path, extra=""):
@@ -82,6 +91,18 @@ def test_every_shipped_config_runs(tmp_path, config):
         assert abs(report["peak_offset_cells"]) <= 2
     _, intensity = read_profile_csv(str(out / "final_intensity.csv"))
     assert intensity.min() >= -1e-2 * intensity.max()
+
+
+def test_hologram_radiance_table_is_per_value_text(tmp_path):
+    # the full 1024 x 1025 table the benchmark writes, cell by cell "%.17g"
+    config = str(CONFIG_DIR / "hologram.cfg")
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 0
+    cfg = parse_config(config)
+    train = cfg.train(1)
+    trace = trace_train(train, cfg.trace_options(compare_oracle=False))
+    want = matrix_csv_text(train.grid.x_axis(), train.grid.theta_axis(), trace.final.radiance)
+    assert (out / "final_radiance.csv").read_bytes() == want
 
 
 @pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")

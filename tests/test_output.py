@@ -11,10 +11,8 @@ from auglf.output import (
     ZERO_RGB,
     _BLOCK_CELLS,
     _BLOCK_ROWS,
-    diverging_rgb,
+    _rgb_blocks,
     fmt17,
-    read_matrix_csv,
-    read_profile_csv,
     sha256_file,
     write_heatmap,
     write_json,
@@ -22,9 +20,30 @@ from auglf.output import (
     write_matrix_csv,
     write_profile_csv,
 )
-from auglf import csvtext
+from auglf import csvtext, output
 from auglf.csvtext import format_cells
 from oracles import cells_17g, matrix_csv_text, profile_csv_text
+
+
+def read_profile_csv(path):
+    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64))
+    return data[:, 0].copy(), data[:, 1].copy()
+
+
+def read_matrix_csv(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\n").split(",")
+        col_axis = np.array([float(v) for v in header[1:]])
+        rows = [[float(v) for v in line.rstrip("\n").split(",")] for line in handle]
+    table = np.array(rows)
+    return table[:, 0], col_axis, table[:, 1:]
+
+
+def heatmap_rgb(matrix, vmax=None):
+    """The colours ``write_heatmap`` writes for ``matrix``, its blocks joined."""
+    blocks = list(_rgb_blocks(np.asarray(matrix, dtype=np.float64), vmax))
+    assert [rows.start for rows, _ in blocks] == list(range(0, len(matrix), _BLOCK_ROWS))
+    return np.concatenate([rgb for _, rgb in blocks])
 
 
 def test_fmt17_round_trips_doubles():
@@ -92,12 +111,12 @@ def test_profile_csv_bytes_match_per_value_formatting(tmp_path):
 
 def test_diverging_colors():
     m = np.array([[0.0, 1.0, -1.0, 0.5]])
-    rgb = diverging_rgb(m)
+    rgb = heatmap_rgb(m)
     assert tuple(rgb[0, 0]) == ZERO_RGB
     assert tuple(rgb[0, 1]) == POSITIVE_RGB
     assert tuple(rgb[0, 2]) == NEGATIVE_RGB
     assert rgb[0, 3, 0] > rgb[0, 3, 2]  # half positive leans red
-    flat = diverging_rgb(np.zeros((2, 2)))
+    flat = heatmap_rgb(np.zeros((2, 2)))
     assert np.all(flat == ZERO_RGB[0])
 
 
@@ -137,7 +156,7 @@ def test_diverging_rgb_bytes_match_float_cube():
         (np.array([[-0.0, 0.0]]), None),
     ]
     for matrix, vmax in cases:
-        got = diverging_rgb(matrix, vmax)
+        got = heatmap_rgb(matrix, vmax)
         want = float_cube_rgb(matrix, vmax)
         assert got.dtype == np.uint8 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -186,7 +205,7 @@ def test_blocked_heatmap_bytes_with_a_ragged_last_block(tmp_path):
     m = np.random.default_rng(22).normal(size=(9, RAGGED_ROWS))
     m[4, RAGGED_ROWS - 1] = 8.0  # the peak sits in the short block
     for matrix, vmax in ((m.T, None), (m.T, 0.5), (m, None)):
-        assert diverging_rgb(matrix, vmax).tobytes() == float_cube_rgb(matrix, vmax).tobytes()
+        assert heatmap_rgb(matrix, vmax).tobytes() == float_cube_rgb(matrix, vmax).tobytes()
     ppm, _ = write_heatmap(str(tmp_path / "field"), m, np.arange(9.0), np.arange(RAGGED_ROWS))
     head = f"P6\n9 {RAGGED_ROWS}\n255\n".encode("ascii")
     assert open(ppm, "rb").read() == head + float_cube_rgb(m.T[::-1, :]).tobytes()
@@ -313,14 +332,16 @@ def test_cells_match_17g_property(values, width, first):
     )
 
 
-@pytest.mark.parametrize("cols", [1, 3, _BLOCK_CELLS - 2, _BLOCK_CELLS, 2 * _BLOCK_CELLS + 5])
-def test_matrix_csv_bytes_across_cell_blocks(tmp_path, cols):
-    # rows straddle the cell blocks, and the last block is short
-    rows = 3 * _BLOCK_CELLS // cols + 2
-    rng = np.random.default_rng(cols)
+def table_with_zeros(rows, cols, seed):
+    rng = np.random.default_rng(seed)
     m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, cols))
     m[rng.random(size=m.shape) < 0.2] = 0.0
     m.flat[-1] = -0.0
+    return m
+
+
+def assert_tables_match_per_value_text(tmp_path, m):
+    rows, cols = m.shape
     row_axis = np.linspace(-1e-3, 1e-3, rows)
     col_axis = np.linspace(-0.05, 0.05, cols)
     p = tmp_path / "matrix.csv"
@@ -329,3 +350,52 @@ def test_matrix_csv_bytes_across_cell_blocks(tmp_path, cols):
     q = tmp_path / "profile.csv"
     write_profile_csv(str(q), m[:, 0], m[:, -1], "a", "b")
     assert q.read_bytes() == profile_csv_text(m[:, 0], m[:, -1], "a", "b")
+
+
+@pytest.mark.parametrize("cols", [1, 3, _BLOCK_CELLS - 2, _BLOCK_CELLS, 2 * _BLOCK_CELLS + 5])
+def test_matrix_csv_bytes_across_cell_blocks(tmp_path, cols):
+    # a block holds whole rows: several of a narrow table, one of a table
+    # wider than _BLOCK_CELLS; the last block is short
+    rows = 3 * _BLOCK_CELLS // cols + 2
+    assert_tables_match_per_value_text(tmp_path, table_with_zeros(rows, cols, cols))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, step",
+    [
+        (100, 40, _BLOCK_CELLS // 41),  # several rows a block; 100 = 5 * 18 + 10
+        (7, _BLOCK_CELLS + 40, 1),  # a row wider than _BLOCK_CELLS is a block
+        (400, 300, 3),  # 120,400 cells > 128 * _BLOCK_CELLS: 940 cells, 3 rows
+    ],
+)
+def test_matrix_csv_blocks_are_whole_rows(tmp_path, monkeypatch, rows, cols, step):
+    calls = []
+
+    def counted(x, width, first):
+        calls.append((len(x), width, first))
+        return format_cells(x, width, first)
+
+    monkeypatch.setattr(output, "format_cells", counted)
+    m = table_with_zeros(rows, cols, rows)
+    assert_tables_match_per_value_text(tmp_path, m)
+    # calls[0] formats the header's column axis, one row of cols cells
+    width = cols + 1
+    starts = range(0, rows, step)
+    assert calls[1 : 1 + len(starts)] == [
+        (min(step, rows - lo) * width, width, lo * width) for lo in starts
+    ]
+
+
+def test_matrix_csv_of_a_large_table_holds_one_block(tmp_path):
+    # hologram.cfg's table: a block is 8 rows of 1025 cells, about 1 MiB
+    # of working arrays and text against 8 MiB of matrix
+    m = np.random.default_rng(24).normal(size=(1024, 1024))
+    axis = np.linspace(-1.0, 1.0, 1024)
+    csvtext._format_tables.cache_clear()  # charged whether or not built already
+    tracemalloc.start()
+    try:
+        write_matrix_csv(str(tmp_path / "m.csv"), axis, axis, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 4

@@ -182,8 +182,26 @@ def test_coded_aperture_routes_to_numeric_path():
     vals = rng.uniform(0.2, 1.0, size=g.x_samples).astype(complex)
     fld = ComplexField(g, vals)
     cat = canonical_transformer(CodedAperture(fld), g)
-    num = transformer_from_transmittance(fld)
+    num = transformer_from_transmittance(fld, WdfOptions())
     np.testing.assert_array_equal(cat.kernel, num.kernel)
+
+
+def test_coded_aperture_defaults_to_the_zero_boundary():
+    # like every other element, and like its own transmittance, which is
+    # opaque outside the mask; a periodic wrap of a cubic mask is far off
+    g = resonant_grid(256)
+    spec = CodedAperture(ComplexField(g, np.exp(1j * 4e9 * g.x_axis() ** 3)))
+    zero = spec.kernel(g, WdfOptions()).kernel
+    np.testing.assert_array_equal(spec.kernel(g).kernel, zero)
+    periodic = spec.kernel(g, WdfOptions(boundary="periodic")).kernel
+    assert np.abs(periodic - zero).max() > 0.5 * np.abs(zero).max()
+
+
+def test_coded_aperture_rejects_a_grid_other_than_its_mask_grid():
+    g = resonant_grid(256)
+    spec = CodedAperture(ComplexField(g, np.ones(g.x_samples, dtype=complex)))
+    with pytest.raises(InvalidConfigurationError, match="coded aperture"):
+        spec.kernel(resonant_grid(128))
 
 
 def test_application_is_linear():
