@@ -110,11 +110,13 @@ def _run(args) -> int:
             "relative_l2_error": report.relative_l2_error,
             "peak_offset_cells": report.peak_offset_cells,
             "truncation_loss": report.truncation_loss,
+            "negativity": report.negativity,
             "stages": [
                 {
                     "index": record.index,
                     "label": record.label,
                     "truncation_loss": record.truncation_loss,
+                    **({} if record.kernel is None else {"kernel": record.kernel}),
                 }
                 for record in trace.stages
             ],

@@ -164,6 +164,7 @@ class StageRecord:
     label: str
     alf: AugmentedLightField
     truncation_loss: float
+    kernel: Optional[str] = None  # an element's ``meta["element"]``: "numeric" or its label
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,7 @@ class ComparisonReport:
     relative_l2_error: float
     peak_offset_cells: float
     truncation_loss: float
+    negativity: float  # -min I / peak I of the final intensity
 
 
 @dataclass(frozen=True)
@@ -305,12 +307,13 @@ def trace_train(
     kept = 1.0
 
     for k, stage in enumerate(train.stages, start=1):
+        kernel = None
         if isinstance(stage, Propagate):
             alf, loss = shear_propagate(alf, stage.distance, interp=options.interp)
         else:
-            alf = apply_transformer(
-                alf, canonical_transformer(stage.spec, grid, options.wdf_options)
-            )
+            transformer = canonical_transformer(stage.spec, grid, options.wdf_options)
+            kernel = transformer.meta["element"]
+            alf = apply_transformer(alf, transformer)
             loss = alf.meta.get("theta_leak_fraction", 0.0)
         if loss > options.abort_loss:
             raise ScenarioAbortError(
@@ -319,7 +322,7 @@ def trace_train(
                 f"(limit {options.abort_loss:.0%})",
             )
         kept *= 1.0 - loss
-        records.append(StageRecord(k, _stage_label(stage), alf, loss))
+        records.append(StageRecord(k, _stage_label(stage), alf, loss, kernel))
 
     alf_intensity = project_intensity(alf)
     if options.compare_oracle:
@@ -333,12 +336,14 @@ def trace_train(
         err = float("nan")
         offset = float("nan")
 
+    peak = float(alf_intensity.values.max())
     report = ComparisonReport(
         alf_intensity=alf_intensity,
         oracle_intensity=oracle,
         relative_l2_error=err,
         peak_offset_cells=offset,
         truncation_loss=1.0 - kept,
+        negativity=-float(alf_intensity.values.min()) / peak if peak > 0.0 else 0.0,
     )
     return TrainTrace(train, tuple(records), alf, report)
 

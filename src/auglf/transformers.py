@@ -10,27 +10,26 @@ kernel is a linear convolution along the angle axis.
 Kernels are real but not necessarily positive; negative lobes carry the
 interference structure of coherent elements.
 
-Rows of a convolution are independent, so kernels are applied a block of
-rows at a time, and every transformer hands out its kernel a block of rows
-at a time through ``rows(lo, hi)``.  A closed-form kernel is a table
-(``LightFieldTransformer``) and answers by slicing it; elements build one
-only when their kernel is a few delta rows or columns.  The numeric kernel
-of a sampled transmittance (``NumericTransformer``), which every dense
-element uses, makes each block from the transmittance's Wigner rows when
-the apply asks for it, so its ``(x_samples, 2n - 1)`` table is never held
-whole; ``kernel`` assembles that table only for callers that want it.
-The apply transforms with ``numpy.fft`` at the shortest fast length that
-keeps the n output bins free of wrap-around, the smallest
-2-3-5-7-11-smooth length of at least 2n - 1 (``core._next_fast_len``),
-and gives the same bits as transforming whole arrays at that length.
+Each kernel kind brings its own apply (``convolver``).  A closed-form kernel
+is a table (``LightFieldTransformer``), built only when it is a few delta
+rows or columns, and convolves by ``numpy.fft`` rfft at the smallest
+2-3-5-7-11-smooth length of at least 2n - 1 (``core._next_fast_len``).
+The numeric kernel of a sampled transmittance (``NumericTransformer``),
+which every dense element uses, never makes its ``(x_samples, 2n - 1)``
+table on the apply path: an angle convolution by a Wigner row is a
+multiplication by the row's lag products t(x + s/2) t*(x - s/2)
+(Bastiaans, JOSA 69, 1710, 1979), so it moves each radiance row to the lag
+domain, multiplies, and moves back, by two zoom DFTs; ``kernel`` assembles
+the table only for callers that want it.
 
-The apply splits the rows into one contiguous range per CPU the process
-may use (``core._over_rows``); each range runs its own block loop on its
-own thread into its own rows of the result, and the leak and power sums
-are taken after the join, in row order, so the bits do not depend on the
-thread count.  The workers share one block budget, a 1/w share each, so
-besides its inputs and its result an apply holds about 3 MiB of kernel
-rows, spectra and products whatever the grid and the thread count.
+Rows are independent, so the apply splits them into one contiguous range
+per CPU the process may use (``core._over_rows``); each range runs its own
+block loop on its own thread into its own rows of the result, and the leak
+and power sums are taken after the join, in row order, so the bits do not
+depend on the thread count.  The workers share one block budget, a 1/w
+share each, so besides its inputs and its result an apply holds about
+3 MiB of kernel rows, spectra and products whatever the grid and the
+thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.fft import irfft, rfft
+from numpy.fft import fft, ifft, irfft, rfft
 
 from .core import (
     AugmentedLightField,
@@ -84,22 +83,45 @@ class LightFieldTransformer:
         arr = _frozen_array(self.kernel, np.float64, expected, "kernel")
         object.__setattr__(self, "kernel", arr)
 
-    def rows(self, lo: int, hi: int, workers: int = 1) -> np.ndarray:
-        """Kernel rows lo..hi-1, a read-only view of the table (``workers`` is unused)."""
-        return self.kernel[lo:hi]
+    def convolver(self, radiance, out, leak_rows, totals):
+        """Row-range worker of ``apply_transformer``: rfft convolution by the rows.
+
+        The convolution is circular, at ``nfft = _next_fast_len(2n - 1)``, so
+        the kept bins ``[n - 1, 2n - 2]`` receive exactly their own linear
+        terms and every other term wraps into a bin outside them: a row's
+        leak is the sum of those bins, and its total the sum of all.
+        """
+        grid = self.grid
+        n = grid.theta_samples
+        nfft = _next_fast_len(2 * n - 1)
+
+        def convolve(start: int, stop: int, workers: int) -> None:
+            # every row is transformed on its own, so the values equal those of
+            # transforming the whole arrays at once
+            step = _block_rows(nfft, workers)
+            for lo in range(start, stop, step):
+                rows = slice(lo, min(lo + step, stop))
+                spec = rfft(self.kernel[rows], nfft, axis=1)
+                spec *= rfft(radiance[rows], nfft, axis=1)
+                full = irfft(spec, nfft, axis=1)
+                full *= grid.dtheta
+                out[rows] = full[:, n - 1 : 2 * n - 1]
+                leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
+                totals[rows] = full.sum(axis=1)
+                del spec, full  # free this block before the next one is transformed
+
+        return convolve
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class NumericTransformer:
-    """Kernel of a sampled transmittance whose rows are made when asked for.
+    """Kernel of a sampled transmittance, applied in the lag domain.
 
     Row i is the Wigner row of the transmittance around x_i on the
-    relative-angle axis, divided by the wavelength.  ``rows`` computes a
-    block from ``source``, set up (and its settings checked) at build time,
-    so the whole ``(x_samples, 2 * theta_samples - 1)`` table never exists
-    on the apply path.  ``kernel`` assembles that table through
-    ``wigner_table`` on each access and does not keep it; the values are
-    the same bits as the rows.
+    relative-angle axis, divided by the wavelength.  ``source`` is set up
+    (and its settings checked) at build time and gives the lag products of
+    any block of rows.  ``kernel`` assembles the whole table through
+    ``wigner_table`` on each access and does not keep it.
     """
 
     grid: PhaseSpaceGrid
@@ -109,16 +131,62 @@ class NumericTransformer:
     source: WignerRows
     meta: dict
 
-    def rows(self, lo: int, hi: int, workers: int = 1) -> np.ndarray:
-        """Kernel rows lo..hi-1, a fresh array.
+    def convolver(self, radiance, out, leak_rows, totals):
+        """Row-range worker of ``apply_transformer``: a multiplication by the lag products.
 
-        ``workers`` callers making rows at once share the chirp-z scratch
-        budget (see ``WignerRows.write``).
+        With beta = ds dtheta / lambda and the half-weighted lag products
+        c_0..c_K of ``WignerRows.lags``, the kernel at deflection m dtheta
+        is (2 ds / lambda) Re sum_l c_l e^{-2 pi i beta m l}, so a radiance
+        row L goes to out_j = 2 beta Re sum_l c_l G_l e^{-2 pi i beta j l},
+        G_l = sum_j L_j e^{2 pi i beta j l}.  Both are zoom DFTs
+        (Bluestein's chirp-z) at ``_next_fast_len(n + K)``; the chirps
+        between them cancel, and the second filter is the mirror image of
+        the first, so its spectrum is the conjugate.  A row's total over all
+        2n - 1 deflections is 2 beta (sum_j L_j) Re sum_l c_l D_l, with
+        D_l = sum_{|m| < n} e^{-2 pi i beta l m} = 2 Re S_l - 1 for the
+        first zoom DFT S of a row of ones (beta l can be a whole number, so
+        no sine ratio); the leak is that total less the kept sum.
         """
-        block = np.empty((hi - lo, self.source.shape[1]))
-        self.source.write(lo, hi, block, workers)
-        block /= self.grid.wavelength
-        return block
+        grid, source = self.grid, self.source
+        n, m = grid.theta_samples, source.n_lags
+        nfft = _next_fast_len(n + m - 1)
+        beta = source.ds * grid.dtheta / grid.wavelength
+        k = np.arange(max(n, m))
+        chirp = np.exp(1j * np.pi * beta * k**2)
+        # the first filter e^{-i pi beta k^2} at k = -(n - 1) .. K, mod nfft
+        taps = np.zeros(nfft, dtype=np.complex128)
+        taps[:m] = np.conj(chirp[:m])
+        taps[nfft - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+        forward = fft(taps)
+        backward = np.conj(forward)
+        dirichlet = 2.0 * (ifft(fft(chirp[:n], nfft) * forward)[:m] * chirp[:m]).real - 1.0
+        unchirp = 2.0 * beta * np.conj(chirp[:n])
+
+        def convolve(start: int, stop: int, workers: int) -> None:
+            step = _block_rows(2 * nfft, workers)
+            buf = np.empty((min(step, stop - start), nfft), dtype=np.complex128)
+            lags = np.empty((len(buf), m), dtype=np.complex128)
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                spec, c = buf[: hi - lo], lags[: hi - lo]
+                np.multiply(radiance[lo:hi], chirp[:n], out=spec[:, :n])
+                spec[:, n:] = 0.0
+                fft(spec, axis=1, out=spec)
+                spec *= forward
+                ifft(spec, axis=1, out=spec)
+                source.lags(lo, hi, c)
+                total = 2.0 * beta * radiance[lo:hi].sum(axis=1) * (c.real * dirichlet).sum(axis=1)
+                spec[:, :m] *= c
+                spec[:, m:] = 0.0
+                fft(spec, axis=1, out=spec)
+                spec *= backward
+                ifft(spec, axis=1, out=spec)
+                kept = np.multiply(spec[:, :n], unchirp, out=spec[:, :n])
+                out[lo:hi] = kept.real
+                leak_rows[lo:hi] = total - out[lo:hi].sum(axis=1)
+                totals[lo:hi] = total
+
+        return convolve
 
     @property
     def kernel(self) -> np.ndarray:
@@ -179,7 +247,7 @@ def _order_kernel(
 
 def canonical_transformer(
     spec, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
-) -> LightFieldTransformer:
+) -> LightFieldTransformer | NumericTransformer:
     """Kernel of a catalogued element: ``spec.kernel(grid, options)``.
 
     Each element class of :mod:`auglf.elements` builds its own kernel,
@@ -217,8 +285,7 @@ def transformer_from_transmittance(
     exact values there sidestep the ringing that band-limited
     interpolation adds around jumps.
 
-    The settings are checked here; the kernel rows are made block by block
-    by the apply (see NumericTransformer).
+    The settings are checked here (see NumericTransformer).
     """
     grid = transmittance.grid
     if options is None:
@@ -248,7 +315,7 @@ def _block_rows(nfft: int, workers: int = 1) -> int:
 
 
 def apply_transformer(
-    alf: AugmentedLightField, transformer: LightFieldTransformer
+    alf: AugmentedLightField, transformer: LightFieldTransformer | NumericTransformer
 ) -> AugmentedLightField:
     """Push a light field through a relative-angle kernel.
 
@@ -257,47 +324,22 @@ def apply_transformer(
     share is reported in ``meta['theta_leak']`` (absolute signed content) and
     ``meta['theta_leak_fraction']``.
 
-    The convolution is circular, at ``nfft = _next_fast_len(2n - 1)`` for n
-    angle samples.  A kernel row has 2n - 1 columns, so the kept bins
-    ``[n - 1, 2n - 2]`` receive exactly their own linear terms, and every
-    linear term outside that window wraps into some other bin outside it.
-    A row's signed leak is therefore the sum of its circular bins outside
-    the window, and its total the sum over all bins.
-
-    Rows are convolved a block at a time straight into the result, each
-    block of kernel rows taken from ``transformer.rows``, so the working
-    memory beyond the input and output radiance is one block's kernel rows,
-    spectra and products: about 3 MiB, independent of the grid, plus a
-    numeric kernel's chirp-z scratch while it makes the block's rows.
+    Each kernel kind convolves by its own ``convolver``: a table by rfft
+    convolution with its rows, a numeric kernel by a multiplication in the
+    lag domain.  Either works a block of rows at a time straight into the
+    result, so the working memory beyond the input and output radiance is
+    one block's transforms: about 3 MiB, independent of the grid.
     """
     grid = alf.grid
     if transformer.grid != grid:
         raise InvalidConfigurationError(
             "transformer and light field live on different grids"
         )
-    n = grid.theta_samples
-    nfft = _next_fast_len(2 * n - 1)
     out = np.empty_like(alf.radiance)
     leak_rows = np.empty(grid.x_samples)
-    total_in = np.empty(grid.x_samples)
-
-    def convolve(start: int, stop: int, workers: int) -> None:
-        # every row is transformed on its own, so the values equal those of
-        # transforming the whole arrays at once
-        step = _block_rows(nfft, workers)
-        for lo in range(start, stop, step):
-            rows = slice(lo, min(lo + step, stop))
-            spec = rfft(transformer.rows(rows.start, rows.stop, workers), nfft, axis=1)
-            spec *= rfft(alf.radiance[rows], nfft, axis=1)
-            full = irfft(spec, nfft, axis=1)
-            full *= grid.dtheta
-            out[rows] = full[:, n - 1 : 2 * n - 1]
-            leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
-            total_in[rows] = np.abs(full.sum(axis=1))
-            del spec, full  # free this block before the next one is transformed
-
-    _over_rows(grid.x_samples, convolve)
-    denom = float(total_in.sum())
+    totals = np.empty(grid.x_samples)
+    _over_rows(grid.x_samples, transformer.convolver(alf.radiance, out, leak_rows, totals))
+    denom = float(np.abs(totals).sum())
     leak = float(leak_rows.sum()) * grid.dtheta * grid.dx
     frac = float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0
     meta = dict(alf.meta)

@@ -32,15 +32,15 @@ transforms in place.  Each helper follows SciPy's order of operations, so
 results are bitwise the same; tests pin them to ``scipy.signal``.
 
 Rows of the table are independent.  ``WignerRows`` does the shared set-up
-once (upsampling, lag windows, chirps) and then writes any block of rows
-into a buffer its caller owns, through an in-place variant of the chirp-z
-that reuses one padded scratch buffer per call.  ``wigner_table`` fills a
-whole table from it (the field transform), one contiguous range of rows
-per CPU the process may use, each on its own thread with a 1/w share of
-the ``chunk_rows`` scratch budget (``core._over_rows``); the bits do not
-depend on the thread count.  The numeric light-field kernel takes its
-rows a block at a time inside the apply's own ranges, so its table is
-never held whole.
+once (upsampling, lag windows, chirps); it then gives the lag products of
+any block of rows (``lags``), which the numeric light-field kernel
+multiplies into each radiance row in the lag domain, so that kernel's table
+is never made on the apply path, or writes the block's rows of the table
+into a buffer its caller owns (``write``), through an in-place chirp-z.
+``wigner_table`` fills a whole table from it (the field transform), one
+contiguous range of rows per CPU the process may use, each on its own
+thread with a 1/w share of the ``chunk_rows`` scratch budget
+(``core._over_rows``); the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -251,9 +251,9 @@ class WignerRows:
                 gf = gf * _tukey(m_total, 2 * EDGE_TAPER_FRACTION)
         else:
             gf = _upsample(g, m_total)
-        self._ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
+        self.ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
         k_half = m_total // 2
-        self._n_lags = n_lags = k_half + 1
+        self.n_lags = n_lags = k_half + 1
         # Lag l of row q pairs gf[q + l] with conj(gf[q - l]).  For a block
         # of rows both factors are strided windows, over `source` and over
         # its conjugated mirror; `source` holds gf at `off`, between zero
@@ -271,9 +271,19 @@ class WignerRows:
         self._half_weight = [0, n_lags - 1] if options.boundary == "periodic" else [0]
 
         u_nodes = u_start + du * np.arange(n_u)
-        self._zoom = _ZoomDft(n_lags, u_nodes[0], u_nodes[-1], n_u, 1.0 / self._ds)
+        self._zoom = _ZoomDft(n_lags, u_nodes[0], u_nodes[-1], n_u, 1.0 / self.ds)
         self._chunk_rows = chunk_rows
         self.shape = (n, n_u)
+
+    def lags(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write the one-sided lag products c[0..K] of rows lo..hi-1 into out.
+
+        out is complex, of shape (hi - lo, n_lags); lag 0 and, with periodic
+        boundary, lag K carry their half weight, so row q of the table is
+        W(u) = 2 ds Re sum_l out[q, l] e^{-2 pi i u l ds}.
+        """
+        np.multiply(self._forward[lo:hi], self._backward[lo:hi], out=out)
+        out[:, self._half_weight] *= 0.5
 
     def write(self, lo: int, hi: int, out: np.ndarray, workers: int = 1) -> None:
         """Write rows lo..hi-1 of the table into out, of shape (hi - lo, n_u).
@@ -287,13 +297,8 @@ class WignerRows:
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
             rows = buf[: stop - start]
-            np.multiply(
-                self._forward[start:stop],
-                self._backward[start:stop],
-                out=rows[:, : self._n_lags],
-            )
-            rows[:, self._half_weight] *= 0.5
-            self._zoom.real_into(rows, 2.0 * self._ds, out[start - lo : stop - lo])
+            self.lags(start, stop, rows[:, : self.n_lags])
+            self._zoom.real_into(rows, 2.0 * self.ds, out[start - lo : stop - lo])
 
 
 def wigner_table(

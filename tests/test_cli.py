@@ -66,6 +66,8 @@ def test_run_writes_expected_files(tmp_path):
         "two_pinholes",
         "propagate_0.1m",
     ]
+    # element stages name the kernel that ran
+    assert [s.get("kernel") for s in report["stages"]] == [None, "two_pinholes", None]
     manifest = json.loads((out / "manifest.json").read_text())
     listed = {e["path"]: e["sha256"] for e in manifest["outputs"]}
     assert listed["final_intensity.csv"] == sha256_file(str(out / "final_intensity.csv"))
@@ -90,7 +92,8 @@ def test_every_shipped_config_runs(tmp_path, config):
     if config.stem != "young":
         assert abs(report["peak_offset_cells"]) <= 2
     _, intensity = read_profile_csv(str(out / "final_intensity.csv"))
-    assert intensity.min() >= -1e-2 * intensity.max()
+    assert report["negativity"] == -intensity.min() / intensity.max()
+    assert report["negativity"] <= 1e-2
 
 
 def test_hologram_radiance_table_is_per_value_text(tmp_path):

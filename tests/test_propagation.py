@@ -21,6 +21,7 @@ from auglf import (
     shear_propagate,
     wdf_from_field,
 )
+import auglf.core as core
 from auglf import propagation
 from auglf.transformers import _BLOCK_BYTES, _block_rows
 
@@ -214,7 +215,8 @@ def test_blocked_bandlimited_shear_matches_one_shot_bits(rows_of):
     assert out.meta["tag"] == 1
 
 
-def test_bandlimited_shear_working_memory_is_one_block():
+def test_bandlimited_shear_working_memory_is_one_block(monkeypatch):
+    monkeypatch.setattr(core, "_worker_count", lambda: 1)  # one worker's block budget
     g = make_grid(256, 2.56e-3, 1024, 1024 * LAM / (2 * 2.56e-3), LAM)
     alf = AugmentedLightField(g, np.random.default_rng(6).normal(size=(256, 1024)))
     bins = 0.01 * g.theta_axis() / g.dx
@@ -236,6 +238,7 @@ def test_bandlimited_shear_working_memory_is_one_block():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_bandlimited_shear_transforms_into_buffers_made_once(monkeypatch, sign):
+    monkeypatch.setattr(core, "_worker_count", lambda: 1)  # one worker's buffers
     outs = {"rfft": [], "irfft": []}
 
     def spy(name):
@@ -369,7 +372,8 @@ def test_linear_shear_property_matches_interp_and_balances_power(case):
     assert drift <= loss * in_abs + 1e-12 * scale
 
 
-def test_linear_shear_working_memory_is_the_result_and_its_column_blocks():
+def test_linear_shear_working_memory_is_the_result_and_its_column_blocks(monkeypatch):
+    monkeypatch.setattr(core, "_worker_count", lambda: 1)  # one worker's block budget
     g = make_grid(512, 2.56e-3, 2048, 2048 * LAM / (2 * 2.56e-3), LAM)
     alf = AugmentedLightField(g, np.random.default_rng(6).normal(size=(512, 2048)))
     tracemalloc.start()

@@ -23,6 +23,7 @@ from auglf import (
     PhaseSpaceGrid,
     WdfOptions,
     apply_transformer,
+    shear_propagate,
     transformer_from_transmittance,
     wdf_from_field,
 )
@@ -35,6 +36,8 @@ THETA = 256
 # so every worker count cuts the rows into ranges of several blocks.
 MANY_ROWS = 2 * _block_rows(next_fast_len(2 * THETA - 1)) + 3
 # Worker counts against row counts; 8 workers on 5 rows is more workers than rows.
+# The shears move the steepest rows by 0.3 of the position window.
+SHEAR_REACH = 0.3
 SPLITS = {"1": (1, MANY_ROWS), "2": (2, MANY_ROWS), "3": (3, MANY_ROWS), "more_than_rows": (8, 5)}
 
 
@@ -71,7 +74,7 @@ def outputs(grid):
     applied = apply_transformer(alf, random_table(grid, 3))
     streamed = apply_transformer(alf, transformer_from_transmittance(mask))
     zero_edge = transformer_from_transmittance(mask, WdfOptions(boundary="zero"))
-    return {
+    got = {
         "apply": applied.radiance,
         "apply_leak": applied.meta["theta_leak"],
         "apply_leak_fraction": applied.meta["theta_leak_fraction"],
@@ -82,6 +85,10 @@ def outputs(grid):
         "streamed_leak_fraction": streamed.meta["theta_leak_fraction"],
         "streamed_zero_edge": apply_transformer(alf, zero_edge).radiance,
     }
+    for interp in ("linear", "bandlimited"):
+        sheared, loss = shear_propagate(alf, SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2), interp)
+        got[f"shear_{interp}"], got[f"shear_{interp}_loss"] = sheared.radiance, loss
+    return got
 
 
 def assert_same_bits(got, want):
@@ -101,14 +108,19 @@ def test_every_worker_count_gives_the_one_worker_bits(monkeypatch, split):
 
 
 class FailingRows(LightFieldTransformer):
-    """A table kernel whose rows fail on the range holding ``meta["bad_row"]``."""
+    """A table kernel whose apply fails on the range holding ``meta["bad_row"]``."""
 
     __slots__ = ()
 
-    def rows(self, lo, hi, workers=1):
-        if lo <= self.meta["bad_row"] < hi:
-            raise ArithmeticError(f"row {self.meta['bad_row']}")
-        return super().rows(lo, hi, workers)
+    def convolver(self, *arrays):
+        work = super().convolver(*arrays)
+
+        def failing(lo, hi, workers):
+            if lo <= self.meta["bad_row"] < hi:
+                raise ArithmeticError(f"row {self.meta['bad_row']}")
+            work(lo, hi, workers)
+
+        return failing
 
 
 # the first of three ranges runs on a pool thread, the last in the caller

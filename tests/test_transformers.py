@@ -388,13 +388,16 @@ def test_apply_property_output_plus_leak_is_the_full_convolution(case):
     assert np.abs(out.radiance - kept).max() <= 1e-12 * np.abs(full).max()
 
 
-# The numeric kernel makes its rows while the apply runs; the table it never
-# holds must give the same bits when assembled and applied as a table.
+# The numeric kernel is applied in the lag domain and never makes its table;
+# assembled and applied as a table, it must give the same numbers to 1e-12.
+# Settings: options, fine samples and angle count.
 NUMERIC_SETTINGS = {
-    "periodic": (WdfOptions(boundary="periodic"), False),
-    "zero": (WdfOptions(boundary="zero"), False),
-    "zero_fine_samples": (WdfOptions(boundary="zero"), True),
-    "periodic_oversample_2": (WdfOptions(oversample_factor=2, boundary="periodic"), False),
+    "periodic": (WdfOptions(boundary="periodic"), False, BLOCK_THETA),
+    "zero": (WdfOptions(boundary="zero"), False, BLOCK_THETA),
+    "zero_fine_samples": (WdfOptions(boundary="zero"), True, BLOCK_THETA),
+    "periodic_oversample_2": (WdfOptions(oversample_factor=2, boundary="periodic"), False, BLOCK_THETA),
+    "zero_oversample_4": (WdfOptions(oversample_factor=4, boundary="zero"), False, BLOCK_THETA),
+    "odd_theta": (WdfOptions(boundary="periodic"), False, BLOCK_THETA - 1),
 }
 
 
@@ -404,27 +407,43 @@ def random_mask(grid, seed):
     return ComplexField(grid, rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(-3, 3, n)))
 
 
-@pytest.mark.parametrize("settings", NUMERIC_SETTINGS.values(), ids=NUMERIC_SETTINGS.keys())
-@pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
-def test_streamed_numeric_apply_matches_the_assembled_table_bits(rows_of, settings):
-    options, fine = settings
-    x_samples = rows_of(_block_rows(next_fast_len(2 * BLOCK_THETA - 1)))
-    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, BLOCK_THETA, 0.02, LAM)
-    mask = random_mask(grid, x_samples)
-    fine_samples = None
-    if fine:
-        factor = 2 * options.oversample_factor
-        fine_samples = np.repeat(mask.samples, factor)
-    t = transformer_from_transmittance(mask, options, fine_samples)
+def assert_lag_apply_matches_the_table(grid, options, fine_samples=None):
+    t = transformer_from_transmittance(random_mask(grid, grid.x_samples), options, fine_samples)
     table = LightFieldTransformer(grid, t.kernel, t.meta)
     alf = random_alf(grid, 14)
-    streamed = apply_transformer(alf, t)
+    lagged = apply_transformer(alf, t)
     assembled = apply_transformer(alf, table)
-    assert np.array_equal(streamed.radiance, assembled.radiance)
-    assert streamed.meta["theta_leak"] == assembled.meta["theta_leak"]
-    assert streamed.meta["theta_leak_fraction"] == assembled.meta["theta_leak_fraction"]
-    # any split of the rows gives the same bits as the assembled table
-    assert np.array_equal(t.rows(x_samples // 2, x_samples), table.kernel[x_samples // 2 :])
+    peak = np.abs(assembled.radiance).max()
+    assert np.abs(lagged.radiance - assembled.radiance).max() <= 1e-12 * peak
+    content = np.abs(assembled.radiance).sum() * grid.dtheta * grid.dx
+    assert abs(lagged.meta["theta_leak"] - assembled.meta["theta_leak"]) <= 1e-12 * content
+    assert abs(lagged.meta["theta_leak_fraction"] - assembled.meta["theta_leak_fraction"]) <= 1e-12
+    return t
+
+
+@pytest.mark.parametrize("settings", NUMERIC_SETTINGS.values(), ids=NUMERIC_SETTINGS.keys())
+@pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
+def test_lag_domain_numeric_apply_matches_the_assembled_table(rows_of, settings):
+    options, fine, theta_samples = settings
+    x_samples = rows_of(_block_rows(next_fast_len(2 * BLOCK_THETA - 1)))
+    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, theta_samples, 0.02, LAM)
+    fine_samples = None
+    if fine:
+        fine_samples = np.repeat(random_mask(grid, x_samples).samples, 2 * options.oversample_factor)
+    assert_lag_apply_matches_the_table(grid, options, fine_samples)
+
+
+@pytest.mark.parametrize("oversample", [2, 4])
+def test_lag_domain_apply_where_beta_l_is_a_whole_number(oversample):
+    # an angle window of (oversample / 2) lambda / dx makes beta = ds dtheta /
+    # lambda = 1 / (2n): the Dirichlet sum of the leak is 2n - 1 at l = 2n
+    # and 4n, where a sine ratio would be 0 / 0
+    n = 32
+    x_samples = 4 * n // oversample
+    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, n, oversample / 2 * LAM / 1e-5, LAM)
+    t = assert_lag_apply_matches_the_table(grid, WdfOptions(oversample, boundary="periodic"))
+    beta_l = t.source.ds * grid.dtheta / LAM * np.arange(t.source.n_lags)
+    assert np.count_nonzero(np.abs(beta_l - np.rint(beta_l))[1:] < 1e-9) == 2
 
 
 def test_numeric_kernel_build_and_apply_never_hold_the_table():
