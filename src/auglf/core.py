@@ -22,6 +22,7 @@ always copied, so mutating it later leaves the container unchanged.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -136,9 +137,8 @@ class PhaseSpaceGrid:
         return self.theta_axis() / self.wavelength
 
     def x_index(self, x: float) -> int:
-        """Nearest-node index for a position; clipped to the window."""
-        i = int(round((x + 0.5 * self.x_extent) / self.dx))
-        return min(max(i, 0), self.x_samples - 1)
+        """Nearest-node index for a position (``_nearest_node``); clipped to the window."""
+        return _nearest_node((x + 0.5 * self.x_extent) / self.dx, self.x_samples)
 
     def checked_x_index(self, x: float, what: str) -> int:
         """``x_index`` of a position that must lie in [-x_extent/2, x_extent/2)."""
@@ -150,6 +150,16 @@ class PhaseSpaceGrid:
         """Nearest-node index for an angle; clipped to the window."""
         j = int(round((theta + 0.5 * self.theta_extent) / self.dtheta))
         return min(max(j, 0), self.theta_samples - 1)
+
+
+def _nearest_node(steps: float, count: int) -> int:
+    """Node nearest ``steps`` spacings past the first, clipped to ``[0, count)``.
+
+    Halfway between two nodes (to 1e-9 of a spacing) it takes the lower
+    one, so unlike rounding half to even the rule does not depend on where
+    an axis starts: a padded axis picks the node its window picks.
+    """
+    return min(max(math.ceil(steps - 0.5 - 1e-9), 0), count - 1)
 
 
 def make_grid(

@@ -9,14 +9,14 @@ physics built from them:
   nominal window (padded wave pipeline): parametric elements continue
   analytically, a CodedAperture is opaque outside its sampled support, a
   PhasePlate is transparent there.
-- ``kernel(grid, options)``: the element's light-field transformer.
-  Elements whose kernel is a set of delta lines (pinholes, gratings, the
-  prism and the lens) build it in closed form.  Every other element's
-  kernel is the numeric Wigner kernel of its transmittance
-  (``transformer_from_transmittance``): the slit, the cubic phase plate
-  and the hologram from their analytic transmittance on the lag grid, a
-  phase plate and a coded aperture from their samples on the grid.
-  Their closed forms are test oracles.
+- ``kernel(grid, options)``: the element's light-field transformer.  The
+  prism, the lens and the gratings build theirs in closed form as delta
+  lines, and the pinholes as full rows at their nodes; neither is a
+  table.  Every other element's kernel is the numeric Wigner kernel of
+  its transmittance (``transformer_from_transmittance``): the slit, the
+  cubic phase plate and the hologram from their analytic transmittance on
+  the lag grid, a phase plate and a coded aperture from their samples on
+  the grid.  Their closed forms are test oracles.
 - ``deflection(wavelength, x)``, on the prism and the lens only: the ray
   deflection profile d_theta(x) = (lambda / 2 pi) * dphi/dx, whose single
   delta per position is their kernel.
@@ -24,7 +24,8 @@ physics built from them:
 Conventions: a converging lens (focal_length > 0) deflects a ray at
 height x by -x/f, i.e. carries phase -pi x^2 / (lambda f); idealized
 pinholes become single samples of amplitude 1/dx (the same delta
-convention the Wigner module uses).
+convention the Wigner module uses) at the node ``PhaseSpaceGrid.x_index``
+picks, on the grid and on the wave pipeline's wider axis alike.
 """
 
 from __future__ import annotations
@@ -36,21 +37,18 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
-    ClippedOrderWarning,
     ComplexField,
     DegenerateInputError,
     InvalidConfigurationError,
     PhaseSpaceGrid,
     RealnessError,
     SamplingWarning,
-    _freeze,
+    _nearest_node,
 )
 from .transformers import (
     LightFieldTransformer,
     NumericTransformer,
-    _deposit_rows,
-    _order_kernel,
-    _relative_axis,
+    _delta_lines,
     transformer_from_transmittance,
 )
 from .wdf import WdfOptions
@@ -76,14 +74,11 @@ __all__ = [
 _BESSEL_FLOOR = 1e-14
 
 
-def _shape(grid: PhaseSpaceGrid) -> tuple:
-    return (grid.x_samples, 2 * grid.theta_samples - 1)
-
-
 def _spikes(x: np.ndarray, dx: float, *positions: float) -> np.ndarray:
+    """Spikes of 1/dx at the nodes of ``x`` that ``PhaseSpaceGrid.x_index`` picks."""
     t = np.zeros_like(x, dtype=complex)
     for position in positions:
-        t[int(np.argmin(np.abs(x - position)))] += 1.0 / dx
+        t[_nearest_node((position - x[0]) / dx, len(x))] += 1.0 / dx
     return t
 
 
@@ -121,29 +116,15 @@ def _transmittance_kernel(
 
 
 class _Deflector:
-    """Kernel of the prism and the lens: one delta per position at its deflection."""
+    """Kernel of the prism and the lens: one delta line, at each position's deflection."""
 
     __slots__ = ()
 
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
-        n = grid.theta_samples
         bend = self.deflection(grid.wavelength, grid.x_axis())
-        cols = np.rint(bend / grid.dtheta).astype(int) + n - 1
-        inside = (cols >= 0) & (cols <= 2 * n - 2)
-        kernel = np.zeros(_shape(grid))
-        kernel[np.nonzero(inside)[0], cols[inside]] = 1.0 / grid.dtheta
-        n_out = int((~inside).sum())
-        label = element_label(self)
-        if n_out:
-            warnings.warn(
-                f"{label}: deflection left the angular window at {n_out} of "
-                f"{grid.x_samples} positions; those columns were dropped",
-                ClippedOrderWarning,
-                stacklevel=3,  # the caller of canonical_transformer
-            )
-        return LightFieldTransformer(grid, _freeze(kernel), {"element": label, "clipped_columns": n_out})
+        return _delta_lines(grid, bend[np.newaxis, :], 1.0, element_label(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,9 +139,9 @@ class Pinhole:
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
-        kernel = np.zeros(_shape(grid))
-        kernel[grid.checked_x_index(self.position, "pinhole"), :] = 1.0 / (grid.wavelength * grid.dx)
-        return LightFieldTransformer(grid, _freeze(kernel), {"element": "pinhole"})
+        row = np.full(2 * grid.theta_samples - 1, 1.0 / (grid.wavelength * grid.dx))
+        i = grid.checked_x_index(self.position, "pinhole")
+        return LightFieldTransformer(grid, (), (), {i: row}, {"element": "pinhole"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,13 +162,14 @@ class TwoPinholes:
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
     ) -> LightFieldTransformer:
         lam = grid.wavelength
-        kernel = np.zeros(_shape(grid))
-        kernel[grid.checked_x_index(self.a, "pinhole a"), :] += 1.0 / (lam * grid.dx)
-        kernel[grid.checked_x_index(self.b, "pinhole b"), :] += 1.0 / (lam * grid.dx)
-        kernel[grid.x_index(0.5 * (self.a + self.b)), :] += 2.0 * np.cos(
-            2.0 * np.pi * (self.a - self.b) * _relative_axis(grid) / lam
-        ) / (lam * grid.dx)
-        return LightFieldTransformer(grid, _freeze(kernel), {"element": "two_pinholes"})
+        flat = np.full(2 * grid.theta_samples - 1, 1.0 / (lam * grid.dx))
+        deflections = (np.arange(len(flat)) - (grid.theta_samples - 1)) * grid.dtheta
+        cross = 2.0 * np.cos(2.0 * np.pi * (self.a - self.b) * deflections / lam) / (lam * grid.dx)
+        a, b = grid.checked_x_index(self.a, "pinhole a"), grid.checked_x_index(self.b, "pinhole b")
+        rows = {a: flat}
+        for i, row in ((b, flat), (grid.x_index(0.5 * (self.a + self.b)), cross)):
+            rows[i] = rows.get(i, 0.0) + row
+        return LightFieldTransformer(grid, (), (), rows, {"element": "two_pinholes"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,9 +222,7 @@ class AmplitudeGrating:
             [0.0, 0.5 * lam / p, -0.5 * lam / p, lam / p, -lam / p]
         )
         weights = np.stack([dc, half_order, half_order, full_order, full_order])
-        kernel = np.zeros(_shape(grid))
-        clipped = _deposit_rows(kernel, grid, orders, weights)
-        return _order_kernel(grid, kernel, clipped, "amplitude_grating")
+        return _delta_lines(grid, orders[:, np.newaxis], weights, "amplitude_grating")
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,8 +324,7 @@ class PhaseGrating:
         # harmonic terms J_{s-n} J_n exp(i 2 pi (s - 2 n) x / p).
         m_max = int(np.ceil(abs(self.depth))) + 25
         ks = np.arange(-m_max, m_max + 1)
-        kernel = np.zeros(_shape(grid))
-        clipped_total = 0.0
+        orders, profiles = [], []
         for s in range(-2 * m_max, 2 * m_max + 1):
             ns = ks[(np.abs(s - ks) <= m_max)]
             c = jv(s - ns, self.depth) * jv(ns, self.depth)
@@ -360,13 +339,9 @@ class PhaseGrating:
                 raise RealnessError(
                     "phase grating order profile acquired a non-real part"
                 )
-            clipped_total += _deposit_rows(
-                kernel,
-                grid,
-                np.array([0.5 * lam * s / self.period]),
-                profile.real[np.newaxis, :],
-            )
-        return _order_kernel(grid, kernel, clipped_total, "phase_grating")
+            orders.append(0.5 * lam * s / self.period)
+            profiles.append(profile.real)
+        return _delta_lines(grid, np.array(orders)[:, np.newaxis], np.array(profiles), "phase_grating")
 
 
 @dataclass(frozen=True, slots=True)

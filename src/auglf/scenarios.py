@@ -215,11 +215,15 @@ def _stage_label(stage: Stage) -> str:
 
 
 def _padded_grid(grid: PhaseSpaceGrid, pad: int) -> PhaseSpaceGrid:
+    """The wave pipeline's axis: ``pad`` times the grid's, plus one sample if that pads by an odd
+    count, so that the window from ``(x_samples - n) // 2`` lies on the grid's nodes."""
     if pad == 1:
         return grid
+    n = grid.x_samples
+    wide = pad * n + (pad - 1) * n % 2
     return PhaseSpaceGrid(
-        x_samples=pad * grid.x_samples,
-        x_extent=pad * grid.x_extent,
+        x_samples=wide,
+        x_extent=grid.x_extent * (wide / n),
         theta_samples=grid.theta_samples,
         theta_extent=grid.theta_extent,
         wavelength=grid.wavelength,

@@ -10,30 +10,29 @@ kernel is a linear convolution along the angle axis.
 Kernels are real but not necessarily positive; negative lobes carry the
 interference structure of coherent elements.
 
-Each kernel kind brings its own apply (``convolver``).  A closed-form kernel
-is a table (``LightFieldTransformer``), built only when it is a few delta
-rows or columns, and convolves by ``numpy.fft`` rfft at the smallest
-2-3-5-7-11-smooth length of at least 2n - 1 (``core._next_fast_len``).
+Each kernel kind brings its own apply (``convolver``); neither makes its
+``(x_samples, 2n - 1)`` table, which ``kernel`` assembles only when read.
+A closed-form kernel (``LightFieldTransformer``) is delta lines that move
+a weighted share of each row by whole angle steps (prism, lens, gratings),
+added as slice copies, and a few full rows (pinholes), convolved by rfft.
 The numeric kernel of a sampled transmittance (``NumericTransformer``),
-which every dense element uses, never makes its ``(x_samples, 2n - 1)``
-table on the apply path: an angle convolution by a Wigner row is a
-multiplication by the row's lag products t(x + s/2) t*(x - s/2)
-(Bastiaans, JOSA 69, 1710, 1979), so it moves each radiance row to the lag
-domain, multiplies, and moves back, by two zoom DFTs; ``kernel`` assembles
-the table only for callers that want it.
+which every dense element uses, is a multiplication by the lag products
+t(x + s/2) t*(x - s/2) in the lag domain (Bastiaans, JOSA 69, 1710,
+1979), reached and left by two zoom DFTs.
 
 Rows are independent, so the apply splits them into one contiguous range
 per CPU the process may use (``core._over_rows``); each range runs its own
 block loop on its own thread into its own rows of the result, and the leak
 and power sums are taken after the join, in row order, so the bits do not
 depend on the thread count.  The workers share one block budget, a 1/w
-share each, so besides its inputs and its result an apply holds about
-3 MiB of kernel rows, spectra and products whatever the grid and the
-thread count.
+share each, so besides its inputs and its result an apply holds a few
+MiB of copies, spectra and products whatever the grid and the thread
+count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,57 +59,87 @@ import warnings
 _BLOCK_BYTES = 1 << 20
 
 
-def _relative_axis(grid: PhaseSpaceGrid) -> np.ndarray:
-    """Deflection values carried by the kernel columns."""
-    n = grid.theta_samples
-    return (np.arange(2 * n - 1) - (n - 1)) * grid.dtheta
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class LightFieldTransformer:
-    """Per-position angle-redistribution kernel on a relative-angle axis, as a table.
+    """Closed-form kernel as delta lines and a few full rows.
 
-    kernel has shape ``(x_samples, 2 * theta_samples - 1)``; column ``m``
-    corresponds to a deflection of ``(m - (theta_samples - 1)) * dtheta``.
+    Line k moves the share ``weights[k, i]`` of position row i by
+    ``columns[k, i] - (theta_samples - 1)`` angle steps: a delta of
+    ``weights[k, i] / dtheta`` at that relative-angle column.  Both arrays
+    are ``(lines, x_samples)``.  ``rows`` maps a position row to its full
+    kernel row.  ``kernel`` assembles the table on each access.
     """
 
     grid: PhaseSpaceGrid
-    kernel: np.ndarray
+    columns: np.ndarray
+    weights: np.ndarray
+    rows: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        expected = (self.grid.x_samples, 2 * self.grid.theta_samples - 1)
-        arr = _frozen_array(self.kernel, np.float64, expected, "kernel")
-        object.__setattr__(self, "kernel", arr)
+        n_x, width = self.grid.x_samples, 2 * self.grid.theta_samples - 1
+        columns = _freeze(np.array(self.columns, dtype=np.int64).reshape(-1, n_x))
+        weights = _freeze(np.array(self.weights, dtype=np.float64).reshape(columns.shape))
+        rows = {int(i): _frozen_array(row, np.float64, (width,), "kernel row") for i, row in self.rows.items()}
+        on_table = ((columns >= 0) & (columns < width)).all() and all(0 <= i < n_x for i in rows)
+        if not (on_table and np.isfinite(weights).all()):
+            raise InvalidConfigurationError("kernel lines and rows must lie on the table, with finite weights")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", rows)
 
     def convolver(self, radiance, out, leak_rows, totals):
-        """Row-range worker of ``apply_transformer``: rfft convolution by the rows.
+        """Row-range worker of ``apply_transformer``: slice copies of the lines, rfft of the rows.
 
-        The convolution is circular, at ``nfft = _next_fast_len(2n - 1)``, so
-        the kept bins ``[n - 1, 2n - 2]`` receive exactly their own linear
-        terms and every other term wraps into a bin outside them: a row's
-        leak is the sum of those bins, and its total the sum of all.
+        Each block of rows is zeroed and each line adds its weighted rows,
+        shifted by whole angle steps, as one 2-D slice per run of rows that
+        share a column.  A row's total is its sum times its line weights,
+        and its leak that total less the kept sum.  A full row is convolved
+        by rfft at ``nfft = _next_fast_len(2n - 1)``: the kept bins
+        ``[n - 1, 2n - 2]`` receive exactly their own linear terms and every
+        other term wraps into a bin outside them, whose sum is its leak.
         """
-        grid = self.grid
-        n = grid.theta_samples
+        grid, n = self.grid, self.grid.theta_samples
         nfft = _next_fast_len(2 * n - 1)
+        # per line, the first row of each run of rows sharing a column
+        starts = [(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist() for c in self.columns]
+        row_weights = self.weights.sum(axis=0)
 
         def convolve(start: int, stop: int, workers: int) -> None:
-            # every row is transformed on its own, so the values equal those of
-            # transforming the whole arrays at once
-            step = _block_rows(nfft, workers)
+            step = max(1, _BLOCK_BYTES // workers // (8 * n))
+            scratch = np.empty((min(step, stop - start), n))
             for lo in range(start, stop, step):
-                rows = slice(lo, min(lo + step, stop))
-                spec = rfft(self.kernel[rows], nfft, axis=1)
-                spec *= rfft(radiance[rows], nfft, axis=1)
-                full = irfft(spec, nfft, axis=1)
-                full *= grid.dtheta
-                out[rows] = full[:, n - 1 : 2 * n - 1]
-                leak_rows[rows] = full[:, : n - 1].sum(axis=1) + full[:, 2 * n - 1 :].sum(axis=1)
-                totals[rows] = full.sum(axis=1)
-                del spec, full  # free this block before the next one is transformed
+                hi = min(lo + step, stop)
+                out[lo:hi] = 0.0
+                for cols, cuts, weights in zip(self.columns, starts, self.weights):
+                    inner = cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]
+                    for a, b in zip([lo] + inner, inner + [hi]):
+                        shift = cols[a] - (n - 1)
+                        src = radiance[a:b, max(-shift, 0) : n - max(shift, 0)]
+                        part = scratch[: b - a, : src.shape[1]]
+                        out[a:b, max(shift, 0) : n + min(shift, 0)] += np.multiply(src, weights[a:b, None], out=part)
+                totals[lo:hi] = radiance[lo:hi].sum(axis=1) * row_weights[lo:hi]
+                leak_rows[lo:hi] = totals[lo:hi] - out[lo:hi].sum(axis=1)
+            for i, row in self.rows.items():
+                if start <= i < stop:
+                    spec = rfft(row, nfft)
+                    spec *= rfft(radiance[i], nfft)
+                    full = irfft(spec, nfft)
+                    full *= grid.dtheta
+                    out[i] += full[n - 1 : 2 * n - 1]
+                    leak_rows[i] += full[: n - 1].sum() + full[2 * n - 1 :].sum()
+                    totals[i] += full.sum()
 
         return convolve
+
+    @property
+    def kernel(self) -> np.ndarray:
+        table = np.zeros((self.grid.x_samples, 2 * self.grid.theta_samples - 1))
+        for cols, weights in zip(self.columns, self.weights):
+            table[np.arange(len(cols)), cols] += weights / self.grid.dtheta
+        for i, row in self.rows.items():
+            table[i] += row
+        return _freeze(table)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -201,47 +230,30 @@ class NumericTransformer:
         return _freeze(table)
 
 
-def _deposit_rows(
-    kernel: np.ndarray,
-    grid: PhaseSpaceGrid,
-    deflections: np.ndarray,
-    weights: np.ndarray,
-) -> float:
-    """Add delta rows ``weights[k] / dtheta`` at the given deflections.
+def _delta_lines(grid: PhaseSpaceGrid, deflections, weights, label: str) -> LightFieldTransformer:
+    """Transformer of delta lines, warning once if any deflection left the axis.
 
-    deflections: (n_rows,) deflection of each order; weights: (n_rows, x_samples)
-    or (n_rows,).  Returns the total weight magnitude clipped because an order
-    fell outside the representable deflection range; the caller warns once
-    for the whole kernel (``_order_kernel``).
+    ``deflections`` and ``weights`` broadcast to ``(lines, x_samples)``, and
+    each deflection is rounded to the nearest column.  A weight whose column
+    is off the relative-angle axis is dropped and adds ``|weight| dx`` to
+    ``meta["clipped_weight"]``.
     """
     n = grid.theta_samples
-    cols = np.rint(deflections / grid.dtheta).astype(int) + n - 1
-    inside = (cols >= 0) & (cols <= 2 * n - 2)
-    weights = np.atleast_2d(weights)
-    if weights.shape[0] != deflections.shape[0]:
-        weights = np.broadcast_to(weights, (deflections.shape[0], kernel.shape[0]))
-    clipped = 0.0
-    for k, col in enumerate(cols):
-        if inside[k]:
-            kernel[:, col] += weights[k] / grid.dtheta
-        else:
-            clipped += float(np.abs(weights[k]).sum()) * grid.dx
-    return clipped
-
-
-def _order_kernel(
-    grid: PhaseSpaceGrid, kernel: np.ndarray, clipped: float, label: str
-) -> LightFieldTransformer:
-    """Transformer of a grating's deposited orders, warning once if any were clipped."""
+    deflections, weights = np.broadcast_arrays(deflections, np.asarray(weights, dtype=np.float64))
+    columns = np.rint(deflections / grid.dtheta).astype(np.int64) + n - 1
+    off = (columns < 0) | (columns > 2 * n - 2)
+    clipped = float(np.abs(weights[off]).sum()) * grid.dx
     if clipped > 0.0:
         warnings.warn(
-            f"{label}: diffraction orders outside the angular window were "
-            f"dropped (clipped weight {clipped:.3g})",
+            f"{label}: {np.count_nonzero(weights[off])} deflections left the angular "
+            f"window and were dropped (clipped weight {clipped:.3g})",
             ClippedOrderWarning,
             stacklevel=4,  # the caller of canonical_transformer
         )
+    weights = np.where(off, 0.0, weights)
+    lines = weights.any(axis=1)  # a line left without weight goes
     return LightFieldTransformer(
-        grid, _freeze(kernel), {"clipped_weight": clipped, "element": label}
+        grid, np.clip(columns, 0, 2 * n - 2)[lines], weights[lines], meta={"element": label, "clipped_weight": clipped}
     )
 
 
@@ -324,11 +336,9 @@ def apply_transformer(
     share is reported in ``meta['theta_leak']`` (absolute signed content) and
     ``meta['theta_leak_fraction']``.
 
-    Each kernel kind convolves by its own ``convolver``: a table by rfft
-    convolution with its rows, a numeric kernel by a multiplication in the
-    lag domain.  Either works a block of rows at a time straight into the
-    result, so the working memory beyond the input and output radiance is
-    one block's transforms: about 3 MiB, independent of the grid.
+    Each kernel kind convolves by its own ``convolver``, a block of rows at
+    a time straight into the result, so beyond the input and output
+    radiance it holds a few MiB whatever the grid.
     """
     grid = alf.grid
     if transformer.grid != grid:

@@ -30,7 +30,7 @@ from auglf import (
     transformer_from_transmittance,
 )
 from auglf.elements import ElementSpec
-from auglf.scenarios import Element
+from auglf.scenarios import Element, _padded_grid
 
 from oracles import cubic_phase_kernel, hologram_kernel, rect_wigner
 
@@ -132,6 +132,20 @@ def test_pinholes_at_the_window_edges_keep_their_rows():
     assert np.flatnonzero(Pinhole(right).kernel(g).kernel.any(axis=1)).tolist() == [63]
     rows = TwoPinholes(left, right - g.dx).kernel(g).kernel.any(axis=1)
     assert np.flatnonzero(rows).tolist() == [0, 31, 62]
+
+
+@pytest.mark.parametrize("pad", [1, 2, 4])
+@pytest.mark.parametrize("n", [63, 64, 1024])
+def test_a_pinhole_between_two_nodes_takes_one_node_in_both_pipelines(n, pad):
+    # the kernel's row and the wave pipeline's spike on its padded axis, less
+    # the window offset, at every position halfway between two nodes
+    g = make_grid(n, n * 2e-6, 16, 1e-2, LAM)
+    wide = _padded_grid(g, pad)
+    start = (wide.x_samples - n) // 2
+    for position in g.x_axis()[:-1] + 0.5 * g.dx:
+        (row,) = Pinhole(position).kernel(g).rows
+        (spike,) = np.flatnonzero(Pinhole(position).transmittance(LAM, wide.x_axis(), wide.dx))
+        assert spike - start == row
 
 
 def test_rect_halves_its_edge_samples():
@@ -372,3 +386,27 @@ def test_closed_form_deflectors_match_their_numeric_kernel(case):
     want = apply_transformer(alf, numeric).radiance
     got = apply_transformer(alf, spec.kernel(g)).radiance
     assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+# The pinholes against the numeric kernel of their own transmittance: zero
+# boundary, a spike of 1/dx on the lag grid at each pinhole's node, and the
+# two pinholes' index sum even, so that their midpoint is a node too.
+PINHOLES = {
+    "pinhole": lambda x: Pinhole(x[10]),
+    "two_pinholes": lambda x: TwoPinholes(x[20], x[90]),
+    "two_pinholes_adjacent_midpoint": lambda x: TwoPinholes(x[64], x[60]),
+}
+
+
+@pytest.mark.parametrize("make_spec", PINHOLES.values(), ids=PINHOLES.keys())
+def test_pinhole_kernels_match_their_numeric_kernel(make_spec):
+    n = 128
+    g = make_grid(n, 2.56e-3, n, n * LAM / (2 * 2.56e-3), LAM)
+    x = g.x_axis()
+    spec = make_spec(x)
+    t = spec.transmittance(LAM, x, g.dx)
+    fine = np.zeros(2 * n, dtype=complex)
+    fine[2 * np.flatnonzero(t)] = 1.0 / g.dx
+    numeric = transformer_from_transmittance(ComplexField(g, t), WdfOptions(boundary="zero"), fine)
+    want = spec.kernel(g).kernel
+    assert np.abs(numeric.kernel - want).max() <= 1e-12 * np.abs(want).max()

@@ -30,6 +30,7 @@ from auglf import (
 )
 from auglf import Lens
 from auglf.config import OutputOptions, parse_config
+from auglf.scenarios import _padded_grid
 
 LAM = 633e-9
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -231,3 +232,17 @@ def test_defocus_sweep_shapes():
     assert len(res.reports) == 3
     with pytest.raises(InvalidConfigurationError):
         cubic_phase_psf_sweep(g, 5e-2, 1e-3, 0.0, 0.1, 0.1, ())
+
+
+@pytest.mark.parametrize("pad", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [63, 64])
+def test_the_padded_wave_axis_holds_the_grid_nodes(n, pad):
+    # the wave reference is read from the window (wide - n) // 2 onwards, so
+    # the padding must be even in number: odd n with an even pad gets one more
+    g = make_grid(n, n * 2e-6, 16, 1e-2, LAM)
+    wide = _padded_grid(g, pad)
+    start = (wide.x_samples - n) // 2
+    assert wide.x_samples in (pad * n, pad * n + 1)
+    assert wide.dx == pytest.approx(g.dx, rel=1e-15)
+    window = wide.x_axis()[start : start + n]
+    assert np.abs(window - g.x_axis()).max() <= 1e-9 * g.dx

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 
 import auglf.core as core
 import test_transformers
@@ -27,14 +26,15 @@ from auglf import (
     transformer_from_transmittance,
     wdf_from_field,
 )
-from auglf.transformers import _block_rows
+from auglf.transformers import _BLOCK_BYTES
 from auglf.wdf import wigner_table
 
 LAM = 633e-9
 THETA = 256
-# A ragged number of rows spanning several blocks of the one-worker apply,
-# so every worker count cuts the rows into ranges of several blocks.
-MANY_ROWS = 2 * _block_rows(next_fast_len(2 * THETA - 1)) + 3
+# A ragged number of rows spanning several blocks of the one-worker line
+# apply (the largest blocks of the row loops), so every worker count cuts
+# the rows into ranges of several blocks.
+MANY_ROWS = 2 * (_BLOCK_BYTES // (8 * THETA)) + 3
 # Worker counts against row counts; 8 workers on 5 rows is more workers than rows.
 # The shears move the steepest rows by 0.3 of the position window.
 SHEAR_REACH = 0.3
@@ -61,9 +61,8 @@ def random_field(grid, seed):
     return ComplexField(grid, rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(0, 0.1, n)))
 
 
-def random_table(grid, seed):
-    rng = np.random.default_rng(seed)
-    return LightFieldTransformer(grid, rng.normal(size=(grid.x_samples, 2 * THETA - 1)))
+def random_lines(grid, seed):
+    return test_transformers.random_lines(grid, np.random.default_rng(seed), rows=4)
 
 
 def outputs(grid):
@@ -71,7 +70,7 @@ def outputs(grid):
     alf = random_radiance(grid, 1)
     mask = random_field(grid, 2)
     u = grid.u_axis()
-    applied = apply_transformer(alf, random_table(grid, 3))
+    applied = apply_transformer(alf, random_lines(grid, 3))
     streamed = apply_transformer(alf, transformer_from_transmittance(mask))
     zero_edge = transformer_from_transmittance(mask, WdfOptions(boundary="zero"))
     got = {
@@ -108,7 +107,7 @@ def test_every_worker_count_gives_the_one_worker_bits(monkeypatch, split):
 
 
 class FailingRows(LightFieldTransformer):
-    """A table kernel whose apply fails on the range holding ``meta["bad_row"]``."""
+    """A closed-form kernel whose apply fails on the range holding ``meta["bad_row"]``."""
 
     __slots__ = ()
 
@@ -130,12 +129,13 @@ BAD_ROWS = {"first": 0, "last": MANY_ROWS - 1}
 @pytest.mark.parametrize("bad_row", BAD_ROWS.values(), ids=BAD_ROWS.keys())
 def test_a_failing_range_raises_in_the_caller_and_leaves_no_thread(monkeypatch, bad_row):
     grid = grid_of(MANY_ROWS)
-    kernel = random_table(grid, 3).kernel
+    lines = random_lines(grid, 3)
     alf = random_radiance(grid, 1)
     force_workers(monkeypatch, 3)
     before = threading.active_count()
+    failing = FailingRows(grid, lines.columns, lines.weights, lines.rows, {"bad_row": bad_row})
     with pytest.raises(ArithmeticError, match=f"row {bad_row}"):
-        apply_transformer(alf, FailingRows(grid, kernel, {"bad_row": bad_row}))
+        apply_transformer(alf, failing)
     assert threading.active_count() == before
 
 
@@ -161,7 +161,7 @@ def test_stress_many_workers_with_fast_thread_switching(monkeypatch):
 def test_working_memory_bounds_hold_with_four_workers(monkeypatch):
     # four workers share one block budget, so the one-worker bounds still hold
     force_workers(monkeypatch, 4)
-    test_transformers.test_apply_working_memory_is_one_block()
+    test_transformers.test_line_apply_working_memory_is_one_block()
     test_transformers.test_numeric_kernel_build_and_apply_never_hold_the_table()
 
 

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from auglf import (
     make_grid,
     transformer_from_transmittance,
 )
-from auglf.transformers import _block_rows
+from auglf.config import parse_config
+from auglf.transformers import _BLOCK_BYTES, _block_rows
 from oracles import angle_convolution, apply_dense_kernel, linear_apply, phase_grating_orders
 
 LAM = 633e-9
@@ -50,11 +52,24 @@ def on_bin_prism(grid, bins):
 
 
 def identity(grid):
-    """Kernel that leaves any light field unchanged: one 1/dtheta column at zero deflection."""
-    n = grid.theta_samples
-    kernel = np.zeros((grid.x_samples, 2 * n - 1))
-    kernel[:, n - 1] = 1.0 / grid.dtheta
-    return LightFieldTransformer(grid, kernel)
+    """Kernel that leaves any light field unchanged: one line of weight 1 at zero deflection."""
+    lines = (1, grid.x_samples)
+    return LightFieldTransformer(grid, np.full(lines, grid.theta_samples - 1), np.ones(lines))
+
+
+def random_lines(grid, rng, lines=3, rows=2):
+    """A closed-form kernel of random delta lines and full rows.
+
+    The first line keeps one column, as a grating order does; the others
+    keep each column over a run of up to 4 rows, as a lens does.  The full
+    rows sit on random positions, on top of the lines.
+    """
+    n, n_x = grid.theta_samples, grid.x_samples
+    columns = rng.integers(0, 2 * n - 1, size=(lines, n_x // 4 + 1)).repeat(4, axis=1)[:, :n_x]
+    columns[:1] = rng.integers(0, 2 * n - 1)
+    profiles = rng.normal(size=(min(rows, n_x), 2 * n - 1))
+    at = rng.choice(n_x, size=len(profiles), replace=False).tolist()
+    return LightFieldTransformer(grid, columns, rng.normal(size=columns.shape), dict(zip(at, profiles)))
 
 
 def test_identity_application_is_exact():
@@ -270,8 +285,9 @@ def test_grating_warns_once_with_the_summed_clipped_weight(depth):
     np.testing.assert_allclose(t.kernel, kernel, rtol=0, atol=1e-12 * np.abs(kernel).max())
 
 
-# Reference implementations: one convolution over the whole arrays, the form
-# the row-blocked versions must reproduce bit for bit.
+# Reference implementation of the full rows: one convolution over the whole
+# assembled table at next_fast_len(2n - 1), the form each full row must
+# reproduce bit for bit.
 
 
 def one_shot_apply(alf, transformer):
@@ -288,8 +304,8 @@ def one_shot_apply(alf, transformer):
     return full[:, n - 1 : 2 * n - 1], leak, frac
 
 
-# Row counts relative to the block size b: one row, fewer than one block, a
-# ragged last block, and several whole blocks.
+# Row counts relative to the block size b of the line apply: one row, fewer
+# than one block, a ragged last block, and several whole blocks.
 ROW_COUNTS = {
     "single_row": lambda b: 1,
     "under_one_block": lambda b: b - 1,
@@ -297,48 +313,82 @@ ROW_COUNTS = {
     "whole_blocks": lambda b: 3 * b,
 }
 BLOCK_THETA = 256
-
-
-def dense_pair(x_samples, seed):
-    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, BLOCK_THETA, 0.02, LAM)
-    rng = np.random.default_rng(seed)
-    shape = (x_samples, 2 * BLOCK_THETA - 1)
-    return grid, rng.normal(size=shape), rng.normal(size=shape)
+LINE_BLOCK = _BLOCK_BYTES // (8 * BLOCK_THETA)
 
 
 @pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
-def test_blocked_apply_matches_one_shot_bits(rows_of):
-    x_samples = rows_of(_block_rows(next_fast_len(2 * BLOCK_THETA - 1)))
-    grid, kernel, _ = dense_pair(x_samples, 11)
-    radiance = np.random.default_rng(12).normal(size=(x_samples, BLOCK_THETA))
-    alf = AugmentedLightField(grid, radiance, {"tag": 1})
-    t = LightFieldTransformer(grid, kernel)
-    out = apply_transformer(alf, t)
-    ref, leak, frac = one_shot_apply(alf, t)
+def test_line_apply_matches_the_assembled_table(rows_of):
+    x_samples = rows_of(LINE_BLOCK)
+    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, BLOCK_THETA, 0.02, LAM)
+    rng = np.random.default_rng(11)
+    t = random_lines(grid, rng, rows=5)
+    radiance = rng.normal(size=(x_samples, BLOCK_THETA))
+    out = apply_transformer(AugmentedLightField(grid, radiance, {"tag": 1}), t)
+    assert out.meta["tag"] == 1
+    # the uncropped linear convolution at next_fast_len(3n - 2)
+    lin, lin_leak, lin_frac = linear_apply(t.kernel, radiance, grid.dtheta, grid.dx)
+    assert np.abs(out.radiance - lin).max() <= 1e-12 * np.abs(lin).max()
+    content = np.abs(lin).sum() * grid.dtheta * grid.dx
+    assert abs(out.meta["theta_leak"] - lin_leak) <= 1e-12 * content
+    assert abs(out.meta["theta_leak_fraction"] - lin_frac) <= 1e-12
+
+
+@pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
+def test_full_rows_keep_the_one_shot_bits(rows_of):
+    # a kernel of full rows only, as the pinholes have, gives the bits of
+    # the whole-table rfft convolution, leak and leak fraction included
+    x_samples = rows_of(LINE_BLOCK)
+    grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, BLOCK_THETA, 0.02, LAM)
+    rng = np.random.default_rng(12)
+    lines = random_lines(grid, rng, lines=0, rows=5)
+    alf = AugmentedLightField(grid, rng.normal(size=(x_samples, BLOCK_THETA)))
+    out = apply_transformer(alf, lines)
+    ref, leak, frac = one_shot_apply(alf, lines)
     assert np.array_equal(out.radiance, ref)
     assert out.meta["theta_leak"] == leak
     assert out.meta["theta_leak_fraction"] == frac
-    assert out.meta["tag"] == 1
-    # the uncropped linear convolution at next_fast_len(3n - 2)
-    lin, lin_leak, lin_frac = linear_apply(kernel, radiance, grid.dtheta, grid.dx)
-    assert np.abs(out.radiance - lin).max() <= 1e-12 * np.abs(lin).max()
-    assert abs(leak - lin_leak) <= 1e-12 * abs(lin_leak)
-    assert abs(frac - lin_frac) <= 1e-12
 
 
-def test_apply_working_memory_is_one_block():
+def test_line_apply_working_memory_is_one_block():
     g = make_grid(512, 2.56e-3, 1024, 1024 * LAM / (2 * 2.56e-3), LAM)
     alf = random_alf(g, 6)
-    t = LightFieldTransformer(g, np.random.default_rng(7).normal(size=(512, 2047)))
+    t = random_lines(g, np.random.default_rng(7), lines=5, rows=8)
     tracemalloc.start()
     try:
         apply_transformer(alf, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the result (4 MiB), taken by the container without a copy, and about
-    # 3 MiB of block transforms; whole-array transforms would take over 30 MiB
-    assert peak < alf.radiance.nbytes + 3 * 2**20
+    # the result (4 MiB), taken by the container without a copy, 1 MiB of
+    # scratch and a full row's transforms; the 8 MiB table would pass 12 MiB
+    assert peak < alf.radiance.nbytes + 2 * 2**20
+
+
+# The closed-form element of each shipped config that has one: config name
+# and the stage number of the element.
+SHIPPED_DELTA_KERNELS = {"young": 1, "single_lens": 2, "cubic_phase": 2}
+
+
+@pytest.mark.parametrize("name, stage", SHIPPED_DELTA_KERNELS.items(), ids=SHIPPED_DELTA_KERNELS.keys())
+def test_shipped_closed_form_kernels_build_and_apply_without_a_table(name, stage):
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+    train = parse_config(str(config)).train(1)
+    g, spec = train.grid, train.stages[stage - 1].spec
+    radiance = np.random.default_rng(3).normal(size=(g.x_samples, g.theta_samples))
+    radiance.setflags(write=False)  # taken by the container as is
+    alf = AugmentedLightField(g, radiance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClippedOrderWarning)  # cubic_phase's lens
+        tracemalloc.start()
+        try:
+            apply_transformer(alf, spec.kernel(g))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # the result and a few MiB; one (x_samples, 2 theta_samples - 1) table
+    # is about twice a radiance
+    table_bytes = g.x_samples * (2 * g.theta_samples - 1) * 8
+    assert peak < radiance.nbytes + 4 * 2**20 < table_bytes
 
 
 # Property tests of the apply at its alias-free length next_fast_len(2n - 1).
@@ -354,21 +404,20 @@ def apply_cases(draw):
     x_samples = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, n, 0.02, LAM)
-    kernel = rng.normal(size=(x_samples, 2 * n - 1))
+    t = random_lines(grid, rng, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
     radiance = rng.normal(size=(x_samples, n))
-    return grid, kernel, radiance, rng.normal(size=(x_samples, n)), rng.normal(size=2)
+    return grid, t, radiance, rng.normal(size=(x_samples, n)), rng.normal(size=2)
 
 
 @APPLY_SETTINGS
 @given(apply_cases())
 def test_apply_property_is_linear(case):
-    grid, kernel, a, b, (alpha, beta) = case
-    t = LightFieldTransformer(grid, kernel)
+    grid, t, a, b, (alpha, beta) = case
     out_a = apply_transformer(AugmentedLightField(grid, a), t)
     out_b = apply_transformer(AugmentedLightField(grid, b), t)
     out = apply_transformer(AugmentedLightField(grid, alpha * a + beta * b), t)
     want = alpha * out_a.radiance + beta * out_b.radiance
-    scale = np.abs(kernel).sum() * (np.abs(a) + np.abs(b)).max() * grid.dtheta
+    scale = np.abs(t.kernel).sum() * (np.abs(a) + np.abs(b)).max() * grid.dtheta
     assert np.abs(out.radiance - want).max() <= 1e-12 * scale
     want_leak = alpha * out_a.meta["theta_leak"] + beta * out_b.meta["theta_leak"]
     assert abs(out.meta["theta_leak"] - want_leak) <= 1e-12 * scale * grid.dtheta * grid.dx
@@ -377,10 +426,10 @@ def test_apply_property_is_linear(case):
 @APPLY_SETTINGS
 @given(apply_cases())
 def test_apply_property_output_plus_leak_is_the_full_convolution(case):
-    grid, kernel, radiance, _, _ = case
+    grid, t, radiance, _, _ = case
     n = grid.theta_samples
-    out = apply_transformer(AugmentedLightField(grid, radiance), LightFieldTransformer(grid, kernel))
-    full = angle_convolution(kernel, radiance, grid.dtheta)
+    out = apply_transformer(AugmentedLightField(grid, radiance), t)
+    full = angle_convolution(t.kernel, radiance, grid.dtheta)
     cell = grid.dtheta * grid.dx
     scale = np.abs(full).sum() * cell
     assert abs(out.total_power() + out.meta["theta_leak"] - full.sum() * cell) <= 1e-12 * scale
@@ -409,15 +458,14 @@ def random_mask(grid, seed):
 
 def assert_lag_apply_matches_the_table(grid, options, fine_samples=None):
     t = transformer_from_transmittance(random_mask(grid, grid.x_samples), options, fine_samples)
-    table = LightFieldTransformer(grid, t.kernel, t.meta)
     alf = random_alf(grid, 14)
     lagged = apply_transformer(alf, t)
-    assembled = apply_transformer(alf, table)
-    peak = np.abs(assembled.radiance).max()
-    assert np.abs(lagged.radiance - assembled.radiance).max() <= 1e-12 * peak
-    content = np.abs(assembled.radiance).sum() * grid.dtheta * grid.dx
-    assert abs(lagged.meta["theta_leak"] - assembled.meta["theta_leak"]) <= 1e-12 * content
-    assert abs(lagged.meta["theta_leak_fraction"] - assembled.meta["theta_leak_fraction"]) <= 1e-12
+    assembled, leak, frac = linear_apply(t.kernel, alf.radiance, grid.dtheta, grid.dx)
+    peak = np.abs(assembled).max()
+    assert np.abs(lagged.radiance - assembled).max() <= 1e-12 * peak
+    content = np.abs(assembled).sum() * grid.dtheta * grid.dx
+    assert abs(lagged.meta["theta_leak"] - leak) <= 1e-12 * content
+    assert abs(lagged.meta["theta_leak_fraction"] - frac) <= 1e-12
     return t
 
 
