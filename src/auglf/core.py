@@ -287,6 +287,20 @@ def _over_rows(count: int, work) -> None:
             future.result()
 
 
+def _leak_meta(grid: PhaseSpaceGrid, leak_rows: np.ndarray, totals: np.ndarray) -> dict:
+    """``theta_leak`` and ``theta_leak_fraction`` of rows whose full totals and dropped shares are given.
+
+    The leak is the signed content dropped past the angle window; the
+    fraction is the sum of the rows' absolute leaks over that of their
+    absolute totals, 0 when every total is 0.
+    """
+    denom = float(np.abs(totals).sum())
+    return {
+        "theta_leak": float(leak_rows.sum()) * grid.dtheta * grid.dx,
+        "theta_leak_fraction": float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0,
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class ComplexField:
     """Scalar coherent field g(x) sampled on the grid's x axis."""
@@ -348,13 +362,15 @@ def project_intensity(alf: AugmentedLightField, eps_proj: float | None = None) -
     The summation order is fixed (single numpy reduction along the theta
     axis) so repeated projections of the same field are bit-identical.
     Interference terms should cancel in the projection; residuals below
-    -eps_proj (default 1e-6 of the peak) draw NegativeIntensityWarning
-    rather than an error, because window truncation legitimately leaves
-    small signed residue.
+    -eps_proj (default 1e-2 of the peak, the negativity the shipped
+    scenarios are gated at) draw NegativeIntensityWarning rather than an
+    error, because window truncation legitimately leaves small signed
+    residue.  A trace reports the residue whatever its size, as
+    ``ComparisonReport.negativity``.
     """
     values = alf.radiance.sum(axis=1) * alf.grid.dtheta
     peak = float(np.max(values, initial=0.0))
-    floor = (1e-6 * peak) if eps_proj is None else float(eps_proj)
+    floor = (1e-2 * peak) if eps_proj is None else float(eps_proj)
     worst = float(values.min())
     if worst < -floor:
         warnings.warn(

@@ -6,6 +6,13 @@ sheared and pushed through kernels) and, independently, through the scalar
 wave pipeline of :mod:`auglf.fresnel`.  The comparison report quantifies how
 well the two agree on the observable intensity.
 
+A field source followed at once by a lone element with a numeric kernel is
+traced in one step: the Wigner transform of the field times the element's
+transmittance is the radiance behind the element, so the source's own
+radiance is never made or kept (``trace_train``).  Closed-form first
+elements, the other sources, elements after a hop and groups of elements
+at one plane take the source radiance and apply each kernel.
+
 The wave pipeline runs on an enlarged internal axis so that masks and
 quadratic phases are evaluated beyond the observation window instead of
 wrapping, and optionally discards spatial frequencies outside the angular
@@ -33,7 +40,7 @@ from .core import (
 from .elements import CubicPhase, ElementSpec, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
 from .propagation import _INTERP_MODES, shear_propagate
-from .transformers import apply_transformer, canonical_transformer
+from .transformers import NumericTransformer, apply_transformer, canonical_transformer
 from .wdf import WdfOptions, wdf_from_field
 
 
@@ -289,6 +296,13 @@ def _oracle_intensity(train: OpticalTrain, options: TraceOptions) -> IntensityPr
     return IntensityProfile(grid, np.abs(window) ** 2)
 
 
+def _lone_element(stages: tuple) -> bool:
+    """Whether the first stage is an element with no second element at its plane."""
+    return bool(stages) and isinstance(stages[0], Element) and not (
+        len(stages) > 1 and isinstance(stages[1], Element)
+    )
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     return v / norm if norm > 0.0 else v
@@ -299,6 +313,16 @@ def trace_train(
 ) -> TrainTrace:
     """Run the phase-space pipeline stage by stage, keeping snapshots.
 
+    A field source whose first stage is a lone element with a numeric
+    kernel (no second element at the same plane) is folded into it: one
+    Wigner transform of the product of field and transmittance
+    (``wdf_from_field(..., through=...)``) replaces the source transform and
+    the apply, and gives the apply's numbers to rounding.  Such a trace has
+    no source record; its first record is ``StageRecord(1,
+    "source+<element label>", ..., kernel="numeric")``, whose loss is the
+    leak the apply would report.  Every other train starts from the
+    source's record, index 0.
+
     Raises ScenarioAbortError when one stage truncates more than the
     configured share of the signal; the exception carries the 1-based index
     of the offending stage.
@@ -306,18 +330,31 @@ def trace_train(
     if options is None:
         options = TraceOptions()
     grid = train.grid
-    alf = _source_radiance(grid, train.source, options)
-    records = [StageRecord(0, "source", alf, 0.0)]
+    first = None  # stage 1's kernel, built before the source to fold into it
+    if isinstance(train.source, FieldSource) and _lone_element(train.stages):
+        first = canonical_transformer(train.stages[0].spec, grid, options.wdf_options)
+    folded = isinstance(first, NumericTransformer)
+    if folded:
+        alf = wdf_from_field(train.source.field, options.wdf_options, through=first.source)
+        records = []
+    else:
+        alf = _source_radiance(grid, train.source, options)
+        records = [StageRecord(0, "source", alf, 0.0)]
     kept = 1.0
 
     for k, stage in enumerate(train.stages, start=1):
-        kernel = None
+        label, kernel = _stage_label(stage), None
         if isinstance(stage, Propagate):
             alf, loss = shear_propagate(alf, stage.distance, interp=options.interp)
         else:
-            transformer = canonical_transformer(stage.spec, grid, options.wdf_options)
+            transformer = first if k == 1 and first is not None else canonical_transformer(
+                stage.spec, grid, options.wdf_options
+            )
             kernel = transformer.meta["element"]
-            alf = apply_transformer(alf, transformer)
+            if k == 1 and folded:
+                label = "source+" + label
+            else:
+                alf = apply_transformer(alf, transformer)
             loss = alf.meta.get("theta_leak_fraction", 0.0)
         if loss > options.abort_loss:
             raise ScenarioAbortError(
@@ -326,7 +363,7 @@ def trace_train(
                 f"(limit {options.abort_loss:.0%})",
             )
         kept *= 1.0 - loss
-        records.append(StageRecord(k, _stage_label(stage), alf, loss, kernel))
+        records.append(StageRecord(k, label, alf, loss, kernel))
 
     alf_intensity = project_intensity(alf)
     if options.compare_oracle:

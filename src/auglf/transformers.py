@@ -18,7 +18,10 @@ added as slice copies, and a few full rows (pinholes), convolved by rfft.
 The numeric kernel of a sampled transmittance (``NumericTransformer``),
 which every dense element uses, is a multiplication by the lag products
 t(x + s/2) t*(x - s/2) in the lag domain (Bastiaans, JOSA 69, 1710,
-1979), reached and left by two zoom DFTs.
+1979), reached and left by two zoom DFTs.  A numeric kernel met by a field
+source at its own plane is not applied at all: ``trace_train`` folds it
+into the source's Wigner transform (``wdf_from_field``'s ``through``),
+which shares this apply's Dirichlet sums (``wdf._lag_chirps``).
 
 Rows are independent, so the apply splits them into one contiguous range
 per CPU the process may use (``core._over_rows``); each range runs its own
@@ -47,10 +50,11 @@ from .core import (
     PhaseSpaceGrid,
     _freeze,
     _frozen_array,
+    _leak_meta,
     _next_fast_len,
     _over_rows,
 )
-from .wdf import WdfOptions, WignerRows, wigner_table
+from .wdf import WdfOptions, WignerRows, _lag_chirps, wigner_table
 
 import warnings
 
@@ -94,7 +98,8 @@ class LightFieldTransformer:
         Each block of rows is zeroed and each line adds its weighted rows,
         shifted by whole angle steps, as one 2-D slice per run of rows that
         share a column.  A row's total is its sum times its line weights,
-        and its leak that total less the kept sum.  A full row is convolved
+        and its leak that total less the kept sum; with no lines, rows and
+        totals start at 0 without a pass over the radiance.  A full row is convolved
         by rfft at ``nfft = _next_fast_len(2n - 1)``: the kept bins
         ``[n - 1, 2n - 2]`` receive exactly their own linear terms and every
         other term wraps into a bin outside them, whose sum is its leak.
@@ -105,7 +110,7 @@ class LightFieldTransformer:
         starts = [(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist() for c in self.columns]
         row_weights = self.weights.sum(axis=0)
 
-        def convolve(start: int, stop: int, workers: int) -> None:
+        def lines(start: int, stop: int, workers: int) -> None:
             step = max(1, _BLOCK_BYTES // workers // (8 * n))
             scratch = np.empty((min(step, stop - start), n))
             for lo in range(start, stop, step):
@@ -120,6 +125,12 @@ class LightFieldTransformer:
                         out[a:b, max(shift, 0) : n + min(shift, 0)] += np.multiply(src, weights[a:b, None], out=part)
                 totals[lo:hi] = radiance[lo:hi].sum(axis=1) * row_weights[lo:hi]
                 leak_rows[lo:hi] = totals[lo:hi] - out[lo:hi].sum(axis=1)
+
+        def convolve(start: int, stop: int, workers: int) -> None:
+            if len(self.columns):
+                lines(start, stop, workers)
+            else:  # no lines (the pinholes): nothing to sum, every line total is 0
+                out[start:stop] = totals[start:stop] = leak_rows[start:stop] = 0.0
             for i, row in self.rows.items():
                 if start <= i < stop:
                     spec = rfft(row, nfft)
@@ -173,22 +184,16 @@ class NumericTransformer:
         the first, so its spectrum is the conjugate.  A row's total over all
         2n - 1 deflections is 2 beta (sum_j L_j) Re sum_l c_l D_l, with
         D_l = sum_{|m| < n} e^{-2 pi i beta l m} = 2 Re S_l - 1 for the
-        first zoom DFT S of a row of ones (beta l can be a whole number, so
-        no sine ratio); the leak is that total less the kept sum.
+        Dirichlet sums S of ``wdf._lag_chirps``; the leak is that total less
+        the kept sum.
         """
         grid, source = self.grid, self.source
         n, m = grid.theta_samples, source.n_lags
-        nfft = _next_fast_len(n + m - 1)
         beta = source.ds * grid.dtheta / grid.wavelength
-        k = np.arange(max(n, m))
-        chirp = np.exp(1j * np.pi * beta * k**2)
-        # the first filter e^{-i pi beta k^2} at k = -(n - 1) .. K, mod nfft
-        taps = np.zeros(nfft, dtype=np.complex128)
-        taps[:m] = np.conj(chirp[:m])
-        taps[nfft - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-        forward = fft(taps)
+        chirp, forward, sums = _lag_chirps(beta, n, m)
+        nfft = len(forward)
         backward = np.conj(forward)
-        dirichlet = 2.0 * (ifft(fft(chirp[:n], nfft) * forward)[:m] * chirp[:m]).real - 1.0
+        dirichlet = 2.0 * sums.real - 1.0
         unchirp = 2.0 * beta * np.conj(chirp[:n])
 
         def convolve(start: int, stop: int, workers: int) -> None:
@@ -349,10 +354,5 @@ def apply_transformer(
     leak_rows = np.empty(grid.x_samples)
     totals = np.empty(grid.x_samples)
     _over_rows(grid.x_samples, transformer.convolver(alf.radiance, out, leak_rows, totals))
-    denom = float(np.abs(totals).sum())
-    leak = float(leak_rows.sum()) * grid.dtheta * grid.dx
-    frac = float(np.abs(leak_rows).sum()) / denom if denom > 0 else 0.0
-    meta = dict(alf.meta)
-    meta["theta_leak"] = leak
-    meta["theta_leak_fraction"] = frac
+    meta = {**alf.meta, **_leak_meta(grid, leak_rows, totals)}
     return AugmentedLightField(grid, _freeze(out), meta)

@@ -41,6 +41,14 @@ into a buffer its caller owns (``write``), through an in-place chirp-z.
 contiguous range of rows per CPU the process may use, each on its own
 thread with a 1/w share of the ``chunk_rows`` scratch budget
 (``core._over_rows``); the bits do not depend on the thread count.
+
+A field met at its own plane by a numeric kernel is folded into it
+(``wdf_from_field(..., through=...)``): the Wigner transform of the product
+of the two lag-grid signals is the kernel's angle convolution of the
+field's (Bastiaans, JOSA 69, 1710, 1979), since its lag products are the
+two factors' lag products multiplied.  One table then replaces the field's
+table and the kernel's apply, and the apply's leak comes from the lag
+products and Dirichlet sums alone (``_fold_leak``).
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .core import (
     InvalidConfigurationError,
     PhaseSpaceGrid,
     _freeze,
+    _leak_meta,
     _next_fast_len,
     _over_rows,
 )
@@ -176,6 +185,27 @@ class _ZoomDft:
         np.multiply(y.real, scale, out=out)
 
 
+def _lag_chirps(beta: float, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chirp-z pieces of the sums between n angle nodes and m lags, beta = ds dtheta / lambda.
+
+    Returns the chirp e^{i pi beta k^2} for k < max(n, m); the spectrum, at
+    ``_next_fast_len(n + m - 1)``, of the filter e^{-i pi beta k^2} at
+    k = -(n - 1) .. m - 1, so that ifft(fft(chirp row) * spectrum) times the
+    chirp is a zoom DFT sum_{j<n} r_j e^{2 pi i beta j l}; and that DFT of a
+    row of ones, the Dirichlet sums S_l (beta l can be a whole number, so no
+    sine ratio).
+    """
+    nfft = _next_fast_len(n + m - 1)
+    k = np.arange(max(n, m))
+    chirp = np.exp(1j * np.pi * beta * k**2)
+    taps = np.zeros(nfft, dtype=np.complex128)
+    taps[:m] = np.conj(chirp[:m])
+    taps[nfft - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+    spectrum = fft(taps)
+    sums = ifft(fft(chirp[:n], nfft) * spectrum)[:m] * chirp[:m]
+    return chirp, spectrum, sums
+
+
 def _apodized(samples: np.ndarray, window: str) -> np.ndarray:
     if window == "none":
         return samples
@@ -198,7 +228,9 @@ class WignerRows:
     len(samples) values, factor = 2 * oversample_factor) and replaces the
     interpolation step; use it when the signal is known analytically
     between samples, e.g. hard-edged masks whose band-limited interpolant
-    would ring.
+    would ring.  ``signal`` keeps the signal on the lag grid, upsampled or
+    given and apodized, whose lag products the rows are, and ``options``
+    the settings.
 
     Each row's lag products are Hermitian, c[-l] = conj(c[l]), so the row
     is summed over the lags 0..K only:
@@ -251,6 +283,7 @@ class WignerRows:
                 gf = gf * _tukey(m_total, 2 * EDGE_TAPER_FRACTION)
         else:
             gf = _upsample(g, m_total)
+        self.options, self.signal = options, gf
         self.ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
         k_half = m_total // 2
         self.n_lags = n_lags = k_half + 1
@@ -348,22 +381,89 @@ def _local_frequency_check(field: ComplexField) -> None:
         )
 
 
-def wdf_from_field(field: ComplexField, options: WdfOptions = WdfOptions()) -> AugmentedLightField:
+def wdf_from_field(
+    field: ComplexField, options: WdfOptions = WdfOptions(), through: WignerRows = None
+) -> AugmentedLightField:
     """Numeric Wigner transform of a sampled coherent field.
 
     Returns the signed radiance L(x, theta) = W(x, theta/lambda)/lambda on
     the field's own grid.  The grid's angle axis must lie inside the
     frequency band achievable from the lag sampling; a field whose local
     frequency leaves the window draws BandwidthWarning.
+
+    through, when given, is a numeric kernel's rows (``NumericTransformer.
+    source``) on the field's lag grid, and the result is the
+    radiance behind that element: the Wigner transform of the product of
+    the two lag-grid signals, each already upsampled or analytic and
+    apodized, so taken with window "none".  Its lag products are those of
+    the field times those of the kernel, so it is the kernel applied to the
+    field's radiance (Bastiaans, JOSA 69, 1710, 1979) without that radiance
+    and its apply; where the field's radiance passes the angle window, it
+    keeps what the apply would have dropped with it.  ``meta`` then gives
+    the apply's ``theta_leak`` and ``theta_leak_fraction`` (``_fold_leak``).
     """
     if not np.any(field.samples):
         raise DegenerateInputError("field is identically zero")
     grid = field.grid
     _local_frequency_check(field)
-    u_axis = grid.u_axis()
-    w = wigner_table(grid, field.samples, float(u_axis[0]), grid.dtheta / grid.wavelength, grid.theta_samples, options)
+    axis = (float(grid.u_axis()[0]), grid.dtheta / grid.wavelength, grid.theta_samples)
     meta = {
         "wdf_options": (options.oversample_factor, options.window, options.boundary),
     }
-    w /= grid.wavelength
+    if through is None:
+        w = wigner_table(grid, field.samples, *axis, options)
+        w /= grid.wavelength
+    else:
+        rows = WignerRows(grid, field.samples, *axis, options)
+        if (through.signal.shape, through.ds) != (rows.signal.shape, rows.ds):
+            raise InvalidConfigurationError("the kernel's lag grid is not the field's")
+        product = rows.signal * through.signal
+        factor = 2 * options.oversample_factor
+        # the product wraps around only if both factors do
+        wraps = options.boundary == through.options.boundary == "periodic"
+        plain = WdfOptions(options.oversample_factor, "none", "periodic" if wraps else "zero")
+        w = wigner_table(grid, product[::factor], *axis, plain, fine_samples=product)
+        w /= grid.wavelength
+        meta.update(_fold_leak(grid, rows, through, axis[0], w))
     return AugmentedLightField(grid, _freeze(w), meta)
+
+
+def _fold_leak(
+    grid: PhaseSpaceGrid, rows: WignerRows, through: WignerRows, u_start: float, radiance: np.ndarray
+) -> dict:
+    """The leak that applying ``through``'s kernel to the radiance of ``rows`` would report.
+
+    That apply gives a row the total (sum_j L_j) (2 beta Re sum_l k_l D_l)
+    over all 2n - 1 deflections, with k the kernel's lag products and D_l
+    the Dirichlet sums of ``NumericTransformer.convolver``.  The field's row
+    sum over the n angle nodes u_start + j du is
+    sum_j L_j = (2 ds / lambda) Re sum_l c_l E_l, with c its lag products and
+    E_l = sum_j e^{-2 pi i (u_start + j du) l ds} = e^{-2 pi i u_start l ds} conj(S_l)
+    for the same Dirichlet sums S (du ds = beta).  A row's leak is its total
+    less its sum in ``radiance``, the folded result.  The rows are summed a
+    block at a time on the Wigner transform's threads.
+    """
+    n, m, ds = grid.theta_samples, rows.n_lags, rows.ds
+    beta = ds * grid.dtheta / grid.wavelength
+    _, _, sums = _lag_chirps(beta, n, m)
+    dirichlet = 2.0 * sums.real - 1.0
+    nodes = np.exp(-2j * np.pi * u_start * ds * np.arange(m)) * np.conj(sums)
+    scale = 2.0 * beta * 2.0 * ds / grid.wavelength
+    leak_rows = np.empty(grid.x_samples)
+    totals = np.empty(grid.x_samples)
+
+    def fold_rows(start: int, stop: int, workers: int) -> None:
+        step = max(1, rows._chunk_rows // workers)
+        field_lags = np.empty((min(step, stop - start), m), dtype=np.complex128)
+        kernel_lags = np.empty_like(field_lags)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            c, k = field_lags[: hi - lo], kernel_lags[: hi - lo]
+            rows.lags(lo, hi, c)
+            through.lags(lo, hi, k)
+            power = np.multiply(c, nodes, out=c).real.sum(axis=1)
+            totals[lo:hi] = scale * power * (k.real * dirichlet).sum(axis=1)
+            leak_rows[lo:hi] = totals[lo:hi] - radiance[lo:hi].sum(axis=1)
+
+    _over_rows(grid.x_samples, fold_rows)
+    return _leak_meta(grid, leak_rows, totals)

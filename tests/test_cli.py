@@ -75,6 +75,7 @@ def test_run_writes_expected_files(tmp_path):
     assert manifest["config"]["cli.compare_oracle"] == "on"
 
 
+@pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")
 @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
 def test_every_shipped_config_runs(tmp_path, config):
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,10 @@ import pytest
 
 from auglf import (
     AugmentedLightField,
+    CodedAperture,
     ComplexField,
+    CubicPhase,
+    DegenerateInputError,
     Element,
     FieldSource,
     Hologram,
@@ -22,13 +26,19 @@ from auglf import (
     TraceOptions,
     TruncationWarning,
     TwoPinholes,
+    WdfOptions,
+    apply_transformer,
+    canonical_transformer,
     cubic_phase_psf_sweep,
     make_grid,
     normalized_cross_correlation,
     project_intensity,
     trace_train,
+    wdf_from_field,
 )
 from auglf import Lens
+from auglf.elements import element_label
+from auglf.wdf import _upsample, wigner_table
 from auglf.config import OutputOptions, parse_config
 from auglf.scenarios import _padded_grid
 
@@ -246,3 +256,171 @@ def test_the_padded_wave_axis_holds_the_grid_nodes(n, pad):
     assert wide.dx == pytest.approx(g.dx, rel=1e-15)
     window = wide.x_axis()[start : start + n]
     assert np.abs(window - g.x_axis()).max() <= 1e-9 * g.dx
+
+
+# A field source whose first stage is a lone numeric element is folded into
+# it: one Wigner transform of the product of field and transmittance.
+FOLD_GRID = make_grid(256, 2.56e-3, 256, 0.02, LAM)
+
+
+def fold_beam(radius):
+    return ComplexField(FOLD_GRID, np.exp(-((FOLD_GRID.x_axis() / radius) ** 2)))
+
+
+def coded_mask():
+    x = FOLD_GRID.x_axis()
+    phase = np.random.default_rng(9).uniform(-0.5, 0.5, FOLD_GRID.x_samples)
+    return ComplexField(FOLD_GRID, (np.abs(x) < 0.4e-3) * np.exp(1j * phase))
+
+
+FOLDED_ELEMENTS = {
+    "coded_aperture": CodedAperture(coded_mask()),
+    "rect_aperture": RectAperture(6e-4),
+    "cubic_phase": CubicPhase(2e10),
+    "bounded_hologram": Hologram(0.15, width=1e-3),
+}
+FOLD_OPTIONS = [
+    pytest.param(oversample, window, id=f"oversample_{oversample}-{window}")
+    for oversample in (1, 2, 4)
+    for window in ("none", "raised-cosine")
+]
+
+
+def folded_record(field, spec, options):
+    train = OpticalTrain(FOLD_GRID, FieldSource(field), (Element(spec), Propagate(0.01)))
+    trace = trace_train(train, options)
+    assert [(r.index, r.label, r.kernel) for r in trace.stages] == [
+        (1, f"source+{element_label(spec)}", "numeric"),
+        (2, "propagate_0.01m", None),
+    ]
+    return trace.stages[0]
+
+
+@pytest.mark.parametrize("oversample, window", FOLD_OPTIONS)
+@pytest.mark.parametrize("spec", FOLDED_ELEMENTS.values(), ids=FOLDED_ELEMENTS.keys())
+def test_a_folded_source_gives_the_applied_numbers(spec, oversample, window):
+    # the beam and its Wigner function decay below 1e-15 inside the window,
+    # so the source radiance the two-step path keeps has lost nothing
+    beam = fold_beam(0.15e-3)
+    options = TraceOptions(oversample=oversample, window=window, compare_oracle=False)
+    record = folded_record(beam, spec, options)
+    wdf_options = options.wdf_options
+    applied = apply_transformer(
+        wdf_from_field(beam, wdf_options), canonical_transformer(spec, FOLD_GRID, wdf_options)
+    )
+    peak = np.abs(applied.radiance).max()
+    assert np.abs(record.alf.radiance - applied.radiance).max() <= 1e-12 * peak
+    assert abs(record.truncation_loss - applied.meta["theta_leak_fraction"]) <= 1e-12
+    assert record.alf.meta["theta_leak_fraction"] == record.truncation_loss
+    content = np.abs(applied.radiance).sum() * FOLD_GRID.dtheta * FOLD_GRID.dx
+    assert abs(record.alf.meta["theta_leak"] - applied.meta["theta_leak"]) <= 1e-12 * content
+
+
+def test_a_folded_source_keeps_what_the_window_cuts_from_the_source():
+    # a wider beam is cut by the position window, so its radiance passes the
+    # angle window; the two-step path drops that part before the slit and
+    # the fold keeps it, so the fold is the product's own Wigner transform
+    beam = fold_beam(0.3e-3)
+    spec = RectAperture(6e-4)
+    options = TraceOptions(compare_oracle=False)
+    record = folded_record(beam, spec, options)
+    kernel = canonical_transformer(spec, FOLD_GRID, options.wdf_options)
+    n = FOLD_GRID.x_samples
+    product = _upsample(beam.samples, 2 * n) * kernel.source.signal
+    u = FOLD_GRID.u_axis()
+    want = wigner_table(
+        FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, WdfOptions(), fine_samples=product
+    ) / LAM
+    peak = np.abs(want).max()
+    assert np.abs(record.alf.radiance - want).max() <= 1e-12 * peak
+    # measured 7.8e-11, 7e-14 of the peak
+    applied = apply_transformer(wdf_from_field(beam), kernel)
+    assert np.abs(record.alf.radiance - applied.radiance).max() <= 1e-8 * peak
+
+
+def test_the_fold_takes_an_opaque_mask_and_rejects_a_dark_field_or_another_lag_grid():
+    zeros = ComplexField(FOLD_GRID, np.zeros(FOLD_GRID.x_samples))
+    options = TraceOptions(compare_oracle=False)
+    record = folded_record(fold_beam(0.15e-3), CodedAperture(zeros), options)
+    assert not record.alf.radiance.any()
+    assert record.truncation_loss == 0.0
+    assert record.alf.meta["theta_leak"] == 0.0
+    train = OpticalTrain(FOLD_GRID, FieldSource(zeros), (Element(RectAperture(6e-4)), Propagate(0.01)))
+    with pytest.raises(DegenerateInputError, match="zero"):
+        trace_train(train, options)
+    kernel = canonical_transformer(RectAperture(6e-4), FOLD_GRID, WdfOptions())
+    for grid, oversample in ((FOLD_GRID, 2), (make_grid(128, 2.56e-3, 256, 0.02, LAM), 1)):
+        beam = ComplexField(grid, np.exp(-((grid.x_axis() / 0.15e-3) ** 2)))
+        with pytest.raises(InvalidConfigurationError, match="lag grid"):
+            wdf_from_field(beam, WdfOptions(oversample_factor=oversample), through=kernel.source)
+
+
+def test_a_folded_trace_holds_two_radiances_and_the_working_set():
+    g = make_grid(1024, 2.048e-3, 1024, 0.016, LAM)
+    x = g.x_axis()
+    beam = ComplexField(g, np.exp(-((x / 0.2e-3) ** 2)))
+    phase = np.random.default_rng(4).uniform(-0.5, 0.5, g.x_samples)
+    mask = ComplexField(g, (np.abs(x) < 0.5e-3) * np.exp(1j * phase))
+    train = OpticalTrain(g, FieldSource(beam), (Element(CodedAperture(mask)), Propagate(0.01)))
+    tracemalloc.start()
+    try:
+        trace = trace_train(train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.label for r in trace.stages] == ["source+coded_aperture", "propagate_0.01m"]
+    # the folded record and the sheared one (8 MiB each) and block buffers;
+    # the source record the two-step path keeps would make a third
+    radiance = trace.final.radiance.nbytes
+    assert peak < 3 * radiance
+
+
+# Trains that keep the source record and apply their first element: a
+# closed-form kernel, a hop before the element, a second element at the same
+# plane, and a source other than a sampled field.
+UNFOLDED = {
+    "closed_form": (FieldSource, (Element(Lens(0.1)), Propagate(0.01)), ["source", "lens", "propagate_0.01m"]),
+    "after_a_hop": (
+        FieldSource,
+        (Propagate(0.01), Element(RectAperture(6e-4))),
+        ["source", "propagate_0.01m", "rect_aperture"],
+    ),
+    "same_plane_group": (
+        FieldSource,
+        (Element(CubicPhase(2e10)), Element(RectAperture(6e-4))),
+        ["source", "cubic_phase", "rect_aperture"],
+    ),
+    "plane_wave": (PlaneWave, (Element(RectAperture(6e-4)),), ["source", "rect_aperture"]),
+}
+
+
+@pytest.mark.parametrize("source, stages, labels", UNFOLDED.values(), ids=UNFOLDED.keys())
+def test_other_trains_keep_the_source_record_and_apply(source, stages, labels):
+    src = FieldSource(fold_beam(0.15e-3)) if source is FieldSource else source(0.0)
+    trace = trace_train(OpticalTrain(FOLD_GRID, src, stages), TraceOptions(compare_oracle=False))
+    assert [r.label for r in trace.stages] == labels
+    assert [r.index for r in trace.stages] == list(range(len(labels)))
+
+
+BOUNDARIES = {
+    f"field_{a}-kernel_{b}": (a, b, "periodic" if a == b == "periodic" else "zero")
+    for a in ("zero", "periodic")
+    for b in ("zero", "periodic")
+}
+
+
+@pytest.mark.parametrize("field_edge, kernel_edge, product_edge", BOUNDARIES.values(), ids=BOUNDARIES.keys())
+def test_the_fold_wraps_the_product_only_if_field_and_kernel_wrap(field_edge, kernel_edge, product_edge):
+    # a field and a mask that do not vanish at the window's edges
+    x = FOLD_GRID.x_axis()
+    field = ComplexField(FOLD_GRID, 1.0 + 0.5 * np.cos(2 * np.pi * x / 6.4e-4))
+    mask = ComplexField(FOLD_GRID, np.exp(0.3j * np.sin(2 * np.pi * x / 1.28e-3)))
+    kernel = canonical_transformer(CodedAperture(mask), FOLD_GRID, WdfOptions(boundary=kernel_edge))
+    folded = wdf_from_field(field, WdfOptions(boundary=field_edge), through=kernel.source)
+    n = FOLD_GRID.x_samples
+    product = _upsample(field.samples, 2 * n) * _upsample(mask.samples, 2 * n)
+    u = FOLD_GRID.u_axis()
+    options = WdfOptions(boundary=product_edge)
+    want = wigner_table(FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, options, fine_samples=product)
+    want /= LAM
+    assert np.abs(folded.radiance - want).max() <= 1e-12 * np.abs(want).max()

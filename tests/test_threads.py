@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +18,19 @@ import auglf.core as core
 import test_transformers
 from auglf import (
     AugmentedLightField,
+    CodedAperture,
     ComplexField,
+    Element,
+    FieldSource,
     LightFieldTransformer,
+    NegativeIntensityWarning,
+    OpticalTrain,
     PhaseSpaceGrid,
+    TraceOptions,
     WdfOptions,
     apply_transformer,
     shear_propagate,
+    trace_train,
     transformer_from_transmittance,
     wdf_from_field,
 )
@@ -84,6 +92,15 @@ def outputs(grid):
         "streamed_leak_fraction": streamed.meta["theta_leak_fraction"],
         "streamed_zero_edge": apply_transformer(alf, zero_edge).radiance,
     }
+    # a field source folded into its first element, on the Wigner transform's threads
+    train = OpticalTrain(grid, FieldSource(random_field(grid, 4)), (Element(CodedAperture(mask)),))
+    with warnings.catch_warnings():
+        # the random mask and field pass the angle window, so the projection goes negative
+        warnings.simplefilter("ignore", NegativeIntensityWarning)
+        folded = trace_train(train, TraceOptions(compare_oracle=False)).final
+    got["folded"] = folded.radiance
+    got["folded_leak"] = folded.meta["theta_leak"]
+    got["folded_leak_fraction"] = folded.meta["theta_leak_fraction"]
     for interp in ("linear", "bandlimited"):
         sheared, loss = shear_propagate(alf, SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2), interp)
         got[f"shear_{interp}"], got[f"shear_{interp}_loss"] = sheared.radiance, loss

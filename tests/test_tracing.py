@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` replaces layer functions in auglf's module
 namespaces.  Memory spans may not nest, and the kernel apply runs inside
 one, so the numeric kernel's streamed rows must not go through the spanned
-``transformers.wigner_table``.
+``transformers.wigner_table``; nor may a field source's Wigner transform,
+folded with its first element, inside the ``wdf.field`` span.
 """
 
 import importlib.util
@@ -37,14 +38,17 @@ def load_tracing():
     return module
 
 
-def coded_train():
+def coded_train(hop):
     g = make_grid(128, 1.28e-3, 128, 0.02, LAM)
     x = g.x_axis()
     rng = np.random.default_rng(5)
     stop = np.abs(x) < 0.4e-3
     mask = ComplexField(g, stop * np.exp(1j * rng.uniform(-0.5, 0.5, g.x_samples)))
     beam = ComplexField(g, np.exp(-((x / 0.2e-3) ** 2)))
-    return OpticalTrain(g, FieldSource(beam), (Element(CodedAperture(mask)), Propagate(0.01)))
+    stages = (Element(CodedAperture(mask)), Propagate(0.01))
+    if hop:
+        stages = (Propagate(1e-3),) + stages
+    return OpticalTrain(g, FieldSource(beam), stages)
 
 
 def run(train):
@@ -53,9 +57,9 @@ def run(train):
         return auglf.scenarios.trace_train(train, TraceOptions())
 
 
-def test_traced_coded_aperture_run_matches_the_untraced_bits():
+def traced_and_plain(train):
+    """The train's trace with the benchmark's spans installed, the spans, and its plain trace."""
     tracing = load_tracing()
-    train = coded_train()
     plain = run(train)
     modules = (auglf.scenarios, auglf.transformers, auglf.cli)
     saved = [(module, dict(vars(module))) for module in modules]
@@ -69,16 +73,42 @@ def test_traced_coded_aperture_run_matches_the_untraced_bits():
                 setattr(module, name, value)
     for module, attrs in saved:
         assert all(getattr(module, name) is value for name, value in attrs.items())
+    return traced, tracer.spans, plain
 
+
+def assert_same_bits(traced, plain):
     for got, want in (
         (traced.report.alf_intensity, plain.report.alf_intensity),
         (traced.report.oracle_intensity, plain.report.oracle_intensity),
     ):
         assert np.array_equal(got.values, want.values)
     assert np.array_equal(traced.final.radiance, plain.final.radiance)
-    names = [s["name"] for s in tracer.spans]
+
+
+def assert_leaf(spans, name):
+    span = next(s for s in spans if s["name"] == name)
+    assert not any(s["parent"] == span["id"] for s in spans), name
+
+
+def test_traced_coded_aperture_run_matches_the_untraced_bits():
+    # behind a hop the mask is applied to the sheared source radiance,
+    # inside the apply's memory span
+    traced, spans, plain = traced_and_plain(coded_train(hop=True))
+    assert_same_bits(traced, plain)
+    names = [s["name"] for s in spans]
     assert names.count("transformers.apply") == 1
     # the build observer assembles the table once, outside the apply's span
     assert names.count("wdf.kernel") == 1
-    apply_span = tracer.spans[names.index("transformers.apply")]
-    assert not any(s["parent"] == apply_span["id"] for s in tracer.spans)
+    assert_leaf(spans, "transformers.apply")
+
+
+def test_traced_folded_source_run_matches_the_untraced_bits():
+    # right at the source the mask is folded into the source's Wigner
+    # transform, inside that transform's memory span, and nothing is applied
+    traced, spans, plain = traced_and_plain(coded_train(hop=False))
+    assert_same_bits(traced, plain)
+    assert [r.label for r in traced.stages] == ["source+coded_aperture", "propagate_0.01m"]
+    names = [s["name"] for s in spans]
+    assert names.count("transformers.apply") == 0
+    assert names.count("wdf.field") == names.count("wdf.kernel") == 1
+    assert_leaf(spans, "wdf.field")

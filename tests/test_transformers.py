@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from auglf import (
     make_grid,
     transformer_from_transmittance,
 )
+import auglf.core as core
 from auglf.config import parse_config
 from auglf.transformers import _BLOCK_BYTES, _block_rows
 from oracles import angle_convolution, apply_dense_kernel, linear_apply, phase_grating_orders
@@ -469,11 +471,31 @@ def assert_lag_apply_matches_the_table(grid, options, fine_samples=None):
     return t
 
 
+def lag_block_rows(theta_samples, options, x_samples):
+    """Rows per block of one worker's lag-domain apply, at the transform length of its lag count."""
+    n_lags = options.oversample_factor * x_samples + 1
+    return _block_rows(2 * next_fast_len(theta_samples + n_lags - 1))
+
+
+# The lag apply's blocks shrink as rows are added, since the lag count grows
+# with them, so each case is the first row count x of its shape, for the
+# block size b(x) at x rows: one row, the most rows one block holds, a
+# ragged last block after two whole ones, and two or more whole blocks.
+LAG_ROW_SHAPES = {
+    "single_row": lambda x, b: x == 1,
+    "under_one_block": lambda x, b: x < b(x) and x + 1 >= b(x + 1),
+    "ragged_blocks": lambda x, b: x > 2 * b(x) and x % b(x) > 0,
+    "whole_blocks": lambda x, b: x >= 2 * b(x) and x % b(x) == 0,
+}
+
+
 @pytest.mark.parametrize("settings", NUMERIC_SETTINGS.values(), ids=NUMERIC_SETTINGS.keys())
-@pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
-def test_lag_domain_numeric_apply_matches_the_assembled_table(rows_of, settings):
+@pytest.mark.parametrize("shape", LAG_ROW_SHAPES.values(), ids=LAG_ROW_SHAPES.keys())
+def test_lag_domain_numeric_apply_matches_the_assembled_table(monkeypatch, shape, settings):
+    monkeypatch.setattr(core, "_worker_count", lambda: 1)  # one worker's blocks
     options, fine, theta_samples = settings
-    x_samples = rows_of(_block_rows(next_fast_len(2 * BLOCK_THETA - 1)))
+    block = partial(lag_block_rows, theta_samples, options)
+    x_samples = next(x for x in range(1, 1024) if shape(x, block))
     grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, theta_samples, 0.02, LAM)
     fine_samples = None
     if fine:
