@@ -254,6 +254,11 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
+# Bytes of buffers per block of the row-blocked loops (the shear, the
+# kernel applies); rows per block follow from the row length.
+_BLOCK_BYTES = 1 << 20
+
+
 def _worker_count() -> int:
     """Threads a row loop may use: the CPUs this process is allowed to run on."""
     try:

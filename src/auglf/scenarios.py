@@ -39,7 +39,7 @@ from .core import (
 )
 from .elements import CubicPhase, ElementSpec, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
-from .propagation import _INTERP_MODES, shear_propagate
+from .propagation import shear_propagate
 from .transformers import NumericTransformer, apply_transformer, canonical_transformer
 from .wdf import WdfOptions, wdf_from_field
 
@@ -120,11 +120,9 @@ class OpticalTrain:
 class TraceOptions:
     """Numerical choices shared by one trace.
 
-    Each field but compare_oracle is a ``[numerics]`` key of a scenario file.
+    Each field but compare_oracle is a ``[numerics]`` key of a scenario file;
+    none picks how rows move (every shear uses ``propagation._shift_rows``).
 
-    interp          : shear interpolation; linear is robust for the spike-like
-                      radiance of ideal sources, bandlimited is exact for
-                      smooth fields
     oracle_pad      : wave pipeline axis enlargement factor (integer >= 1)
     match_etendue   : clamp the wave field to the angular window's bandwidth
                       so both pipelines carry the same etendue
@@ -136,7 +134,6 @@ class TraceOptions:
     compare_oracle  : run the wave pipeline and fill the comparison fields
     """
 
-    interp: str = "linear"
     oracle_pad: int = 2
     match_etendue: bool = True
     abort_loss: float = 0.9
@@ -149,10 +146,6 @@ class TraceOptions:
         object.__setattr__(
             self, "wdf_options", WdfOptions(oversample_factor=self.oversample, window=self.window)
         )
-        if self.interp not in _INTERP_MODES:
-            raise InvalidConfigurationError(
-                f"interp must be one of {_INTERP_MODES}, got {self.interp!r}"
-            )
         if self.oracle_pad < 1 or self.oracle_pad != int(self.oracle_pad):
             raise InvalidConfigurationError(
                 f"oracle_pad must be a positive integer, got {self.oracle_pad!r}"
@@ -345,7 +338,7 @@ def trace_train(
     for k, stage in enumerate(train.stages, start=1):
         label, kernel = _stage_label(stage), None
         if isinstance(stage, Propagate):
-            alf, loss = shear_propagate(alf, stage.distance, interp=options.interp)
+            alf, loss = shear_propagate(alf, stage.distance)
         else:
             transformer = first if k == 1 and first is not None else canonical_transformer(
                 stage.spec, grid, options.wdf_options

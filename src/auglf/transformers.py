@@ -13,8 +13,10 @@ interference structure of coherent elements.
 Each kernel kind brings its own apply (``convolver``); neither makes its
 ``(x_samples, 2n - 1)`` table, which ``kernel`` assembles only when read.
 A closed-form kernel (``LightFieldTransformer``) is delta lines that move
-a weighted share of each row by whole angle steps (prism, lens, gratings),
-added as slice copies, and a few full rows (pinholes), convolved by rfft.
+a weighted share of each row by a fractional number of angle steps
+(prism, lens, gratings): a shear along theta by the row shifter the
+free-space shear uses (``propagation._shift_rows``).  Its few full rows
+(pinholes) are convolved by rfft.
 The numeric kernel of a sampled transmittance (``NumericTransformer``),
 which every dense element uses, is a multiplication by the lag products
 t(x + s/2) t*(x - s/2) in the lag domain (Bastiaans, JOSA 69, 1710,
@@ -35,7 +37,6 @@ count.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +44,7 @@ import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 
 from .core import (
+    _BLOCK_BYTES,
     AugmentedLightField,
     ClippedOrderWarning,
     ComplexField,
@@ -54,83 +56,81 @@ from .core import (
     _next_fast_len,
     _over_rows,
 )
+from .propagation import _MARGIN, _padded_rows, _shift_rows
 from .wdf import WdfOptions, WignerRows, _lag_chirps, wigner_table
 
 import warnings
-
-# Spectrum bytes per block of the row-blocked convolutions; rows per block
-# follow from the transform length.
-_BLOCK_BYTES = 1 << 20
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class LightFieldTransformer:
     """Closed-form kernel as delta lines and a few full rows.
 
     Line k moves the share ``weights[k, i]`` of position row i by
-    ``columns[k, i] - (theta_samples - 1)`` angle steps: a delta of
-    ``weights[k, i] / dtheta`` at that relative-angle column.  Both arrays
-    are ``(lines, x_samples)``.  ``rows`` maps a position row to its full
-    kernel row.  ``kernel`` assembles the table on each access.
+    ``shifts[k, i]`` angle steps, a fraction included: a delta of
+    ``weights[k, i] / dtheta`` at that relative angle, which the apply
+    spreads over the 8 taps of ``propagation._shift_rows``.  Both arrays
+    are ``(lines, x_samples)``, and no shift leaves the relative-angle axis
+    (at most ``theta_samples - 1`` steps either way).  ``rows`` maps a
+    position row to its full kernel row.  ``kernel`` assembles the table on
+    each access.
     """
 
     grid: PhaseSpaceGrid
-    columns: np.ndarray
+    shifts: np.ndarray
     weights: np.ndarray
     rows: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n_x, width = self.grid.x_samples, 2 * self.grid.theta_samples - 1
-        columns = _freeze(np.array(self.columns, dtype=np.int64).reshape(-1, n_x))
-        weights = _freeze(np.array(self.weights, dtype=np.float64).reshape(columns.shape))
-        rows = {int(i): _frozen_array(row, np.float64, (width,), "kernel row") for i, row in self.rows.items()}
-        on_table = ((columns >= 0) & (columns < width)).all() and all(0 <= i < n_x for i in rows)
+        n_x, n = self.grid.x_samples, self.grid.theta_samples
+        shifts = _freeze(np.array(self.shifts, dtype=np.float64).reshape(-1, n_x))
+        weights = _freeze(np.array(self.weights, dtype=np.float64).reshape(shifts.shape))
+        rows = {int(i): _frozen_array(row, np.float64, (2 * n - 1,), "kernel row") for i, row in self.rows.items()}
+        on_table = (np.abs(shifts) <= n - 1).all() and all(0 <= i < n_x for i in rows)
         if not (on_table and np.isfinite(weights).all()):
             raise InvalidConfigurationError("kernel lines and rows must lie on the table, with finite weights")
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rows", rows)
 
     def convolver(self, radiance, out, leak_rows, totals):
-        """Row-range worker of ``apply_transformer``: slice copies of the lines, rfft of the rows.
+        """Row-range worker of ``apply_transformer``: a theta-shear per line, rfft of the rows.
 
-        Each block of rows is zeroed and each line adds its weighted rows,
-        shifted by whole angle steps, as one 2-D slice per run of rows that
-        share a column.  A row's total is its sum times its line weights,
-        and its leak that total less the kept sum; with no lines, rows and
-        totals start at 0 without a pass over the radiance.  A full row is convolved
-        by rfft at ``nfft = _next_fast_len(2n - 1)``: the kept bins
-        ``[n - 1, 2n - 2]`` receive exactly their own linear terms and every
-        other term wraps into a bin outside them, whose sum is its leak.
+        Each block of rows is copied between zero margins, and each line
+        moves its weighted rows by its shifts (``propagation._shift_rows``),
+        the first straight into the result and the others through a
+        scratch block added to it.  A row's total is its sum times its line
+        weights, and its leak that total less the kept sum; a kernel
+        without lines (the pinholes) leaves rows, totals and leaks at the
+        zeros ``apply_transformer`` starts them from.  A full row is
+        convolved by rfft at ``nfft = _next_fast_len(2n - 1)``: the kept
+        bins ``[n - 1, 2n - 2]`` receive exactly their own linear terms and
+        every other term wraps into a bin outside them, whose sum is its
+        leak.
         """
         grid, n = self.grid, self.grid.theta_samples
         nfft = _next_fast_len(2 * n - 1)
-        # per line, the first row of each run of rows sharing a column
-        starts = [(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist() for c in self.columns]
         row_weights = self.weights.sum(axis=0)
 
         def lines(start: int, stop: int, workers: int) -> None:
-            step = max(1, _BLOCK_BYTES // workers // (8 * n))
-            scratch = np.empty((min(step, stop - start), n))
+            step = max(1, _BLOCK_BYTES // workers // (16 * n))  # margined rows and scratch
+            padded_buf = _padded_rows(min(step, stop - start), n)
+            scratch = np.empty((len(padded_buf), n))
             for lo in range(start, stop, step):
                 hi = min(lo + step, stop)
-                out[lo:hi] = 0.0
-                for cols, cuts, weights in zip(self.columns, starts, self.weights):
-                    inner = cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]
-                    for a, b in zip([lo] + inner, inner + [hi]):
-                        shift = cols[a] - (n - 1)
-                        src = radiance[a:b, max(-shift, 0) : n - max(shift, 0)]
-                        part = scratch[: b - a, : src.shape[1]]
-                        out[a:b, max(shift, 0) : n + min(shift, 0)] += np.multiply(src, weights[a:b, None], out=part)
+                padded = padded_buf[: hi - lo]
+                padded[:, _MARGIN:-_MARGIN] = radiance[lo:hi]
+                for k, (shifts, weights) in enumerate(zip(self.shifts, self.weights)):
+                    moved = out[lo:hi] if k == 0 else scratch[: hi - lo]
+                    _shift_rows(padded, shifts[lo:hi], moved, weights[lo:hi])
+                    if k:
+                        out[lo:hi] += moved
                 totals[lo:hi] = radiance[lo:hi].sum(axis=1) * row_weights[lo:hi]
                 leak_rows[lo:hi] = totals[lo:hi] - out[lo:hi].sum(axis=1)
 
         def convolve(start: int, stop: int, workers: int) -> None:
-            if len(self.columns):
+            if len(self.shifts):
                 lines(start, stop, workers)
-            else:  # no lines (the pinholes): nothing to sum, every line total is 0
-                out[start:stop] = totals[start:stop] = leak_rows[start:stop] = 0.0
             for i, row in self.rows.items():
                 if start <= i < stop:
                     spec = rfft(row, nfft)
@@ -145,9 +145,14 @@ class LightFieldTransformer:
 
     @property
     def kernel(self) -> np.ndarray:
-        table = np.zeros((self.grid.x_samples, 2 * self.grid.theta_samples - 1))
-        for cols, weights in zip(self.columns, self.weights):
-            table[np.arange(len(cols)), cols] += weights / self.grid.dtheta
+        """The table: each line moving a delta at zero deflection, the taps off the table dropped, and the full rows."""
+        n_x, width = self.grid.x_samples, 2 * self.grid.theta_samples - 1
+        deltas = _padded_rows(n_x, width)
+        deltas[:, _MARGIN + width // 2] = 1.0 / self.grid.dtheta
+        table, moved = np.zeros((n_x, width)), np.empty((n_x, width))
+        for shifts, weights in zip(self.shifts, self.weights):
+            _shift_rows(deltas, shifts, moved, weights)
+            table += moved
         for i, row in self.rows.items():
             table[i] += row
         return _freeze(table)
@@ -238,15 +243,16 @@ class NumericTransformer:
 def _delta_lines(grid: PhaseSpaceGrid, deflections, weights, label: str) -> LightFieldTransformer:
     """Transformer of delta lines, warning once if any deflection left the axis.
 
-    ``deflections`` and ``weights`` broadcast to ``(lines, x_samples)``, and
-    each deflection is rounded to the nearest column.  A weight whose column
-    is off the relative-angle axis is dropped and adds ``|weight| dx`` to
-    ``meta["clipped_weight"]``.
+    ``deflections`` and ``weights`` broadcast to ``(lines, x_samples)``;
+    each deflection becomes a shift of ``deflection / dtheta`` angle steps,
+    not rounded.  A weight whose shift is off the relative-angle axis (more
+    than ``theta_samples - 1`` steps) is dropped and adds ``|weight| dx``
+    to ``meta["clipped_weight"]``.
     """
     n = grid.theta_samples
     deflections, weights = np.broadcast_arrays(deflections, np.asarray(weights, dtype=np.float64))
-    columns = np.rint(deflections / grid.dtheta).astype(np.int64) + n - 1
-    off = (columns < 0) | (columns > 2 * n - 2)
+    shifts = deflections / grid.dtheta
+    off = np.abs(shifts) > n - 1
     clipped = float(np.abs(weights[off]).sum()) * grid.dx
     if clipped > 0.0:
         warnings.warn(
@@ -258,7 +264,7 @@ def _delta_lines(grid: PhaseSpaceGrid, deflections, weights, label: str) -> Ligh
     weights = np.where(off, 0.0, weights)
     lines = weights.any(axis=1)  # a line left without weight goes
     return LightFieldTransformer(
-        grid, np.clip(columns, 0, 2 * n - 2)[lines], weights[lines], meta={"element": label, "clipped_weight": clipped}
+        grid, np.where(off, 0.0, shifts)[lines], weights[lines], meta={"element": label, "clipped_weight": clipped}
     )
 
 
@@ -343,16 +349,18 @@ def apply_transformer(
 
     Each kernel kind convolves by its own ``convolver``, a block of rows at
     a time straight into the result, so beyond the input and output
-    radiance it holds a few MiB whatever the grid.
+    radiance it holds a few MiB whatever the grid.  The result starts as
+    calloc'd zeros (``np.zeros``): rows a convolver leaves alone, as the
+    pinholes do, cost neither a pass nor a page.
     """
     grid = alf.grid
     if transformer.grid != grid:
         raise InvalidConfigurationError(
             "transformer and light field live on different grids"
         )
-    out = np.empty_like(alf.radiance)
-    leak_rows = np.empty(grid.x_samples)
-    totals = np.empty(grid.x_samples)
+    out = np.zeros(alf.radiance.shape)
+    leak_rows = np.zeros(grid.x_samples)
+    totals = np.zeros(grid.x_samples)
     _over_rows(grid.x_samples, transformer.convolver(alf.radiance, out, leak_rows, totals))
     meta = {**alf.meta, **_leak_meta(grid, leak_rows, totals)}
     return AugmentedLightField(grid, _freeze(out), meta)

@@ -126,6 +126,68 @@ def angle_convolution(kernel, radiance, dtheta):
     return np.stack([np.convolve(k, r) for k, r in zip(kernel, radiance)]) * dtheta
 
 
+def lanczos_taps(bins):
+    """The moves ``[(t, weight)]`` that make up a move by ``bins`` samples.
+
+    One per whole t with |t - bins| < 4, of weight sinc(t - bins)
+    sinc((t - bins) / 4) (exactly 0 at a nonzero whole argument), the
+    weights scaled to sum to 1.
+    """
+    ts = [t for t in range(int(np.floor(bins)) - 4, int(np.floor(bins)) + 6) if abs(t - bins) < 4]
+    weights = []
+    for t in ts:
+        x = t - bins
+        if x == 0:
+            weights.append(1.0)
+        elif x == round(x):
+            weights.append(0.0)
+        else:
+            weights.append(np.sin(np.pi * x) / (np.pi * x) * (np.sin(np.pi * x / 4) / (np.pi * x / 4)))
+    norm = sum(weights)
+    return [(t, w / norm) for t, w in zip(ts, weights)]
+
+
+def lanczos_shift(row, bins):
+    """``row`` moved by ``bins`` samples, tap by tap, and the content moved off it.
+
+    Sample i lands on i + t with the weight of every tap ``(t, weight)``
+    of ``lanczos_taps``.  Returns the kept n samples and the sum of what
+    landed off them.
+    """
+    n = len(row)
+    kept = np.zeros(n)
+    dropped = 0.0
+    for t, w in lanczos_taps(bins):
+        moved = row * w
+        lo, hi = max(0, t), min(n, n + t)
+        if lo < hi:
+            kept[lo:hi] += moved[lo - t : hi - t]
+            dropped += moved[: lo - t].sum() + moved[hi - t :].sum()
+        else:
+            dropped += moved.sum()
+    return kept, dropped
+
+
+def fourier_shear(radiance, bins):
+    """Angle column j of ``radiance`` moved by ``bins[j]`` position samples by the exact Fourier shift.
+
+    All columns at once, zero-padded by a guard beyond the largest move so
+    that what leaves the window is dropped, not wrapped.  Returns the
+    result and the truncation loss as ``shear_propagate`` reports it.
+    """
+    rows = np.ascontiguousarray(radiance.T)
+    n = rows.shape[1]
+    guard = int(np.ceil(np.abs(bins).max())) + 4
+    padded_len = next_fast_len(n + 2 * guard)
+    padded = np.zeros((rows.shape[0], padded_len))
+    padded[:, guard : guard + n] = rows
+    phase = np.exp(-2j * np.pi * np.fft.rfftfreq(padded_len)[np.newaxis, :] * bins[:, np.newaxis])
+    shifted = irfft(rfft(padded, axis=1) * phase, padded_len, axis=1)[:, guard : guard + n]
+    in_sums = rows.sum(axis=1)
+    loss = float(np.abs(in_sums - shifted.sum(axis=1)).sum()) / float(np.abs(in_sums).sum())
+    return shifted.T, loss
+
+
 def hologram_kernel(grid, source_distance, width):
     """Closed-form kernel table of a hologram plate of finite width, evaluated over the whole table at once.
 
@@ -179,9 +241,10 @@ def phase_grating_orders(grid, depth, period, floor=1e-14):
 
     Order s deflects by lam s / (2 period) with profile
     sum_n J_{s-n}(depth) J_n(depth) cos(2 pi (s - 2n) x / period), summed
-    term by term over the pairs whose Bessel product exceeds ``floor``.  An
-    order whose column falls outside the kernel adds sum |profile| dx to the
-    clipped weight instead.
+    term by term over the pairs whose Bessel product exceeds ``floor``, and
+    spread over the columns of its ``lanczos_taps`` that fall on the table.
+    An order that deflects by more than n - 1 angle steps adds
+    sum |profile| dx to the clipped weight instead.
     """
     n = grid.theta_samples
     x = grid.x_axis()
@@ -196,11 +259,13 @@ def phase_grating_orders(grid, depth, period, floor=1e-14):
                 profile += c * np.cos(2.0 * np.pi * (s - 2 * m) * x / period)
         if not profile.any():
             continue
-        col = int(np.rint(0.5 * grid.wavelength * s / period / grid.dtheta)) + n - 1
-        if 0 <= col <= 2 * n - 2:
-            kernel[:, col] += profile / grid.dtheta
-        else:
+        bins = 0.5 * grid.wavelength * s / period / grid.dtheta
+        if abs(bins) > n - 1:
             clipped += float(np.abs(profile).sum()) * grid.dx
+            continue
+        for t, w in lanczos_taps(bins):
+            if 0 <= t + n - 1 <= 2 * n - 2:
+                kernel[:, t + n - 1] += profile * w / grid.dtheta
     return kernel, clipped
 
 

@@ -71,7 +71,7 @@ def test_parses_minimal_scenario(tmp_path):
     train = cfg.train()
     assert isinstance(train, OpticalTrain) and train.grid == cfg.grid
     opts = cfg.trace_options()
-    assert opts.interp == "linear" and opts.oracle_pad == 2
+    assert opts.oracle_pad == 2
     # no [numerics] section: the trace's own defaults, so the two cannot drift
     assert opts == TraceOptions() and opts.wdf_options == TraceOptions().wdf_options
     assert cfg.trace_options(compare_oracle=False) == TraceOptions(compare_oracle=False)
@@ -92,7 +92,7 @@ def test_echo_resolves_every_default(tmp_path):
     assert echo["stage.1.element"] == "rect_aperture"
     assert echo["stage.2.kind"] == "propagate"
     assert echo["output.tables"] == "on"
-    assert echo["numerics.interp"] == "linear"
+    assert "numerics.interp" not in echo  # one row shifter, no setting
     assert echo["numerics.abort_loss"].startswith("0.9")
     assert all(isinstance(v, str) for v in echo.values())
 
@@ -220,7 +220,7 @@ def test_two_pinhole_stage(tmp_path):
         (lambda b: b.replace("width = 5e-4", "width = 5e-4\nradius = 1"), "radius"),
         (lambda b: b.replace("[stage.2]", "[stage.4]"), "stage"),
         (lambda b: b.replace("distance = 0.05", "distance = -0.05"), "distance"),
-        (lambda b: b + "\n[numerics]\ninterp = cubic\n", "interp"),
+        (lambda b: b + "\n[numerics]\ninterp = linear\n", "unknown key(s) interp"),
         (lambda b: b + "\n[numerics]\nwindow = hann\n", "window"),
         (lambda b: b + "\n[numerics]\noversample = 3\n", "oversample"),
         (lambda b: b + "\n[numerics]\noracle_pad = 0\n", "oracle_pad"),

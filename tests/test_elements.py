@@ -356,15 +356,15 @@ def test_unknown_spec_rejected():
 # applied to one smooth radiance on a 256 x 256 grid: a Gaussian of a
 # twelfth of the window in x and of 16 angle steps in angle.  On-bin
 # deflections agree to the Gaussian's 1.5e-8 at the window edge (measured
-# 1.5e-8 lens, 3.1e-8 prism).  Off-bin, the delta kernel rounds each
-# deflection to a column, which moves the output by up to e^{-1/2} / 16 of
-# the peak per angle step of rounding (measured 1.14e-2 at 0.3 steps, 1.84e-2
-# at up to 0.5 steps).
+# 1.5e-8 lens, 3.1e-8 prism).  Off-bin, the delta line moves each row by
+# its fractional deflection with the Lanczos-4 taps of the row shifter,
+# whose error on this Gaussian sets the bound (measured 5.2e-4 lens, 4.9e-4
+# prism).
 DEFLECTORS = {
     "lens_on_bin": (lambda g: Lens(g.x_extent / g.theta_extent), 1e-7),
     "prism_on_bin": (lambda g: Prism(2 * np.pi * 3 * g.dtheta / LAM), 1e-7),
-    "lens_off_bin": (lambda g: Lens(g.x_extent / (0.7 * g.theta_extent)), 0.02),
-    "prism_off_bin": (lambda g: Prism(2 * np.pi * 3.3 * g.dtheta / LAM), 0.0125),
+    "lens_off_bin": (lambda g: Lens(g.x_extent / (0.7 * g.theta_extent)), 1e-3),
+    "prism_off_bin": (lambda g: Prism(2 * np.pi * 3.3 * g.dtheta / LAM), 1e-3),
 }
 
 

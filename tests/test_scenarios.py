@@ -41,6 +41,7 @@ from auglf.elements import element_label
 from auglf.wdf import _upsample, wigner_table
 from auglf.config import OutputOptions, parse_config
 from auglf.scenarios import _padded_grid
+from oracles import fourier_shear
 
 LAM = 633e-9
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -83,16 +84,23 @@ def test_single_lens_config_agrees_with_wave_pipeline():
 
 
 @pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")
-def test_plane_wave_through_a_slit_keeps_its_intensity_non_negative():
+def test_plane_wave_through_a_slit_is_non_negative_and_rings_as_the_exact_shear_does():
     # the slit kernel takes the slit's exact values between the samples; a
     # band-limited interpolant of the jump rings and drives the projected
-    # intensity negative, right after the slit and after 2 cm
+    # intensity negative right after the slit
     g = make_grid(256, 2.048e-3, 256, 1.2e-2, LAM)
     train = OpticalTrain(g, PlaneWave(0.0), (Element(RectAperture(5e-4)), Propagate(0.02)))
     trace = trace_train(train, TraceOptions(compare_oracle=False))
-    for alf in (trace.stages[1].alf, trace.final):
-        values = project_intensity(alf).values
-        assert values.min() >= 0.0
+    assert project_intensity(trace.stages[1].alf).values.min() >= 0.0
+    # every angle row of the slit's radiance has a kink at both edges, on
+    # which a shift that keeps more than linear accuracy rings a little:
+    # after 2 cm the exact Fourier shift gives a negativity of 5.1e-5 of
+    # the peak, the Lanczos-4 shear 3.1e-5 and agrees with it to 3.8e-4
+    final = project_intensity(trace.final).values
+    exact, _ = fourier_shear(trace.stages[1].alf.radiance, 0.02 * g.theta_axis() / g.dx)
+    exact = exact.sum(axis=1) * g.dtheta
+    assert -final.min() <= 1e-4 * final.max()
+    assert np.abs(final - exact).max() <= 1e-3 * exact.max()
 
 
 def test_virtual_source_leaves_intensity_dark():
@@ -139,8 +147,8 @@ def test_stage_validation():
         TraceOptions(oracle_pad=0)
     with pytest.raises(InvalidConfigurationError):
         TraceOptions(abort_loss=0.0)
-    with pytest.raises(InvalidConfigurationError, match="interp"):
-        TraceOptions(interp="cubic")
+    with pytest.raises(TypeError, match="interp"):
+        TraceOptions(interp="linear")
 
 
 def test_source_materialization():
@@ -274,7 +282,12 @@ def coded_mask():
 
 
 FOLDED_ELEMENTS = {
-    "coded_aperture": CodedAperture(coded_mask()),
+    # the mask's random phase passes the angle window, so the projection
+    # after the hop goes negative: 1.35e-2 of the peak, 1.27e-2 with the
+    # exact Fourier shear
+    "coded_aperture": pytest.param(
+        CodedAperture(coded_mask()), marks=pytest.mark.filterwarnings("ignore::auglf.NegativeIntensityWarning")
+    ),
     "rect_aperture": RectAperture(6e-4),
     "cubic_phase": CubicPhase(2e10),
     "bounded_hologram": Hologram(0.15, width=1e-3),

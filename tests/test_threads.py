@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import auglf.core as core
+import test_propagation
 import test_transformers
 from auglf import (
     AugmentedLightField,
@@ -40,8 +41,7 @@ from auglf.wdf import wigner_table
 LAM = 633e-9
 THETA = 256
 # A ragged number of rows spanning several blocks of the one-worker line
-# apply (the largest blocks of the row loops), so every worker count cuts
-# the rows into ranges of several blocks.
+# apply, so every worker count cuts the rows into ranges of several blocks.
 MANY_ROWS = 2 * (_BLOCK_BYTES // (8 * THETA)) + 3
 # Worker counts against row counts; 8 workers on 5 rows is more workers than rows.
 # The shears move the steepest rows by 0.3 of the position window.
@@ -101,9 +101,8 @@ def outputs(grid):
     got["folded"] = folded.radiance
     got["folded_leak"] = folded.meta["theta_leak"]
     got["folded_leak_fraction"] = folded.meta["theta_leak_fraction"]
-    for interp in ("linear", "bandlimited"):
-        sheared, loss = shear_propagate(alf, SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2), interp)
-        got[f"shear_{interp}"], got[f"shear_{interp}_loss"] = sheared.radiance, loss
+    sheared, got["shear_loss"] = shear_propagate(alf, SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2))
+    got["shear"] = sheared.radiance
     return got
 
 
@@ -150,7 +149,7 @@ def test_a_failing_range_raises_in_the_caller_and_leaves_no_thread(monkeypatch, 
     alf = random_radiance(grid, 1)
     force_workers(monkeypatch, 3)
     before = threading.active_count()
-    failing = FailingRows(grid, lines.columns, lines.weights, lines.rows, {"bad_row": bad_row})
+    failing = FailingRows(grid, lines.shifts, lines.weights, lines.rows, {"bad_row": bad_row})
     with pytest.raises(ArithmeticError, match=f"row {bad_row}"):
         apply_transformer(alf, failing)
     assert threading.active_count() == before
@@ -180,6 +179,7 @@ def test_working_memory_bounds_hold_with_four_workers(monkeypatch):
     force_workers(monkeypatch, 4)
     test_transformers.test_line_apply_working_memory_is_one_block()
     test_transformers.test_numeric_kernel_build_and_apply_never_hold_the_table()
+    test_propagation.assert_shear_working_memory_is_three_column_blocks()
 
 
 def test_worker_count_is_the_affinity_count():

@@ -31,7 +31,7 @@ from auglf import (
 import auglf.core as core
 from auglf.config import parse_config
 from auglf.transformers import _BLOCK_BYTES, _block_rows
-from oracles import angle_convolution, apply_dense_kernel, linear_apply, phase_grating_orders
+from oracles import angle_convolution, apply_dense_kernel, lanczos_shift, linear_apply, phase_grating_orders
 
 LAM = 633e-9
 
@@ -56,22 +56,28 @@ def on_bin_prism(grid, bins):
 def identity(grid):
     """Kernel that leaves any light field unchanged: one line of weight 1 at zero deflection."""
     lines = (1, grid.x_samples)
-    return LightFieldTransformer(grid, np.full(lines, grid.theta_samples - 1), np.ones(lines))
+    return LightFieldTransformer(grid, np.zeros(lines), np.ones(lines))
 
 
 def random_lines(grid, rng, lines=3, rows=2):
     """A closed-form kernel of random delta lines and full rows.
 
-    The first line keeps one column, as a grating order does; the others
-    keep each column over a run of up to 4 rows, as a lens does.  The full
-    rows sit on random positions, on top of the lines.
+    The first line keeps one shift, as a grating order does; the others
+    keep each shift over a run of up to 4 rows, as a lens does.  Shifts
+    are whole on the second line, and wherever some of the 8 taps of a
+    fractional shift would fall off the table, so that the assembled table
+    holds every line whole; the rest are fractional.  The full rows sit on
+    random positions, on top of the lines.
     """
     n, n_x = grid.theta_samples, grid.x_samples
-    columns = rng.integers(0, 2 * n - 1, size=(lines, n_x // 4 + 1)).repeat(4, axis=1)[:, :n_x]
-    columns[:1] = rng.integers(0, 2 * n - 1)
+    shifts = rng.uniform(1 - n, n - 1, size=(lines, n_x // 4 + 1)).repeat(4, axis=1)[:, :n_x]
+    shifts[:1] = rng.uniform(1 - n, n - 1)
+    shifts[1:2] = np.rint(shifts[1:2])
+    off_table = (np.floor(shifts) < 4 - n) | (np.floor(shifts) > n - 5)
+    shifts = np.where(off_table, np.rint(shifts), shifts)
     profiles = rng.normal(size=(min(rows, n_x), 2 * n - 1))
     at = rng.choice(n_x, size=len(profiles), replace=False).tolist()
-    return LightFieldTransformer(grid, columns, rng.normal(size=columns.shape), dict(zip(at, profiles)))
+    return LightFieldTransformer(grid, shifts, rng.normal(size=shifts.shape), dict(zip(at, profiles)))
 
 
 def test_identity_application_is_exact():
@@ -266,6 +272,27 @@ def test_clipped_orders_warn():
         canonical_transformer(on_bin_prism(g, 4 * g.theta_samples), g)
 
 
+def test_deflectors_keep_their_fractional_shifts():
+    # each row moves by its deflection over dtheta, not rounded to a column
+    g = resonant_grid()
+    for spec in (Lens(g.x_extent / (0.7 * g.theta_extent)), on_bin_prism(g, 3.3)):
+        t = canonical_transformer(spec, g)
+        assert np.array_equal(t.shifts, spec.deflection(LAM, g.x_axis())[np.newaxis, :] / g.dtheta)
+        assert np.any(t.shifts != np.rint(t.shifts))
+
+
+def test_a_shift_past_the_axis_is_clipped_and_one_on_its_edge_kept():
+    g = resonant_grid()
+    n = g.theta_samples
+    edge = LightFieldTransformer(g, np.full((1, g.x_samples), 1.0 - n), np.ones((1, g.x_samples)))
+    assert edge.shifts.min() == 1 - n
+    with pytest.raises(InvalidConfigurationError, match="on the table"):
+        LightFieldTransformer(g, np.full((1, g.x_samples), n - 0.75), np.ones((1, g.x_samples)))
+    with pytest.warns(ClippedOrderWarning):
+        t = canonical_transformer(Prism(2 * np.pi * (n - 0.75) * g.dtheta / LAM), g)
+    assert len(t.shifts) == 0 and t.meta["clipped_weight"] == pytest.approx(g.x_extent, rel=1e-12)
+
+
 @pytest.mark.parametrize("depth", [2.0, 7.5])
 def test_grating_warns_once_with_the_summed_clipped_weight(depth):
     # on a 512 x 512 grid dozens of orders of each grating fall partly or
@@ -315,7 +342,7 @@ ROW_COUNTS = {
     "whole_blocks": lambda b: 3 * b,
 }
 BLOCK_THETA = 256
-LINE_BLOCK = _BLOCK_BYTES // (8 * BLOCK_THETA)
+LINE_BLOCK = _BLOCK_BYTES // (16 * BLOCK_THETA)
 
 
 @pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
@@ -349,6 +376,42 @@ def test_full_rows_keep_the_one_shot_bits(rows_of):
     assert np.array_equal(out.radiance, ref)
     assert out.meta["theta_leak"] == leak
     assert out.meta["theta_leak_fraction"] == frac
+
+
+def test_whole_step_lines_are_slice_copies_bit_for_bit():
+    # a whole shift of weight 1 is the plain copy of the row, sign of zero included
+    n = 64
+    grid = PhaseSpaceGrid(40, 40e-5, n, 0.02, LAM)
+    rng = np.random.default_rng(13)
+    radiance = rng.normal(size=(40, n))
+    radiance[:, ::5] = -0.0
+    shifts = rng.integers(-n - 1, n, size=40).clip(1 - n, n - 1)
+    out = apply_transformer(AugmentedLightField(grid, radiance), LightFieldTransformer(grid, shifts, np.ones(40)))
+    want = np.zeros_like(radiance)
+    for row, k in enumerate(shifts):
+        want[row, max(k, 0) : n + min(k, 0)] = radiance[row, max(-k, 0) : n - max(k, 0)]
+    assert np.array_equal(out.radiance, want)
+    assert np.array_equal(np.signbit(out.radiance), np.signbit(want))
+
+
+@pytest.mark.parametrize("theta_samples", [3, 64])
+def test_lines_match_the_tap_by_tap_oracle(theta_samples):
+    # fractional and whole shifts on three lines against the taps added one
+    # at a time; the leak is the weighted content the taps move off the window
+    grid = PhaseSpaceGrid(50, 50e-5, theta_samples, 0.02, LAM)
+    rng = np.random.default_rng(theta_samples)
+    t = random_lines(grid, rng, lines=3, rows=0)
+    radiance = rng.normal(size=(50, theta_samples))
+    out = apply_transformer(AugmentedLightField(grid, radiance), t)
+    want, leak = np.zeros_like(radiance), np.zeros(50)
+    for shifts, weights in zip(t.shifts, t.weights):
+        for i, (b, w) in enumerate(zip(shifts, weights)):
+            kept, dropped = lanczos_shift(radiance[i], b)
+            want[i] += w * kept
+            leak[i] += w * dropped
+    assert np.abs(out.radiance - want).max() <= 1e-12 * np.abs(want).max()
+    content = np.abs(radiance).sum() * np.abs(t.weights).sum(axis=0).max() * grid.dtheta * grid.dx
+    assert abs(out.meta["theta_leak"] - leak.sum() * grid.dtheta * grid.dx) <= 1e-12 * content
 
 
 def test_line_apply_working_memory_is_one_block():
