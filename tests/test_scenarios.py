@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -282,12 +283,7 @@ def coded_mask():
 
 
 FOLDED_ELEMENTS = {
-    # the mask's random phase passes the angle window, so the projection
-    # after the hop goes negative: 1.35e-2 of the peak, 1.27e-2 with the
-    # exact Fourier shear
-    "coded_aperture": pytest.param(
-        CodedAperture(coded_mask()), marks=pytest.mark.filterwarnings("ignore::auglf.NegativeIntensityWarning")
-    ),
+    "coded_aperture": CodedAperture(coded_mask()),
     "rect_aperture": RectAperture(6e-4),
     "cubic_phase": CubicPhase(2e10),
     "bounded_hologram": Hologram(0.15, width=1e-3),
@@ -297,26 +293,36 @@ FOLD_OPTIONS = [
     for oversample in (1, 2, 4)
     for window in ("none", "raised-cosine")
 ]
+# Elements whose final projection passes the warning floor (1e-2 of the
+# peak), with a ceiling on its negativity: the coded mask's random phase
+# passes the angle window, so after the hop the projection dips to
+# 1.349e-2 of its peak at every setting (1.27e-2 with the exact Fourier
+# shear).
+FOLDED_NEGATIVITY = {"coded_aperture": 1.4e-2}
 
 
-def folded_record(field, spec, options):
+def folded_trace(field, spec, options):
     train = OpticalTrain(FOLD_GRID, FieldSource(field), (Element(spec), Propagate(0.01)))
     trace = trace_train(train, options)
     assert [(r.index, r.label, r.kernel) for r in trace.stages] == [
         (1, f"source+{element_label(spec)}", "numeric"),
         (2, "propagate_0.01m", None),
     ]
-    return trace.stages[0]
+    return trace
 
 
 @pytest.mark.parametrize("oversample, window", FOLD_OPTIONS)
-@pytest.mark.parametrize("spec", FOLDED_ELEMENTS.values(), ids=FOLDED_ELEMENTS.keys())
-def test_a_folded_source_gives_the_applied_numbers(spec, oversample, window):
+@pytest.mark.parametrize("name", FOLDED_ELEMENTS)
+def test_a_folded_source_gives_the_applied_numbers(name, oversample, window):
     # the beam and its Wigner function decay below 1e-15 inside the window,
     # so the source radiance the two-step path keeps has lost nothing
-    beam = fold_beam(0.15e-3)
+    beam, spec = fold_beam(0.15e-3), FOLDED_ELEMENTS[name]
     options = TraceOptions(oversample=oversample, window=window, compare_oracle=False)
-    record = folded_record(beam, spec, options)
+    ceiling = FOLDED_NEGATIVITY.get(name)
+    with pytest.warns(NegativeIntensityWarning) if ceiling else contextlib.nullcontext():
+        trace = folded_trace(beam, spec, options)
+    assert trace.report.negativity <= (ceiling or 1e-2)
+    record = trace.stages[0]
     wdf_options = options.wdf_options
     applied = apply_transformer(
         wdf_from_field(beam, wdf_options), canonical_transformer(spec, FOLD_GRID, wdf_options)
@@ -336,7 +342,7 @@ def test_a_folded_source_keeps_what_the_window_cuts_from_the_source():
     beam = fold_beam(0.3e-3)
     spec = RectAperture(6e-4)
     options = TraceOptions(compare_oracle=False)
-    record = folded_record(beam, spec, options)
+    record = folded_trace(beam, spec, options).stages[0]
     kernel = canonical_transformer(spec, FOLD_GRID, options.wdf_options)
     n = FOLD_GRID.x_samples
     product = _upsample(beam.samples, 2 * n) * kernel.source.signal
@@ -354,7 +360,7 @@ def test_a_folded_source_keeps_what_the_window_cuts_from_the_source():
 def test_the_fold_takes_an_opaque_mask_and_rejects_a_dark_field_or_another_lag_grid():
     zeros = ComplexField(FOLD_GRID, np.zeros(FOLD_GRID.x_samples))
     options = TraceOptions(compare_oracle=False)
-    record = folded_record(fold_beam(0.15e-3), CodedAperture(zeros), options)
+    record = folded_trace(fold_beam(0.15e-3), CodedAperture(zeros), options).stages[0]
     assert not record.alf.radiance.any()
     assert record.truncation_loss == 0.0
     assert record.alf.meta["theta_leak"] == 0.0
