@@ -34,7 +34,6 @@ from .elements import (
     Hologram,
     Lens,
     PhaseGrating,
-    PhasePlate,
     Pinhole,
     Prism,
     RectAperture,

@@ -12,7 +12,7 @@ OutputOptions and TraceOptions), with their types and defaults; the
 parser, the validation and the echo all read them from there.
 TraceOptions.compare_oracle is the command line's ``--compare-oracle``,
 not a ``[numerics]`` key.  An element's kind is its ``element_label``;
-elements with array fields (CodedAperture, PhasePlate) are API-only.
+CodedAperture, whose mask is a sampled field, is API-only.
 """
 
 from __future__ import annotations

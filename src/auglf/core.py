@@ -156,8 +156,10 @@ def _nearest_node(steps: float, count: int) -> int:
     """Node nearest ``steps`` spacings past the first, clipped to ``[0, count)``.
 
     Halfway between two nodes (to 1e-9 of a spacing) it takes the lower
-    one, so unlike rounding half to even the rule does not depend on where
-    an axis starts: a padded axis picks the node its window picks.
+    one, so unlike rounding half to even the rule does not depend on how
+    the step count was reached: ``PhaseSpaceGrid.x_index`` counts from
+    -x_extent/2 and a pinhole's transmittance from the first node of its
+    axis, and both pick one node.
     """
     return min(max(math.ceil(steps - 0.5 - 1e-9), 0), count - 1)
 
@@ -361,21 +363,20 @@ class IntensityProfile:
         return float(np.sum(self.values) * self.grid.dx)
 
 
-def project_intensity(alf: AugmentedLightField, eps_proj: float | None = None) -> IntensityProfile:
+def project_intensity(alf: AugmentedLightField) -> IntensityProfile:
     """Angular projection I(x) = sum_theta L(x, theta) * dtheta.
 
     The summation order is fixed (single numpy reduction along the theta
     axis) so repeated projections of the same field are bit-identical.
     Interference terms should cancel in the projection; residuals below
-    -eps_proj (default 1e-2 of the peak, the negativity the shipped
-    scenarios are gated at) draw NegativeIntensityWarning rather than an
-    error, because window truncation legitimately leaves small signed
-    residue.  A trace reports the residue whatever its size, as
-    ``ComparisonReport.negativity``.
+    -1e-2 of the peak (the negativity the shipped scenarios are gated at)
+    draw NegativeIntensityWarning rather than an error, because window
+    truncation legitimately leaves small signed residue.  A trace reports
+    the residue whatever its size, as ``ComparisonReport.negativity``.
     """
     values = alf.radiance.sum(axis=1) * alf.grid.dtheta
     peak = float(np.max(values, initial=0.0))
-    floor = (1e-2 * peak) if eps_proj is None else float(eps_proj)
+    floor = 1e-2 * peak
     worst = float(values.min())
     if worst < -floor:
         warnings.warn(

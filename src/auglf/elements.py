@@ -5,18 +5,18 @@ physics built from them:
 
 - ``transmittance(wavelength, x, dx)``: the complex transmittance t(x),
   sampled at positions ``x`` of uniform spacing ``dx``.  It feeds the wave
-  pipeline and the numeric kernel path.  ``x`` may extend beyond the
-  nominal window (padded wave pipeline): parametric elements continue
-  analytically, a CodedAperture is opaque outside its sampled support, a
-  PhasePlate is transparent there.
+  pipeline and the numeric kernel path, and ``x`` is only ever the grid's
+  axis or its lag grid (``_transmittance_kernel``): both pipelines see the
+  element on the position window and nowhere else.
 - ``kernel(grid, options)``: the element's light-field transformer.  The
   prism, the lens and the gratings build theirs in closed form as delta
   lines, and the pinholes as full rows at their nodes; neither is a
   table.  Every other element's kernel is the numeric Wigner kernel of
   its transmittance (``transformer_from_transmittance``): the slit, the
   cubic phase plate and the hologram from their analytic transmittance on
-  the lag grid, a phase plate and a coded aperture from their samples on
-  the grid.  Their closed forms are test oracles.
+  the lag grid, a coded aperture (any sampled transmittance, a free-form
+  phase plate among them) from its samples on the grid.  Their closed
+  forms are test oracles.
 - ``deflection(wavelength, x)``, on the prism and the lens only: the ray
   deflection profile d_theta(x) = (lambda / 2 pi) * dphi/dx, whose single
   delta per position is their kernel.
@@ -25,7 +25,7 @@ Conventions: a converging lens (focal_length > 0) deflects a ray at
 height x by -x/f, i.e. carries phase -pi x^2 / (lambda f); idealized
 pinholes become single samples of amplitude 1/dx (the same delta
 convention the Wigner module uses) at the node ``PhaseSpaceGrid.x_index``
-picks, on the grid and on the wave pipeline's wider axis alike.
+picks, in the kernel's rows and in the wave pipeline alike.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 
 from .core import (
     ComplexField,
-    DegenerateInputError,
     InvalidConfigurationError,
     PhaseSpaceGrid,
     RealnessError,
@@ -63,7 +62,6 @@ __all__ = [
     "Lens",
     "CubicPhase",
     "PhaseGrating",
-    "PhasePlate",
     "Hologram",
     "ElementSpec",
     "element_label",
@@ -227,20 +225,16 @@ class AmplitudeGrating:
 
 @dataclass(frozen=True, slots=True)
 class CodedAperture:
-    """Arbitrary sampled complex transmittance on the grid's x axis."""
+    """Arbitrary sampled complex transmittance on the grid's x axis.
+
+    A free-form phase profile is ``CodedAperture(ComplexField(grid,
+    np.exp(1j * phase)))``.
+    """
 
     mask: ComplexField
 
     def transmittance(self, wavelength: float, x: np.ndarray, dx: float) -> np.ndarray:
-        inner = self.mask
-        t = np.zeros_like(x, dtype=complex)
-        xi = inner.grid.x_axis()
-        # align by nearest node; outside the sampled support the mask is opaque
-        lo, hi = xi[0] - inner.grid.dx / 2, xi[-1] + inner.grid.dx / 2
-        inside = (x >= lo) & (x <= hi)
-        idx = np.clip(np.round((x[inside] - xi[0]) / inner.grid.dx).astype(int), 0, len(xi) - 1)
-        t[inside] = inner.samples[idx]
-        return t
+        return self.mask.samples  # x is the mask grid's axis
 
     def kernel(
         self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
@@ -345,44 +339,6 @@ class PhaseGrating:
 
 
 @dataclass(frozen=True, slots=True)
-class PhasePlate:
-    """Free-form phase profile sampled on the grid's x axis (radians)."""
-
-    phase: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.phase, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise InvalidConfigurationError("phase plate needs a 1-D profile of at least 2 samples")
-        if not np.all(np.isfinite(arr)):
-            raise DegenerateInputError("phase plate profile contains non-finite values")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "phase", arr)
-
-    def transmittance(self, wavelength: float, x: np.ndarray, dx: float) -> np.ndarray:
-        t = np.ones_like(x, dtype=complex)
-        n = len(self.phase)
-        # the profile is pinned to the central n samples of a length-n axis;
-        # for a padded axis, locate the window by matching sample counts
-        if len(x) == n:
-            t[:] = np.exp(1j * self.phase)
-        else:
-            start = (len(x) - n) // 2
-            t[start : start + n] = np.exp(1j * self.phase)
-        return t
-
-    def kernel(
-        self, grid: PhaseSpaceGrid, options: Optional[WdfOptions] = None
-    ) -> NumericTransformer:
-        if len(self.phase) != grid.x_samples:
-            raise InvalidConfigurationError("phase plate profile does not match the grid")
-        # sampled, so its lag-grid values come from band-limited interpolation
-        t = ComplexField(grid, np.exp(1j * self.phase))
-        return transformer_from_transmittance(t, options or WdfOptions())
-
-
-@dataclass(frozen=True, slots=True)
 class Hologram:
     """Recorded interference of an axial point source at distance `source_distance`.
 
@@ -439,7 +395,6 @@ ElementSpec = Union[
     Lens,
     CubicPhase,
     PhaseGrating,
-    PhasePlate,
     Hologram,
 ]
 

@@ -13,10 +13,13 @@ radiance is never made or kept (``trace_train``).  Closed-form first
 elements, the other sources, elements after a hop and groups of elements
 at one plane take the source radiance and apply each kernel.
 
-The wave pipeline runs on an enlarged internal axis so that masks and
-quadratic phases are evaluated beyond the observation window instead of
-wrapping, and optionally discards spatial frequencies outside the angular
-window so both pipelines transport the same etendue.
+The wave pipeline lives on the position window, as the radiance does:
+sources are built and elements evaluated on the grid's own axis, so both
+pipelines see one scene.  Only a free-space hop (``_hop``) widens the
+axis, ``oracle_pad`` times, so that the field spreads instead of wrapping;
+it also drops spatial frequencies outside the angular window, so both
+pipelines transport the same etendue, and cuts the result back to the
+window.
 """
 
 from __future__ import annotations
@@ -123,9 +126,8 @@ class TraceOptions:
     Each field but compare_oracle is a ``[numerics]`` key of a scenario file;
     none picks how rows move (every shear uses ``propagation._shift_rows``).
 
-    oracle_pad      : wave pipeline axis enlargement factor (integer >= 1)
-    match_etendue   : clamp the wave field to the angular window's bandwidth
-                      so both pipelines carry the same etendue
+    oracle_pad      : axis enlargement factor of the wave pipeline's hops
+                      (integer >= 1)
     abort_loss      : abort the trace when a single stage truncates more than
                       this fraction of the signal
     oversample, window : WdfOptions oversample_factor and window of every
@@ -135,7 +137,6 @@ class TraceOptions:
     """
 
     oracle_pad: int = 2
-    match_etendue: bool = True
     abort_loss: float = 0.9
     oversample: int = 1
     window: str = "none"
@@ -215,8 +216,8 @@ def _stage_label(stage: Stage) -> str:
 
 
 def _padded_grid(grid: PhaseSpaceGrid, pad: int) -> PhaseSpaceGrid:
-    """The wave pipeline's axis: ``pad`` times the grid's, plus one sample if that pads by an odd
-    count, so that the window from ``(x_samples - n) // 2`` lies on the grid's nodes."""
+    """A hop's axis: ``pad`` times the grid's, plus one sample if that pads by an odd count, so
+    that the window from ``(x_samples - n) // 2`` lies on the grid's nodes."""
     if pad == 1:
         return grid
     n = grid.x_samples
@@ -230,63 +231,57 @@ def _padded_grid(grid: PhaseSpaceGrid, pad: int) -> PhaseSpaceGrid:
     )
 
 
-def _bandlimit(field: ComplexField, u_cut: float) -> ComplexField:
-    grid = field.grid
-    u = fftfreq(grid.x_samples, d=grid.dx)
-    spectrum = fft(field.samples)
-    spectrum[np.abs(u) > u_cut] = 0.0
-    return ComplexField(grid, ifft(spectrum))
+def _hop(g: ComplexField, distance: float, pad: int) -> ComplexField:
+    """Free-space hop of a field on the window, the one place the wave axis widens.
+
+    The field is embedded in the ``_padded_grid`` axis (zero outside the
+    window), its spatial frequencies beyond the angular window's band
+    (|u| > theta_extent / (2 lambda)) are zeroed, and after
+    ``fresnel_propagate`` the result is cut back to the window: light that
+    leaves the window is dropped, as the shear drops it.
+    """
+    grid = g.grid
+    wide = _padded_grid(grid, pad)
+    start = (wide.x_samples - grid.x_samples) // 2
+    window = slice(start, start + grid.x_samples)
+    samples = np.zeros(wide.x_samples, dtype=np.complex128)
+    samples[window] = g.samples
+    spectrum = fft(samples)
+    band = grid.theta_extent / (2.0 * grid.wavelength)
+    spectrum[np.abs(fftfreq(wide.x_samples, d=wide.dx)) > band] = 0.0
+    out = fresnel_propagate(ComplexField(wide, ifft(spectrum)), distance)
+    return ComplexField(grid, out.samples[window])
 
 
 def _oracle_intensity(train: OpticalTrain, options: TraceOptions) -> IntensityProfile:
-    """Trace the train with the scalar wave pipeline and return |g|^2."""
+    """Trace the train with the scalar wave pipeline and return |g|^2 on the window."""
     grid = train.grid
-    wide = _padded_grid(grid, options.oracle_pad)
-    x = wide.x_axis()
-    u_cut = grid.theta_extent / (2.0 * grid.wavelength)
-
+    x = grid.x_axis()
     source = train.source
     stages = list(train.stages)
     if isinstance(source, PlaneWave):
-        g = ComplexField(
-            wide, np.exp(2j * np.pi * source.angle * x / grid.wavelength)
-        )
+        g = ComplexField(grid, np.exp(2j * np.pi * source.angle * x / grid.wavelength))
     elif isinstance(source, FieldSource):
-        samples = np.zeros(wide.x_samples, dtype=np.complex128)
-        start = (wide.x_samples - grid.x_samples) // 2
-        samples[start : start + grid.x_samples] = source.field.samples
-        g = ComplexField(wide, samples)
-    else:
+        g = source.field
+    elif stages and isinstance(stages[0], Propagate) and stages[0].distance > 0.0:
         # A bare spike is hostile to the transfer-function method, so when
         # the first hop is free space the point source is materialised as
         # the analytic diverging wave at the far end of that hop.
-        if stages and isinstance(stages[0], Propagate) and stages[0].distance > 0.0:
-            z0 = stages[0].distance
-            g = ComplexField(
-                wide,
-                np.exp(
-                    1j * np.pi * (x - source.position) ** 2 / (grid.wavelength * z0)
-                ),
-            )
-            stages = stages[1:]
-        else:
-            samples = np.zeros(wide.x_samples, dtype=np.complex128)
-            samples[wide.x_index(source.position)] = 1.0 / wide.dx
-            g = ComplexField(wide, samples)
-    if options.match_etendue:
-        g = _bandlimit(g, u_cut)
+        z0 = stages.pop(0).distance
+        g = ComplexField(
+            grid, np.exp(1j * np.pi * (x - source.position) ** 2 / (grid.wavelength * z0))
+        )
+    else:
+        samples = np.zeros(grid.x_samples, dtype=np.complex128)
+        samples[grid.x_index(source.position)] = 1.0 / grid.dx
+        g = ComplexField(grid, samples)
 
     for stage in stages:
         if isinstance(stage, Propagate):
-            g = fresnel_propagate(g, stage.distance)
+            g = _hop(g, stage.distance, options.oracle_pad)
         else:
             g = apply_mask(g, stage.spec)
-            if options.match_etendue:
-                g = _bandlimit(g, u_cut)
-
-    start = (wide.x_samples - grid.x_samples) // 2
-    window = g.samples[start : start + grid.x_samples]
-    return IntensityProfile(grid, np.abs(window) ** 2)
+    return IntensityProfile(grid, np.abs(g.samples) ** 2)
 
 
 def _lone_element(stages: tuple) -> bool:

@@ -190,12 +190,12 @@ def test_project_intensity_flags_negative_residue():
     r[2, :] = -2.0  # projects to a clearly negative bin
     with pytest.warns(NegativeIntensityWarning):
         project_intensity(AugmentedLightField(g, r))
-    # a generous explicit floor silences it
-    import warnings
-
+    # a residue inside the floor, 1e-2 of the peak, draws no warning
+    r[2, :] = -0.009
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        project_intensity(AugmentedLightField(g, r), eps_proj=100.0)
+        values = project_intensity(AugmentedLightField(g, r)).values
+    assert -values.min() / values.max() == pytest.approx(0.009)
 
 
 def test_next_fast_len_matches_scipy():

@@ -12,12 +12,10 @@ from auglf import (
     CodedAperture,
     ComplexField,
     CubicPhase,
-    DegenerateInputError,
     Hologram,
     InvalidConfigurationError,
     Lens,
     PhaseGrating,
-    PhasePlate,
     PhaseSpaceGrid,
     Pinhole,
     Prism,
@@ -30,7 +28,7 @@ from auglf import (
     transformer_from_transmittance,
 )
 from auglf.elements import ElementSpec
-from auglf.scenarios import Element, _padded_grid
+from auglf.scenarios import Element
 
 from oracles import cubic_phase_kernel, hologram_kernel, rect_wigner
 
@@ -60,14 +58,13 @@ def test_closed_form_kernels_carry_the_element_label():
         Lens(0.5),
         CubicPhase(1e9),
         PhaseGrating(1.0, 1e-4),
-        PhasePlate(np.linspace(0.0, 3.0, 64) ** 2),
         Hologram(0.1),
         Hologram(0.1, width=4e-4),
     )
     # every element class but the coded aperture; only the delta-line kernels
     # are closed-form, the rest take the numeric path of their transmittance
     assert {type(spec) for spec in specs} == set(typing.get_args(ElementSpec)) - {CodedAperture}
-    numeric = (RectAperture, CubicPhase, PhasePlate, Hologram)
+    numeric = (RectAperture, CubicPhase, Hologram)
     for spec in specs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -90,10 +87,6 @@ def test_constructor_validation():
         PhaseGrating(-1.0, 1e-4)
     with pytest.raises(InvalidConfigurationError):
         PhaseGrating(1.0, 0.0)
-    with pytest.raises(InvalidConfigurationError):
-        PhasePlate(np.array(3.0))
-    with pytest.raises(DegenerateInputError):
-        PhasePlate(np.array([0.0, np.nan, 1.0]))
     with pytest.raises(InvalidConfigurationError):
         Hologram(-0.1)
     with pytest.raises(InvalidConfigurationError):
@@ -134,18 +127,15 @@ def test_pinholes_at_the_window_edges_keep_their_rows():
     assert np.flatnonzero(rows).tolist() == [0, 31, 62]
 
 
-@pytest.mark.parametrize("pad", [1, 2, 4])
 @pytest.mark.parametrize("n", [63, 64, 1024])
-def test_a_pinhole_between_two_nodes_takes_one_node_in_both_pipelines(n, pad):
-    # the kernel's row and the wave pipeline's spike on its padded axis, less
-    # the window offset, at every position halfway between two nodes
+def test_a_pinhole_between_two_nodes_takes_one_node_in_both_pipelines(n):
+    # the kernel's row and the wave pipeline's spike on the window axis, at
+    # every position halfway between two nodes
     g = make_grid(n, n * 2e-6, 16, 1e-2, LAM)
-    wide = _padded_grid(g, pad)
-    start = (wide.x_samples - n) // 2
     for position in g.x_axis()[:-1] + 0.5 * g.dx:
         (row,) = Pinhole(position).kernel(g).rows
-        (spike,) = np.flatnonzero(Pinhole(position).transmittance(LAM, wide.x_axis(), wide.dx))
-        assert spike - start == row
+        (spike,) = np.flatnonzero(Pinhole(position).transmittance(LAM, g.x_axis(), g.dx))
+        assert spike == row
 
 
 def test_rect_halves_its_edge_samples():
@@ -193,14 +183,15 @@ def test_deflection_profiles():
     np.testing.assert_allclose(Lens(0.2).deflection(LAM, x), -x / 0.2, atol=1e-15)
     # only the prism and the lens have a delta-line kernel; every other
     # element takes the numeric kernel of its transmittance
-    for spec in (RectAperture(1e-4), CubicPhase(3e9), PhasePlate(1.5e4 * x), Hologram(0.1)):
+    for spec in (RectAperture(1e-4), CubicPhase(3e9), Hologram(0.1)):
         assert not hasattr(spec, "deflection"), spec
 
 
-def test_phase_plate_kernel_needs_a_profile_per_position():
+def test_coded_aperture_kernel_needs_the_mask_on_its_grid():
     g = axis()
-    with pytest.raises(InvalidConfigurationError, match="does not match the grid"):
-        PhasePlate(np.zeros(g.x_samples - 1)).kernel(g)
+    other = make_grid(g.x_samples - 1, g.x_extent, 16, 1e-2, LAM)
+    with pytest.raises(InvalidConfigurationError, match="not sampled on the grid"):
+        CodedAperture(ComplexField(other, np.ones(other.x_samples))).kernel(g)
 
 
 def test_hologram_fringes():
@@ -263,11 +254,11 @@ def test_cubic_phase_kernel_matches_the_airy_form():
     assert np.linalg.norm(got - want) <= 0.05 * np.linalg.norm(want)
 
 
-def test_phase_plate_of_a_cubic_matches_the_cubic_plate():
-    # the sampled profile is interpolated between nodes, the cubic plate's
-    # values are exact there; measured 0.30 % of the peak apart
+def test_a_sampled_cubic_phase_matches_the_cubic_plate():
+    # the coded aperture's samples are interpolated between nodes, the cubic
+    # plate's values are exact there; measured 0.30 % of the peak apart
     g = CUBIC_GRID
-    plate = PhasePlate(4e9 * g.x_axis() ** 3).kernel(g).kernel
+    plate = CodedAperture(ComplexField(g, np.exp(4e9j * g.x_axis() ** 3))).kernel(g).kernel
     cubic = CubicPhase(4e9).kernel(g).kernel
     assert np.abs(plate - cubic).max() <= 1e-2 * np.abs(cubic).max()
 
@@ -322,28 +313,13 @@ def test_hologram_kernel_build_and_apply_hold_no_table(plate):
     assert peak < alf.radiance.nbytes + 6 * 2**20 < alf.radiance.nbytes + table_bytes
 
 
-def test_coded_aperture_alignment_and_padding():
+def test_coded_aperture_alignment():
     g = make_grid(64, 1.28e-3, 16, 1e-2, LAM)
     rng = np.random.default_rng(2)
     vals = rng.uniform(size=64).astype(complex)
     spec = CodedAperture(ComplexField(g, vals))
     t = spec.transmittance(LAM, g.x_axis(), g.dx)
     np.testing.assert_allclose(t, vals, atol=1e-15)
-    # padded axis: opaque outside the sampled support
-    xp = (np.arange(256) - 128) * g.dx
-    tp = spec.transmittance(LAM, xp, g.dx)
-    assert np.all(tp[:90] == 0) and np.all(tp[-60:] == 0)
-    np.testing.assert_allclose(tp[96:160], vals, atol=1e-15)
-
-
-def test_phase_plate_pinned_to_central_window():
-    g = axis(64)
-    phase = np.linspace(0, 1, 64)
-    spec = PhasePlate(phase)
-    xp = (np.arange(128) - 64) * g.dx
-    t = spec.transmittance(LAM, xp, g.dx)
-    np.testing.assert_allclose(t[32:96], np.exp(1j * phase), atol=1e-15)
-    np.testing.assert_allclose(t[:32], 1.0, atol=1e-15)
 
 
 def test_unknown_spec_rejected():

@@ -41,7 +41,8 @@ from auglf import Lens
 from auglf.elements import element_label
 from auglf.wdf import _upsample, wigner_table
 from auglf.config import OutputOptions, parse_config
-from auglf.scenarios import _padded_grid
+from auglf import scenarios
+from auglf.scenarios import _hop, _oracle_intensity, _padded_grid
 from oracles import fourier_shear
 
 LAM = 633e-9
@@ -265,6 +266,78 @@ def test_the_padded_wave_axis_holds_the_grid_nodes(n, pad):
     assert wide.dx == pytest.approx(g.dx, rel=1e-15)
     window = wide.x_axis()[start : start + n]
     assert np.abs(window - g.x_axis()).max() <= 1e-9 * g.dx
+
+
+def gaussian_beam(g, x0, angle, waist, z):
+    """Paraxial intensity of exp(-((x - x0) / waist)^2 + 2 pi i angle x / lambda) after z."""
+    rayleigh = np.pi * waist**2 / g.wavelength
+    w = waist * np.hypot(1.0, z / rayleigh)
+    return (waist / w) * np.exp(-2.0 * (g.x_axis() - x0 - angle * z) ** 2 / w**2)
+
+
+def tilted_gaussian(g, x0, angle, waist):
+    x = g.x_axis()
+    return ComplexField(g, np.exp(-(((x - x0) / waist) ** 2) + 2j * np.pi * angle * x / g.wavelength))
+
+
+@pytest.mark.parametrize("pad", [1, 2, 4])
+def test_a_hop_follows_the_gaussian_beam(pad):
+    # a 60 um waist sits well inside both the window and the angle band, so
+    # neither the clamp nor the cut takes any of it; measured 2.1e-5 of the
+    # peak apart at every pad
+    g = make_grid(256, 0.512e-3, 256, 0.02, LAM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.abs(_hop(tilted_gaussian(g, 0.0, 0.0, 6e-5), 0.02, pad).samples) ** 2
+    want = gaussian_beam(g, 0.0, 0.0, 6e-5, 0.02)
+    assert np.abs(got - want).max() <= 1e-4 * want.max()
+
+
+@pytest.mark.parametrize("pad", [2, 3, 4])
+@pytest.mark.parametrize("n", [255, 256])
+def test_light_that_leaves_the_window_is_dropped_not_wrapped(n, pad):
+    # a beam tilted towards the right edge ends centred 16 um inside it, so
+    # about a third of its light leaves the window; the hop keeps what stays
+    # and lets none of the rest back in at the left edge, as a periodic axis
+    # (pad 1) would.  Measured 1.3e-3 of the peak from the beam (the window
+    # cuts the input's tail) and 1.2e-6 of the peak left of the axis.
+    g = make_grid(n, n * 2e-6, 256, 0.04, LAM)
+    source = tilted_gaussian(g, 1.2e-4, 6e-3, 6e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.abs(_hop(source, 0.02, pad).samples) ** 2
+    want = gaussian_beam(g, 1.2e-4, 6e-3, 6e-5, 0.02)
+    assert np.abs(got - want).max() <= 5e-3 * want.max()
+    assert got[g.x_axis() < 0.0].max() <= 1e-5 * got.max()
+    assert got.sum() <= 0.7 * (np.abs(source.samples) ** 2).sum()
+
+
+def test_the_wave_reference_bounds_every_element_to_the_window(monkeypatch):
+    # a plate a hair wider than the window is the unbounded plate on it, so
+    # a wave reference that evaluates elements on the window only gives both
+    # the same bits; one that lit the padded axis would tell them apart (by
+    # 0.68 of the peak on this grid).  Only a hop widens the axis.  The 2 cm
+    # hop stays well inside the transfer function's sampling.
+    g = make_grid(256, 0.512e-3, 256, 0.02, LAM)
+    masked, hopped = set(), set()
+
+    def spy(seen, call):
+        def wrapped(field, arg):
+            seen.add(field.grid)
+            return call(field, arg)
+
+        return wrapped
+
+    monkeypatch.setattr(scenarios, "apply_mask", spy(masked, scenarios.apply_mask))
+    monkeypatch.setattr(scenarios, "fresnel_propagate", spy(hopped, scenarios.fresnel_propagate))
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for plate in (Hologram(0.05), Hologram(0.05, width=1.01 * g.x_extent)):
+            train = OpticalTrain(g, PlaneWave(0.0), (Element(plate), Propagate(0.02)))
+            got.append(_oracle_intensity(train, TraceOptions()).values)
+    assert np.array_equal(got[0], got[1])
+    assert masked == {g} and hopped == {_padded_grid(g, 2)}
 
 
 # A field source whose first stage is a lone numeric element is folded into
