@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .csvtext import format_cells
+from .csvtext import Workspace, format_cells
 
 ZERO_RGB = (128, 128, 128)
 POSITIVE_RGB = (255, 0, 0)
@@ -27,10 +27,10 @@ NEGATIVE_RGB = (0, 0, 255)
 _BLOCK_ROWS = 64
 # Fewest cells of a CSV table formatted at a time, unless one row is more.
 # Larger tables are formatted a 128th at a time, which spreads numpy's
-# per-call cost over more cells.  A block's working arrays and text take
-# about 100 bytes a cell: about 75 KiB at the floor, and about 1 MiB for a
-# 1024 x 1025 table.
-_BLOCK_CELLS = 768
+# per-call cost over more cells.  A table's workspace takes 98 bytes a cell
+# of its block, and a block's text up to 32 more while it is written:
+# about 65 KiB at the floor, and about 1 MiB for a 1024 x 1025 table.
+_BLOCK_CELLS = 512
 
 
 def _row_blocks(count: int):
@@ -40,7 +40,10 @@ def _row_blocks(count: int):
 
 
 def fmt17(value: float) -> str:
-    """Shortest representation with enough digits to round-trip a double."""
+    """17 significant digits: enough to round-trip any double, not the shortest text.
+
+    ``fmt17(0.1)`` is ``"0.10000000000000001"``.
+    """
     return f"{value:.17g}"
 
 
@@ -48,17 +51,19 @@ def _write_table(handle, lead: np.ndarray, rest: np.ndarray) -> None:
     """Write the rows ``lead[r], rest[r, 0], ..., rest[r, -1]`` as CSV lines.
 
     Whole rows are copied into a staging array and formatted a block at a
-    time.  A block is about a 128th of the table, and at least
-    ``_BLOCK_CELLS`` cells or one row.
+    time, every block in the one workspace made for the table.  A block is
+    about a 128th of the table, and at least ``_BLOCK_CELLS`` cells or one
+    row.
     """
     rows, width = len(lead), rest.shape[1] + 1
     step = max(1, max(_BLOCK_CELLS, rows * width // 128) // width)
     stage = np.empty((min(step, rows), width))
+    work = Workspace(stage.size)
     for lo in range(0, rows, step):
         block = stage[: min(step, rows - lo)]
         block[:, 0] = lead[lo : lo + step]
         block[:, 1:] = rest[lo : lo + step]
-        handle.write(format_cells(block.ravel(), width, lo * width))
+        handle.write(format_cells(block.ravel(), width, lo * width, work))
 
 
 def write_profile_csv(

@@ -1,4 +1,7 @@
 import json
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -332,6 +335,45 @@ def test_cells_match_17g_property(values, width, first):
     )
 
 
+# Cells that take every path of the formatter: zeros of both signs,
+# negatives, subnormals, powers of ten with their neighbours and the
+# near-tie cells that Python prints.
+DIRTY_CELLS = np.concatenate([
+    [0.0, -0.0, -2.5, -1e-300, 5e-324, -4.9e-322, 2.2250738585072009e-308],
+    POWERS[::37], -POWERS[5::41], np.nextafter(POWERS[::53], 0.0), near_ties()[::7], TIES,
+])
+
+
+def assert_dirty_workspace_formats_as_fresh(cells, width, first):
+    # the workspace starts full of 0xFF, and a wider block leaves its own
+    # planes behind for the narrower one: every byte a call reads, it wrote
+    work = csvtext.Workspace(len(cells) + 37)
+    work.text[:] = b"\xff" * len(work.text)
+    work.memory.fill(0xFF)
+    wide = np.random.default_rng(len(cells)).normal(size=work.cells) * 1e3
+    assert format_cells(wide, width, first, work) == cells_17g(wide, width, first)
+    assert (
+        format_cells(cells, width, first, work)
+        == format_cells(cells, width, first)
+        == cells_17g(cells, width, first)
+    )
+
+
+def test_a_dirty_workspace_formats_as_a_fresh_one():
+    assert_dirty_workspace_formats_as_fresh(DIRTY_CELLS, 7, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, len(DIRTY_CELLS)), st.integers(1, 9), st.integers(0, 20))
+def test_a_dirty_workspace_formats_as_a_fresh_one_property(count, width, first):
+    assert_dirty_workspace_formats_as_fresh(DIRTY_CELLS[-count:], width, first)
+
+
+def test_format_cells_refuses_a_workspace_too_small():
+    with pytest.raises(ValueError, match="do not fit"):
+        format_cells(np.ones(5), 1, 0, csvtext.Workspace(4))
+
+
 def table_with_zeros(rows, cols, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, cols))
@@ -363,7 +405,7 @@ def test_matrix_csv_bytes_across_cell_blocks(tmp_path, cols):
 @pytest.mark.parametrize(
     "rows, cols, step",
     [
-        (100, 40, _BLOCK_CELLS // 41),  # several rows a block; 100 = 5 * 18 + 10
+        (100, 40, _BLOCK_CELLS // 41),  # several rows a block; 100 = 8 * 12 + 4
         (7, _BLOCK_CELLS + 40, 1),  # a row wider than _BLOCK_CELLS is a block
         (400, 300, 3),  # 120,400 cells > 128 * _BLOCK_CELLS: 940 cells, 3 rows
     ],
@@ -371,9 +413,9 @@ def test_matrix_csv_bytes_across_cell_blocks(tmp_path, cols):
 def test_matrix_csv_blocks_are_whole_rows(tmp_path, monkeypatch, rows, cols, step):
     calls = []
 
-    def counted(x, width, first):
+    def counted(x, width, first, *rest):
         calls.append((len(x), width, first))
-        return format_cells(x, width, first)
+        return format_cells(x, width, first, *rest)
 
     monkeypatch.setattr(output, "format_cells", counted)
     m = table_with_zeros(rows, cols, rows)
@@ -387,8 +429,9 @@ def test_matrix_csv_blocks_are_whole_rows(tmp_path, monkeypatch, rows, cols, ste
 
 
 def test_matrix_csv_of_a_large_table_holds_one_block(tmp_path):
-    # hologram.cfg's table: a block is 8 rows of 1025 cells, about 1 MiB
-    # of working arrays and text against 8 MiB of matrix
+    # hologram.cfg's table: a block is 8 rows of 1025 cells, and the
+    # table's workspace (98 bytes a cell) and a block's text (up to 32) take
+    # about 1 MiB against 8 MiB of matrix
     m = np.random.default_rng(24).normal(size=(1024, 1024))
     axis = np.linspace(-1.0, 1.0, 1024)
     csvtext._format_tables.cache_clear()  # charged whether or not built already
@@ -399,3 +442,28 @@ def test_matrix_csv_of_a_large_table_holds_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < m.nbytes / 4
+
+
+_FAULTS_OF_A_LARGE_TABLE = """
+import resource, sys
+import numpy as np
+from auglf.output import write_matrix_csv
+m = np.random.default_rng(24).normal(size=(1024, 1024))
+axis = np.linspace(-1.0, 1.0, 1024)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+write_matrix_csv(sys.argv[1], axis, axis, m)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults")
+def test_matrix_csv_of_a_large_table_takes_few_page_faults(tmp_path):
+    # the blocks share one workspace, whose pages fault once: about 300
+    # minor faults for this table, where fresh temporaries of about 0.5 MiB
+    # per block, mapped and unmapped by glibc's malloc, took about 20,000
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_OF_A_LARGE_TABLE, str(tmp_path / "m.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
