@@ -256,9 +256,15 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
-# Bytes of buffers per block of the row-blocked loops (the shear, the
-# kernel applies); rows per block follow from the row length.
+# Bytes of buffers per block of every row-blocked loop (the shear, the
+# kernel applies, the Wigner sums); rows per block follow from the row
+# length (``_block_rows``).
 _BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int, workers: int = 1) -> int:
+    """Rows per block whose buffers, ``row_bytes`` a row, fill a ``workers``-th of ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // workers // row_bytes)
 
 
 def _worker_count() -> int:

@@ -129,8 +129,10 @@ def format_cells(x: np.ndarray, width: int, first: int, work: Workspace | None =
     ``work`` must hold at least ``len(x)`` cells; without one, the call
     makes its own.
     """
-    hi_table, lo_table, blank_table, whole_table, point_table = _format_tables()
     n = len(x)
+    if n == 0:
+        return b""
+    hi_table, lo_table, blank_table, whole_table, point_table = _format_tables()
     if work is None:
         work = Workspace(n)
     if n > work.cells:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -110,25 +110,32 @@ def _abs_max(matrix: np.ndarray) -> float:
     return float(np.max([np.abs(matrix[rows]).max() for rows in _row_blocks(len(matrix))]))
 
 
-def _rgb_blocks(matrix: np.ndarray, vmax: Optional[float]):
-    """Yield ``(rows, rgb)``: the colours of each block of rows of ``matrix``."""
-    if vmax is None:
-        vmax = _abs_max(matrix)
-    for rows in _row_blocks(matrix.shape[0]):
-        block = matrix[rows]
-        if vmax <= 0.0:
-            yield rows, np.full(block.shape + (3,), ZERO_RGB[0], dtype=np.uint8)
+def _rgb_blocks(matrix: np.ndarray, vmax: float):
+    """Yield ``(rows, rgb)``: the colours of each block of rows of ``matrix``.
+
+    All blocks share one set of planes made per image, so each ``rgb`` is
+    overwritten by the next block: use it before asking for the next.
+    """
+    height, width = matrix.shape
+    shape = (min(_BLOCK_ROWS, height), width)
+    planes = np.empty((4,) + shape)
+    rgb_buf = np.full(shape + (3,), ZERO_RGB[0], dtype=np.uint8)
+    for rows in _row_blocks(height):
+        count = rows.stop - rows.start
+        rgb = rgb_buf[:count]
+        if vmax <= 0.0:  # a blank image: every block stays grey
+            yield rows, rgb
             continue
-        t = np.clip(block / vmax, -1.0, 1.0)
-        pos = np.clip(t, 0.0, 1.0)
-        neg = np.clip(-t, 0.0, 1.0)
-        rgb = np.empty(block.shape + (3,), dtype=np.uint8)
+        t, pos, neg, channel = planes[:, :count]
+        np.divide(matrix[rows], vmax, out=t)
+        np.clip(t, -1.0, 1.0, out=t)
+        np.clip(t, 0.0, 1.0, out=pos)
+        np.clip(np.negative(t, out=neg), 0.0, 1.0, out=neg)
         for c in range(3):
-            channel = (
-                ZERO_RGB[c]
-                + pos * (POSITIVE_RGB[c] - ZERO_RGB[c])
-                + neg * (NEGATIVE_RGB[c] - ZERO_RGB[c])
-            )
+            # ZERO + pos * (POSITIVE - ZERO) + neg * (NEGATIVE - ZERO), the last term in t
+            np.multiply(pos, POSITIVE_RGB[c] - ZERO_RGB[c], out=channel)
+            channel += ZERO_RGB[c]
+            channel += np.multiply(neg, NEGATIVE_RGB[c] - ZERO_RGB[c], out=t)
             rgb[..., c] = np.clip(np.rint(channel, out=channel), 0, 255, out=channel)
         yield rows, rgb
 
@@ -153,8 +160,8 @@ def write_heatmap(
     ppm_path = path_base + ".ppm"
     with open(ppm_path, "wb") as handle:
         handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        for _, rgb in _rgb_blocks(image, vmax if vmax > 0 else None):
-            handle.write(rgb.tobytes())
+        for _, rgb in _rgb_blocks(image, vmax):
+            handle.write(rgb)
     sidecar = {
         "format": "P6",
         "width": width,
@@ -202,10 +209,13 @@ def _sanitize(obj):
 
 
 def sha256_file(path: str) -> str:
+    """SHA-256 of a file, read unbuffered into one 1 MiB buffer reused chunk after chunk."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as handle:
+        while count := handle.readinto(buf):
+            digest.update(view[:count])
     return digest.hexdigest()
 
 

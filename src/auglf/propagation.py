@@ -19,10 +19,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
-    _BLOCK_BYTES,
     AugmentedLightField,
     InvalidConfigurationError,
     TruncationWarning,
+    _block_rows,
     _freeze,
     _over_rows,
 )
@@ -63,11 +63,11 @@ def shear_propagate(alf: AugmentedLightField, distance: float) -> tuple[Augmente
 def _sheared_columns(radiance: np.ndarray, bins: np.ndarray):
     """Shift angle column j of ``radiance`` by ``bins[j]`` samples, a block of columns at a time.
 
-    Each worker (``core._over_rows``) takes blocks of a ``workers``-th of
-    ``_BLOCK_BYTES`` of columns, copied transposed between the zero
-    margins of a row-major buffer, shifts them into a second buffer and
-    writes that straight into the C-ordered ``(x, theta)`` result, so the
-    working memory does not grow with the grid.  Returns the result and
+    Each worker (``core._over_rows``) takes blocks of columns sized by
+    ``core._block_rows``, copied transposed between the zero margins of a
+    row-major buffer, shifts them into a second buffer and writes that
+    straight into the C-ordered ``(x, theta)`` result, so the working
+    memory does not grow with the grid.  Returns the result and
     the position sums of every angle row before and after the shift;
     neither depends on the block size or the worker count.
     """
@@ -77,7 +77,7 @@ def _sheared_columns(radiance: np.ndarray, bins: np.ndarray):
     out_sums = np.empty(n_theta)
 
     def shear(lo: int, hi: int, workers: int) -> None:
-        width = max(1, _BLOCK_BYTES // workers // (8 * n_x))
+        width = _block_rows(8 * n_x, workers)
         padded_buf = _padded_rows(min(width, hi - lo), n_x)
         dst_buf = np.empty((len(padded_buf), n_x))
         for start in range(lo, hi, width):

@@ -20,19 +20,23 @@ free-space shear uses (``propagation._shift_rows``).  Its few full rows
 The numeric kernel of a sampled transmittance (``NumericTransformer``),
 which every dense element uses, is a multiplication by the lag products
 t(x + s/2) t*(x - s/2) in the lag domain (Bastiaans, JOSA 69, 1710,
-1979), reached and left by two zoom DFTs.  A numeric kernel met by a field
-source at its own plane is not applied at all: ``trace_train`` folds it
-into the source's Wigner transform (``wdf_from_field``'s ``through``),
-which shares this apply's Dirichlet sums (``wdf._lag_chirps``).
+1979), reached and left by two zoom DFTs: the chirp-z of ``wdf``, whose
+way back from lags to angles (``wdf._lags_to_angles``) is the one the
+Wigner rows and this kernel's table take.  It keeps only its grid, its
+``WignerRows`` and its meta; the table comes from the rows' lag-grid
+signal.  A numeric kernel met by a field source at its own plane is not
+applied at all: ``trace_train`` folds it into the source's Wigner
+transform (``wdf_from_field``'s ``through``), which shares this apply's
+Dirichlet sums (``wdf._lag_chirps``).
 
 Rows are independent, so the apply splits them into one contiguous range
 per CPU the process may use (``core._over_rows``); each range runs its own
 block loop on its own thread into its own rows of the result, and the leak
 and power sums are taken after the join, in row order, so the bits do not
-depend on the thread count.  The workers share one block budget, a 1/w
-share each, so besides its inputs and its result an apply holds a few
-MiB of copies, spectra and products whatever the grid and the thread
-count.
+depend on the thread count.  The workers share one block budget
+(``core._block_rows``), a 1/w share each, so besides its inputs and its
+result an apply holds a few MiB of copies, spectra and products whatever
+the grid and the thread count.
 """
 
 from __future__ import annotations
@@ -44,12 +48,12 @@ import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 
 from .core import (
-    _BLOCK_BYTES,
     AugmentedLightField,
     ClippedOrderWarning,
     ComplexField,
     InvalidConfigurationError,
     PhaseSpaceGrid,
+    _block_rows,
     _freeze,
     _frozen_array,
     _leak_meta,
@@ -57,7 +61,7 @@ from .core import (
     _over_rows,
 )
 from .propagation import _MARGIN, _padded_rows, _shift_rows
-from .wdf import WdfOptions, WignerRows, _lag_chirps, wigner_table
+from .wdf import WdfOptions, WignerRows, _lag_chirps, _lags_to_angles, wigner_table
 
 import warnings
 
@@ -113,7 +117,7 @@ class LightFieldTransformer:
         row_weights = self.weights.sum(axis=0)
 
         def lines(start: int, stop: int, workers: int) -> None:
-            step = max(1, _BLOCK_BYTES // workers // (16 * n))  # margined rows and scratch
+            step = _block_rows(16 * n, workers)  # margined rows and scratch
             padded_buf = _padded_rows(min(step, stop - start), n)
             scratch = np.empty((len(padded_buf), n))
             for lo in range(start, stop, step):
@@ -166,13 +170,11 @@ class NumericTransformer:
     relative-angle axis, divided by the wavelength.  ``source`` is set up
     (and its settings checked) at build time and gives the lag products of
     any block of rows.  ``kernel`` assembles the whole table through
-    ``wigner_table`` on each access and does not keep it.
+    ``wigner_table`` from ``source.signal`` on each access and does not
+    keep it.
     """
 
     grid: PhaseSpaceGrid
-    transmittance: ComplexField
-    options: WdfOptions
-    fine_samples: Optional[np.ndarray]
     source: WignerRows
     meta: dict
 
@@ -185,9 +187,9 @@ class NumericTransformer:
         row L goes to out_j = 2 beta Re sum_l c_l G_l e^{-2 pi i beta j l},
         G_l = sum_j L_j e^{2 pi i beta j l}.  Both are zoom DFTs
         (Bluestein's chirp-z) at ``_next_fast_len(n + K)``; the chirps
-        between them cancel, and the second filter is the mirror image of
-        the first, so its spectrum is the conjugate.  A row's total over all
-        2n - 1 deflections is 2 beta (sum_j L_j) Re sum_l c_l D_l, with
+        between them cancel, and the second is the Wigner rows' own way
+        from lags to angles (``wdf._lags_to_angles``).  A row's total over
+        all 2n - 1 deflections is 2 beta (sum_j L_j) Re sum_l c_l D_l, with
         D_l = sum_{|m| < n} e^{-2 pi i beta l m} = 2 Re S_l - 1 for the
         Dirichlet sums S of ``wdf._lag_chirps``; the leak is that total less
         the kept sum.
@@ -202,7 +204,7 @@ class NumericTransformer:
         unchirp = 2.0 * beta * np.conj(chirp[:n])
 
         def convolve(start: int, stop: int, workers: int) -> None:
-            step = _block_rows(2 * nfft, workers)
+            step = _block_rows(16 * nfft, workers)
             buf = np.empty((min(step, stop - start), nfft), dtype=np.complex128)
             lags = np.empty((len(buf), m), dtype=np.complex128)
             for lo in range(start, stop, step):
@@ -216,12 +218,7 @@ class NumericTransformer:
                 source.lags(lo, hi, c)
                 total = 2.0 * beta * radiance[lo:hi].sum(axis=1) * (c.real * dirichlet).sum(axis=1)
                 spec[:, :m] *= c
-                spec[:, m:] = 0.0
-                fft(spec, axis=1, out=spec)
-                spec *= backward
-                ifft(spec, axis=1, out=spec)
-                kept = np.multiply(spec[:, :n], unchirp, out=spec[:, :n])
-                out[lo:hi] = kept.real
+                _lags_to_angles(spec, m, backward, unchirp, out[lo:hi])
                 leak_rows[lo:hi] = total - out[lo:hi].sum(axis=1)
                 totals[lo:hi] = total
 
@@ -229,13 +226,11 @@ class NumericTransformer:
 
     @property
     def kernel(self) -> np.ndarray:
-        table = wigner_table(
-            self.grid,
-            self.transmittance.samples,
-            *_relative_frequencies(self.grid),
-            options=self.options,
-            fine_samples=self.fine_samples,
-        )
+        """The table, from the lag-grid signal: window "none", since ``source`` has applied it."""
+        signal, options = self.source.signal, self.source.options
+        plain = WdfOptions(options.oversample_factor, "none", options.boundary)
+        coarse = signal[:: 2 * options.oversample_factor]
+        table = wigner_table(self.grid, coarse, *_relative_frequencies(self.grid), plain, fine_samples=signal)
         table /= self.grid.wavelength
         return _freeze(table)
 
@@ -320,21 +315,7 @@ def transformer_from_transmittance(
         options=options,
         fine_samples=fine_samples,
     )
-    if fine_samples is not None:  # kept for ``kernel``; checked by WignerRows
-        fine_samples = _freeze(np.array(fine_samples, dtype=np.complex128))
-    return NumericTransformer(
-        grid,
-        transmittance,
-        options,
-        fine_samples,
-        source,
-        {"element": "numeric", "wdf_options": options},
-    )
-
-
-def _block_rows(nfft: int, workers: int = 1) -> int:
-    """Rows per block whose spectra of length ``nfft`` fill a ``workers``-th of ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // workers // (16 * (nfft // 2 + 1)))
+    return NumericTransformer(grid, source, {"element": "numeric", "wdf_options": options})
 
 
 def apply_transformer(

@@ -27,9 +27,14 @@ SciPy: importing its signal package also loads ``scipy.stats`` and costs
 about a second of start-up on every run, and ``scipy.fft`` alone about
 0.3 s and 22 MiB, whether or not a Wigner transform is computed.  Since
 numpy 2.0, ``numpy.fft`` runs the same pocketfft C++ code as
-``scipy.fft``, and its ``out=`` argument keeps the chirp-z and upsampling
-transforms in place.  Each helper follows SciPy's order of operations, so
-results are bitwise the same; tests pin them to ``scipy.signal``.
+``scipy.fft``, and its ``out=`` argument keeps the transforms in place.
+The upsampling and the window follow SciPy's order of operations and
+tests pin them to ``scipy.signal`` bit for bit.  One chirp-z
+(``_lag_chirps`` and ``_lags_to_angles``) serves every sum between lags
+and angles: the table's rows, the numeric kernel's apply and the fold's
+leak.  Its chirp phase is reduced modulo 2 pi exactly (``_pi_phase``), so
+its rounding does not grow with the lag count; tests pin it to direct
+sums, in long double where the phase is large.
 
 Rows of the table are independent.  ``WignerRows`` does the shared set-up
 once (upsampling, lag windows, chirps); it then gives the lag products of
@@ -39,8 +44,9 @@ is never made on the apply path, or writes the block's rows of the table
 into a buffer its caller owns (``write``), through an in-place chirp-z.
 ``wigner_table`` fills a whole table from it (the field transform), one
 contiguous range of rows per CPU the process may use, each on its own
-thread with a 1/w share of the ``chunk_rows`` scratch budget
-(``core._over_rows``); the bits do not depend on the thread count.
+thread in blocks of a 1/w share of the block budget (``core._block_rows``,
+``core._over_rows``); the bits depend on neither the thread count nor the
+budget.
 
 A field met at its own plane by a numeric kernel is folded into it
 (``wdf_from_field(..., through=...)``): the Wigner transform of the product
@@ -53,6 +59,7 @@ products and Dirichlet sums alone (``_fold_leak``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -67,6 +74,7 @@ from .core import (
     DegenerateInputError,
     InvalidConfigurationError,
     PhaseSpaceGrid,
+    _block_rows,
     _freeze,
     _leak_meta,
     _next_fast_len,
@@ -146,58 +154,38 @@ def _upsample(x: np.ndarray, num: int) -> np.ndarray:
     return ifft(out, out=out)
 
 
-class _ZoomDft:
-    """DFT of length-n rows at m frequencies f1 .. f2 inclusive, sample rate fs.
+def _pi_phase(a: float, k: np.ndarray) -> np.ndarray:
+    """e^{i pi a k} for whole numbers 0 <= k < 2**53, with a k taken modulo 2 exactly.
 
-    Bluestein's chirp-z algorithm: the chirps and the transformed filter
-    are built once, then each call costs two FFTs of a fast length.
+    a splits into a head short enough that its product with every k is
+    exact, so ``fmod`` reduces it exactly, and a tail whose small product
+    adds the only rounding; a k itself, up to about 1e4 in a chirp, would
+    round by 1e-12.
     """
-
-    def __init__(self, n: int, f1: float, f2: float, m: int, fs: float):
-        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-        scale = ((f2 - f1) * m) / (fs * (m - 1))
-        wk2 = np.exp(-(1j * np.pi * scale * k**2) / m)
-        ak = np.exp(-2j * np.pi * f1 / fs * k[:n])
-        self._awk2 = ak * wk2[:n]
-        self.nfft = _next_fast_len(n + m - 1)
-        self._fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), self.nfft)
-        self._wk2 = wk2[:m]
-        self._out = slice(n - 1, n + m - 1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = ifft(self._fwk2 * fft(x * self._awk2, self.nfft))
-        return y[..., self._out] * self._wk2
-
-    def real_into(self, buf: np.ndarray, scale: float, out: np.ndarray) -> None:
-        """Write scale * Re(transform) of the rows held in buf[:, :n] to out.
-
-        In-place variant of __call__ for (rows, nfft) complex scratch, with
-        the same values; it overwrites buf and allocates nothing of the
-        block's size.
-        """
-        n = len(self._awk2)
-        buf[:, :n] *= self._awk2
-        buf[:, n:] = 0.0
-        spec = fft(buf, axis=-1, out=buf)
-        np.multiply(self._fwk2, spec, out=spec)  # __call__'s operand order
-        y = ifft(spec, axis=-1, out=spec)[:, self._out]
-        y *= self._wk2
-        np.multiply(y.real, scale, out=out)
+    k = np.asarray(k, dtype=np.float64)
+    bits = max(53 - int(k.max(initial=0)).bit_length(), 0)
+    mantissa, exponent = math.frexp(a)
+    head = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
+    turns = np.fmod(head * k, 2.0)
+    turns += (a - head) * k
+    return np.exp(1j * np.pi * turns)
 
 
 def _lag_chirps(beta: float, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chirp-z pieces of the sums between n angle nodes and m lags, beta = ds dtheta / lambda.
+    """Chirp-z pieces of the sums between n angle nodes and m lags, beta = ds du.
 
-    Returns the chirp e^{i pi beta k^2} for k < max(n, m); the spectrum, at
-    ``_next_fast_len(n + m - 1)``, of the filter e^{-i pi beta k^2} at
-    k = -(n - 1) .. m - 1, so that ifft(fft(chirp row) * spectrum) times the
-    chirp is a zoom DFT sum_{j<n} r_j e^{2 pi i beta j l}; and that DFT of a
-    row of ones, the Dirichlet sums S_l (beta l can be a whole number, so no
-    sine ratio).
+    Returns the chirp e^{i pi beta k^2} for k < max(n, m) (``_pi_phase``);
+    the spectrum, at ``_next_fast_len(n + m - 1)``, of the filter
+    e^{-i pi beta k^2} at k = -(n - 1) .. m - 1, so that
+    ifft(fft(chirp row) * spectrum) times the chirp is a zoom DFT
+    sum_{j<n} r_j e^{2 pi i beta j l}; and that DFT of a row of ones, the
+    Dirichlet sums S_l (beta l can be a whole number, so no sine ratio).
+    The way back, lags to angles, filters with the conjugate spectrum
+    (``_lags_to_angles``).
     """
     nfft = _next_fast_len(n + m - 1)
     k = np.arange(max(n, m))
-    chirp = np.exp(1j * np.pi * beta * k**2)
+    chirp = _pi_phase(beta, k * k)
     taps = np.zeros(nfft, dtype=np.complex128)
     taps[:m] = np.conj(chirp[:m])
     taps[nfft - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
@@ -206,10 +194,20 @@ def _lag_chirps(beta: float, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np
     return chirp, spectrum, sums
 
 
-def _apodized(samples: np.ndarray, window: str) -> np.ndarray:
-    if window == "none":
-        return samples
-    return samples * _tukey(len(samples), 2 * EDGE_TAPER_FRACTION)
+def _lags_to_angles(buf: np.ndarray, m: int, backward: np.ndarray, unchirp: np.ndarray, out: np.ndarray) -> None:
+    """Write scale Re sum_{l<m} v_l e^{-2 pi i beta j l} for j < n = len(unchirp) to out.
+
+    buf is (rows, nfft) complex scratch holding v_l e^{-i pi beta l^2} in
+    its first m columns, backward the conjugate of ``_lag_chirps``'s
+    spectrum and unchirp scale e^{-i pi beta j^2}.  buf is overwritten.
+    """
+    n = len(unchirp)
+    buf[:, m:] = 0.0
+    fft(buf, axis=1, out=buf)
+    buf *= backward
+    ifft(buf, axis=1, out=buf)
+    kept = np.multiply(buf[:, :n], unchirp, out=buf[:, :n])
+    out[...] = kept.real
 
 
 class WignerRows:
@@ -255,7 +253,6 @@ class WignerRows:
         n_u: int,
         options: WdfOptions,
         fine_samples: np.ndarray = None,
-        chunk_rows: int = 32,
     ):
         if n_u < 2:
             raise InvalidConfigurationError(f"need at least 2 frequencies, got n_u={n_u!r}")
@@ -271,19 +268,15 @@ class WignerRows:
                 f"shrink the angle window"
             )
 
-        g = _apodized(np.asarray(samples, dtype=np.complex128), options.window)
         m_total = factor * n
-        if fine_samples is not None:
-            gf = np.asarray(fine_samples, dtype=np.complex128)
-            if gf.shape != (m_total,):
-                raise InvalidConfigurationError(
-                    f"fine_samples must have shape ({m_total},), got {gf.shape}"
-                )
-            if options.window != "none":
-                gf = gf * _tukey(m_total, 2 * EDGE_TAPER_FRACTION)
-        else:
-            gf = _upsample(g, m_total)
-        self.options, self.signal = options, gf
+        gf = np.array(samples if fine_samples is None else fine_samples, dtype=np.complex128)
+        if fine_samples is not None and gf.shape != (m_total,):
+            raise InvalidConfigurationError(f"fine_samples must have shape ({m_total},), got {gf.shape}")
+        if options.window != "none":
+            gf = gf * _tukey(len(gf), 2 * EDGE_TAPER_FRACTION)
+        if fine_samples is None:
+            gf = _upsample(gf, m_total)
+        self.options, self.signal = options, _freeze(gf)  # a copy: the caller's array may change
         self.ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
         k_half = m_total // 2
         self.n_lags = n_lags = k_half + 1
@@ -301,11 +294,15 @@ class WignerRows:
         self._backward = sliding_window_view(np.conj(source[::-1]), n_lags)[first_back::-factor]
         # doubling the one-sided sum counts lag 0 twice, so it enters at
         # half weight; so does the periodic end lag
-        self._half_weight = [0, n_lags - 1] if options.boundary == "periodic" else [0]
+        self._half_weight = slice(0, None, n_lags - 1) if options.boundary == "periodic" else slice(0, 1)
 
-        u_nodes = u_start + du * np.arange(n_u)
-        self._zoom = _ZoomDft(n_lags, u_nodes[0], u_nodes[-1], n_u, 1.0 / self.ds)
-        self._chunk_rows = chunk_rows
+        # W(u_start + j du) = 2 ds Re sum_l (c[l] e^{-2 pi i u_start l ds})
+        # e^{-2 pi i beta j l}, beta = du ds: the start is a per-lag phase
+        chirp, spectrum, _ = _lag_chirps(du * self.ds, n_u, n_lags)
+        lag_phase = _pi_phase(-2.0 * u_start * self.ds, np.arange(n_lags))
+        self._lag_phase = lag_phase * np.conj(chirp[:n_lags])
+        self._filter = np.conj(spectrum)
+        self._unchirp = 2.0 * self.ds * np.conj(chirp[:n_u])
         self.shape = (n, n_u)
 
     def lags(self, lo: int, hi: int, out: np.ndarray) -> None:
@@ -321,17 +318,19 @@ class WignerRows:
     def write(self, lo: int, hi: int, out: np.ndarray, workers: int = 1) -> None:
         """Write rows lo..hi-1 of the table into out, of shape (hi - lo, n_u).
 
-        Works through a ``workers``-th of ``chunk_rows`` rows at a time, for
-        that many writers running at once, in one complex scratch buffer of
-        the chirp-z length, allocated per call.
+        Works through blocks of a ``workers``-th of the block budget
+        (``core._block_rows``), for that many writers running at once, in
+        one complex scratch buffer of the chirp-z length, allocated per call.
         """
-        step = max(1, self._chunk_rows // workers)
-        buf = np.empty((min(step, hi - lo), self._zoom.nfft), dtype=np.complex128)
+        m, nfft = self.n_lags, len(self._filter)
+        step = _block_rows(16 * nfft, workers)
+        buf = np.empty((min(step, hi - lo), nfft), dtype=np.complex128)
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
             rows = buf[: stop - start]
-            self.lags(start, stop, rows[:, : self.n_lags])
-            self._zoom.real_into(rows, 2.0 * self.ds, out[start - lo : stop - lo])
+            self.lags(start, stop, rows[:, :m])
+            rows[:, :m] *= self._lag_phase
+            _lags_to_angles(rows, m, self._filter, self._unchirp, out[start - lo : stop - lo])
 
 
 def wigner_table(
@@ -341,7 +340,6 @@ def wigner_table(
     du: float,
     n_u: int,
     options: WdfOptions,
-    chunk_rows: int = 32,
     fine_samples: np.ndarray = None,
 ) -> np.ndarray:
     """The whole (x_samples, n_u) table of ``WignerRows``, as one array.
@@ -350,7 +348,7 @@ def wigner_table(
     assembled form of a numeric kernel (u from a symmetric relative-angle
     axis).
     """
-    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine_samples, chunk_rows)
+    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine_samples)
     out = np.empty(rows.shape)
     _over_rows(rows.shape[0], lambda lo, hi, workers: rows.write(lo, hi, out[lo:hi], workers))
     return out
@@ -447,22 +445,21 @@ def _fold_leak(
     beta = ds * grid.dtheta / grid.wavelength
     _, _, sums = _lag_chirps(beta, n, m)
     dirichlet = 2.0 * sums.real - 1.0
-    nodes = np.exp(-2j * np.pi * u_start * ds * np.arange(m)) * np.conj(sums)
+    nodes = _pi_phase(-2.0 * u_start * ds, np.arange(m)) * np.conj(sums)
     scale = 2.0 * beta * 2.0 * ds / grid.wavelength
     leak_rows = np.empty(grid.x_samples)
     totals = np.empty(grid.x_samples)
 
     def fold_rows(start: int, stop: int, workers: int) -> None:
-        step = max(1, rows._chunk_rows // workers)
-        field_lags = np.empty((min(step, stop - start), m), dtype=np.complex128)
-        kernel_lags = np.empty_like(field_lags)
+        step = _block_rows(16 * m, workers)
+        lags = np.empty((min(step, stop - start), m), dtype=np.complex128)
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            c, k = field_lags[: hi - lo], kernel_lags[: hi - lo]
+            c = lags[: hi - lo]  # the field's lag products, then the kernel's
             rows.lags(lo, hi, c)
-            through.lags(lo, hi, k)
             power = np.multiply(c, nodes, out=c).real.sum(axis=1)
-            totals[lo:hi] = scale * power * (k.real * dirichlet).sum(axis=1)
+            through.lags(lo, hi, c)
+            totals[lo:hi] = scale * power * (c.real * dirichlet).sum(axis=1)
             leak_rows[lo:hi] = totals[lo:hi] - radiance[lo:hi].sum(axis=1)
 
     _over_rows(grid.x_samples, fold_rows)

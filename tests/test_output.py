@@ -1,3 +1,4 @@
+import hashlib
 import json
 import platform
 import subprocess
@@ -14,6 +15,7 @@ from auglf.output import (
     ZERO_RGB,
     _BLOCK_CELLS,
     _BLOCK_ROWS,
+    _abs_max,
     _rgb_blocks,
     fmt17,
     sha256_file,
@@ -44,7 +46,10 @@ def read_matrix_csv(path):
 
 def heatmap_rgb(matrix, vmax=None):
     """The colours ``write_heatmap`` writes for ``matrix``, its blocks joined."""
-    blocks = list(_rgb_blocks(np.asarray(matrix, dtype=np.float64), vmax))
+    matrix = np.asarray(matrix, dtype=np.float64)
+    vmax = _abs_max(matrix) if vmax is None else vmax
+    # each block's colours are overwritten by the next, so keep a copy
+    blocks = [(rows, rgb.copy()) for rows, rgb in _rgb_blocks(matrix, vmax)]
     assert [rows.start for rows, _ in blocks] == list(range(0, len(matrix), _BLOCK_ROWS))
     return np.concatenate([rgb for _, rgb in blocks])
 
@@ -269,6 +274,14 @@ def test_manifest_is_deterministic(tmp_path):
     assert data["config"]["grid.x_samples"] == "64"
 
 
+@pytest.mark.parametrize("size", [0, 5, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 17])
+def test_sha256_file_matches_hashlib_across_chunk_edges(tmp_path, size):
+    data = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
+
+
 # The table writers format cells with numpy; every cell must carry exactly
 # the bytes of Python's "%.17g".
 
@@ -367,6 +380,11 @@ def test_a_dirty_workspace_formats_as_a_fresh_one():
 @given(st.integers(1, len(DIRTY_CELLS)), st.integers(1, 9), st.integers(0, 20))
 def test_a_dirty_workspace_formats_as_a_fresh_one_property(count, width, first):
     assert_dirty_workspace_formats_as_fresh(DIRTY_CELLS[-count:], width, first)
+
+
+def test_format_cells_of_no_cells_is_empty():
+    assert format_cells(np.empty(0), 1, 0) == b""
+    assert format_cells(np.empty(0), 3, 2, csvtext.Workspace(0)) == b""
 
 
 def test_format_cells_refuses_a_workspace_too_small():

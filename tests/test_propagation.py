@@ -21,8 +21,7 @@ from auglf import (
     wdf_from_field,
 )
 import auglf.core as core
-from auglf import propagation
-from auglf.core import _BLOCK_BYTES
+from auglf.core import _block_rows
 import oracles
 
 LAM = 633e-9
@@ -218,7 +217,7 @@ SHEAR_THETA_EXTENT = 0.02
 
 
 def columns_per_block(x_samples):
-    return max(1, _BLOCK_BYTES // (8 * x_samples))
+    return _block_rows(8 * x_samples)
 
 
 @pytest.mark.parametrize(
@@ -237,7 +236,7 @@ def test_blocked_shear_matches_the_taps_and_the_block_size_changes_no_bit(cols_o
     out, loss = assert_matches_the_taps(alf, distance)
     assert out.meta["tag"] == 1
     # angle columns are independent, so the block size changes no bit
-    monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * x_samples)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * x_samples)
     one_by_one, loss_one = shear_propagate(alf, distance)
     assert np.array_equal(one_by_one.radiance, out.radiance) and loss_one == loss
 

@@ -35,7 +35,7 @@ from auglf import (
     transformer_from_transmittance,
     wdf_from_field,
 )
-from auglf.transformers import _BLOCK_BYTES
+from auglf.core import _BLOCK_BYTES
 from auglf.wdf import wigner_table
 
 LAM = 633e-9

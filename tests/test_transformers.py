@@ -14,6 +14,7 @@ from auglf import (
     ClippedOrderWarning,
     CodedAperture,
     ComplexField,
+    CubicPhase,
     InvalidConfigurationError,
     Lens,
     LightFieldTransformer,
@@ -21,6 +22,7 @@ from auglf import (
     PhaseSpaceGrid,
     Pinhole,
     Prism,
+    RectAperture,
     TwoPinholes,
     WdfOptions,
     apply_transformer,
@@ -30,7 +32,7 @@ from auglf import (
 )
 import auglf.core as core
 from auglf.config import parse_config
-from auglf.transformers import _BLOCK_BYTES, _block_rows
+from auglf.core import _block_rows
 from oracles import (
     angle_convolution,
     apply_dense_kernel,
@@ -363,7 +365,7 @@ ROW_COUNTS = {
     "whole_blocks": lambda b: 3 * b,
 }
 BLOCK_THETA = 256
-LINE_BLOCK = _BLOCK_BYTES // (16 * BLOCK_THETA)
+LINE_BLOCK = _block_rows(16 * BLOCK_THETA)
 
 
 @pytest.mark.parametrize("rows_of", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
@@ -558,7 +560,7 @@ def assert_lag_apply_matches_the_table(grid, options, fine_samples=None):
 def lag_block_rows(theta_samples, options, x_samples):
     """Rows per block of one worker's lag-domain apply, at the transform length of its lag count."""
     n_lags = options.oversample_factor * x_samples + 1
-    return _block_rows(2 * next_fast_len(theta_samples + n_lags - 1))
+    return _block_rows(16 * next_fast_len(theta_samples + n_lags - 1))
 
 
 # The lag apply's blocks shrink as rows are added, since the lag count grows
@@ -600,6 +602,44 @@ def test_lag_domain_apply_where_beta_l_is_a_whole_number(oversample):
     assert np.count_nonzero(np.abs(beta_l - np.rint(beta_l))[1:] < 1e-9) == 2
 
 
+# A 513 x 256 grid whose relative-angle axis nearly fills the band of
+# oversample 4: the chirp's phase pi beta k^2 reaches 2.6e4 rad at the last
+# of its 2053 lags, where rounding the product itself would err by 4e-12 rad.
+LONG_GRID = PhaseSpaceGrid(513, 513 * 8e-6, 256, 0.158, LAM)
+
+
+def long_double_kernel_rows(t, rows):
+    """Rows of the kernel table by direct sums over the lag products, in long double."""
+    grid, source = t.grid, t.source
+    n, ld = grid.theta_samples, np.longdouble
+    lags = np.empty((grid.x_samples, source.n_lags), dtype=complex)
+    source.lags(0, grid.x_samples, lags)
+    nodes = np.arange(1 - n, n).astype(ld) * ld(grid.dtheta / grid.wavelength)
+    turns = np.outer(nodes, np.arange(source.n_lags).astype(ld) * ld(source.ds))
+    turns -= np.rint(turns)
+    angle = 8 * np.arctan(ld(1)) * turns
+    # Re sum_l c_l e^{-i angle}
+    table = lags[rows].real.astype(ld) @ np.cos(angle).T + lags[rows].imag.astype(ld) @ np.sin(angle).T
+    return table * (2 * ld(source.ds) / ld(grid.wavelength))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is no wider than double here")
+@pytest.mark.parametrize("spec", [CubicPhase(4e9), RectAperture(2e-3)], ids=["cubic_phase", "rect_aperture"])
+def test_numeric_kernel_table_and_apply_match_long_double_direct_sums(spec):
+    grid = LONG_GRID
+    t = spec.kernel(grid, WdfOptions(oversample_factor=4))
+    rows = np.arange(0, grid.x_samples, 16)
+    want = long_double_kernel_rows(t, rows)
+    table = t.kernel
+    assert np.abs(table[rows] - want).max() <= 1e-13 * np.abs(table).max()
+    radiance = np.random.default_rng(5).uniform(size=(grid.x_samples, grid.theta_samples))
+    out = apply_transformer(AugmentedLightField(grid, radiance), t).radiance
+    n = grid.theta_samples
+    deflection = np.arange(n)[:, np.newaxis] - np.arange(n) + n - 1
+    applied = [(row[deflection] @ radiance[i].astype(np.longdouble)) * grid.dtheta for row, i in zip(want, rows)]
+    assert np.abs(out[rows] - applied).max() <= 1e-13 * np.abs(out).max()
+
+
 def test_numeric_kernel_build_and_apply_never_hold_the_table():
     g = make_grid(512, 2.56e-3, 1024, 0.06, LAM)
     mask = ComplexField(g, np.exp(1j * np.random.default_rng(8).uniform(0, 0.1, 512)))
@@ -615,6 +655,19 @@ def test_numeric_kernel_build_and_apply_never_hold_the_table():
     # 8 MiB table, held whole beside the result, would pass 12 MiB
     table_bytes = g.x_samples * (2 * g.theta_samples - 1) * 8
     assert peak < alf.radiance.nbytes + 5 * 2**20 < alf.radiance.nbytes + table_bytes
+
+
+def test_numeric_kernel_keeps_its_own_copy_of_the_fine_samples():
+    # the table and the apply read the lag-grid signal the kernel was built
+    # from, whatever the caller later writes into its array
+    g = PhaseSpaceGrid(32, 32e-5, 32, 0.02, LAM)
+    fine = np.repeat(random_mask(g, 5).samples, 2)
+    t = transformer_from_transmittance(random_mask(g, 5), WdfOptions(boundary="zero"), fine)
+    table, alf = t.kernel, random_alf(g, 6)
+    applied = apply_transformer(alf, t).radiance
+    fine[:] = 0.0
+    assert np.array_equal(t.kernel, table)
+    assert np.array_equal(apply_transformer(alf, t).radiance, applied)
 
 
 def test_numeric_kernel_settings_are_checked_at_build_time():

@@ -23,7 +23,8 @@ from auglf import (
     project_intensity,
     wdf_from_field,
 )
-from auglf.wdf import WignerRows, _tukey, _upsample, _ZoomDft, wigner_table
+import auglf.core as core
+from auglf.wdf import WignerRows, _lag_chirps, _lags_to_angles, _pi_phase, _tukey, _upsample, wigner_table
 
 from oracles import (
     gaussian_wigner,
@@ -242,36 +243,33 @@ def test_upsample_matches_scipy_resample(n, factor):
     assert np.array_equal(_upsample(x[1], factor * n), resample(x[1], factor * n))
 
 
-@pytest.mark.parametrize("n, m", [(1, 2), (2, 3), (3, 100), (64, 9), (257, 256), (2049, 2048), (4097, 2048)])
-def test_zoom_dft_matches_scipy_zoom_fft(n, m):
-    rng = np.random.default_rng(n + m)
-    x = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
-    f1, f2, fs = np.float64(-1234.5), np.float64(987.25), 1.0 / 3.3e-7
-    zoom = _ZoomDft(n, f1, f2, m, fs)
-    expect = zoom_fft(x, [f1, f2], m=m, fs=fs, endpoint=True, axis=-1)
-    assert np.array_equal(zoom(x), expect)
-    assert np.array_equal(zoom(x[2]), expect[2])
+# The one chirp-z between lags and angles, against direct sums: the Wigner
+# rows start on a frequency u_start, a per-lag phase e^{-2 pi i u_start l ds}
+# taken with the chirp, with fewer, as many and more angle nodes than lags.
+@pytest.mark.parametrize("n_u, n_lags", [(17, 33), (33, 33), (65, 33)])
+def test_lags_to_angles_matches_direct_sums(n_u, n_lags):
+    rng = np.random.default_rng(n_u)
+    lags = rng.normal(size=(3, n_lags)) + 1j * rng.normal(size=(3, n_lags))
+    beta, start, scale = 0.0137, -7.5, 0.25  # start in angle steps, not whole
+    chirp, spectrum, _ = _lag_chirps(beta, n_u, n_lags)
+    buf = np.full((3, len(spectrum)), np.nan + 0j)
+    buf[:, :n_lags] = lags * _pi_phase(-2.0 * start * beta, np.arange(n_lags)) * np.conj(chirp[:n_lags])
+    out = np.empty((3, n_u))
+    _lags_to_angles(buf, n_lags, np.conj(spectrum), scale * np.conj(chirp[:n_u]), out)
+    nodes = start + np.arange(n_u)
+    direct = scale * (lags @ np.exp(-2j * np.pi * beta * np.outer(np.arange(n_lags), nodes))).real
+    assert np.abs(out - direct).max() <= 1e-13 * scale * np.abs(lags).sum(axis=1).max()
 
 
-def test_zoom_dft_matches_direct_dft():
-    rng = np.random.default_rng(3)
-    n, m, fs = 33, 17, 2.0e5
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    f = np.linspace(-4.0e4, 7.0e4, m)
-    direct = np.exp(-2j * np.pi * f[:, None] * np.arange(n)[None, :] / fs) @ x
-    np.testing.assert_allclose(_ZoomDft(n, f[0], f[-1], m, fs)(x), direct, rtol=0, atol=1e-12 * np.abs(direct).max())
-
-
-def test_zoom_dft_real_into_matches_call():
-    rng = np.random.default_rng(4)
-    n, m = 65, 40
-    x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
-    zoom = _ZoomDft(n, -2.0e4, 3.0e4, m, 1.0e5)
-    buf = np.full((5, zoom.nfft), np.nan + 0j)
-    buf[:, :n] = x
-    out = np.empty((5, m))
-    zoom.real_into(buf, 0.25, out)
-    assert np.array_equal(out, zoom(x).real * 0.25)
+def test_pi_phase_reduces_the_product_exactly():
+    # a k reaches about 8e3 half turns, where rounding a * k itself errs by
+    # 1e-12; the head-and-tail product stays within a few units of 1e-16
+    a, k = 1.9607843137254902e-3, np.arange(0, 2053) ** 2
+    turns = np.longdouble(a) * k.astype(np.longdouble)
+    turns -= 2 * np.rint(turns / 2)
+    half_turn = 4 * np.arctan(np.longdouble(1))
+    want = np.cos(half_turn * turns) + 1j * np.sin(half_turn * turns)
+    assert np.abs(_pi_phase(a, k) - want.astype(complex)).max() < 1e-14
 
 
 def _lag_grid_signal(samples, factor, options, fine_samples=None):
@@ -325,14 +323,15 @@ def _assert_close_to_peak(table, reference, peak=None):
         WdfOptions(boundary="periodic", oversample_factor=4),
     ],
 )
-def test_wigner_table_bitwise_equals_scipy_signal_path(n, options):
+def test_wigner_table_bitwise_equals_scipy_signal_path(n, options, monkeypatch):
     # The one-sided sum rounds differently from the two-sided reference, so
     # the two agree to 1e-12 of the peak rather than bit for bit.
     g = make_grid(n, n * 2e-5, n, 0.9 * LAM / 2e-5, LAM)
     rng = np.random.default_rng(n)
     samples = rng.normal(size=n) + 1j * rng.normal(size=n)
     u = g.u_axis()
-    table = wigner_table(g, samples, float(u[0]), float(u[1] - u[0]), n, options, chunk_rows=7)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)  # blocks of one to a few rows
+    table = wigner_table(g, samples, float(u[0]), float(u[1] - u[0]), n, options)
     _assert_close_to_peak(table, _wigner_table_via_scipy(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
 
 
@@ -411,26 +410,34 @@ def test_wigner_table_property_angular_marginal_is_intensity(case):
     np.testing.assert_allclose(table.sum(axis=1) * du, target, rtol=0, atol=1e-12 * target.max())
 
 
+# Byte budgets of the row blocks: one row a block (the floor), a few rows
+# and, at the default 1 MiB, every row of these small tables in one block.
+BLOCK_BUDGETS = st.sampled_from([1, 1 << 12, 1 << 14, 1 << 16])
+
+
 @PROPERTY_SETTINGS
-@given(table_cases(), st.integers(1, 45))
-def test_wigner_table_property_chunking_is_bitwise_invariant(case, chunk_rows):
+@given(table_cases(), BLOCK_BUDGETS)
+def test_wigner_table_property_chunking_is_bitwise_invariant(case, budget):
     grid, samples, options, fine, (u_start, du, n_u) = case
-    whole = wigner_table(grid, samples, u_start, du, n_u, options, chunk_rows=grid.x_samples, fine_samples=fine)
-    chunked = wigner_table(grid, samples, u_start, du, n_u, options, chunk_rows=chunk_rows, fine_samples=fine)
+    whole = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_BYTES", budget)
+        chunked = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
     assert np.array_equal(chunked, whole)
 
 
 @PROPERTY_SETTINGS
-@given(table_cases(), st.data())
-def test_wigner_rows_property_any_row_range_gives_the_table_bits(case, data):
+@given(table_cases(), BLOCK_BUDGETS, st.data())
+def test_wigner_rows_property_any_row_range_gives_the_table_bits(case, budget, data):
     grid, samples, options, fine, (u_start, du, n_u) = case
     whole = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
-    chunk_rows = data.draw(st.integers(1, 45))
-    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine, chunk_rows)
+    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine)
     lo = data.draw(st.integers(0, grid.x_samples - 1))
     hi = data.draw(st.integers(lo + 1, grid.x_samples))
     out = np.full((hi - lo, n_u), np.nan)
-    rows.write(lo, hi, out)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_BYTES", budget)
+        rows.write(lo, hi, out)
     assert np.array_equal(out, whole[lo:hi])
 
 
