@@ -147,9 +147,8 @@ class PhaseSpaceGrid:
         return self.x_index(x)
 
     def theta_index(self, theta: float) -> int:
-        """Nearest-node index for an angle; clipped to the window."""
-        j = int(round((theta + 0.5 * self.theta_extent) / self.dtheta))
-        return min(max(j, 0), self.theta_samples - 1)
+        """Nearest-node index for an angle (``_nearest_node``); clipped to the window."""
+        return _nearest_node((theta + 0.5 * self.theta_extent) / self.dtheta, self.theta_samples)
 
 
 def _nearest_node(steps: float, count: int) -> int:
@@ -159,7 +158,8 @@ def _nearest_node(steps: float, count: int) -> int:
     one, so unlike rounding half to even the rule does not depend on how
     the step count was reached: ``PhaseSpaceGrid.x_index`` counts from
     -x_extent/2 and a pinhole's transmittance from the first node of its
-    axis, and both pick one node.
+    axis, and both pick one node.  ``PhaseSpaceGrid.theta_index`` takes a
+    plane wave's node by the same rule, in both pipelines.
     """
     return min(max(math.ceil(steps - 0.5 - 1e-9), 0), count - 1)
 

@@ -6,12 +6,14 @@ sheared and pushed through kernels) and, independently, through the scalar
 wave pipeline of :mod:`auglf.fresnel`.  The comparison report quantifies how
 well the two agree on the observable intensity.
 
-A field source followed at once by a lone element with a numeric kernel is
-traced in one step: the Wigner transform of the field times the element's
-transmittance is the radiance behind the element, so the source's own
-radiance is never made or kept (``trace_train``).  Closed-form first
-elements, the other sources, elements after a hop and groups of elements
-at one plane take the source radiance and apply each kernel.
+A field source or a plane wave followed at once by a lone element with a
+numeric kernel is traced in one step, and the source's own radiance is
+never made or kept (``trace_train``): the Wigner transform of the field
+times the element's transmittance is the radiance behind the element, and
+behind a plane wave it is the element's own kernel rows, shifted by the
+wave's angle node.  Closed-form first elements, point sources, elements
+after a hop and groups of elements at one plane take the source radiance
+and apply each kernel.
 
 The wave pipeline lives on the position window, as the radiance does:
 sources are built and elements evaluated on the grid's own axis, so both
@@ -117,6 +119,11 @@ class OpticalTrain:
             raise InvalidConfigurationError(
                 "field source was sampled on a different grid than the train"
             )
+        half = 0.5 * self.grid.theta_extent
+        if isinstance(self.source, PlaneWave) and not (-half <= self.source.angle < half):
+            raise InvalidConfigurationError(
+                f"plane wave at {self.source.angle:g} rad lies outside the angular window"
+            )
 
 
 @dataclass(frozen=True)
@@ -194,11 +201,6 @@ def _source_radiance(grid: PhaseSpaceGrid, source: SourceSpec, options: TraceOpt
         )
         return AugmentedLightField(grid, _freeze(radiance), {"source": "point"})
     if isinstance(source, PlaneWave):
-        half = 0.5 * grid.theta_extent
-        if not (-half <= source.angle < half):
-            raise InvalidConfigurationError(
-                f"plane wave at {source.angle:g} rad lies outside the angular window"
-            )
         radiance = np.zeros((grid.x_samples, grid.theta_samples))
         radiance[:, grid.theta_index(source.angle)] = 1.0 / (
             grid.dtheta * grid.x_extent
@@ -260,7 +262,9 @@ def _oracle_intensity(train: OpticalTrain, options: TraceOptions) -> IntensityPr
     source = train.source
     stages = list(train.stages)
     if isinstance(source, PlaneWave):
-        g = ComplexField(grid, np.exp(2j * np.pi * source.angle * x / grid.wavelength))
+        # launched on the angle node its radiance takes
+        angle = grid.theta_axis()[grid.theta_index(source.angle)]
+        g = ComplexField(grid, np.exp(2j * np.pi * angle * x / grid.wavelength))
     elif isinstance(source, FieldSource):
         g = source.field
     elif stages and isinstance(stages[0], Propagate) and stages[0].distance > 0.0:
@@ -301,15 +305,18 @@ def trace_train(
 ) -> TrainTrace:
     """Run the phase-space pipeline stage by stage, keeping snapshots.
 
-    A field source whose first stage is a lone element with a numeric
-    kernel (no second element at the same plane) is folded into it: one
+    A field source or a plane wave whose first stage is a lone element
+    with a numeric kernel (no second element at the same plane) is folded
+    into it, and gives the apply's numbers to rounding.  For a field, one
     Wigner transform of the product of field and transmittance
-    (``wdf_from_field(..., through=...)``) replaces the source transform and
-    the apply, and gives the apply's numbers to rounding.  Such a trace has
-    no source record; its first record is ``StageRecord(1,
-    "source+<element label>", ..., kernel="numeric")``, whose loss is the
-    leak the apply would report.  Every other train starts from the
-    source's record, index 0.
+    (``wdf_from_field(..., through=...)``) replaces the source transform
+    and the apply; for a plane wave, one table of the kernel's own signal,
+    shifted by the wave's angle node (``NumericTransformer.
+    behind_plane_wave``), replaces the wave's one-column radiance and the
+    apply.  Such a trace has no source record; its first record is
+    ``StageRecord(1, "source+<element label>", ..., kernel="numeric")``,
+    whose loss is the leak the apply would report.  Every other train
+    starts from the source's record, index 0.
 
     Raises ScenarioAbortError when one stage truncates more than the
     configured share of the signal; the exception carries the 1-based index
@@ -318,16 +325,18 @@ def trace_train(
     if options is None:
         options = TraceOptions()
     grid = train.grid
+    source = train.source
     first = None  # stage 1's kernel, built before the source to fold into it
-    if isinstance(train.source, FieldSource) and _lone_element(train.stages):
+    if isinstance(source, (FieldSource, PlaneWave)) and _lone_element(train.stages):
         first = canonical_transformer(train.stages[0].spec, grid, options.wdf_options)
     folded = isinstance(first, NumericTransformer)
-    if folded:
-        alf = wdf_from_field(train.source.field, options.wdf_options, through=first.source)
-        records = []
+    if not folded:
+        alf = _source_radiance(grid, source, options)
+    elif isinstance(source, PlaneWave):
+        alf = first.behind_plane_wave(grid.theta_index(source.angle))
     else:
-        alf = _source_radiance(grid, train.source, options)
-        records = [StageRecord(0, "source", alf, 0.0)]
+        alf = wdf_from_field(source.field, options.wdf_options, through=first.source)
+    records = [] if folded else [StageRecord(0, "source", alf, 0.0)]
     kept = 1.0
 
     for k, stage in enumerate(train.stages, start=1):

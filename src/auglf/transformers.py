@@ -24,9 +24,11 @@ t(x + s/2) t*(x - s/2) in the lag domain (Bastiaans, JOSA 69, 1710,
 way back from lags to angles (``wdf._lags_to_angles``) is the one the
 Wigner rows and this kernel's table take.  It keeps only its grid, its
 ``WignerRows`` and its meta; the table comes from the rows' lag-grid
-signal.  A numeric kernel met by a field source at its own plane is not
-applied at all: ``trace_train`` folds it into the source's Wigner
-transform (``wdf_from_field``'s ``through``), which shares this apply's
+signal.  A numeric kernel met by a field source or a plane wave at its
+own plane is not applied at all: ``trace_train`` folds it into the
+source's Wigner transform (``wdf_from_field``'s ``through``), or takes the
+kernel's own table shifted by the wave's angle node
+(``NumericTransformer.behind_plane_wave``); both share this apply's
 Dirichlet sums (``wdf._lag_chirps``).
 
 Rows are independent, so the apply splits them into one contiguous range
@@ -169,9 +171,10 @@ class NumericTransformer:
     Row i is the Wigner row of the transmittance around x_i on the
     relative-angle axis, divided by the wavelength.  ``source`` is set up
     (and its settings checked) at build time and gives the lag products of
-    any block of rows.  ``kernel`` assembles the whole table through
-    ``wigner_table`` from ``source.signal`` on each access and does not
-    keep it.
+    any block of rows.  ``table`` assembles a whole table through
+    ``wigner_table`` from ``source.signal`` on any frequency axis, and does
+    not keep it: ``kernel`` on the relative-angle axis, and
+    ``behind_plane_wave`` on the grid's angles less a plane wave's.
     """
 
     grid: PhaseSpaceGrid
@@ -224,15 +227,55 @@ class NumericTransformer:
 
         return convolve
 
-    @property
-    def kernel(self) -> np.ndarray:
-        """The table, from the lag-grid signal: window "none", since ``source`` has applied it."""
+    def table(self, u_start: float, du: float, n_u: int) -> np.ndarray:
+        """Wigner table of the lag-grid signal at u_start + k du, k < n_u: window "none", since ``source`` has applied it."""
         signal, options = self.source.signal, self.source.options
         plain = WdfOptions(options.oversample_factor, "none", options.boundary)
         coarse = signal[:: 2 * options.oversample_factor]
-        table = wigner_table(self.grid, coarse, *_relative_frequencies(self.grid), plain, fine_samples=signal)
+        return wigner_table(self.grid, coarse, u_start, du, n_u, plain, fine_samples=signal)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The table on the relative-angle axis, over the wavelength."""
+        table = self.table(*_relative_frequencies(self.grid))
         table /= self.grid.wavelength
         return _freeze(table)
+
+    def behind_plane_wave(self, node: int) -> AugmentedLightField:
+        """What the apply makes of a unit plane wave on angle node ``node``, without the wave's radiance.
+
+        That radiance is one column of L0 = 1 / (dtheta x_extent), so the
+        apply's row i at angle node j is dtheta L0 K_i((j - node) dtheta):
+        the table at u_start = -node du over lambda x_extent.  A row's total
+        is the convolver's, 2 beta L0 Re sum_l c_l D_l, and its leak that
+        total less the row's sum; the lag products are summed a block at a
+        time on the table's threads, in a second pass.
+        """
+        grid, source = self.grid, self.source
+        n, m = grid.theta_samples, source.n_lags
+        du = grid.dtheta / grid.wavelength
+        radiance = self.table(-node * du, du, n)
+        radiance /= grid.wavelength * grid.x_extent
+        beta = source.ds * du
+        _, _, sums = _lag_chirps(beta, n, m)
+        dirichlet = 2.0 * sums.real - 1.0
+        scale = 2.0 * beta * (1.0 / (grid.dtheta * grid.x_extent))
+        leak_rows = np.empty(grid.x_samples)
+        totals = np.empty(grid.x_samples)
+
+        def sum_rows(start: int, stop: int, workers: int) -> None:
+            step = _block_rows(16 * m, workers)
+            lags = np.empty((min(step, stop - start), m), dtype=np.complex128)
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                c = lags[: hi - lo]
+                source.lags(lo, hi, c)
+                totals[lo:hi] = scale * (c.real * dirichlet).sum(axis=1)
+                leak_rows[lo:hi] = totals[lo:hi] - radiance[lo:hi].sum(axis=1)
+
+        _over_rows(grid.x_samples, sum_rows)
+        meta = {"source": "plane", **_leak_meta(grid, leak_rows, totals)}
+        return AugmentedLightField(grid, _freeze(radiance), meta)
 
 
 def _delta_lines(grid: PhaseSpaceGrid, deflections, weights, label: str) -> LightFieldTransformer:

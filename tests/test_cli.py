@@ -260,15 +260,25 @@ def test_aborted_scenario_exits_3(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_an_out_of_window_plane_wave_before_a_slit_exits_2(tmp_path, capsys):
+    # the window's upper edge, 6e-3 rad, is not a node; its lower edge is
+    cfg = tmp_path / "tilted.cfg"
+    cfg.write_text(SMALL.replace("kind = plane_wave\n", "kind = plane_wave\nangle = 6e-3\n"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "outside the angular window" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")
 def test_snapshot_heatmaps(tmp_path):
     out = tmp_path / "out"
     extra = "\n[output]\nsnapshots = on\n"
     code = main(["run", small_config(tmp_path, extra), "--out", str(out), "--compare-oracle", "off"])
     assert code == 0
-    for base in ("stage_00_source", "stage_01_rect_aperture", "stage_02_propagate_0.02m"):
+    # the plane wave is folded into the slit: no source record of its own
+    for base in ("stage_01_source+rect_aperture", "stage_02_propagate_0.02m"):
         assert (out / f"{base}.ppm").is_file()
         assert (out / f"{base}.json").is_file()
+    assert not list(out.glob("stage_00_*"))
 
 
 @pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")

@@ -93,13 +93,15 @@ def test_plane_wave_through_a_slit_is_non_negative_and_rings_as_the_exact_shear_
     g = make_grid(256, 2.048e-3, 256, 1.2e-2, LAM)
     train = OpticalTrain(g, PlaneWave(0.0), (Element(RectAperture(5e-4)), Propagate(0.02)))
     trace = trace_train(train, TraceOptions(compare_oracle=False))
-    assert project_intensity(trace.stages[1].alf).values.min() >= 0.0
+    slit = trace.stages[0]  # the plane wave is folded into the slit
+    assert slit.label == "source+rect_aperture"
+    assert project_intensity(slit.alf).values.min() >= 0.0
     # every angle row of the slit's radiance has a kink at both edges, on
     # which a shift that keeps more than linear accuracy rings a little:
     # after 2 cm the exact Fourier shift gives a negativity of 5.1e-5 of
     # the peak, the Lanczos-4 shear 3.1e-5 and agrees with it to 3.8e-4
     final = project_intensity(trace.final).values
-    exact, _ = fourier_shear(trace.stages[1].alf.radiance, 0.02 * g.theta_axis() / g.dx)
+    exact, _ = fourier_shear(slit.alf.radiance, 0.02 * g.theta_axis() / g.dx)
     exact = exact.sum(axis=1) * g.dtheta
     assert -final.min() <= 1e-4 * final.max()
     assert np.abs(final - exact).max() <= 1e-3 * exact.max()
@@ -467,9 +469,85 @@ def test_a_folded_trace_holds_two_radiances_and_the_working_set():
     assert peak < 3 * radiance
 
 
+# A plane wave whose first stage is a lone numeric element is folded into
+# it: the kernel's own table, shifted by the wave's angle node.  Angles on
+# the axis, on a node off it, and between nodes (which takes the nearer one).
+PLANE_ANGLES = {"on_axis": 0.0, "off_axis_node": 3.0, "between_nodes": -4.4}
+
+
+@pytest.mark.parametrize("steps", PLANE_ANGLES.values(), ids=PLANE_ANGLES.keys())
+@pytest.mark.parametrize("oversample, window", FOLD_OPTIONS)
+@pytest.mark.parametrize("name", FOLDED_ELEMENTS)
+def test_a_folded_plane_wave_gives_the_applied_numbers(name, oversample, window, steps):
+    spec, angle = FOLDED_ELEMENTS[name], steps * FOLD_GRID.dtheta
+    options = TraceOptions(oversample=oversample, window=window, compare_oracle=False)
+    with warnings.catch_warnings():
+        # right behind the coded mask and the bounded hologram the projection
+        # passes the floor, where their light passes the angle window; the
+        # two-step path warns alike, and the subject here is the radiance
+        warnings.simplefilter("ignore", NegativeIntensityWarning)
+        trace = trace_train(OpticalTrain(FOLD_GRID, PlaneWave(angle), (Element(spec),)), options)
+    [record] = trace.stages
+    assert (record.index, record.label, record.kernel) == (1, f"source+{element_label(spec)}", "numeric")
+    wdf_options = options.wdf_options
+    applied = apply_transformer(
+        scenarios._source_radiance(FOLD_GRID, PlaneWave(angle), options),
+        canonical_transformer(spec, FOLD_GRID, wdf_options),
+    )
+    peak = np.abs(applied.radiance).max()
+    assert np.abs(record.alf.radiance - applied.radiance).max() <= 1e-12 * peak
+    assert abs(record.truncation_loss - applied.meta["theta_leak_fraction"]) <= 1e-12
+    assert record.alf.meta["theta_leak_fraction"] == record.truncation_loss
+    content = np.abs(applied.radiance).sum() * FOLD_GRID.dtheta * FOLD_GRID.dx
+    assert abs(record.alf.meta["theta_leak"] - applied.meta["theta_leak"]) <= 1e-12 * content
+    assert record.alf.meta["source"] == applied.meta["source"] == "plane"
+
+
+def test_a_folded_plane_wave_holds_two_radiances_and_the_working_set():
+    # hologram.cfg's train; the two-step path keeps the wave's one-column
+    # radiance as a third record (24 MiB with the other two)
+    g = make_grid(1024, 2.048e-3, 1024, 2.2e-2, LAM)
+    train = OpticalTrain(g, PlaneWave(0.0), (Element(Hologram(0.1)), Propagate(0.1)))
+    tracemalloc.start()
+    try:
+        trace = trace_train(train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.label for r in trace.stages] == ["source+hologram", "propagate_0.1m"]
+    # the folded record and the sheared one (8 MiB each) and block buffers
+    radiance = trace.final.radiance.nbytes
+    assert peak < 2 * radiance + 4 * 2**20
+
+
+def test_an_out_of_window_plane_wave_is_rejected_before_a_numeric_element():
+    for angle in (0.5 * FOLD_GRID.theta_extent, -0.5 * FOLD_GRID.theta_extent - FOLD_GRID.dtheta):
+        with pytest.raises(InvalidConfigurationError, match="angular window"):
+            OpticalTrain(FOLD_GRID, PlaneWave(angle), (Element(RectAperture(6e-4)), Propagate(0.01)))
+    # the lower edge is the first node, inside the window
+    low = OpticalTrain(FOLD_GRID, PlaneWave(-0.5 * FOLD_GRID.theta_extent), (Element(RectAperture(6e-4)),))
+    assert trace_train(low, TraceOptions(compare_oracle=False)).stages[0].label == "source+rect_aperture"
+
+
+def test_a_plane_wave_takes_the_nearer_angle_node_in_both_pipelines():
+    # halfway between two nodes the lower one, as positions do
+    g = make_grid(256, 2.048e-3, 256, 1.2e-2, LAM)
+    assert g.theta_index(0.5 * g.dtheta) == 128
+    assert g.theta_index(1.5 * g.dtheta) == 129
+    assert g.theta_index(-0.5 * g.dtheta) == 127
+    # off the node, the wave reference launches on the node the radiance
+    # takes, so both pipelines see the on-node scene (rel. L2 0.095)
+    errors = []
+    for steps in (0.0, 0.3, 0.49, 0.5):
+        train = OpticalTrain(g, PlaneWave(steps * g.dtheta), (Element(RectAperture(5e-4)), Propagate(0.05)))
+        errors.append(trace_train(train).report.relative_l2_error)
+    assert errors == [errors[0]] * 4
+    assert errors[0] < 0.1
+
+
 # Trains that keep the source record and apply their first element: a
-# closed-form kernel, a hop before the element, a second element at the same
-# plane, and a source other than a sampled field.
+# closed-form kernel (after a field or a plane wave), a hop before the
+# element, and a second element at the same plane.
 UNFOLDED = {
     "closed_form": (FieldSource, (Element(Lens(0.1)), Propagate(0.01)), ["source", "lens", "propagate_0.01m"]),
     "after_a_hop": (
@@ -482,7 +560,8 @@ UNFOLDED = {
         (Element(CubicPhase(2e10)), Element(RectAperture(6e-4))),
         ["source", "cubic_phase", "rect_aperture"],
     ),
-    "plane_wave": (PlaneWave, (Element(RectAperture(6e-4)),), ["source", "rect_aperture"]),
+    # every deflection of this lens stays inside the angle window
+    "plane_wave": (PlaneWave, (Element(Lens(0.2)),), ["source", "lens"]),
 }
 
 

@@ -27,6 +27,7 @@ from auglf import (
     NegativeIntensityWarning,
     OpticalTrain,
     PhaseSpaceGrid,
+    PlaneWave,
     TraceOptions,
     WdfOptions,
     apply_transformer,
@@ -92,15 +93,18 @@ def outputs(grid):
         "streamed_leak_fraction": streamed.meta["theta_leak_fraction"],
         "streamed_zero_edge": apply_transformer(alf, zero_edge).radiance,
     }
-    # a field source folded into its first element, on the Wigner transform's threads
-    train = OpticalTrain(grid, FieldSource(random_field(grid, 4)), (Element(CodedAperture(mask)),))
-    with warnings.catch_warnings():
-        # the random mask and field pass the angle window, so the projection goes negative
-        warnings.simplefilter("ignore", NegativeIntensityWarning)
-        folded = trace_train(train, TraceOptions(compare_oracle=False)).final
-    got["folded"] = folded.radiance
-    got["folded_leak"] = folded.meta["theta_leak"]
-    got["folded_leak_fraction"] = folded.meta["theta_leak_fraction"]
+    # a field source and a plane wave folded into their first element, on
+    # the Wigner transform's threads
+    sources = {"folded": FieldSource(random_field(grid, 4)), "plane_folded": PlaneWave(3 * grid.dtheta)}
+    for name, source in sources.items():
+        train = OpticalTrain(grid, source, (Element(CodedAperture(mask)),))
+        with warnings.catch_warnings():
+            # the random mask and field pass the angle window, so the projection goes negative
+            warnings.simplefilter("ignore", NegativeIntensityWarning)
+            folded = trace_train(train, TraceOptions(compare_oracle=False)).final
+        got[name] = folded.radiance
+        got[f"{name}_leak"] = folded.meta["theta_leak"]
+        got[f"{name}_leak_fraction"] = folded.meta["theta_leak_fraction"]
     sheared, got["shear_loss"] = shear_propagate(alf, SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2))
     got["shear"] = sheared.radiance
     return got

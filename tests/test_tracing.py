@@ -4,7 +4,9 @@
 namespaces.  Memory spans may not nest, and the kernel apply runs inside
 one, so the numeric kernel's streamed rows must not go through the spanned
 ``transformers.wigner_table``; nor may a field source's Wigner transform,
-folded with its first element, inside the ``wdf.field`` span.
+folded with its first element, inside the ``wdf.field`` span.  A plane wave
+folded into its first element takes the kernel's table through
+``transformers.wigner_table`` straight from the trace, in no other span.
 """
 
 import importlib.util
@@ -20,8 +22,10 @@ from auglf import (
     ComplexField,
     Element,
     FieldSource,
+    Hologram,
     NegativeIntensityWarning,
     OpticalTrain,
+    PlaneWave,
     Propagate,
     TraceOptions,
     make_grid,
@@ -49,6 +53,11 @@ def coded_train(hop):
     if hop:
         stages = (Propagate(1e-3),) + stages
     return OpticalTrain(g, FieldSource(beam), stages)
+
+
+def hologram_train():
+    g = make_grid(128, 1.28e-3, 128, 0.02, LAM)
+    return OpticalTrain(g, PlaneWave(0.0), (Element(Hologram(0.05, width=1e-3)), Propagate(0.01)))
 
 
 def run(train):
@@ -112,3 +121,19 @@ def test_traced_folded_source_run_matches_the_untraced_bits():
     assert names.count("transformers.apply") == 0
     assert names.count("wdf.field") == names.count("wdf.kernel") == 1
     assert_leaf(spans, "wdf.field")
+
+
+def test_traced_folded_plane_wave_run_matches_the_untraced_bits():
+    # the plate's table, shifted by the wave's node, is the radiance behind
+    # it: one table for the build observer and one for the fold, and nothing
+    # is applied
+    traced, spans, plain = traced_and_plain(hologram_train())
+    assert_same_bits(traced, plain)
+    assert [r.label for r in traced.stages] == ["source+hologram", "propagate_0.01m"]
+    names = [s["name"] for s in spans]
+    assert names.count("transformers.apply") == 0
+    assert names.count("wdf.field") == 0
+    assert names.count("wdf.kernel") == 2
+    trace_id = next(s["id"] for s in spans if s["name"] == "scenarios.trace")
+    assert all(s["parent"] == trace_id for s in spans if s["name"] == "wdf.kernel")
+    assert_leaf(spans, "wdf.kernel")
