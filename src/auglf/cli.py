@@ -1,9 +1,10 @@
 """Command line front end: run a scenario file and write its outputs.
 
 Exit codes: 0 on success, 2 for configuration problems (unreadable file,
-syntax error, schema violation, non-finite number, bad flag value, or a
-setting the trace itself rejects), 3 when a scenario aborts because a stage
-destroyed too much signal.
+syntax error, schema violation, non-finite number, bad flag value, a
+setting the trace itself rejects, or a grid too large for the machine's
+memory), 3 when a scenario aborts because a stage destroyed too much
+signal.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def _fail(message: str, code: int) -> int:
     print(f"auglf: error: {message}", file=sys.stderr)
     return code
@@ -58,20 +67,22 @@ def _run(args) -> int:
     except (ConfigError, InvalidConfigurationError) as exc:
         return _fail(str(exc), 2)
 
+    grid = train.grid
+    # the least a trace holds: two float64 radiances, an apply's input and output
+    need = 16 * grid.x_samples * grid.theta_samples
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        return _fail(
+            f"a {grid.x_samples} x {grid.theta_samples} grid needs at least {need} bytes "
+            f"for two radiances, more than the {memory} bytes of physical memory",
+            2,
+        )
+
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         return _fail(f"cannot create output directory {args.out}: {exc.strerror}", 2)
 
-    try:
-        trace = trace_train(train, options)
-    except ScenarioAbortError as exc:
-        print(f"auglf: aborted: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidConfigurationError, DegenerateInputError) as exc:
-        return _fail(str(exc), 2)
-
-    grid = train.grid
     x = grid.x_axis()
     theta = grid.theta_axis()
     written = []
@@ -80,10 +91,22 @@ def _run(args) -> int:
         ppm, sidecar = write_heatmap(os.path.join(args.out, base), matrix, x, theta)
         written.extend([ppm, sidecar])
 
+    observe = None
     if cfg.output.snapshots and cfg.output.heatmaps:
-        for record in trace.stages:
-            emit_heatmap(f"stage_{record.index:02d}_{record.label}",
-                         record.alf.radiance)
+        # each stage's radiance is written as the stage completes, before
+        # the next stage shears it in place
+        def observe(record, alf) -> None:
+            emit_heatmap(f"stage_{record.index:02d}_{record.label}", alf.radiance)
+
+    try:
+        trace = trace_train(train, options, observe=observe)
+    except ScenarioAbortError as exc:
+        print(f"auglf: aborted: {exc}", file=sys.stderr)
+        return 3
+    except (InvalidConfigurationError, DegenerateInputError) as exc:
+        return _fail(str(exc), 2)
+    except MemoryError as exc:
+        return _fail(f"out of memory while tracing the scenario: {exc}", 2)
 
     if cfg.output.observation == "full-phase-space":
         if cfg.output.heatmaps:

@@ -9,11 +9,17 @@ rows by a fractional number of samples with one shifter, ``_shift_rows``:
 an 8-tap Lanczos-4 windowed sinc whose weights sum to 1.  A whole-sample
 move is a plain slice copy, and content pushed past the window is
 dropped, never wrapped.
+
+The x-shear can write into its own input (``shear_propagate``'s ``out``):
+a trace shears the radiance it holds in place, so free space costs no
+second radiance.  A radiance a trace hands to its observer is therefore
+valid only until the next stage runs; copy it to keep it.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +38,9 @@ _HALF = _TAPS // 2
 _MARGIN = _TAPS - 1  # zeros on either side of a row that ``_shift_rows`` reads
 
 
-def shear_propagate(alf: AugmentedLightField, distance: float) -> tuple[AugmentedLightField, float]:
+def shear_propagate(
+    alf: AugmentedLightField, distance: float, out: Optional[np.ndarray] = None
+) -> tuple[AugmentedLightField, float]:
     """Slide each angle row by ``distance * theta`` along position.
 
     Returns the propagated field together with the truncation loss: the
@@ -40,10 +48,25 @@ def shear_propagate(alf: AugmentedLightField, distance: float) -> tuple[Augmente
     which is dropped rather than wrapped.  Each row moves by
     ``distance * theta / dx`` samples through ``_shift_rows``, so a zero
     distance returns an exact copy.
+
+    Without ``out`` the result is a new array and ``alf`` is left as it
+    was.  ``out`` is a writable, C-ordered float64 array of the radiance's
+    shape, which may be ``alf.radiance`` itself made writable: the result
+    is written there, bit for bit as without it, and is then frozen into
+    the returned field.
     """
     if not np.isfinite(distance):
         raise InvalidConfigurationError(f"propagation distance must be finite, got {distance!r}")
     grid = alf.grid
+    if out is not None and not (
+        out.shape == alf.radiance.shape
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise InvalidConfigurationError(
+            "out must be a writable C-ordered float64 array of the radiance's shape"
+        )
     shifts = distance * grid.theta_axis()
     max_shift = float(np.abs(shifts).max())
     if max_shift > grid.x_extent:
@@ -54,25 +77,30 @@ def shear_propagate(alf: AugmentedLightField, distance: float) -> tuple[Augmente
             TruncationWarning,
             stacklevel=2,
         )
-    out, in_sums, out_sums = _sheared_columns(alf.radiance, shifts / grid.dx)
+    out, in_sums, out_sums = _sheared_columns(alf.radiance, shifts / grid.dx, out)
     denom = float(np.abs(in_sums).sum())
     loss = float(np.abs(in_sums - out_sums).sum()) / denom if denom > 0.0 else 0.0
     return AugmentedLightField(grid, _freeze(out), {**alf.meta, "truncation_loss": loss}), loss
 
 
-def _sheared_columns(radiance: np.ndarray, bins: np.ndarray):
+def _sheared_columns(radiance: np.ndarray, bins: np.ndarray, out: Optional[np.ndarray] = None):
     """Shift angle column j of ``radiance`` by ``bins[j]`` samples, a block of columns at a time.
 
     Each worker (``core._over_rows``) takes blocks of columns sized by
     ``core._block_rows``, copied transposed between the zero margins of a
     row-major buffer, shifts them into a second buffer and writes that
     straight into the C-ordered ``(x, theta)`` result, so the working
-    memory does not grow with the grid.  Returns the result and
-    the position sums of every angle row before and after the shift;
-    neither depends on the block size or the worker count.
+    memory does not grow with the grid.  The result is ``out``, a new
+    array when it is None; ``out`` may be ``radiance`` itself, since a
+    block's columns are copied out before the same columns are written
+    back, and no worker touches another's columns.  Returns the result
+    and the position sums of every angle row before and after the shift;
+    none depends on the block size, the worker count or whether the
+    shear runs in place.
     """
     n_x, n_theta = radiance.shape
-    out = np.empty_like(radiance)
+    if out is None:
+        out = np.empty_like(radiance)
     in_sums = np.empty(n_theta)
     out_sums = np.empty(n_theta)
 

@@ -27,7 +27,7 @@ window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union, get_args
+from typing import Callable, Optional, Sequence, Union, get_args
 
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
@@ -166,11 +166,14 @@ class TraceOptions:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """Phase-space snapshot after one stage (index 0 is the source itself)."""
+    """What one stage did (index 0 is the source itself); it keeps no radiance.
+
+    The radiance after the stage goes to ``trace_train``'s ``observe``
+    along with its record, and is valid only until the next stage runs.
+    """
 
     index: int
     label: str
-    alf: AugmentedLightField
     truncation_loss: float
     kernel: Optional[str] = None  # an element's ``meta["element"]``: "numeric" or its label
 
@@ -187,6 +190,11 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class TrainTrace:
+    """A finished trace: its stage records, the last radiance and the comparison.
+
+    ``final`` is the one radiance a trace keeps; no later stage writes it.
+    """
+
     train: OpticalTrain
     stages: tuple
     final: AugmentedLightField
@@ -301,9 +309,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def trace_train(
-    train: OpticalTrain, options: Optional[TraceOptions] = None
+    train: OpticalTrain,
+    options: Optional[TraceOptions] = None,
+    observe: Optional[Callable[[StageRecord, AugmentedLightField], None]] = None,
 ) -> TrainTrace:
-    """Run the phase-space pipeline stage by stage, keeping snapshots.
+    """Run the phase-space pipeline stage by stage on one working radiance.
 
     A field source or a plane wave whose first stage is a lone element
     with a numeric kernel (no second element at the same plane) is folded
@@ -317,6 +327,13 @@ def trace_train(
     ``StageRecord(1, "source+<element label>", ..., kernel="numeric")``,
     whose loss is the leak the apply would report.  Every other train
     starts from the source's record, index 0.
+
+    The records keep scalars only.  ``observe(record, alf)``, when given,
+    is called as each stage completes with that stage's radiance, which is
+    valid only until the next stage runs: a hop shears the radiance in
+    place (``shear_propagate``'s ``out``), so copy it to keep it.  The
+    trace holds at most two radiances at once, an apply's input and
+    output; ``TrainTrace.final`` keeps the last.
 
     Raises ScenarioAbortError when one stage truncates more than the
     configured share of the signal; the exception carries the 1-based index
@@ -336,13 +353,24 @@ def trace_train(
         alf = first.behind_plane_wave(grid.theta_index(source.angle))
     else:
         alf = wdf_from_field(source.field, options.wdf_options, through=first.source)
-    records = [] if folded else [StageRecord(0, "source", alf, 0.0)]
+    records = []
+
+    def finish(record: StageRecord, alf: AugmentedLightField) -> None:
+        records.append(record)
+        if observe is not None:
+            observe(record, alf)
+
+    if not folded:
+        finish(StageRecord(0, "source", 0.0), alf)
     kept = 1.0
 
     for k, stage in enumerate(train.stages, start=1):
         label, kernel = _stage_label(stage), None
         if isinstance(stage, Propagate):
-            alf, loss = shear_propagate(alf, stage.distance)
+            # every radiance here was allocated by this trace, so the shear
+            # may write into it; no name is left holding the array
+            alf.radiance.setflags(write=True)
+            alf, loss = shear_propagate(alf, stage.distance, out=alf.radiance)
         else:
             transformer = first if k == 1 and first is not None else canonical_transformer(
                 stage.spec, grid, options.wdf_options
@@ -360,7 +388,7 @@ def trace_train(
                 f"(limit {options.abort_loss:.0%})",
             )
         kept *= 1.0 - loss
-        records.append(StageRecord(k, label, alf, loss, kernel))
+        finish(StageRecord(k, label, loss, kernel), alf)
 
     alf_intensity = project_intensity(alf)
     if options.compare_oracle:

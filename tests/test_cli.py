@@ -2,15 +2,24 @@ import contextlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from auglf import ClippedOrderWarning, DegenerateInputError, NegativeIntensityWarning, SamplingWarning
+from auglf import (
+    ClippedOrderWarning,
+    DegenerateInputError,
+    NegativeIntensityWarning,
+    SamplingWarning,
+    apply_transformer,
+    canonical_transformer,
+    shear_propagate,
+)
 from auglf.cli import main
 from auglf.config import parse_config
-from auglf.output import sha256_file
+from auglf.output import sha256_file, write_heatmap
 from auglf.scenarios import trace_train
 from oracles import matrix_csv_text
 
@@ -238,7 +247,7 @@ def test_undersampled_hologram_warns_on_run(tmp_path):
 def test_degenerate_input_during_the_trace_exits_2(tmp_path, capsys, monkeypatch):
     import auglf.cli
 
-    def degenerate(train, options):
+    def degenerate(train, options, observe=None):
         raise DegenerateInputError("radiance: non-finite samples")
 
     monkeypatch.setattr(auglf.cli, "trace_train", degenerate)
@@ -246,18 +255,56 @@ def test_degenerate_input_during_the_trace_exits_2(tmp_path, capsys, monkeypatch
     assert "non-finite samples" in capsys.readouterr().err
 
 
+def test_a_grid_larger_than_memory_exits_2_before_any_array_is_made(tmp_path, capsys, monkeypatch):
+    import auglf.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the trace ran")
+
+    monkeypatch.setattr(auglf.cli, "trace_train", never)
+    out = tmp_path / "o"
+    # 409600 x 409600 samples: two radiances are 2.7e12 bytes
+    tracemalloc.start()
+    try:
+        code = main(["run", str(CONFIG_DIR / "hologram.cfg"), "--grid-scale", "400", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"needs at least {409600 * 409600 * 16} bytes" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def test_running_out_of_memory_in_the_trace_exits_2(tmp_path, capsys, monkeypatch):
+    import auglf.cli
+
+    def exhausted(train, options, observe=None):
+        raise MemoryError("Unable to allocate 8.00 MiB")
+
+    monkeypatch.setattr(auglf.cli, "trace_train", exhausted)
+    assert main(["run", small_config(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert "out of memory" in capsys.readouterr().err
+
+
 def test_aborted_scenario_exits_3(tmp_path, capsys):
     body = SMALL.replace("kind = plane_wave", "kind = plane_wave\nangle = 4.5e-3")
-    body = body.replace("distance = 0.02", "distance = 2.0")
+    body = body.replace("distance = 0.02", "distance = 2.0") + "\n[output]\nsnapshots = on\n"
     cfg = tmp_path / "abort.cfg"
     cfg.write_text(body)
+    out = tmp_path / "o"
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--compare-oracle", "off"])
+        code = main(["run", str(cfg), "--out", str(out), "--compare-oracle", "off"])
     assert code == 3
     assert "aborted" in capsys.readouterr().err
+    # the slit's snapshot was written as it completed; the hop then aborted
+    assert sorted(p.name for p in out.iterdir()) == [
+        "stage_01_source+rect_aperture.json",
+        "stage_01_source+rect_aperture.ppm",
+    ]
 
 
 def test_an_out_of_window_plane_wave_before_a_slit_exits_2(tmp_path, capsys):
@@ -271,14 +318,31 @@ def test_an_out_of_window_plane_wave_before_a_slit_exits_2(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")
 def test_snapshot_heatmaps(tmp_path):
     out = tmp_path / "out"
-    extra = "\n[output]\nsnapshots = on\n"
-    code = main(["run", small_config(tmp_path, extra), "--out", str(out), "--compare-oracle", "off"])
+    # a lens after the hop: an apply behind a radiance sheared in place
+    extra = "\n[stage.3]\nkind = element\nelement = lens\nfocal_length = 0.5\n\n[output]\nsnapshots = on\n"
+    config = small_config(tmp_path, extra)
+    code = main(["run", config, "--out", str(out), "--compare-oracle", "off"])
     assert code == 0
     # the plane wave is folded into the slit: no source record of its own
-    for base in ("stage_01_source+rect_aperture", "stage_02_propagate_0.02m"):
+    bases = ("stage_01_source+rect_aperture", "stage_02_propagate_0.02m", "stage_03_lens")
+    for base in bases:
         assert (out / f"{base}.ppm").is_file()
         assert (out / f"{base}.json").is_file()
     assert not list(out.glob("stage_00_*"))
+    # each snapshot is its stage's radiance, written before the next stage
+    # sheared that radiance in place
+    cfg = parse_config(config)
+    train, options = cfg.train(1), cfg.trace_options()
+    grid = train.grid
+    slit, hop, lens = train.stages
+    folded = canonical_transformer(slit.spec, grid, options.wdf_options).behind_plane_wave(grid.theta_index(0.0))
+    sheared, _ = shear_propagate(folded, hop.distance)
+    lensed = apply_transformer(sheared, canonical_transformer(lens.spec, grid, options.wdf_options))
+    (tmp_path / "want").mkdir()
+    for base, alf in zip(bases, (folded, sheared, lensed)):
+        ppm, sidecar = write_heatmap(str(tmp_path / "want" / base), alf.radiance, grid.x_axis(), grid.theta_axis())
+        assert (out / f"{base}.ppm").read_bytes() == Path(ppm).read_bytes(), base
+        assert (out / f"{base}.json").read_bytes() == Path(sidecar).read_bytes(), base
 
 
 @pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -296,6 +297,65 @@ def test_shear_property_matches_the_taps_and_balances_power(case):
     scale = np.abs(alf.radiance).sum() * alf.grid.dx * alf.grid.dtheta
     drift = abs(out.total_power() - alf.total_power())
     assert drift <= loss * in_abs + 1e-12 * scale
+
+
+def own_radiance(alf):
+    """A field on a writable copy of ``alf``'s radiance, and that copy: what a trace shears in place."""
+    work = alf.radiance.copy()
+    work.setflags(write=False)
+    own = AugmentedLightField(alf.grid, work, alf.meta)
+    assert own.radiance is work
+    work.setflags(write=True)
+    return own, work
+
+
+def assert_in_place_gives_the_new_array_bits(alf, distance):
+    want, want_loss = shear_propagate(alf, distance)
+    own, work = own_radiance(alf)
+    got, loss = shear_propagate(own, distance, out=work)
+    assert got.radiance is work and not work.flags.writeable
+    assert np.array_equal(got.radiance, want.radiance) and loss == want_loss
+    assert got.meta == want.meta
+
+
+# Byte budgets of the column blocks: one column a block (the floor), a few
+# columns, and blocks of many columns
+BLOCK_BUDGETS = st.sampled_from([1, 1 << 12, 1 << 14, 1 << 16])
+
+
+@pytest.mark.filterwarnings("ignore::auglf.core.TruncationWarning")  # long throws on purpose
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shear_cases(), BLOCK_BUDGETS)
+def test_shear_property_in_place_gives_the_new_array_bits(case, budget):
+    # each block's columns are copied out before the same columns are
+    # written back, so the shear may write into its own input
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_BYTES", budget)
+        assert_in_place_gives_the_new_array_bits(*case)
+
+
+def test_a_shear_without_out_leaves_a_frozen_input_as_it_was():
+    g = grid_64()
+    alf = AugmentedLightField(g, np.random.default_rng(7).normal(size=(64, 64)))
+    before = hashlib.sha256(alf.radiance.tobytes()).hexdigest()
+    out, _ = shear_propagate(alf, 3.7 * g.dx / (g.theta_extent / 2))
+    assert hashlib.sha256(alf.radiance.tobytes()).hexdigest() == before
+    assert not alf.radiance.flags.writeable
+    assert not np.shares_memory(out.radiance, alf.radiance)
+
+
+def test_shear_rejects_an_out_it_cannot_write():
+    g = grid_64()
+    alf = gaussian_blob(g)
+    bad = {
+        "read_only": alf.radiance,
+        "wrong_shape": np.empty((64, 63)),
+        "wrong_dtype": np.empty((64, 64), dtype=np.float32),
+        "column_major": np.empty((64, 64), order="F"),
+    }
+    for name, out in bad.items():
+        with pytest.raises(InvalidConfigurationError, match="out must be"):
+            shear_propagate(alf, 0.01, out=out)
 
 
 def assert_shear_working_memory_is_three_column_blocks():

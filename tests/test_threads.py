@@ -105,8 +105,11 @@ def outputs(grid):
         got[name] = folded.radiance
         got[f"{name}_leak"] = folded.meta["theta_leak"]
         got[f"{name}_leak_fraction"] = folded.meta["theta_leak_fraction"]
-    sheared, got["shear_loss"] = shear_propagate(alf, SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2))
+    distance = SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2)
+    sheared, got["shear_loss"] = shear_propagate(alf, distance)
     got["shear"] = sheared.radiance
+    own, work = test_propagation.own_radiance(alf)
+    got["shear_in_place"] = shear_propagate(own, distance, out=work)[0].radiance
     return got
 
 
@@ -124,6 +127,16 @@ def test_every_worker_count_gives_the_one_worker_bits(monkeypatch, split):
     want = outputs(grid)
     force_workers(monkeypatch, workers)
     assert_same_bits(outputs(grid), want)
+
+
+@pytest.mark.parametrize("split", SPLITS.values(), ids=SPLITS.keys())
+def test_an_in_place_shear_gives_the_new_array_bits_at_every_worker_count(monkeypatch, split):
+    # no worker reads a column another worker writes
+    workers, rows = split
+    grid = grid_of(rows)
+    force_workers(monkeypatch, workers)
+    distance = SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2)
+    test_propagation.assert_in_place_gives_the_new_array_bits(random_radiance(grid, 1), distance)
 
 
 class FailingRows(LightFieldTransformer):
