@@ -91,15 +91,21 @@ def _run(args) -> int:
         ppm, sidecar = write_heatmap(os.path.join(args.out, base), matrix, x, theta)
         written.extend([ppm, sidecar])
 
-    observe = None
-    if cfg.output.snapshots and cfg.output.heatmaps:
+    snapshots = cfg.output.snapshots and cfg.output.heatmaps
+    full = cfg.output.observation == "full-phase-space" and (cfg.output.heatmaps or cfg.output.tables)
+    last = []  # the radiance of the last stage, which no later stage writes
+
+    def observe(record, alf) -> None:
         # each stage's radiance is written as the stage completes, before
         # the next stage shears it in place
-        def observe(record, alf) -> None:
+        if snapshots:
             emit_heatmap(f"stage_{record.index:02d}_{record.label}", alf.radiance)
+        last[:] = [alf]
 
     try:
-        trace = trace_train(train, options, observe=observe)
+        # without radiance outputs nothing observes the trace, and its last
+        # hop is projected without a sheared radiance
+        trace = trace_train(train, options, observe=observe if snapshots or full else None)
     except ScenarioAbortError as exc:
         print(f"auglf: aborted: {exc}", file=sys.stderr)
         return 3
@@ -108,12 +114,13 @@ def _run(args) -> int:
     except MemoryError as exc:
         return _fail(f"out of memory while tracing the scenario: {exc}", 2)
 
-    if cfg.output.observation == "full-phase-space":
+    if full:
+        [final] = last
         if cfg.output.heatmaps:
-            emit_heatmap("final_radiance", trace.final.radiance)
+            emit_heatmap("final_radiance", final.radiance)
         if cfg.output.tables:
             path = os.path.join(args.out, "final_radiance.csv")
-            write_matrix_csv(path, x, theta, trace.final.radiance)
+            write_matrix_csv(path, x, theta, final.radiance)
             written.append(path)
 
     report = trace.report

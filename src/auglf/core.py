@@ -380,7 +380,14 @@ def project_intensity(alf: AugmentedLightField) -> IntensityProfile:
     truncation legitimately leaves small signed residue.  A trace reports
     the residue whatever its size, as ``ComparisonReport.negativity``.
     """
-    values = alf.radiance.sum(axis=1) * alf.grid.dtheta
+    return _intensity_profile(alf.grid, alf.radiance.sum(axis=1) * alf.grid.dtheta)
+
+
+def _intensity_profile(grid: PhaseSpaceGrid, values: np.ndarray) -> IntensityProfile:
+    """The profile of freshly projected ``values``, warned about below the negativity floor.
+
+    The warning points at the caller of the function that calls this one.
+    """
     peak = float(np.max(values, initial=0.0))
     floor = 1e-2 * peak
     worst = float(values.min())
@@ -388,6 +395,6 @@ def project_intensity(alf: AugmentedLightField) -> IntensityProfile:
         warnings.warn(
             f"projected intensity reaches {worst:.3e}, below the negativity floor {-floor:.3e}",
             NegativeIntensityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return IntensityProfile(alf.grid, _freeze(values))
+    return IntensityProfile(grid, _freeze(values))

@@ -15,6 +15,12 @@ wave's angle node.  Closed-form first elements, point sources, elements
 after a hop and groups of elements at one plane take the source radiance
 and apply each kernel.
 
+A trace keeps one working radiance and hands it out only to an observer
+(``trace_train``'s ``observe``).  When nobody observes it, a last hop is
+not sheared: the final intensity is projected along the hop's sheared
+lines straight from the radiance before it
+(``propagation.sheared_projection``).
+
 The wave pipeline lives on the position window, as the radiance does:
 sources are built and elements evaluated on the grid's own axis, so both
 pipelines see one scene.  Only a free-space hop (``_hop``) widens the
@@ -40,11 +46,12 @@ from .core import (
     PhaseSpaceGrid,
     ScenarioAbortError,
     _freeze,
+    _intensity_profile,
     project_intensity,
 )
 from .elements import CubicPhase, ElementSpec, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
-from .propagation import shear_propagate
+from .propagation import shear_propagate, sheared_projection
 from .transformers import NumericTransformer, apply_transformer, canonical_transformer
 from .wdf import WdfOptions, wdf_from_field
 
@@ -190,14 +197,13 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """A finished trace: its stage records, the last radiance and the comparison.
+    """A finished trace: its stage records and the comparison; it keeps no radiance.
 
-    ``final`` is the one radiance a trace keeps; no later stage writes it.
+    Radiances reach a caller only through ``trace_train``'s ``observe``.
     """
 
     train: OpticalTrain
     stages: tuple
-    final: AugmentedLightField
     report: ComparisonReport
 
 
@@ -331,9 +337,15 @@ def trace_train(
     The records keep scalars only.  ``observe(record, alf)``, when given,
     is called as each stage completes with that stage's radiance, which is
     valid only until the next stage runs: a hop shears the radiance in
-    place (``shear_propagate``'s ``out``), so copy it to keep it.  The
-    trace holds at most two radiances at once, an apply's input and
-    output; ``TrainTrace.final`` keeps the last.
+    place (``shear_propagate``'s ``out``), so copy it to keep it; the last
+    stage's radiance stays valid after the trace returns.  The trace holds
+    at most two radiances at once, an apply's input and output.
+
+    Without an observer nobody sees the radiance after a last hop, so the
+    trace does not make it: the final intensity is the projection along
+    the hop's sheared lines (``sheared_projection``), which agrees with
+    the projection of the sheared radiance to rounding and reports the
+    same loss.
 
     Raises ScenarioAbortError when one stage truncates more than the
     configured share of the signal; the exception carries the 1-based index
@@ -363,10 +375,13 @@ def trace_train(
     if not folded:
         finish(StageRecord(0, "source", 0.0), alf)
     kept = 1.0
+    projected = None  # the intensity after an unobserved last hop
 
     for k, stage in enumerate(train.stages, start=1):
         label, kernel = _stage_label(stage), None
-        if isinstance(stage, Propagate):
+        if isinstance(stage, Propagate) and observe is None and k == len(train.stages):
+            projected, loss = sheared_projection(alf, stage.distance)
+        elif isinstance(stage, Propagate):
             # every radiance here was allocated by this trace, so the shear
             # may write into it; no name is left holding the array
             alf.radiance.setflags(write=True)
@@ -390,7 +405,10 @@ def trace_train(
         kept *= 1.0 - loss
         finish(StageRecord(k, label, loss, kernel), alf)
 
-    alf_intensity = project_intensity(alf)
+    if projected is None:
+        alf_intensity = project_intensity(alf)
+    else:
+        alf_intensity = _intensity_profile(grid, projected)
     if options.compare_oracle:
         oracle = _oracle_intensity(train, options)
         a = _unit(alf_intensity.values)
@@ -411,7 +429,7 @@ def trace_train(
         truncation_loss=1.0 - kept,
         negativity=-float(alf_intensity.values.min()) / peak if peak > 0.0 else 0.0,
     )
-    return TrainTrace(train, tuple(records), alf, report)
+    return TrainTrace(train, tuple(records), report)
 
 
 def normalized_cross_correlation(

@@ -63,7 +63,7 @@ from .core import (
     _over_rows,
 )
 from .propagation import _MARGIN, _padded_rows, _shift_rows
-from .wdf import WdfOptions, WignerRows, _lag_chirps, _lags_to_angles, wigner_table
+from .wdf import ApplyLeak, WdfOptions, WignerRows, _lag_chirps, _lags_to_angles, wigner_table
 
 import warnings
 
@@ -227,12 +227,12 @@ class NumericTransformer:
 
         return convolve
 
-    def table(self, u_start: float, du: float, n_u: int) -> np.ndarray:
-        """Wigner table of the lag-grid signal at u_start + k du, k < n_u: window "none", since ``source`` has applied it."""
+    def table(self, u_start: float, du: float, n_u: int, leak: Optional[ApplyLeak] = None) -> np.ndarray:
+        """Wigner table of the lag-grid signal at u_start + k du, k < n_u: window "none", since ``source`` has applied it; ``leak`` is ``wigner_table``'s."""
         signal, options = self.source.signal, self.source.options
         plain = WdfOptions(options.oversample_factor, "none", options.boundary)
         coarse = signal[:: 2 * options.oversample_factor]
-        return wigner_table(self.grid, coarse, u_start, du, n_u, plain, fine_samples=signal)
+        return wigner_table(self.grid, coarse, u_start, du, n_u, plain, fine_samples=signal, leak=leak)
 
     @property
     def kernel(self) -> np.ndarray:
@@ -248,33 +248,25 @@ class NumericTransformer:
         apply's row i at angle node j is dtheta L0 K_i((j - node) dtheta):
         the table at u_start = -node du over lambda x_extent.  A row's total
         is the convolver's, 2 beta L0 Re sum_l c_l D_l, and its leak that
-        total less the row's sum; the lag products are summed a block at a
-        time on the table's threads, in a second pass.
+        total less the row's sum; the lag products are formed in the
+        table's block buffer, and each block is scaled and summed as it is
+        written (``wdf.ApplyLeak``).
         """
         grid, source = self.grid, self.source
         n, m = grid.theta_samples, source.n_lags
         du = grid.dtheta / grid.wavelength
-        radiance = self.table(-node * du, du, n)
-        radiance /= grid.wavelength * grid.x_extent
         beta = source.ds * du
         _, _, sums = _lag_chirps(beta, n, m)
         dirichlet = 2.0 * sums.real - 1.0
         scale = 2.0 * beta * (1.0 / (grid.dtheta * grid.x_extent))
-        leak_rows = np.empty(grid.x_samples)
-        totals = np.empty(grid.x_samples)
 
-        def sum_rows(start: int, stop: int, workers: int) -> None:
-            step = _block_rows(16 * m, workers)
-            lags = np.empty((min(step, stop - start), m), dtype=np.complex128)
-            for lo in range(start, stop, step):
-                hi = min(lo + step, stop)
-                c = lags[: hi - lo]
-                source.lags(lo, hi, c)
-                totals[lo:hi] = scale * (c.real * dirichlet).sum(axis=1)
-                leak_rows[lo:hi] = totals[lo:hi] - radiance[lo:hi].sum(axis=1)
+        def row_totals(lo: int, hi: int, c: np.ndarray) -> np.ndarray:
+            source.lags(lo, hi, c)
+            return scale * (c.real * dirichlet).sum(axis=1)
 
-        _over_rows(grid.x_samples, sum_rows)
-        meta = {"source": "plane", **_leak_meta(grid, leak_rows, totals)}
+        leak = ApplyLeak(grid.x_samples, grid.wavelength * grid.x_extent, row_totals)
+        radiance = self.table(-node * du, du, n, leak)
+        meta = {"source": "plane", **leak.meta(grid)}
         return AugmentedLightField(grid, _freeze(radiance), meta)
 
 

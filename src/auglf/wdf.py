@@ -54,7 +54,8 @@ of the two lag-grid signals is the kernel's angle convolution of the
 field's (Bastiaans, JOSA 69, 1710, 1979), since its lag products are the
 two factors' lag products multiplied.  One table then replaces the field's
 table and the kernel's apply, and the apply's leak comes from the lag
-products and Dirichlet sums alone (``_fold_leak``).
+products and Dirichlet sums alone, taken block by block in the table's own
+loop and scratch buffer (``_fold_leak``, ``ApplyLeak``).
 """
 
 from __future__ import annotations
@@ -315,22 +316,50 @@ class WignerRows:
         np.multiply(self._forward[lo:hi], self._backward[lo:hi], out=out)
         out[:, self._half_weight] *= 0.5
 
-    def write(self, lo: int, hi: int, out: np.ndarray, workers: int = 1) -> None:
+    def write(self, lo: int, hi: int, out: np.ndarray, workers: int = 1, leak: ApplyLeak = None) -> None:
         """Write rows lo..hi-1 of the table into out, of shape (hi - lo, n_u).
 
         Works through blocks of a ``workers``-th of the block budget
         (``core._block_rows``), for that many writers running at once, in
         one complex scratch buffer of the chirp-z length, allocated per call.
+        With ``leak``, each block's totals are taken in that buffer before
+        the block's lag products, and the written block is scaled and its
+        rows summed (``ApplyLeak``).
         """
         m, nfft = self.n_lags, len(self._filter)
         step = _block_rows(16 * nfft, workers)
         buf = np.empty((min(step, hi - lo), nfft), dtype=np.complex128)
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
-            rows = buf[: stop - start]
+            rows, block = buf[: stop - start], out[start - lo : stop - lo]
+            if leak is not None:
+                leak.totals[start:stop] = leak.row_totals(start, stop, rows[:, :m])
             self.lags(start, stop, rows[:, :m])
             rows[:, :m] *= self._lag_phase
-            _lags_to_angles(rows, m, self._filter, self._unchirp, out[start - lo : stop - lo])
+            _lags_to_angles(rows, m, self._filter, self._unchirp, block)
+            if leak is not None:
+                block /= leak.divisor
+                leak.leak_rows[start:stop] = leak.totals[start:stop] - block.sum(axis=1)
+
+
+class ApplyLeak:
+    """The leak of a kernel's apply that a table replaces, summed in that table's block loop.
+
+    ``row_totals(lo, hi, scratch)`` returns the totals of rows lo..hi-1 over
+    all 2n - 1 deflections of the apply, from lag products it forms in
+    ``scratch``: complex, (hi - lo, n_lags), the table's own block buffer
+    before the table's lag products go there.  Each written block of the
+    table is divided by ``divisor``, and a row's leak is its total less its
+    sum (``WignerRows.write``).
+    """
+
+    def __init__(self, rows: int, divisor: float, row_totals):
+        self.divisor, self.row_totals = divisor, row_totals
+        self.totals = np.empty(rows)
+        self.leak_rows = np.empty(rows)
+
+    def meta(self, grid: PhaseSpaceGrid) -> dict:
+        return _leak_meta(grid, self.leak_rows, self.totals)
 
 
 def wigner_table(
@@ -341,16 +370,17 @@ def wigner_table(
     n_u: int,
     options: WdfOptions,
     fine_samples: np.ndarray = None,
+    leak: ApplyLeak = None,
 ) -> np.ndarray:
     """The whole (x_samples, n_u) table of ``WignerRows``, as one array.
 
     Shared by the field transform (u from the grid's theta axis) and the
     assembled form of a numeric kernel (u from a symmetric relative-angle
-    axis).
+    axis).  ``leak`` is ``WignerRows.write``'s.
     """
     rows = WignerRows(grid, samples, u_start, du, n_u, options, fine_samples)
     out = np.empty(rows.shape)
-    _over_rows(rows.shape[0], lambda lo, hi, workers: rows.write(lo, hi, out[lo:hi], workers))
+    _over_rows(rows.shape[0], lambda lo, hi, workers: rows.write(lo, hi, out[lo:hi], workers, leak))
     return out
 
 
@@ -398,7 +428,8 @@ def wdf_from_field(
     field's radiance (Bastiaans, JOSA 69, 1710, 1979) without that radiance
     and its apply; where the field's radiance passes the angle window, it
     keeps what the apply would have dropped with it.  ``meta`` then gives
-    the apply's ``theta_leak`` and ``theta_leak_fraction`` (``_fold_leak``).
+    the apply's ``theta_leak`` and ``theta_leak_fraction``, summed in the
+    table's own block loop (``_fold_leak``).
     """
     if not np.any(field.samples):
         raise DegenerateInputError("field is identically zero")
@@ -420,15 +451,13 @@ def wdf_from_field(
         # the product wraps around only if both factors do
         wraps = options.boundary == through.options.boundary == "periodic"
         plain = WdfOptions(options.oversample_factor, "none", "periodic" if wraps else "zero")
-        w = wigner_table(grid, product[::factor], *axis, plain, fine_samples=product)
-        w /= grid.wavelength
-        meta.update(_fold_leak(grid, rows, through, axis[0], w))
+        leak = _fold_leak(grid, rows, through, axis[0])
+        w = wigner_table(grid, product[::factor], *axis, plain, fine_samples=product, leak=leak)
+        meta.update(leak.meta(grid))
     return AugmentedLightField(grid, _freeze(w), meta)
 
 
-def _fold_leak(
-    grid: PhaseSpaceGrid, rows: WignerRows, through: WignerRows, u_start: float, radiance: np.ndarray
-) -> dict:
+def _fold_leak(grid: PhaseSpaceGrid, rows: WignerRows, through: WignerRows, u_start: float) -> ApplyLeak:
     """The leak that applying ``through``'s kernel to the radiance of ``rows`` would report.
 
     That apply gives a row the total (sum_j L_j) (2 beta Re sum_l k_l D_l)
@@ -437,9 +466,9 @@ def _fold_leak(
     sum over the n angle nodes u_start + j du is
     sum_j L_j = (2 ds / lambda) Re sum_l c_l E_l, with c its lag products and
     E_l = sum_j e^{-2 pi i (u_start + j du) l ds} = e^{-2 pi i u_start l ds} conj(S_l)
-    for the same Dirichlet sums S (du ds = beta).  A row's leak is its total
-    less its sum in ``radiance``, the folded result.  The rows are summed a
-    block at a time on the Wigner transform's threads.
+    for the same Dirichlet sums S (du ds = beta).  Both lag products are
+    formed in the product table's block buffer, the field's first, and the
+    table is divided by lambda as it is written.
     """
     n, m, ds = grid.theta_samples, rows.n_lags, rows.ds
     beta = ds * grid.dtheta / grid.wavelength
@@ -447,20 +476,11 @@ def _fold_leak(
     dirichlet = 2.0 * sums.real - 1.0
     nodes = _pi_phase(-2.0 * u_start * ds, np.arange(m)) * np.conj(sums)
     scale = 2.0 * beta * 2.0 * ds / grid.wavelength
-    leak_rows = np.empty(grid.x_samples)
-    totals = np.empty(grid.x_samples)
 
-    def fold_rows(start: int, stop: int, workers: int) -> None:
-        step = _block_rows(16 * m, workers)
-        lags = np.empty((min(step, stop - start), m), dtype=np.complex128)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            c = lags[: hi - lo]  # the field's lag products, then the kernel's
-            rows.lags(lo, hi, c)
-            power = np.multiply(c, nodes, out=c).real.sum(axis=1)
-            through.lags(lo, hi, c)
-            totals[lo:hi] = scale * power * (c.real * dirichlet).sum(axis=1)
-            leak_rows[lo:hi] = totals[lo:hi] - radiance[lo:hi].sum(axis=1)
+    def row_totals(lo: int, hi: int, c: np.ndarray) -> np.ndarray:
+        rows.lags(lo, hi, c)
+        power = np.multiply(c, nodes, out=c).real.sum(axis=1)
+        through.lags(lo, hi, c)
+        return scale * power * (c.real * dirichlet).sum(axis=1)
 
-    _over_rows(grid.x_samples, fold_rows)
-    return _leak_meta(grid, leak_rows, totals)
+    return ApplyLeak(grid.x_samples, grid.wavelength, row_totals)

@@ -20,8 +20,8 @@ from auglf import (
 from auglf.cli import main
 from auglf.config import parse_config
 from auglf.output import sha256_file, write_heatmap
-from auglf.scenarios import trace_train
 from oracles import matrix_csv_text
+from test_scenarios import observed_trace
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -122,8 +122,9 @@ def test_hologram_radiance_table_is_per_value_text(tmp_path):
     assert main(["run", config, "--out", str(out)]) == 0
     cfg = parse_config(config)
     train = cfg.train(1)
-    trace = trace_train(train, cfg.trace_options(compare_oracle=False))
-    want = matrix_csv_text(train.grid.x_axis(), train.grid.theta_axis(), trace.final.radiance)
+    trace, radiances = observed_trace(train, cfg.trace_options(compare_oracle=False))
+    final = radiances[trace.stages[-1].index]
+    want = matrix_csv_text(train.grid.x_axis(), train.grid.theta_axis(), final.radiance)
     assert (out / "final_radiance.csv").read_bytes() == want
 
 
@@ -343,6 +344,26 @@ def test_snapshot_heatmaps(tmp_path):
         ppm, sidecar = write_heatmap(str(tmp_path / "want" / base), alf.radiance, grid.x_axis(), grid.theta_axis())
         assert (out / f"{base}.ppm").read_bytes() == Path(ppm).read_bytes(), base
         assert (out / f"{base}.json").read_bytes() == Path(sidecar).read_bytes(), base
+
+
+def test_snapshots_leave_the_final_intensity_and_report_as_an_unobserved_run_gives(tmp_path):
+    # snapshots observe the trace, so its last hop is sheared; without them
+    # it is projected along the sheared lines, to rounding the same numbers
+    plain, snapped = tmp_path / "plain", tmp_path / "snapped"
+    assert main(["run", small_config(tmp_path), "--out", str(plain)]) == 0
+    config = small_config(tmp_path, "\n[output]\nsnapshots = on\n")
+    assert main(["run", config, "--out", str(snapped)]) == 0
+    assert not list(plain.glob("stage_*")) and list(snapped.glob("stage_*"))
+    _, want = read_profile_csv(str(snapped / "final_intensity.csv"))
+    _, got = read_profile_csv(str(plain / "final_intensity.csv"))
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    assert (plain / "oracle_intensity.csv").read_bytes() == (snapped / "oracle_intensity.csv").read_bytes()
+    reports = [json.loads((out / "report.json").read_text()) for out in (plain, snapped)]
+    for key in ("truncation_loss", "negativity"):
+        assert abs(reports[0][key] - reports[1][key]) <= 1e-12
+    for a, b in zip(reports[0]["stages"], reports[1]["stages"]):
+        assert a.keys() == b.keys() and a["label"] == b["label"]
+        assert abs(a["truncation_loss"] - b["truncation_loss"]) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error::auglf.NegativeIntensityWarning")

@@ -11,6 +11,7 @@ from auglf import (
     ComplexField,
     InvalidConfigurationError,
     Lens,
+    NegativeIntensityWarning,
     PhaseSpaceGrid,
     TruncationWarning,
     apply_transformer,
@@ -21,6 +22,7 @@ from auglf import (
     shear_propagate,
     wdf_from_field,
 )
+from auglf.propagation import sheared_projection
 import auglf.core as core
 from auglf.core import _block_rows
 import oracles
@@ -332,6 +334,50 @@ def test_shear_property_in_place_gives_the_new_array_bits(case, budget):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_BLOCK_BYTES", budget)
         assert_in_place_gives_the_new_array_bits(*case)
+
+
+def assert_projection_matches_the_sheared_one(alf, distance):
+    """``sheared_projection`` against the projection of ``shear_propagate``'s radiance, and the same loss."""
+    sheared, want_loss = shear_propagate(alf, distance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeIntensityWarning)  # random radiance
+        want = project_intensity(sheared).values
+    before = hashlib.sha256(alf.radiance.tobytes()).hexdigest()
+    got, loss = sheared_projection(alf, distance)
+    assert hashlib.sha256(alf.radiance.tobytes()).hexdigest() == before
+    assert got.shape == want.shape and got.flags.writeable
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(loss - want_loss) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::auglf.core.TruncationWarning")  # long throws on purpose
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(shear_cases(), BLOCK_BUDGETS)
+def test_sheared_projection_property_matches_the_projected_shear(case, budget):
+    # odd and even grids, theta_samples != x_samples, whole-sample and
+    # near-whole shifts, throws past the window and zero distance; the
+    # block budget caps the band of columns one product takes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_BYTES", budget)
+        assert_projection_matches_the_sheared_one(*case)
+
+
+@pytest.mark.parametrize("distance", [0.0, 0.05, 1e16, -1e300], ids=["zero", "coded_field", "far", "far_back"])
+def test_sheared_projection_on_the_coded_field_grid(distance):
+    g = PhaseSpaceGrid(2048, 4.096e-3, 2048, 16e-3, LAM)
+    alf = AugmentedLightField(g, np.random.default_rng(9).normal(size=(2048, 2048)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert_projection_matches_the_sheared_one(alf, distance)
+
+
+def test_sheared_projection_warns_and_rejects_as_the_shear_does():
+    g = grid_64()
+    blob = gaussian_blob(g, t0=20 * g.dtheta)
+    with pytest.warns(TruncationWarning):
+        sheared_projection(blob, 3 * g.x_extent / g.theta_extent)
+    with pytest.raises(InvalidConfigurationError, match="finite"):
+        sheared_projection(blob, float("nan"))
 
 
 def test_a_shear_without_out_leaves_a_frozen_input_as_it_was():

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -110,7 +111,7 @@ def test_plane_wave_through_a_slit_is_non_negative_and_rings_as_the_exact_shear_
     # which a shift that keeps more than linear accuracy rings a little:
     # after 2 cm the exact Fourier shift gives a negativity of 5.1e-5 of
     # the peak, the Lanczos-4 shear 3.1e-5 and agrees with it to 3.8e-4
-    final = project_intensity(trace.final).values
+    final = project_intensity(radiances[trace.stages[-1].index]).values
     exact, _ = fourier_shear(radiances[slit.index].radiance, 0.02 * g.theta_axis() / g.dx)
     exact = exact.sum(axis=1) * g.dtheta
     assert -final.min() <= 1e-4 * final.max()
@@ -122,9 +123,9 @@ def test_virtual_source_leaves_intensity_dark():
     # midpoint column, so its projection cancels to rounding
     g = make_grid(1024, 2.048e-3, 1024, 1.899e-2, LAM)
     train = OpticalTrain(g, PlaneWave(0.0), (Element(TwoPinholes(5e-5, -5e-5)),))
-    trace = trace_train(train, TraceOptions(compare_oracle=False))
+    trace, radiances = observed_trace(train, TraceOptions(compare_oracle=False))
     report = trace.report
-    I = project_intensity(trace.final).values
+    I = project_intensity(radiances[trace.stages[-1].index]).values
     assert I[g.x_index(0.0)] / I.max() < 1e-6
     assert np.isnan(report.relative_l2_error)
     assert report.oracle_intensity is None
@@ -167,18 +168,19 @@ def test_stage_validation():
 
 def test_source_materialization():
     g = make_grid(64, 1.28e-3, 64, 1e-2, LAM)
-    point = trace_train(
+    _, radiances = observed_trace(
         OpticalTrain(g, PointSource(5 * g.dx), ()),
         TraceOptions(compare_oracle=False),
-    ).final
-    I = project_intensity(point).values
+    )
+    I = project_intensity(radiances[0]).values
     assert np.count_nonzero(I) == 1
     assert I.argmax() == g.x_index(5 * g.dx)
 
-    plane = trace_train(
+    _, radiances = observed_trace(
         OpticalTrain(g, PlaneWave(3 * g.dtheta), ()),
         TraceOptions(compare_oracle=False),
-    ).final
+    )
+    plane = radiances[0]
     assert np.count_nonzero(plane.radiance[:, g.theta_index(3 * g.dtheta)]) == 64
     np.testing.assert_allclose(
         project_intensity(plane).values, 1.0 / g.x_extent, rtol=1e-12
@@ -202,10 +204,8 @@ def test_field_source_radiance_is_its_wdf():
     g = make_grid(64, 1.28e-3, 64, 64 * LAM / 1.28e-3, LAM)
     sig = np.exp(-g.x_axis() ** 2 / (2 * (5 * g.dx) ** 2)).astype(complex)
     src = FieldSource(ComplexField(g, sig))
-    final = trace_train(
-        OpticalTrain(g, src, ()), TraceOptions(compare_oracle=False)
-    ).final
-    I = project_intensity(final).values
+    _, radiances = observed_trace(OpticalTrain(g, src, ()), TraceOptions(compare_oracle=False))
+    I = project_intensity(radiances[0]).values
     np.testing.assert_allclose(I, np.abs(sig) ** 2, atol=1e-12 * I.max())
 
 
@@ -459,7 +459,7 @@ def test_the_fold_takes_an_opaque_mask_and_rejects_a_dark_field_or_another_lag_g
             wdf_from_field(beam, WdfOptions(oversample_factor=oversample), through=kernel.source)
 
 
-def test_a_folded_trace_holds_one_radiance_and_the_working_set():
+def test_a_folded_trace_holds_one_radiance_and_the_working_set(observe=None):
     g = make_grid(1024, 2.048e-3, 1024, 0.016, LAM)
     x = g.x_axis()
     beam = ComplexField(g, np.exp(-((x / 0.2e-3) ** 2)))
@@ -468,42 +468,55 @@ def test_a_folded_trace_holds_one_radiance_and_the_working_set():
     train = OpticalTrain(g, FieldSource(beam), (Element(CodedAperture(mask)), Propagate(0.01)))
     tracemalloc.start()
     try:
-        trace = trace_train(train)
+        trace = trace_train(train, observe=observe)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [r.label for r in trace.stages] == ["source+coded_aperture", "propagate_0.01m"]
-    # the fold's radiance (8 MiB), sheared in place, and block buffers; a
-    # shear into a new radiance would make a second
-    radiance = trace.final.radiance.nbytes
+    # the fold's radiance (8 MiB), sheared in place or projected, and block
+    # buffers; a shear into a new radiance would make a second
+    radiance = 8 * g.x_samples * g.theta_samples
     assert peak < radiance + 4 * 2**20
 
 
+UNFOLDED_MEMORY_TRAINS = [
+    (Element(Lens(0.2)), Element(RectAperture(1e-3)), Propagate(0.05)),
+    (Element(Lens(0.2)), Propagate(0.02), Element(RectAperture(1e-3)), Propagate(0.05)),
+    # two applies after a hop, as in single_lens.cfg: the hop's array
+    # must be let go once the lens has read it
+    (Propagate(0.02), Element(Lens(0.2)), Element(RectAperture(1e-3)), Propagate(0.05)),
+]
+
+
 @pytest.mark.parametrize(
-    "stages",
-    [
-        (Element(Lens(0.2)), Element(RectAperture(1e-3)), Propagate(0.05)),
-        (Element(Lens(0.2)), Propagate(0.02), Element(RectAperture(1e-3)), Propagate(0.05)),
-        # two applies after a hop, as in single_lens.cfg: the hop's array
-        # must be let go once the lens has read it
-        (Propagate(0.02), Element(Lens(0.2)), Element(RectAperture(1e-3)), Propagate(0.05)),
-    ],
-    ids=["one_hop", "lens_to_slit_hop", "hop_before_two_applies"],
+    "stages", UNFOLDED_MEMORY_TRAINS, ids=["one_hop", "lens_to_slit_hop", "hop_before_two_applies"]
 )
-def test_an_unfolded_trace_holds_two_radiances_and_the_working_set(stages):
+def test_an_unfolded_trace_holds_two_radiances_and_the_working_set(stages, observe=None):
     g = make_grid(1024, 2.048e-3, 1024, 2.2e-2, LAM)
     train = OpticalTrain(g, PlaneWave(0.0), stages)
     tracemalloc.start()
     try:
-        trace = trace_train(train, TraceOptions(compare_oracle=False))
+        trace = trace_train(train, TraceOptions(compare_oracle=False), observe=observe)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert trace.stages[0].label == "source"
     # an apply's input and output (8 MiB each) and block buffers: the
     # records keep no radiance, and every hop shears in place
-    radiance = trace.final.radiance.nbytes
+    radiance = 8 * g.x_samples * g.theta_samples
     assert peak < 2 * radiance + 4 * 2**20
+
+
+def test_an_observed_trace_keeps_the_memory_bounds():
+    # without an observer the memory gates above project the last hop; an
+    # observer that keeps nothing makes every hop shear in place instead
+    def observe(record, alf):
+        pass
+
+    test_a_folded_trace_holds_one_radiance_and_the_working_set(observe)
+    test_a_folded_plane_wave_holds_one_radiance_and_the_working_set(observe)
+    for stages in UNFOLDED_MEMORY_TRAINS:
+        test_an_unfolded_trace_holds_two_radiances_and_the_working_set(stages, observe)
 
 
 # A plane wave whose first stage is a lone numeric element is folded into
@@ -541,20 +554,21 @@ def test_a_folded_plane_wave_gives_the_applied_numbers(name, oversample, window,
     assert alf.meta["source"] == applied.meta["source"] == "plane"
 
 
-def test_a_folded_plane_wave_holds_one_radiance_and_the_working_set():
+def test_a_folded_plane_wave_holds_one_radiance_and_the_working_set(observe=None):
     # hologram.cfg's train; the two-step path makes the wave's one-column
     # radiance as well
     g = make_grid(1024, 2.048e-3, 1024, 2.2e-2, LAM)
     train = OpticalTrain(g, PlaneWave(0.0), (Element(Hologram(0.1)), Propagate(0.1)))
     tracemalloc.start()
     try:
-        trace = trace_train(train)
+        trace = trace_train(train, observe=observe)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [r.label for r in trace.stages] == ["source+hologram", "propagate_0.1m"]
-    # the folded radiance (8 MiB), sheared in place, and block buffers
-    radiance = trace.final.radiance.nbytes
+    # the folded radiance (8 MiB), sheared in place or projected, and
+    # block buffers
+    radiance = 8 * g.x_samples * g.theta_samples
     assert peak < radiance + 4 * 2**20
 
 
@@ -633,3 +647,107 @@ def test_the_fold_wraps_the_product_only_if_field_and_kernel_wrap(field_edge, ke
     want = wigner_table(FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, options, fine_samples=product)
     want /= LAM
     assert np.abs(folded.radiance - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# Without an observer a last hop is projected along its sheared lines; with
+# one it is sheared and the sheared radiance projected.  Both must report
+# the same records, losses and warnings, and intensities equal to rounding.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def coded_field_train(seed):
+    """The benchmark's coded_field train for one seed (its first screen)."""
+    spec = importlib.util.spec_from_file_location("perfbench_coded_field", PERFBENCH / "coded_field.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    import auglf
+
+    return module.build_train(auglf, seed, 0)
+
+
+def traced_both_ways(train, options):
+    """The train's trace with an observer that keeps nothing and without one, each with its warnings' classes."""
+    runs = []
+    for observe in (lambda record, alf: None, None):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = trace_train(train, options, observe=observe)
+        runs.append((trace, [w.category for w in caught]))
+    return runs
+
+
+def assert_same_report(observed, unobserved):
+    assert [(r.index, r.label, r.kernel) for r in unobserved.stages] == [
+        (r.index, r.label, r.kernel) for r in observed.stages
+    ]
+    for got, want in zip(unobserved.stages, observed.stages):
+        assert abs(got.truncation_loss - want.truncation_loss) <= 1e-12
+    got, want = unobserved.report, observed.report
+    assert np.abs(got.alf_intensity.values - want.alf_intensity.values).max() <= 1e-12 * want.alf_intensity.values.max()
+    assert np.array_equal(got.oracle_intensity.values, want.oracle_intensity.values)
+    assert abs(got.truncation_loss - want.truncation_loss) <= 1e-12
+    assert abs(got.negativity - want.negativity) <= 1e-12
+    assert abs(got.relative_l2_error - want.relative_l2_error) <= 1e-12 * want.relative_l2_error
+    assert got.peak_offset_cells == want.peak_offset_cells
+
+
+SHIPPED = {path.stem: path for path in sorted(CONFIG_DIR.glob("*.cfg"))}
+
+
+@pytest.mark.parametrize("path", SHIPPED.values(), ids=SHIPPED.keys())
+def test_a_shipped_config_traces_alike_with_and_without_an_observer(path):
+    cfg = parse_config(str(path))
+    (observed, observed_warnings), (unobserved, unobserved_warnings) = traced_both_ways(
+        cfg.train(), cfg.trace_options()
+    )
+    assert unobserved_warnings == observed_warnings
+    assert_same_report(observed, unobserved)
+    # the same bounds as the CLI's config test
+    assert unobserved.report.negativity <= 1e-2
+    assert isinstance(unobserved.train.stages[-1], Propagate)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_coded_field_traces_alike_with_and_without_an_observer(seed):
+    (observed, observed_warnings), (unobserved, unobserved_warnings) = traced_both_ways(
+        coded_field_train(seed), TraceOptions()
+    )
+    assert unobserved_warnings == observed_warnings == []
+    assert_same_report(observed, unobserved)
+    # the benchmark's ceiling on the error against the wave reference
+    assert unobserved.report.relative_l2_error <= 0.08
+
+
+def heavy_throw():
+    # slides the occupied row three windows away
+    g = make_grid(128, 1.28e-3, 128, 128 * LAM / 1.28e-3, LAM)
+    angle = 30 * g.dtheta
+    return OpticalTrain(g, PlaneWave(angle), (Propagate(3 * g.x_extent / angle),)), TraceOptions(compare_oracle=False)
+
+
+def rough_field_past_a_tight_limit():
+    # after the hop this hard-edged random-phase field projects to 1.6e-2 of
+    # its peak below zero, past the floor, but the hop drops 1.8e-8 of it
+    # and the limit is 1e-8, so the trace aborts first and must not warn
+    x = FOLD_GRID.x_axis()
+    phase = np.random.default_rng(9).uniform(-0.5, 0.5, FOLD_GRID.x_samples)
+    field = ComplexField(FOLD_GRID, (np.abs(x) < 0.2e-3) * np.exp(1j * phase))
+    train = OpticalTrain(FOLD_GRID, FieldSource(field), (Propagate(0.02),))
+    return train, TraceOptions(abort_loss=1e-8, compare_oracle=False)
+
+
+ABORTS = {"heavy_throw": heavy_throw, "rough_field_past_a_tight_limit": rough_field_past_a_tight_limit}
+
+
+@pytest.mark.parametrize("make", ABORTS.values(), ids=ABORTS.keys())
+def test_an_unobserved_trace_aborts_and_warns_as_an_observed_one(make):
+    train, options = make()
+    outcomes = []
+    for observe in (lambda record, alf: None, None):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ScenarioAbortError) as err:
+                trace_train(train, options, observe=observe)
+        outcomes.append((err.value.stage_index, str(err.value), [w.category for w in caught]))
+    assert outcomes[0] == outcomes[1]
+    assert NegativeIntensityWarning not in outcomes[1][2]

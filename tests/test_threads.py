@@ -17,6 +17,7 @@ import pytest
 import auglf.core as core
 import test_propagation
 import test_transformers
+from test_scenarios import observed_trace
 from auglf import (
     AugmentedLightField,
     CodedAperture,
@@ -28,7 +29,9 @@ from auglf import (
     OpticalTrain,
     PhaseSpaceGrid,
     PlaneWave,
+    Propagate,
     TraceOptions,
+    TruncationWarning,
     WdfOptions,
     apply_transformer,
     shear_propagate,
@@ -101,11 +104,21 @@ def outputs(grid):
         with warnings.catch_warnings():
             # the random mask and field pass the angle window, so the projection goes negative
             warnings.simplefilter("ignore", NegativeIntensityWarning)
-            folded = trace_train(train, TraceOptions(compare_oracle=False)).final
+            _, radiances = observed_trace(train, TraceOptions(compare_oracle=False))
+        folded = radiances[1]
         got[name] = folded.radiance
         got[f"{name}_leak"] = folded.meta["theta_leak"]
         got[f"{name}_leak_fraction"] = folded.meta["theta_leak_fraction"]
     distance = SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2)
+    # an unobserved trace projects its last hop in the calling thread, after
+    # the fold's threaded table
+    train = OpticalTrain(grid, FieldSource(random_field(grid, 4)), (Element(CodedAperture(mask)), Propagate(distance)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeIntensityWarning)
+        warnings.simplefilter("ignore", TruncationWarning)
+        trace = trace_train(train, TraceOptions(compare_oracle=False))
+    got["projected"] = trace.report.alf_intensity.values
+    got["projected_losses"] = [record.truncation_loss for record in trace.stages]
     sheared, got["shear_loss"] = shear_propagate(alf, distance)
     got["shear"] = sheared.radiance
     own, work = test_propagation.own_radiance(alf)

@@ -60,22 +60,29 @@ def hologram_train():
     return OpticalTrain(g, PlaneWave(0.0), (Element(Hologram(0.05, width=1e-3)), Propagate(0.01)))
 
 
-def run(train):
+def run(train, observed):
+    """The train's trace and, when observed, a copy of its last radiance (else None)."""
+    last = {}
+
+    def keep(record, alf):
+        last["radiance"] = alf.radiance.copy()
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativeIntensityWarning)
-        return auglf.scenarios.trace_train(train, TraceOptions())
+        trace = auglf.scenarios.trace_train(train, TraceOptions(), observe=keep if observed else None)
+    return trace, last.get("radiance")
 
 
-def traced_and_plain(train):
-    """The train's trace with the benchmark's spans installed, the spans, and its plain trace."""
+def traced_and_plain(train, observed=True):
+    """The train's run (``run``) with the benchmark's spans installed, the spans, and its plain run."""
     tracing = load_tracing()
-    plain = run(train)
+    plain = run(train, observed)
     modules = (auglf.scenarios, auglf.transformers, auglf.cli)
     saved = [(module, dict(vars(module))) for module in modules]
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer, auglf)
-        traced = run(train)
+        traced = run(train, observed)
     finally:
         for module, attrs in saved:
             for name, value in attrs.items():
@@ -86,12 +93,13 @@ def traced_and_plain(train):
 
 
 def assert_same_bits(traced, plain):
+    (traced, traced_final), (plain, plain_final) = traced, plain
     for got, want in (
         (traced.report.alf_intensity, plain.report.alf_intensity),
         (traced.report.oracle_intensity, plain.report.oracle_intensity),
     ):
         assert np.array_equal(got.values, want.values)
-    assert np.array_equal(traced.final.radiance, plain.final.radiance)
+    assert np.array_equal(traced_final, plain_final)
 
 
 def assert_leaf(spans, name):
@@ -116,7 +124,7 @@ def test_traced_folded_source_run_matches_the_untraced_bits():
     # transform, inside that transform's memory span, and nothing is applied
     traced, spans, plain = traced_and_plain(coded_train(hop=False))
     assert_same_bits(traced, plain)
-    assert [r.label for r in traced.stages] == ["source+coded_aperture", "propagate_0.01m"]
+    assert [r.label for r in traced[0].stages] == ["source+coded_aperture", "propagate_0.01m"]
     names = [s["name"] for s in spans]
     assert names.count("transformers.apply") == 0
     assert names.count("wdf.field") == names.count("wdf.kernel") == 1
@@ -129,7 +137,7 @@ def test_traced_folded_plane_wave_run_matches_the_untraced_bits():
     # is applied
     traced, spans, plain = traced_and_plain(hologram_train())
     assert_same_bits(traced, plain)
-    assert [r.label for r in traced.stages] == ["source+hologram", "propagate_0.01m"]
+    assert [r.label for r in traced[0].stages] == ["source+hologram", "propagate_0.01m"]
     names = [s["name"] for s in spans]
     assert names.count("transformers.apply") == 0
     assert names.count("wdf.field") == 0
@@ -137,3 +145,13 @@ def test_traced_folded_plane_wave_run_matches_the_untraced_bits():
     trace_id = next(s["id"] for s in spans if s["name"] == "scenarios.trace")
     assert all(s["parent"] == trace_id for s in spans if s["name"] == "wdf.kernel")
     assert_leaf(spans, "wdf.kernel")
+
+
+def test_an_unobserved_traced_run_matches_the_untraced_bits_without_shear_or_projection_spans():
+    # nobody observes the radiance after the last hop, so the trace projects
+    # it along the sheared lines: neither the shear nor the projection runs
+    traced, spans, plain = traced_and_plain(coded_train(hop=True), observed=False)
+    assert_same_bits(traced, plain)
+    names = [s["name"] for s in spans]
+    assert names.count("propagation.shear") == 1  # the first hop, before the mask
+    assert names.count("core.project") == 0
