@@ -68,7 +68,8 @@ def _run(args) -> int:
         return _fail(str(exc), 2)
 
     grid = train.grid
-    # the least a trace holds: two float64 radiances, an apply's input and output
+    # the most a trace holds: two float64 radiances, an apply's input and
+    # output (a fold streamed into an unobserved last hop holds none)
     need = 16 * grid.x_samples * grid.theta_samples
     memory = _physical_memory()
     if memory is not None and need > memory:

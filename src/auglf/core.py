@@ -26,6 +26,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,18 +287,39 @@ def _over_rows(count: int, work) -> None:
     rows, so the result does not depend on the worker count.  An exception
     raised in any range reaches the caller after every range has ended.
     """
-    workers = max(1, min(_worker_count(), count))
-    if workers == 1:
-        work(0, count, 1)
+    with _row_threads() as over:
+        over(count, work)
+
+
+@contextmanager
+def _row_threads():
+    """A function ``over(count, work)`` that runs as ``_over_rows`` does, on one pool kept for the block.
+
+    A caller that splits many small pieces of work in turn (the chunks of
+    a streamed projection, ``propagation.ShearedProjection``) starts the
+    pool's threads once instead of once a piece.  The threads end with
+    the block, and an exception leaves it only after every range of the
+    ``over`` that raised it has ended.
+    """
+    cpus = _worker_count()
+    if cpus == 1:
+        yield lambda count, work: work(0, count, 1)
         return
-    bounds = [count * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [
-            pool.submit(work, bounds[k], bounds[k + 1], workers) for k in range(workers - 1)
-        ]
-        work(bounds[-2], bounds[-1], workers)
-        for future in futures:
-            future.result()
+    with ThreadPoolExecutor(cpus - 1) as pool:
+
+        def over(count: int, work) -> None:
+            workers = max(1, min(cpus, count))
+            bounds = [count * k // workers for k in range(workers + 1)]
+            futures = [pool.submit(work, bounds[k], bounds[k + 1], workers) for k in range(workers - 1)]
+            try:
+                work(bounds[-2], bounds[-1], workers)
+            finally:
+                for future in futures:
+                    future.exception()  # waits, without raising
+            for future in futures:
+                future.result()
+
+        yield over
 
 
 def _leak_meta(grid: PhaseSpaceGrid, leak_rows: np.ndarray, totals: np.ndarray) -> dict:

@@ -17,7 +17,10 @@ valid only until the next stage runs; copy it to keep it.
 
 The intensity after a last hop needs no sheared radiance: it is the
 projection along the sheared lines, I(x) = sum_theta L(x - z theta, theta)
-dtheta (``sheared_projection``).  A band of angle columns with the same
+dtheta, summed a chunk of position rows at a time (``ShearedProjection``).
+The rows may come from a radiance a trace holds (``sheared_projection``)
+or straight from a fold that writes them and keeps none
+(``wdf.wigner_table``'s ``into``).  A band of angle columns with the same
 taps (``_taps``) is one small matrix product, and the hop's loss is what
 the taps carry past the window's edges.
 """
@@ -28,11 +31,12 @@ import warnings
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import (
     AugmentedLightField,
     InvalidConfigurationError,
+    PhaseSpaceGrid,
     TruncationWarning,
     _block_rows,
     _freeze,
@@ -44,22 +48,24 @@ _HALF = _TAPS // 2
 _MARGIN = _TAPS - 1  # zeros on either side of a row that ``_shift_rows`` reads
 
 
-def _bins(alf: AugmentedLightField, distance: float) -> np.ndarray:
-    """Samples each angle column moves over ``distance``; warns when the steepest rays leave the window."""
+def _bins(grid: PhaseSpaceGrid, distance: float) -> np.ndarray:
+    """Samples each angle column moves over a finite ``distance``."""
     if not np.isfinite(distance):
         raise InvalidConfigurationError(f"propagation distance must be finite, got {distance!r}")
-    grid = alf.grid
-    shifts = distance * grid.theta_axis()
-    max_shift = float(np.abs(shifts).max())
+    return distance * grid.theta_axis() / grid.dx
+
+
+def _warn_reach(grid: PhaseSpaceGrid, distance: float, stacklevel: int) -> None:
+    """Warn when a hop by ``distance`` moves the steepest rays past the window."""
+    max_shift = abs(distance) * 0.5 * grid.theta_extent
     if max_shift > grid.x_extent:
         warnings.warn(
             f"shear of {distance:g} m moves the steepest rays "
             f"{max_shift:g} m, beyond the {grid.x_extent:g} m window; "
             "most of their content will be truncated",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
-    return shifts / grid.dx
 
 
 def shear_propagate(
@@ -88,7 +94,8 @@ def shear_propagate(
         raise InvalidConfigurationError(
             "out must be a writable C-ordered float64 array of the radiance's shape"
         )
-    bins = _bins(alf, distance)
+    bins = _bins(alf.grid, distance)
+    _warn_reach(alf.grid, distance, 2)
     out, in_sums, out_sums = _sheared_columns(alf.radiance, bins, out)
     loss = _loss(in_sums, in_sums - out_sums)
     return AugmentedLightField(alf.grid, _freeze(out), {**alf.meta, "truncation_loss": loss}), loss
@@ -100,85 +107,152 @@ def _loss(in_sums: np.ndarray, dropped: np.ndarray) -> float:
     return float(np.abs(dropped).sum()) / denom if denom > 0.0 else 0.0
 
 
-def sheared_projection(alf: AugmentedLightField, distance: float) -> tuple[np.ndarray, float]:
-    """The intensity after a hop by ``distance`` and the hop's truncation loss, with no sheared radiance.
+class ShearedProjection:
+    """The intensity after a hop by ``distance`` and the hop's loss, summed a chunk of source rows at a time.
 
     I(x_i) = dtheta sum_j sum_q tap_q(j) L(x_{i - k_j - 4 + q}, theta_j) is
     ``project_intensity(shear_propagate(alf, distance)[0])`` summed in
     another order, so the two agree to rounding, and the loss is
-    ``shear_propagate``'s.  The values come back as a new writable array;
-    the caller checks them against the negativity floor
-    (``core._intensity_profile``).  It draws ``shear_propagate``'s
-    ``TruncationWarning``.
+    ``shear_propagate``'s.  It is linear in the radiance's position rows,
+    so the rows can come a chunk at a time from whoever makes them: a
+    radiance a trace holds (``sheared_projection``), or a fold that writes
+    them and never keeps them (``wdf.wigner_table``'s ``into``).
 
-    The angle columns go in bands of C, about ``_TAPS`` over the shift per
-    column (at most a block of columns, ``core._block_rows``).  A band's
-    taps sit at its columns' whole shifts in a C x M matrix P, one column
-    of P per offset o from the band's lowest, M about C times the shift
-    per column plus 8; ``P.T @ L[:, band].T`` gives each source row's
-    contribution at each offset, and a skewed sum (rows of an (M, W)
-    buffer read at a row stride of W - 1) adds row m at offset m.  What a
-    column loses is its content weighted by the share of its taps that
-    lands past either edge, summed over the band's edge strips.  The work
-    runs in the calling thread.
+    The rows come through ``add(first_row, rows)`` from one thread, in
+    row order and in chunks of ``chunk_rows`` (the last one shorter), a
+    number that follows from the block budget (``core._block_rows``), not
+    from a worker count.  Each chunk's intensity, column sums and dropped
+    content are added to the totals as it comes, in chunk order, so the
+    bits depend neither on how many threads wrote the rows nor on the
+    BLAS thread count.  Once every row is in, ``result()`` gives the
+    intensity, as a new writable array the caller checks against the
+    negativity floor (``core._intensity_profile``), and the loss, and
+    draws ``shear_propagate``'s ``TruncationWarning``.
+
+    The set-up is done once.  The angle columns go in bands of C, about
+    ``_TAPS`` over the shift per column.  Band b's taps sit at its columns'
+    whole shifts in an M x C matrix, one row per offset from the band's
+    lowest, M about C times the shift per column plus 8, every band
+    padded to one M and one C.  A chunk's bands are one batched ``matmul``
+    of those matrices by the chunk's band columns, which gives each source
+    row's contribution at each offset; one strided sum over a zero-padded
+    buffer (the (M, W) rows of a band read at a row stride of W - 1) adds
+    row m at offset m; and one ``bincount`` adds every band at its own
+    offset.  What a column loses is its content weighted by the share of
+    its taps that lands past either edge, from the chunks near the edges.
     """
-    bins = _bins(alf, distance)
-    radiance = alf.radiance
-    n_x, n_theta = radiance.shape
-    shifts, _, taps = _taps(bins, n_x)
-    # share of a column's taps at or past tap q (carried below row 0 from
-    # where q is first past it), and before tap q (carried past row n_x)
-    tail = np.zeros((n_theta, _TAPS + 1))
-    tail[:, :_TAPS] = np.cumsum(taps[:, ::-1], axis=1)[:, ::-1]
-    head = np.zeros((n_theta, _TAPS + 1))
-    head[:, 1:] = np.cumsum(taps, axis=1)
-    width = min(n_theta, _block_rows(8 * n_x))
-    step = float(abs(bins[1] - bins[0]))  # samples a column moves more than the last
-    if step * width > _TAPS:
-        width = max(1, int(_TAPS / step))
-    values = np.zeros(n_x)
-    dropped = np.zeros(n_theta)
-    buf = np.empty(0)
-    for start in range(0, n_theta, width):
-        cols = slice(start, min(start + width, n_theta))
-        k, band = shifts[cols], radiance[:, cols]
-        k_lo, k_hi = int(k.min()), int(k.max())
-        # what each column drops past either edge: the outer rows, which
-        # every column of the band drops whole, then the rows some of whose
-        # taps cross the edge, by the share of the taps that do
-        whole = min(n_x, max(0, -k_hi - _HALF))
-        part = min(n_x, max(whole, _HALF - 1 - k_lo))
-        dropped[cols] += np.einsum("ic->c", band[:whole]) * tail[cols, 0]
-        dropped[cols] += _edge_sums(band[whole:part], tail[cols], k + (whole + _HALF + 1))
-        whole = min(n_x, max(0, n_x - k_lo + _HALF - 1))
-        part = min(whole, max(0, n_x - k_hi - _HALF))
-        dropped[cols] += np.einsum("ic->c", band[whole:]) * head[cols, _TAPS]
-        dropped[cols] += _edge_sums(band[part:whole], head[cols], k + (part + _HALF + 1 - n_x))
-        # tap q of column c moves row i to i + o, o = k_c + 4 - q; only
-        # offsets with an overlap of source and window rows are kept
-        o_lo = max(k_lo - _HALF + 1, 1 - n_x)
-        o_hi = min(k_hi + _HALF, n_x - 1)
-        if o_lo > o_hi:
-            continue
-        m = o_hi - o_lo + 1
-        span = k_hi - k_lo + _TAPS
-        p = np.zeros((len(k), span))
-        p[np.arange(len(k))[:, np.newaxis], (k - k_lo)[:, np.newaxis] + np.arange(_TAPS)] = taps[cols, ::-1]
-        p = p[:, o_lo - (k_lo - _HALF + 1) :][:, :m]
-        src_lo, src_hi = max(0, -o_hi), min(n_x, n_x - o_lo)
-        w = src_hi - src_lo + m
-        if buf.size < m * w:
-            buf = np.empty(m * w)
-        rows_at = buf[: m * w].reshape(m, w)
-        np.matmul(p.T, band[src_lo:src_hi].T, out=rows_at[:, : w - m])
-        rows_at[:, w - m :] = 0.0
-        # row m of the (m, w - 1) view is row m of rows_at moved m along
-        skewed = buf[: m * (w - 1)].reshape(m, w - 1).sum(axis=0)
-        first = src_lo + o_lo  # where skewed[0] lands
-        lo, hi = max(first, 0), min(first + w - 1, n_x)
-        values[lo:hi] += skewed[lo - first : hi - first]
-    values *= alf.grid.dtheta
-    return values, _loss(radiance.sum(axis=0), dropped)
+
+    def __init__(self, grid: PhaseSpaceGrid, distance: float):
+        self.grid, self.distance = grid, distance
+        n_x, n_theta = grid.x_samples, grid.theta_samples
+        bins = _bins(grid, distance)
+        k, _, taps = _taps(bins, n_x)
+        # share of a column's taps at or past tap q (carried below row 0 from
+        # where q is first past it), and before tap q (carried past row n_x)
+        self._tail = np.zeros((n_theta, _TAPS + 1))
+        self._tail[:, :_TAPS] = np.cumsum(taps[:, ::-1], axis=1)[:, ::-1]
+        self._head = np.zeros((n_theta, _TAPS + 1))
+        self._head[:, 1:] = np.cumsum(taps, axis=1)
+        self._k = k
+        # rows whose taps can cross an edge: below row 0 before the first,
+        # past the last from the second
+        self._low_rows = int(np.max(_HALF - 1 - k, initial=0))
+        self._high_rows = int(np.min(n_x - _HALF - k))
+        step = float(abs(bins[1] - bins[0]))  # samples a column moves more than the last
+        width = n_theta if step * n_theta <= _TAPS else max(1, int(_TAPS / step))
+        bands = -(-n_theta // width)
+        cols = np.arange(bands * width).reshape(bands, width)
+        k_band = k[np.minimum(cols, n_theta - 1)]  # the padding takes the last column's shift
+        k_lo, k_hi = k_band.min(axis=1), k_band.max(axis=1)
+        self.width, self.span = width, int((k_hi - k_lo).max()) + _TAPS
+        self._o_lo = k_lo - _HALF + 1  # the offset of each band's first matrix row
+        # tap q of column c moves row i to i + o, o = k_c + 4 - q
+        offsets = (k_band - k_lo[:, np.newaxis])[..., np.newaxis] + np.arange(_TAPS)[::-1]
+        padded = np.zeros((bands, width, _TAPS))
+        padded.reshape(-1, _TAPS)[:n_theta] = taps
+        self._p = np.zeros((bands, self.span, width))
+        np.put_along_axis(self._p.transpose(0, 2, 1), offsets, padded, axis=2)
+        # a chunk's buffers: its rows, and its bands' products with their padding
+        self.chunk_rows = _block_rows(8 * (n_theta + bands * self.span))
+        self._values = np.zeros(n_x)
+        self._sums = np.zeros(n_theta)
+        self._dropped = np.zeros(n_theta)
+        self._next = 0  # the first row of the next chunk
+
+    def add(self, first_row: int, rows: np.ndarray) -> None:
+        """Add the chunk of ``rows`` from ``first_row``, the row after the last chunk's."""
+        n_x, count = self.grid.x_samples, len(rows)
+        if first_row != self._next or count != min(self.chunk_rows, n_x - first_row):
+            raise InvalidConfigurationError(
+                f"rows {first_row}..{first_row + count} are not the projection's next chunk"
+            )
+        self._next += count
+        sums = rows.sum(axis=0)
+        self._sums += sums
+        if not (self._low_rows <= first_row and first_row + count <= self._high_rows):
+            self._dropped += self._edge_drops(first_row, rows, sums)
+        # bands with an offset that brings one of the chunk's rows into the window
+        live = np.flatnonzero((first_row + self._o_lo < n_x) & (first_row + count + self._o_lo + self.span > 1))
+        if live.size:
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            skewed = self._project(rows, lo, hi)
+            at = (first_row + 1 + self._o_lo[lo:hi])[:, np.newaxis] + np.arange(skewed.shape[1])
+            np.clip(at, 0, n_x + 1, out=at)  # 0 and n_x + 1 gather what lands off the window
+            self._values += np.bincount(at.ravel(), skewed.ravel(), minlength=n_x + 2)[1:-1]
+
+    def _project(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Bands lo..hi of the chunk of ``rows``, each summed at its offsets from the band's first."""
+        n_theta, count, width, span = self.grid.theta_samples, len(rows), self.width, self.span
+        whole = min(hi, n_theta // width)  # bands of ``width`` columns
+        w = count + span
+        buf = np.empty((hi - lo, span, w))
+        if whole > lo:
+            band_cols = rows[:, lo * width : whole * width].reshape(count, whole - lo, width)
+            np.matmul(self._p[lo:whole], band_cols.transpose(1, 2, 0), out=buf[: whole - lo, :, :count])
+        if hi > whole:  # the narrower last band
+            last = rows[:, whole * width :]
+            np.matmul(self._p[whole, :, : last.shape[1]], last.T, out=buf[-1, :, :count])
+        buf[:, :, count:] = 0.0
+        # row m of a band's (span, w - 1) view is its row m of buf moved m along
+        return np.einsum("bmj->bj", as_strided(buf, (hi - lo, span, w - 1), (buf.strides[0], 8 * (w - 1), 8)))
+
+    def _edge_drops(self, first_row: int, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """Each column's content in the chunk times the share of its taps that crosses an edge.
+
+        Row first_row + i of column c crosses row 0 by tail[c, low_c + i]
+        (from 8 on, none) and the last row by head[c, low_c + i - n_x] (up
+        to 0, none).  A column all of whose chunk rows take tail[c, 0] or
+        head[c, 8] drops their sum (``sums``) times that.
+        """
+        count = len(rows)
+        low = first_row + self._k + (_HALF + 1)
+        high = low - self.grid.x_samples
+        dropped = sums * (self._tail[:, 0] * (low + count <= 1) + self._head[:, _TAPS] * (high >= _TAPS))
+        for first, shares in ((low, self._tail), (high, self._head)):
+            cols = np.flatnonzero((first < _TAPS) & (first + count > 1))
+            if cols.size:
+                index = np.clip(np.arange(count)[:, np.newaxis] + first[cols], 0, _TAPS)
+                dropped[cols] += np.einsum("ic,ic->c", rows[:, cols], shares[cols, index])
+        return dropped
+
+    def result(self) -> tuple[np.ndarray, float]:
+        """The intensity and the hop's loss, once every chunk is in."""
+        if self._next != self.grid.x_samples:
+            raise InvalidConfigurationError("the projection is missing rows")
+        _warn_reach(self.grid, self.distance, 2)
+        return self._values * self.grid.dtheta, _loss(self._sums, self._dropped)
+
+
+def sheared_projection(alf: AugmentedLightField, distance: float) -> tuple[np.ndarray, float]:
+    """The intensity after a hop by ``distance`` and the hop's loss, from a radiance held whole.
+
+    Its rows go to a ``ShearedProjection`` a chunk at a time, in the
+    calling thread.
+    """
+    projection = ShearedProjection(alf.grid, distance)
+    for lo in range(0, alf.grid.x_samples, projection.chunk_rows):
+        projection.add(lo, alf.radiance[lo : lo + projection.chunk_rows])
+    return projection.result()
 
 
 def _sheared_columns(radiance: np.ndarray, bins: np.ndarray, out: Optional[np.ndarray] = None):
@@ -224,13 +298,6 @@ def _sheared_columns(radiance: np.ndarray, bins: np.ndarray, out: Optional[np.nd
 def _padded_rows(rows: int, n: int) -> np.ndarray:
     """Zeroed buffer for ``rows`` rows of ``n`` samples between the margins ``_shift_rows`` reads."""
     return np.zeros((rows, n + 2 * _MARGIN))
-
-
-def _edge_sums(rows: np.ndarray, shares: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Sum over ``rows`` of row i of column c times ``shares[c, first[c] + i]``, the index clipped to the taps."""
-    index = np.arange(len(rows))[:, np.newaxis] + first
-    np.minimum(np.maximum(index, 0, out=index), _TAPS, out=index)
-    return np.einsum("ic,ic->c", rows, shares[np.arange(len(first)), index])
 
 
 def _taps(bins: np.ndarray, n: int, weights=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,8 +18,10 @@ and apply each kernel.
 A trace keeps one working radiance and hands it out only to an observer
 (``trace_train``'s ``observe``).  When nobody observes it, a last hop is
 not sheared: the final intensity is projected along the hop's sheared
-lines straight from the radiance before it
-(``propagation.sheared_projection``).
+lines straight from the radiance before it, a chunk of rows at a time
+(``propagation.ShearedProjection``).  When that hop comes right after a
+fold, the fold's rows go into the projection as they are written, so the
+trace makes no radiance at all.
 
 The wave pipeline lives on the position window, as the radiance does:
 sources are built and elements evaluated on the grid's own axis, so both
@@ -51,7 +53,7 @@ from .core import (
 )
 from .elements import CubicPhase, ElementSpec, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
-from .propagation import shear_propagate, sheared_projection
+from .propagation import ShearedProjection, shear_propagate, sheared_projection
 from .transformers import NumericTransformer, apply_transformer, canonical_transformer
 from .wdf import WdfOptions, wdf_from_field
 
@@ -343,9 +345,16 @@ def trace_train(
 
     Without an observer nobody sees the radiance after a last hop, so the
     trace does not make it: the final intensity is the projection along
-    the hop's sheared lines (``sheared_projection``), which agrees with
-    the projection of the sheared radiance to rounding and reports the
-    same loss.
+    the hop's sheared lines (``propagation.ShearedProjection``), which
+    agrees with the projection of the sheared radiance to rounding and
+    reports the same loss.  A fold followed by that hop and nothing else
+    makes no radiance at all: the fold's rows go into the projection a
+    chunk at a time as they are written (``wdf_from_field``'s and
+    ``behind_plane_wave``'s ``into``), and the trace holds only chunk
+    buffers.  It records, aborts and warns as the trace that holds the
+    fold's radiance: the fold's ``BandwidthWarning`` comes first, the
+    hop's ``TruncationWarning`` with its result, after the fold's abort
+    check.
 
     Raises ScenarioAbortError when one stage truncates more than the
     configured share of the signal; the exception carries the 1-based index
@@ -355,16 +364,25 @@ def trace_train(
         options = TraceOptions()
     grid = train.grid
     source = train.source
+    stages = train.stages
     first = None  # stage 1's kernel, built before the source to fold into it
-    if isinstance(source, (FieldSource, PlaneWave)) and _lone_element(train.stages):
-        first = canonical_transformer(train.stages[0].spec, grid, options.wdf_options)
+    if isinstance(source, (FieldSource, PlaneWave)) and _lone_element(stages):
+        first = canonical_transformer(stages[0].spec, grid, options.wdf_options)
     folded = isinstance(first, NumericTransformer)
+    # an unobserved last hop right behind a fold takes the fold's rows as
+    # they are written
+    streamed = None
+    if folded and observe is None and len(stages) == 2 and isinstance(stages[1], Propagate):
+        streamed = ShearedProjection(grid, stages[1].distance)
     if not folded:
         alf = _source_radiance(grid, source, options)
-    elif isinstance(source, PlaneWave):
-        alf = first.behind_plane_wave(grid.theta_index(source.angle))
     else:
-        alf = wdf_from_field(source.field, options.wdf_options, through=first.source)
+        if isinstance(source, PlaneWave):
+            fold = first.behind_plane_wave(grid.theta_index(source.angle), into=streamed)
+        else:
+            fold = wdf_from_field(source.field, options.wdf_options, through=first.source, into=streamed)
+        # a fold streamed into the hop gives its meta alone
+        alf, fold_meta = (None, fold) if streamed is not None else (fold, fold.meta)
     records = []
 
     def finish(record: StageRecord, alf: AugmentedLightField) -> None:
@@ -377,9 +395,11 @@ def trace_train(
     kept = 1.0
     projected = None  # the intensity after an unobserved last hop
 
-    for k, stage in enumerate(train.stages, start=1):
+    for k, stage in enumerate(stages, start=1):
         label, kernel = _stage_label(stage), None
-        if isinstance(stage, Propagate) and observe is None and k == len(train.stages):
+        if streamed is not None and k == 2:
+            projected, loss = streamed.result()
+        elif isinstance(stage, Propagate) and observe is None and k == len(stages):
             projected, loss = sheared_projection(alf, stage.distance)
         elif isinstance(stage, Propagate):
             # every radiance here was allocated by this trace, so the shear
@@ -393,9 +413,10 @@ def trace_train(
             kernel = transformer.meta["element"]
             if k == 1 and folded:
                 label = "source+" + label
+                loss = fold_meta["theta_leak_fraction"]
             else:
                 alf = apply_transformer(alf, transformer)
-            loss = alf.meta.get("theta_leak_fraction", 0.0)
+                loss = alf.meta.get("theta_leak_fraction", 0.0)
         if loss > options.abort_loss:
             raise ScenarioAbortError(
                 k,

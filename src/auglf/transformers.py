@@ -44,7 +44,7 @@ the grid and the thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
@@ -62,7 +62,7 @@ from .core import (
     _next_fast_len,
     _over_rows,
 )
-from .propagation import _MARGIN, _padded_rows, _shift_rows
+from .propagation import _MARGIN, ShearedProjection, _padded_rows, _shift_rows
 from .wdf import ApplyLeak, WdfOptions, WignerRows, _lag_chirps, _lags_to_angles, wigner_table
 
 import warnings
@@ -227,12 +227,19 @@ class NumericTransformer:
 
         return convolve
 
-    def table(self, u_start: float, du: float, n_u: int, leak: Optional[ApplyLeak] = None) -> np.ndarray:
-        """Wigner table of the lag-grid signal at u_start + k du, k < n_u: window "none", since ``source`` has applied it; ``leak`` is ``wigner_table``'s."""
+    def table(
+        self,
+        u_start: float,
+        du: float,
+        n_u: int,
+        leak: Optional[ApplyLeak] = None,
+        into: Optional[ShearedProjection] = None,
+    ) -> Optional[np.ndarray]:
+        """Wigner table of the lag-grid signal at u_start + k du, k < n_u: window "none", since ``source`` has applied it; ``leak`` and ``into`` are ``wigner_table``'s."""
         signal, options = self.source.signal, self.source.options
         plain = WdfOptions(options.oversample_factor, "none", options.boundary)
         coarse = signal[:: 2 * options.oversample_factor]
-        return wigner_table(self.grid, coarse, u_start, du, n_u, plain, fine_samples=signal, leak=leak)
+        return wigner_table(self.grid, coarse, u_start, du, n_u, plain, fine_samples=signal, leak=leak, into=into)
 
     @property
     def kernel(self) -> np.ndarray:
@@ -241,7 +248,7 @@ class NumericTransformer:
         table /= self.grid.wavelength
         return _freeze(table)
 
-    def behind_plane_wave(self, node: int) -> AugmentedLightField:
+    def behind_plane_wave(self, node: int, into: Optional[ShearedProjection] = None) -> Union[AugmentedLightField, dict]:
         """What the apply makes of a unit plane wave on angle node ``node``, without the wave's radiance.
 
         That radiance is one column of L0 = 1 / (dtheta x_extent), so the
@@ -250,7 +257,10 @@ class NumericTransformer:
         is the convolver's, 2 beta L0 Re sum_l c_l D_l, and its leak that
         total less the row's sum; the lag products are formed in the
         table's block buffer, and each block is scaled and summed as it is
-        written (``wdf.ApplyLeak``).
+        written (``wdf.ApplyLeak``).  With ``into``, a
+        ``propagation.ShearedProjection`` of a hop from this plane, the rows
+        go into it as they are written and only the ``meta`` is returned
+        (``wdf.wigner_table``'s ``into``).
         """
         grid, source = self.grid, self.source
         n, m = grid.theta_samples, source.n_lags
@@ -265,9 +275,9 @@ class NumericTransformer:
             return scale * (c.real * dirichlet).sum(axis=1)
 
         leak = ApplyLeak(grid.x_samples, grid.wavelength * grid.x_extent, row_totals)
-        radiance = self.table(-node * du, du, n, leak)
+        radiance = self.table(-node * du, du, n, leak, into)
         meta = {"source": "plane", **leak.meta(grid)}
-        return AugmentedLightField(grid, _freeze(radiance), meta)
+        return meta if into is not None else AugmentedLightField(grid, _freeze(radiance), meta)
 
 
 def _delta_lines(grid: PhaseSpaceGrid, deflections, weights, label: str) -> LightFieldTransformer:

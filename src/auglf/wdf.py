@@ -56,6 +56,13 @@ two factors' lag products multiplied.  One table then replaces the field's
 table and the kernel's apply, and the apply's leak comes from the lag
 products and Dirichlet sums alone, taken block by block in the table's own
 loop and scratch buffer (``_fold_leak``, ``ApplyLeak``).
+
+A fold whose radiance only feeds the projection after a last hop is never
+made whole (``wigner_table``'s ``into``): its rows are written a chunk at
+a time, each chunk split among the threads, and each chunk goes into the
+hop's ``propagation.ShearedProjection`` before the next is written.  The
+chunks' size follows from the block budget, not from the thread count,
+so the projection's bits do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,12 +88,22 @@ from .core import (
     _leak_meta,
     _next_fast_len,
     _over_rows,
+    _row_threads,
 )
+from .propagation import ShearedProjection
 
 __all__ = ["WdfOptions", "wdf_from_field"]
 
 # Fraction of the window tapered on each side by the raised-cosine option.
 EDGE_TAPER_FRACTION = 0.1
+
+# Elements of each operand that a ufunc buffers at a time in
+# ``WignerRows.write``.  Its in-place products over a block's lag columns (a
+# strided view of the scratch buffer) and by one broadcast row go through
+# ufunc buffers; at numpy's default of 8192 elements those take up to 384 KiB
+# a call in each writing thread, which add up across the threads of a fold
+# that holds no radiance.  1024 elements measured no slower.
+_UFUNC_BUFFER = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,17 +347,21 @@ class WignerRows:
         m, nfft = self.n_lags, len(self._filter)
         step = _block_rows(16 * nfft, workers)
         buf = np.empty((min(step, hi - lo), nfft), dtype=np.complex128)
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            rows, block = buf[: stop - start], out[start - lo : stop - lo]
-            if leak is not None:
-                leak.totals[start:stop] = leak.row_totals(start, stop, rows[:, :m])
-            self.lags(start, stop, rows[:, :m])
-            rows[:, :m] *= self._lag_phase
-            _lags_to_angles(rows, m, self._filter, self._unchirp, block)
-            if leak is not None:
-                block /= leak.divisor
-                leak.leak_rows[start:stop] = leak.totals[start:stop] - block.sum(axis=1)
+        default = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            for start in range(lo, hi, step):
+                stop = min(start + step, hi)
+                rows, block = buf[: stop - start], out[start - lo : stop - lo]
+                if leak is not None:
+                    leak.totals[start:stop] = leak.row_totals(start, stop, rows[:, :m])
+                self.lags(start, stop, rows[:, :m])
+                rows[:, :m] *= self._lag_phase
+                _lags_to_angles(rows, m, self._filter, self._unchirp, block)
+                if leak is not None:
+                    block /= leak.divisor
+                    leak.leak_rows[start:stop] = leak.totals[start:stop] - block.sum(axis=1)
+        finally:
+            np.setbufsize(default)
 
 
 class ApplyLeak:
@@ -371,17 +393,36 @@ def wigner_table(
     options: WdfOptions,
     fine_samples: np.ndarray = None,
     leak: ApplyLeak = None,
-) -> np.ndarray:
-    """The whole (x_samples, n_u) table of ``WignerRows``, as one array.
+    into: ShearedProjection = None,
+) -> Optional[np.ndarray]:
+    """The whole (x_samples, n_u) table of ``WignerRows``, as one array, or its rows streamed ``into`` a projection.
 
     Shared by the field transform (u from the grid's theta axis) and the
     assembled form of a numeric kernel (u from a symmetric relative-angle
     axis).  ``leak`` is ``WignerRows.write``'s.
+
+    With ``into``, a ``propagation.ShearedProjection`` on the grid's angles,
+    no table is made and None is returned: the rows are written a chunk of
+    ``into.chunk_rows`` at a time into one buffer and handed to
+    ``into.add`` in row order, in the calling thread.  The chunks follow
+    from the block budget, so they, and with them the bits, do not depend
+    on the worker count; each chunk's rows are split among the workers of
+    one pool kept for the call (``core._row_threads``).
     """
     rows = WignerRows(grid, samples, u_start, du, n_u, options, fine_samples)
-    out = np.empty(rows.shape)
-    _over_rows(rows.shape[0], lambda lo, hi, workers: rows.write(lo, hi, out[lo:hi], workers, leak))
-    return out
+    n = rows.shape[0]
+    if into is None:
+        out = np.empty(rows.shape)
+        _over_rows(n, lambda lo, hi, workers: rows.write(lo, hi, out[lo:hi], workers, leak))
+        return out
+    size = min(into.chunk_rows, n)
+    chunk = np.empty((size, n_u))
+    with _row_threads() as over:
+        for start in range(0, n, size):
+            block = chunk[: min(size, n - start)]
+            over(len(block), lambda lo, hi, workers: rows.write(start + lo, start + hi, block[lo:hi], workers, leak))
+            into.add(start, block)
+    return None
 
 
 def _local_frequency_check(field: ComplexField) -> None:
@@ -410,8 +451,11 @@ def _local_frequency_check(field: ComplexField) -> None:
 
 
 def wdf_from_field(
-    field: ComplexField, options: WdfOptions = WdfOptions(), through: WignerRows = None
-) -> AugmentedLightField:
+    field: ComplexField,
+    options: WdfOptions = WdfOptions(),
+    through: WignerRows = None,
+    into: ShearedProjection = None,
+) -> Union[AugmentedLightField, dict]:
     """Numeric Wigner transform of a sampled coherent field.
 
     Returns the signed radiance L(x, theta) = W(x, theta/lambda)/lambda on
@@ -430,7 +474,14 @@ def wdf_from_field(
     keeps what the apply would have dropped with it.  ``meta`` then gives
     the apply's ``theta_leak`` and ``theta_leak_fraction``, summed in the
     table's own block loop (``_fold_leak``).
+
+    into, with through, is a ``propagation.ShearedProjection`` of a hop
+    from this plane: the radiance's rows go into it a chunk at a time as
+    they are written (``wigner_table``'s ``into``), no radiance is made,
+    and only its ``meta`` is returned.
     """
+    if into is not None and through is None:
+        raise InvalidConfigurationError("only a fold streams its rows into a projection")
     if not np.any(field.samples):
         raise DegenerateInputError("field is identically zero")
     grid = field.grid
@@ -452,8 +503,10 @@ def wdf_from_field(
         wraps = options.boundary == through.options.boundary == "periodic"
         plain = WdfOptions(options.oversample_factor, "none", "periodic" if wraps else "zero")
         leak = _fold_leak(grid, rows, through, axis[0])
-        w = wigner_table(grid, product[::factor], *axis, plain, fine_samples=product, leak=leak)
+        w = wigner_table(grid, product[::factor], *axis, plain, fine_samples=product, leak=leak, into=into)
         meta.update(leak.meta(grid))
+        if into is not None:
+            return meta
     return AugmentedLightField(grid, _freeze(w), meta)
 
 

@@ -22,7 +22,7 @@ from auglf import (
     shear_propagate,
     wdf_from_field,
 )
-from auglf.propagation import sheared_projection
+from auglf.propagation import ShearedProjection, sheared_projection
 import auglf.core as core
 from auglf.core import _block_rows
 import oracles
@@ -369,6 +369,35 @@ def test_sheared_projection_on_the_coded_field_grid(distance):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         assert_projection_matches_the_sheared_one(alf, distance)
+
+
+def test_a_projection_takes_its_chunks_in_order_and_all_of_them(monkeypatch):
+    g = grid_64()
+    alf = AugmentedLightField(g, np.random.default_rng(3).normal(size=(64, 64)))
+    distance = 0.7 * g.dx / g.dtheta
+    want, want_loss = sheared_projection(alf, distance)
+    # chunks of one row, of 7 (a short last one) and all 64 give the whole
+    # radiance's numbers to rounding
+    full = ShearedProjection(g, distance)
+    row_bytes = 8 * (64 + -(-64 // full.width) * full.span)  # a row and its band products
+    for budget, size in ((1, 1), (7 * row_bytes, 7), (64 * row_bytes, 64)):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+        projection = ShearedProjection(g, distance)
+        assert projection.chunk_rows == size
+        for lo in range(0, 64, size):
+            projection.add(lo, alf.radiance[lo : lo + size])
+        got, loss = projection.result()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert abs(loss - want_loss) <= 1e-12
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 20)
+    projection = ShearedProjection(g, distance)
+    assert projection.chunk_rows >= 64
+    with pytest.raises(InvalidConfigurationError, match="next chunk"):
+        projection.add(0, alf.radiance[:8])  # short of the chunk
+    with pytest.raises(InvalidConfigurationError, match="next chunk"):
+        projection.add(8, alf.radiance[8:])  # not from the next row
+    with pytest.raises(InvalidConfigurationError, match="missing rows"):
+        projection.result()
 
 
 def test_sheared_projection_warns_and_rejects_as_the_shear_does():

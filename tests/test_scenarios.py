@@ -9,6 +9,7 @@ import pytest
 
 from auglf import (
     AugmentedLightField,
+    BandwidthWarning,
     CodedAperture,
     ComplexField,
     CubicPhase,
@@ -42,7 +43,8 @@ from auglf import Lens
 from auglf.elements import element_label
 from auglf.wdf import _upsample, wigner_table
 from auglf.config import OutputOptions, parse_config
-from auglf import scenarios
+from auglf import core, scenarios
+from auglf.propagation import ShearedProjection, sheared_projection
 from auglf.scenarios import _hop, _oracle_intensity, _padded_grid
 from oracles import fourier_shear
 
@@ -473,10 +475,17 @@ def test_a_folded_trace_holds_one_radiance_and_the_working_set(observe=None):
     finally:
         tracemalloc.stop()
     assert [r.label for r in trace.stages] == ["source+coded_aperture", "propagate_0.01m"]
-    # the fold's radiance (8 MiB), sheared in place or projected, and block
-    # buffers; a shear into a new radiance would make a second
+    assert_fold_memory(g, peak, observe)
+
+
+def assert_fold_memory(g, peak, observe):
+    """Observed, a fold's radiance (8 MiB) sheared in place, and block buffers;
+    unobserved, the fold's rows go into the hop's projection a chunk at a time,
+    so the trace peaks below one radiance (measured 3.4 MiB for the coded
+    aperture, whose chunk is 0.85 MiB, and 2.1-2.4 MiB for the hologram, at
+    1, 2 and 4 workers)."""
     radiance = 8 * g.x_samples * g.theta_samples
-    assert peak < radiance + 4 * 2**20
+    assert peak < (radiance if observe else 0) + 4 * 2**20
 
 
 UNFOLDED_MEMORY_TRAINS = [
@@ -508,8 +517,9 @@ def test_an_unfolded_trace_holds_two_radiances_and_the_working_set(stages, obser
 
 
 def test_an_observed_trace_keeps_the_memory_bounds():
-    # without an observer the memory gates above project the last hop; an
-    # observer that keeps nothing makes every hop shear in place instead
+    # without an observer the memory gates above project the last hop, from
+    # the fold's rows as they are written; an observer that keeps nothing
+    # makes the fold write its radiance and every hop shear it in place
     def observe(record, alf):
         pass
 
@@ -566,10 +576,7 @@ def test_a_folded_plane_wave_holds_one_radiance_and_the_working_set(observe=None
     finally:
         tracemalloc.stop()
     assert [r.label for r in trace.stages] == ["source+hologram", "propagate_0.1m"]
-    # the folded radiance (8 MiB), sheared in place or projected, and
-    # block buffers
-    radiance = 8 * g.x_samples * g.theta_samples
-    assert peak < radiance + 4 * 2**20
+    assert_fold_memory(g, peak, observe)
 
 
 def test_an_out_of_window_plane_wave_is_rejected_before_a_numeric_element():
@@ -736,11 +743,33 @@ def rough_field_past_a_tight_limit():
     return train, TraceOptions(abort_loss=1e-8, compare_oracle=False)
 
 
-ABORTS = {"heavy_throw": heavy_throw, "rough_field_past_a_tight_limit": rough_field_past_a_tight_limit}
+def chirped_beam():
+    # its local frequency leaves the angle window, so its transform draws a
+    # BandwidthWarning
+    x = FOLD_GRID.x_axis()
+    return ComplexField(FOLD_GRID, np.exp(-((x / 0.6e-3) ** 2) + 1j * np.pi * 2e7 * x**2))
 
 
-@pytest.mark.parametrize("make", ABORTS.values(), ids=ABORTS.keys())
-def test_an_unobserved_trace_aborts_and_warns_as_an_observed_one(make):
+def chirp_past_a_limit(abort_loss):
+    # the fold leaks 0.104 of its content past the angle window, and the
+    # hop then throws 0.540 past both edges of the position window
+    train = OpticalTrain(FOLD_GRID, FieldSource(chirped_beam()), (Element(CodedAperture(coded_mask())), Propagate(0.6)))
+    return train, TraceOptions(abort_loss=abort_loss, compare_oracle=False)
+
+
+# each with the stage it aborts at and the warnings it draws
+ABORTS = {
+    "heavy_throw": (heavy_throw, 1, [TruncationWarning]),
+    "rough_field_past_a_tight_limit": (rough_field_past_a_tight_limit, 1, []),
+    # streamed: the fold's abort check comes before the hop's result, and
+    # the hop's warning with that result
+    "fold_leak_past_the_limit": (lambda: chirp_past_a_limit(0.05), 1, [BandwidthWarning]),
+    "fold_hop_past_the_limit": (lambda: chirp_past_a_limit(0.3), 2, [BandwidthWarning, TruncationWarning]),
+}
+
+
+@pytest.mark.parametrize("make, stage, categories", ABORTS.values(), ids=ABORTS.keys())
+def test_an_unobserved_trace_aborts_and_warns_as_an_observed_one(make, stage, categories):
     train, options = make()
     outcomes = []
     for observe in (lambda record, alf: None, None):
@@ -750,4 +779,94 @@ def test_an_unobserved_trace_aborts_and_warns_as_an_observed_one(make):
                 trace_train(train, options, observe=observe)
         outcomes.append((err.value.stage_index, str(err.value), [w.category for w in caught]))
     assert outcomes[0] == outcomes[1]
-    assert NegativeIntensityWarning not in outcomes[1][2]
+    assert outcomes[1][0] == stage
+    assert outcomes[1][2] == categories
+
+
+# A fold followed by an unobserved hop streams its rows into the hop's
+# projection and makes no radiance.  Hops by 0, 0.2 samples per column
+# (coded_field's last hop), 1.46 (single_lens's) and one that throws light
+# past both edges of the window.
+STREAM_HOPS = {
+    "zero": 0.0,
+    "shallow": 0.2 * FOLD_GRID.dx / FOLD_GRID.dtheta,
+    "steep": 1.46 * FOLD_GRID.dx / FOLD_GRID.dtheta,
+    "past_both_edges": 0.6,
+}
+# a block budget whose chunks (232, 166, 62 and 26 rows for the hops
+# above, from a row and its band products) do not divide the fold's 256 rows
+STREAM_BUDGET = 40 * 16 * 768
+
+
+def assert_streams_as_materialised(fold, distance, monkeypatch):
+    """``fold(into)`` streamed into a hop by ``distance`` against its radiance (``fold(None)``) projected whole."""
+    chunks = []
+    add = ShearedProjection.add
+    monkeypatch.setattr(ShearedProjection, "add", lambda self, lo, rows: chunks.append(len(rows)) or add(self, lo, rows))
+    runs = []
+    for streamed in (False, True):
+        chunks.clear()
+        projection = ShearedProjection(FOLD_GRID, distance) if streamed else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            folded = fold(projection)
+            if streamed:
+                meta = folded
+                values, loss = projection.result()
+            else:
+                meta = folded.meta
+                values, loss = sheared_projection(folded, distance)
+        runs.append((meta, values, loss, [w.category for w in caught]))
+    (want_meta, want, want_loss, want_warnings), (meta, got, loss, got_warnings) = runs
+    assert got_warnings == want_warnings
+    assert (TruncationWarning in got_warnings) == (distance == STREAM_HOPS["past_both_edges"])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(loss - want_loss) <= 1e-12
+    assert meta.keys() == want_meta.keys()
+    for key in ("theta_leak", "theta_leak_fraction"):
+        assert abs(meta[key] - want_meta[key]) <= 1e-12
+    # equal chunks but a short last one
+    assert sum(chunks) == FOLD_GRID.x_samples and set(chunks[:-1]) == {chunks[0]} and chunks[-1] < chunks[0]
+
+
+@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("oversample, window", FOLD_OPTIONS)
+@pytest.mark.parametrize("name", FOLDED_ELEMENTS)
+def test_a_streamed_field_fold_projects_as_its_radiance_does(name, oversample, window, boundary, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_BYTES", STREAM_BUDGET)
+    options = WdfOptions(oversample, window, boundary)
+    kernel = canonical_transformer(FOLDED_ELEMENTS[name], FOLD_GRID, options)
+    beam = fold_beam(0.15e-3)
+    for distance in STREAM_HOPS.values():
+        assert_streams_as_materialised(
+            lambda into: wdf_from_field(beam, options, through=kernel.source, into=into), distance, monkeypatch
+        )
+
+
+@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("steps", PLANE_ANGLES.values(), ids=PLANE_ANGLES.keys())
+@pytest.mark.parametrize("oversample, window", FOLD_OPTIONS)
+@pytest.mark.parametrize("name", FOLDED_ELEMENTS)
+def test_a_streamed_plane_wave_fold_projects_as_its_radiance_does(name, oversample, window, steps, boundary, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_BYTES", STREAM_BUDGET)
+    kernel = canonical_transformer(FOLDED_ELEMENTS[name], FOLD_GRID, WdfOptions(oversample, window, boundary))
+    node = FOLD_GRID.theta_index(steps * FOLD_GRID.dtheta)
+    for distance in STREAM_HOPS.values():
+        assert_streams_as_materialised(lambda into: kernel.behind_plane_wave(node, into=into), distance, monkeypatch)
+
+
+STREAMED_TRAINS = {
+    "chirp_through_a_mask_past_both_edges": (FieldSource(chirped_beam()), CodedAperture(coded_mask()), STREAM_HOPS["past_both_edges"]),
+    "plane_wave_through_a_hologram_steep": (PlaneWave(3 * FOLD_GRID.dtheta), Hologram(0.15, width=1e-3), STREAM_HOPS["steep"]),
+}
+
+
+@pytest.mark.parametrize("source, spec, distance", STREAMED_TRAINS.values(), ids=STREAMED_TRAINS.keys())
+def test_a_streamed_trace_records_and_warns_as_an_observed_one(source, spec, distance):
+    train = OpticalTrain(FOLD_GRID, source, (Element(spec), Propagate(distance)))
+    (observed, observed_warnings), (unobserved, unobserved_warnings) = traced_both_ways(train, TraceOptions(abort_loss=1.0))
+    # the field's BandwidthWarning before the hop's TruncationWarning
+    assert unobserved_warnings == observed_warnings
+    if isinstance(source, FieldSource):
+        assert unobserved_warnings[:2] == [BandwidthWarning, TruncationWarning]
+    assert_same_report(observed, unobserved)

@@ -16,6 +16,7 @@ import pytest
 
 import auglf.core as core
 import test_propagation
+import test_scenarios
 import test_transformers
 from test_scenarios import observed_trace
 from auglf import (
@@ -110,15 +111,17 @@ def outputs(grid):
         got[f"{name}_leak"] = folded.meta["theta_leak"]
         got[f"{name}_leak_fraction"] = folded.meta["theta_leak_fraction"]
     distance = SHEAR_REACH * grid.x_extent / (grid.theta_extent / 2)
-    # an unobserved trace projects its last hop in the calling thread, after
-    # the fold's threaded table
-    train = OpticalTrain(grid, FieldSource(random_field(grid, 4)), (Element(CodedAperture(mask)), Propagate(distance)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativeIntensityWarning)
-        warnings.simplefilter("ignore", TruncationWarning)
-        trace = trace_train(train, TraceOptions(compare_oracle=False))
-    got["projected"] = trace.report.alf_intensity.values
-    got["projected_losses"] = [record.truncation_loss for record in trace.stages]
+    # an unobserved trace streams each fold's rows into its last hop's
+    # projection: the fold writes a chunk on the threads, and the calling
+    # thread adds it before the next is written
+    for name, source in sources.items():
+        train = OpticalTrain(grid, source, (Element(CodedAperture(mask)), Propagate(distance)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeIntensityWarning)
+            warnings.simplefilter("ignore", TruncationWarning)
+            trace = trace_train(train, TraceOptions(compare_oracle=False))
+        got[f"{name}_projected"] = trace.report.alf_intensity.values
+        got[f"{name}_projected_losses"] = [record.truncation_loss for record in trace.stages]
     sheared, got["shear_loss"] = shear_propagate(alf, distance)
     got["shear"] = sheared.radiance
     own, work = test_propagation.own_radiance(alf)
@@ -205,11 +208,14 @@ def test_stress_many_workers_with_fast_thread_switching(monkeypatch):
 
 
 def test_working_memory_bounds_hold_with_four_workers(monkeypatch):
-    # four workers share one block budget, so the one-worker bounds still hold
+    # four workers share one block budget, so the one-worker bounds still
+    # hold; a streamed fold's chunk is shared by the workers
     force_workers(monkeypatch, 4)
     test_transformers.test_line_apply_working_memory_is_one_block()
     test_transformers.test_numeric_kernel_build_and_apply_never_hold_the_table()
     test_propagation.assert_shear_working_memory_is_three_column_blocks()
+    test_scenarios.test_a_folded_trace_holds_one_radiance_and_the_working_set()
+    test_scenarios.test_a_folded_plane_wave_holds_one_radiance_and_the_working_set()
 
 
 def test_worker_count_is_the_affinity_count():
