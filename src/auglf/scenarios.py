@@ -8,12 +8,13 @@ well the two agree on the observable intensity.
 
 A field source or a plane wave followed at once by a lone element with a
 numeric kernel is traced in one step, and the source's own radiance is
-never made or kept (``trace_train``): the Wigner transform of the field
-times the element's transmittance is the radiance behind the element, and
-behind a plane wave it is the element's own kernel rows, shifted by the
-wave's angle node.  Closed-form first elements, point sources, elements
-after a hop and groups of elements at one plane take the source radiance
-and apply each kernel.
+never made or kept (``trace_train``): each launches its lag-grid signal
+(``_launch``: a field's upsampled samples, a plane wave's analytic ones),
+and the Wigner transform of that signal times the element's transmittance
+is the radiance behind the element (``NumericTransformer.fold``).
+Closed-form first elements, point sources, elements after a hop and
+groups of elements at one plane take the source radiance and apply each
+kernel.
 
 A trace keeps one working radiance and hands it out only to an observer
 (``trace_train``'s ``observe``).  When nobody observes it, a last hop is
@@ -55,7 +56,7 @@ from .elements import CubicPhase, ElementSpec, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
 from .propagation import ShearedProjection, shear_propagate, sheared_projection
 from .transformers import NumericTransformer, apply_transformer, canonical_transformer
-from .wdf import WdfOptions, wdf_from_field
+from .wdf import WdfOptions, WignerRows, _angle_frequencies, _options_meta, field_rows, wdf_from_field
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +210,11 @@ class TrainTrace:
     report: ComparisonReport
 
 
+def _column_radiance(grid: PhaseSpaceGrid) -> float:
+    """A unit plane wave's radiance in its one angle column: unit power over the window."""
+    return 1.0 / (grid.dtheta * grid.x_extent)
+
+
 def _source_radiance(grid: PhaseSpaceGrid, source: SourceSpec, options: TraceOptions):
     if isinstance(source, PointSource):
         radiance = np.zeros((grid.x_samples, grid.theta_samples))
@@ -218,13 +224,34 @@ def _source_radiance(grid: PhaseSpaceGrid, source: SourceSpec, options: TraceOpt
         return AugmentedLightField(grid, _freeze(radiance), {"source": "point"})
     if isinstance(source, PlaneWave):
         radiance = np.zeros((grid.x_samples, grid.theta_samples))
-        radiance[:, grid.theta_index(source.angle)] = 1.0 / (
-            grid.dtheta * grid.x_extent
-        )
+        radiance[:, grid.theta_index(source.angle)] = _column_radiance(grid)
         return AugmentedLightField(grid, _freeze(radiance), {"source": "plane"})
     if isinstance(source, FieldSource):
         return wdf_from_field(source.field, options.wdf_options)
     raise InvalidConfigurationError(f"unknown source {type(source).__name__}")
+
+
+def _launch(grid: PhaseSpaceGrid, source: Union[FieldSource, PlaneWave], options: TraceOptions) -> tuple:
+    """What a field or a plane wave gives ``NumericTransformer.fold``: its rows, its radiance's meta and its row sum.
+
+    A field gives its Wigner rows (``wdf.field_rows``), whose row sums the
+    fold takes from their lag products.  A plane wave on angle node j
+    gives the rows of its analytic lag-grid samples,
+    e^{2 pi i theta_j x / lambda} / sqrt(x_extent), with window "none" and
+    zero boundary, and as every row's sum that of the one-column radiance
+    the apply would have met, ``_column_radiance``: the rows of its own
+    samples, cut off at the window's edges, sum to less near them.
+    """
+    wdf_options = options.wdf_options
+    if isinstance(source, FieldSource):
+        return field_rows(source.field, wdf_options), _options_meta(wdf_options), None
+    factor = 2 * wdf_options.oversample_factor
+    x = grid.x_axis()[0] + (grid.dx / factor) * np.arange(factor * grid.x_samples)
+    angle = grid.theta_axis()[grid.theta_index(source.angle)]
+    fine = np.exp(2j * np.pi * angle * x / grid.wavelength) / np.sqrt(grid.x_extent)
+    plain = WdfOptions(wdf_options.oversample_factor, "none", "zero")
+    rows = WignerRows(grid, fine[::factor], *_angle_frequencies(grid), plain, fine_samples=fine)
+    return rows, {"source": "plane"}, _column_radiance(grid)
 
 
 def _stage_label(stage: Stage) -> str:
@@ -325,13 +352,11 @@ def trace_train(
 
     A field source or a plane wave whose first stage is a lone element
     with a numeric kernel (no second element at the same plane) is folded
-    into it, and gives the apply's numbers to rounding.  For a field, one
-    Wigner transform of the product of field and transmittance
-    (``wdf_from_field(..., through=...)``) replaces the source transform
-    and the apply; for a plane wave, one table of the kernel's own signal,
-    shifted by the wave's angle node (``NumericTransformer.
-    behind_plane_wave``), replaces the wave's one-column radiance and the
-    apply.  Such a trace has no source record; its first record is
+    into it, and gives the apply's numbers to rounding: one Wigner
+    transform of the product of the source's lag-grid signal (``_launch``)
+    and the transmittance (``NumericTransformer.fold``) replaces the
+    source's radiance and the apply.  Such a trace has no source record;
+    its first record is
     ``StageRecord(1, "source+<element label>", ..., kernel="numeric")``,
     whose loss is the leak the apply would report.  Every other train
     starts from the source's record, index 0.
@@ -349,12 +374,11 @@ def trace_train(
     agrees with the projection of the sheared radiance to rounding and
     reports the same loss.  A fold followed by that hop and nothing else
     makes no radiance at all: the fold's rows go into the projection a
-    chunk at a time as they are written (``wdf_from_field``'s and
-    ``behind_plane_wave``'s ``into``), and the trace holds only chunk
-    buffers.  It records, aborts and warns as the trace that holds the
-    fold's radiance: the fold's ``BandwidthWarning`` comes first, the
-    hop's ``TruncationWarning`` with its result, after the fold's abort
-    check.
+    chunk at a time as they are written (``NumericTransformer.fold``'s
+    ``into``), and the trace holds only chunk buffers.  It records, aborts
+    and warns as the trace that holds the fold's radiance: the fold's
+    ``BandwidthWarning`` comes first, the hop's ``TruncationWarning`` with
+    its result, after the fold's abort check.
 
     Raises ScenarioAbortError when one stage truncates more than the
     configured share of the signal; the exception carries the 1-based index
@@ -377,10 +401,7 @@ def trace_train(
     if not folded:
         alf = _source_radiance(grid, source, options)
     else:
-        if isinstance(source, PlaneWave):
-            fold = first.behind_plane_wave(grid.theta_index(source.angle), into=streamed)
-        else:
-            fold = wdf_from_field(source.field, options.wdf_options, through=first.source, into=streamed)
+        fold = first.fold(*_launch(grid, source, options), into=streamed)
         # a fold streamed into the hop gives its meta alone
         alf, fold_meta = (None, fold) if streamed is not None else (fold, fold.meta)
     records = []

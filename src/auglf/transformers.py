@@ -23,13 +23,12 @@ t(x + s/2) t*(x - s/2) in the lag domain (Bastiaans, JOSA 69, 1710,
 1979), reached and left by two zoom DFTs: the chirp-z of ``wdf``, whose
 way back from lags to angles (``wdf._lags_to_angles``) is the one the
 Wigner rows and this kernel's table take.  It keeps only its grid, its
-``WignerRows`` and its meta; the table comes from the rows' lag-grid
-signal.  A numeric kernel met by a field source or a plane wave at its
-own plane is not applied at all: ``trace_train`` folds it into the
-source's Wigner transform (``wdf_from_field``'s ``through``), or takes the
-kernel's own table shifted by the wave's angle node
-(``NumericTransformer.behind_plane_wave``); both share this apply's
-Dirichlet sums (``wdf._lag_chirps``).
+``WignerRows`` and its meta; the table comes from those rows.  A numeric
+kernel met by a field source or a plane wave at its own plane is not
+applied at all: ``trace_train`` folds the source into it
+(``NumericTransformer.fold``), one table of the product of the source's
+and the kernel's lag-grid signals, whose leak the apply's own rule for a
+row's total gives (``NumericTransformer._deflections``).
 
 Rows are independent, so the apply splits them into one contiguous range
 per CPU the process may use (``core._over_rows``); each range runs its own
@@ -63,7 +62,17 @@ from .core import (
     _over_rows,
 )
 from .propagation import _MARGIN, ShearedProjection, _padded_rows, _shift_rows
-from .wdf import ApplyLeak, WdfOptions, WignerRows, _lag_chirps, _lags_to_angles, wigner_table
+from .wdf import (
+    ApplyLeak,
+    WdfOptions,
+    WignerRows,
+    _angle_frequencies,
+    _lag_chirps,
+    _lags_to_angles,
+    _pi_phase,
+    _ufunc_buffers,
+    wigner_table,
+)
 
 import warnings
 
@@ -171,15 +180,34 @@ class NumericTransformer:
     Row i is the Wigner row of the transmittance around x_i on the
     relative-angle axis, divided by the wavelength.  ``source`` is set up
     (and its settings checked) at build time and gives the lag products of
-    any block of rows.  ``table`` assembles a whole table through
-    ``wigner_table`` from ``source.signal`` on any frequency axis, and does
-    not keep it: ``kernel`` on the relative-angle axis, and
-    ``behind_plane_wave`` on the grid's angles less a plane wave's.
+    any block of rows.  ``kernel`` assembles its table through
+    ``wigner_table``, and does not keep it; ``fold`` makes the radiance
+    behind the element of a source met at its plane.
     """
 
     grid: PhaseSpaceGrid
     source: WignerRows
     meta: dict
+
+    def _deflections(self):
+        """The chirp-z set-up the apply and the fold share, and the apply's rule for a row's total.
+
+        Returns beta = ds dtheta / lambda; ``wdf._lag_chirps``' chirp,
+        spectrum and Dirichlet sums S_l for the n angle nodes and K + 1
+        lags; and ``total(row_sums, c)``, the totals over all 2n - 1
+        deflections of rows whose sums over the angle nodes are ``row_sums``
+        and whose kernel lag products (``WignerRows.lags``) are c:
+        2 beta (sum_j L_j) Re sum_l c_l D_l, D_l = 2 Re S_l - 1.
+        """
+        grid, source = self.grid, self.source
+        beta = source.ds * grid.dtheta / grid.wavelength
+        chirp, spectrum, sums = _lag_chirps(beta, grid.theta_samples, source.n_lags)
+        dirichlet = 2.0 * sums.real - 1.0
+
+        def total(row_sums, c: np.ndarray) -> np.ndarray:
+            return 2.0 * beta * row_sums * (c.real * dirichlet).sum(axis=1)
+
+        return beta, chirp, spectrum, sums, total
 
     def convolver(self, radiance, out, leak_rows, totals):
         """Row-range worker of ``apply_transformer``: a multiplication by the lag products.
@@ -191,93 +219,94 @@ class NumericTransformer:
         G_l = sum_j L_j e^{2 pi i beta j l}.  Both are zoom DFTs
         (Bluestein's chirp-z) at ``_next_fast_len(n + K)``; the chirps
         between them cancel, and the second is the Wigner rows' own way
-        from lags to angles (``wdf._lags_to_angles``).  A row's total over
-        all 2n - 1 deflections is 2 beta (sum_j L_j) Re sum_l c_l D_l, with
-        D_l = sum_{|m| < n} e^{-2 pi i beta l m} = 2 Re S_l - 1 for the
-        Dirichlet sums S of ``wdf._lag_chirps``; the leak is that total less
-        the kept sum.
+        from lags to angles (``wdf._lags_to_angles``).  A row's total is
+        ``_deflections``' rule, and its leak that total less the kept sum.
+        The block loop runs with ``wdf._UFUNC_BUFFER``-element ufunc buffers.
         """
         grid, source = self.grid, self.source
         n, m = grid.theta_samples, source.n_lags
-        beta = source.ds * grid.dtheta / grid.wavelength
-        chirp, forward, sums = _lag_chirps(beta, n, m)
+        beta, chirp, forward, _, total = self._deflections()
         nfft = len(forward)
         backward = np.conj(forward)
-        dirichlet = 2.0 * sums.real - 1.0
         unchirp = 2.0 * beta * np.conj(chirp[:n])
 
         def convolve(start: int, stop: int, workers: int) -> None:
             step = _block_rows(16 * nfft, workers)
             buf = np.empty((min(step, stop - start), nfft), dtype=np.complex128)
             lags = np.empty((len(buf), m), dtype=np.complex128)
-            for lo in range(start, stop, step):
-                hi = min(lo + step, stop)
-                spec, c = buf[: hi - lo], lags[: hi - lo]
-                np.multiply(radiance[lo:hi], chirp[:n], out=spec[:, :n])
-                spec[:, n:] = 0.0
-                fft(spec, axis=1, out=spec)
-                spec *= forward
-                ifft(spec, axis=1, out=spec)
-                source.lags(lo, hi, c)
-                total = 2.0 * beta * radiance[lo:hi].sum(axis=1) * (c.real * dirichlet).sum(axis=1)
-                spec[:, :m] *= c
-                _lags_to_angles(spec, m, backward, unchirp, out[lo:hi])
-                leak_rows[lo:hi] = total - out[lo:hi].sum(axis=1)
-                totals[lo:hi] = total
+            with _ufunc_buffers():
+                for lo in range(start, stop, step):
+                    hi = min(lo + step, stop)
+                    spec, c = buf[: hi - lo], lags[: hi - lo]
+                    np.multiply(radiance[lo:hi], chirp[:n], out=spec[:, :n])
+                    spec[:, n:] = 0.0
+                    fft(spec, axis=1, out=spec)
+                    spec *= forward
+                    ifft(spec, axis=1, out=spec)
+                    source.lags(lo, hi, c)
+                    totals[lo:hi] = total(radiance[lo:hi].sum(axis=1), c)
+                    spec[:, :m] *= c
+                    _lags_to_angles(spec, m, backward, unchirp, out[lo:hi])
+                    leak_rows[lo:hi] = totals[lo:hi] - out[lo:hi].sum(axis=1)
 
         return convolve
 
-    def table(
-        self,
-        u_start: float,
-        du: float,
-        n_u: int,
-        leak: Optional[ApplyLeak] = None,
-        into: Optional[ShearedProjection] = None,
-    ) -> Optional[np.ndarray]:
-        """Wigner table of the lag-grid signal at u_start + k du, k < n_u: window "none", since ``source`` has applied it; ``leak`` and ``into`` are ``wigner_table``'s."""
-        signal, options = self.source.signal, self.source.options
-        plain = WdfOptions(options.oversample_factor, "none", options.boundary)
-        coarse = signal[:: 2 * options.oversample_factor]
-        return wigner_table(self.grid, coarse, u_start, du, n_u, plain, fine_samples=signal, leak=leak, into=into)
-
     @property
     def kernel(self) -> np.ndarray:
-        """The table on the relative-angle axis, over the wavelength."""
-        table = self.table(*_relative_frequencies(self.grid))
+        """The table of ``source`` on the relative-angle axis, over the wavelength."""
+        table = wigner_table(self.source)
         table /= self.grid.wavelength
         return _freeze(table)
 
-    def behind_plane_wave(self, node: int, into: Optional[ShearedProjection] = None) -> Union[AugmentedLightField, dict]:
-        """What the apply makes of a unit plane wave on angle node ``node``, without the wave's radiance.
+    def fold(
+        self, rows: WignerRows, meta: dict, row_sum: Optional[float] = None, into: Optional[ShearedProjection] = None
+    ) -> Union[AugmentedLightField, dict]:
+        """The radiance behind this element of a source met at its plane, without the source's radiance or the apply.
 
-        That radiance is one column of L0 = 1 / (dtheta x_extent), so the
-        apply's row i at angle node j is dtheta L0 K_i((j - node) dtheta):
-        the table at u_start = -node du over lambda x_extent.  A row's total
-        is the convolver's, 2 beta L0 Re sum_l c_l D_l, and its leak that
-        total less the row's sum; the lag products are formed in the
-        table's block buffer, and each block is scaled and summed as it is
-        written (``wdf.ApplyLeak``).  With ``into``, a
+        ``rows`` are the source's Wigner rows on the grid's angles and the
+        kernel's lag grid, and ``meta`` its radiance's meta.  The result is
+        the Wigner transform, with window "none", of the product of the two
+        lag-grid signals, which wraps around only if both factors do.  Its
+        lag products are the source's times the kernel's, so it is the
+        kernel applied to the source's radiance (Bastiaans, JOSA 69, 1710,
+        1979); where that radiance passes the angle window, it keeps what
+        the apply would have dropped with it.
+
+        The meta adds the apply's ``theta_leak`` and ``theta_leak_fraction``,
+        summed in the table's block loop (``wdf.ApplyLeak``) by
+        ``_deflections``' rule, from each row's sum over the angle nodes of
+        the source's radiance: ``row_sum`` when given (a plane wave's one
+        column), else (2 ds / lambda) Re sum_l c_l E_l from the source's lag
+        products c, E_l = sum_j e^{-2 pi i (u_start + j du) l ds}
+        = e^{-2 pi i u_start l ds} conj(S_l).  With ``into``, a
         ``propagation.ShearedProjection`` of a hop from this plane, the rows
-        go into it as they are written and only the ``meta`` is returned
-        (``wdf.wigner_table``'s ``into``).
+        go into it as they are written (``wdf.wigner_table``), no radiance
+        is made, and only the meta is returned.
         """
         grid, source = self.grid, self.source
-        n, m = grid.theta_samples, source.n_lags
-        du = grid.dtheta / grid.wavelength
-        beta = source.ds * du
-        _, _, sums = _lag_chirps(beta, n, m)
-        dirichlet = 2.0 * sums.real - 1.0
-        scale = 2.0 * beta * (1.0 / (grid.dtheta * grid.x_extent))
+        if (rows.signal.shape, rows.ds) != (source.signal.shape, source.ds):
+            raise InvalidConfigurationError("the kernel's lag grid is not the source's")
+        axis = _angle_frequencies(grid)
+        _, _, _, sums, total = self._deflections()
+        nodes = _pi_phase(-2.0 * axis[0] * rows.ds, np.arange(rows.n_lags)) * np.conj(sums)
+        scale = 2.0 * rows.ds / grid.wavelength
 
         def row_totals(lo: int, hi: int, c: np.ndarray) -> np.ndarray:
+            sums_over_angles = row_sum
+            if row_sum is None:
+                rows.lags(lo, hi, c)
+                sums_over_angles = scale * np.multiply(c, nodes, out=c).real.sum(axis=1)
             source.lags(lo, hi, c)
-            return scale * (c.real * dirichlet).sum(axis=1)
+            return total(sums_over_angles, c)
 
-        leak = ApplyLeak(grid.x_samples, grid.wavelength * grid.x_extent, row_totals)
-        radiance = self.table(-node * du, du, n, leak, into)
-        meta = {"source": "plane", **leak.meta(grid)}
-        return meta if into is not None else AugmentedLightField(grid, _freeze(radiance), meta)
+        product = rows.signal * source.signal
+        oversample = rows.options.oversample_factor
+        wraps = rows.options.boundary == source.options.boundary == "periodic"
+        plain = WdfOptions(oversample, "none", "periodic" if wraps else "zero")
+        leak = ApplyLeak(grid, row_totals)
+        table = wigner_table(WignerRows(grid, product[:: 2 * oversample], *axis, plain, product), leak, into)
+        meta = {**meta, **leak.meta()}
+        return meta if into is not None else AugmentedLightField(grid, _freeze(table), meta)
 
 
 def _delta_lines(grid: PhaseSpaceGrid, deflections, weights, label: str) -> LightFieldTransformer:

@@ -42,35 +42,32 @@ any block of rows (``lags``), which the numeric light-field kernel
 multiplies into each radiance row in the lag domain, so that kernel's table
 is never made on the apply path, or writes the block's rows of the table
 into a buffer its caller owns (``write``), through an in-place chirp-z.
-``wigner_table`` fills a whole table from it (the field transform), one
-contiguous range of rows per CPU the process may use, each on its own
-thread in blocks of a 1/w share of the block budget (``core._block_rows``,
-``core._over_rows``); the bits depend on neither the thread count nor the
-budget.
+``wigner_table`` fills a whole table from it (the field transform) or
+streams its rows ``into`` a projection, in one loop over chunks of rows,
+each split into one contiguous range per CPU the process may use, each
+range on its own thread in blocks of a 1/w share of the block budget
+(``core._block_rows``, ``core._row_threads``); a whole table is one
+chunk.  The bits depend on neither the thread count nor the budget.
 
-A field met at its own plane by a numeric kernel is folded into it
-(``wdf_from_field(..., through=...)``): the Wigner transform of the product
-of the two lag-grid signals is the kernel's angle convolution of the
-field's (Bastiaans, JOSA 69, 1710, 1979), since its lag products are the
-two factors' lag products multiplied.  One table then replaces the field's
-table and the kernel's apply, and the apply's leak comes from the lag
-products and Dirichlet sums alone, taken block by block in the table's own
-loop and scratch buffer (``_fold_leak``, ``ApplyLeak``).
-
-A fold whose radiance only feeds the projection after a last hop is never
-made whole (``wigner_table``'s ``into``): its rows are written a chunk at
-a time, each chunk split among the threads, and each chunk goes into the
-hop's ``propagation.ShearedProjection`` before the next is written.  The
-chunks' size follows from the block budget, not from the thread count,
-so the projection's bits do not depend on the thread count either.
+A source met at its own plane by a numeric kernel is folded into it
+(``transformers.NumericTransformer.fold``), from the source's rows
+(``field_rows`` for a field): one table of the product of the two
+lag-grid signals replaces the source's table and the kernel's apply, and
+the apply's leak is taken block by block in the table's own loop and
+scratch buffer (``ApplyLeak``).  A fold whose radiance only feeds the
+projection after a last hop is never made whole: its chunks go into the
+hop's ``propagation.ShearedProjection`` one by one as they are written.
+The chunks' size follows from the block budget, not from the thread
+count, so the projection's bits do not depend on the thread count either.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -87,7 +84,6 @@ from .core import (
     _freeze,
     _leak_meta,
     _next_fast_len,
-    _over_rows,
     _row_threads,
 )
 from .propagation import ShearedProjection
@@ -97,13 +93,24 @@ __all__ = ["WdfOptions", "wdf_from_field"]
 # Fraction of the window tapered on each side by the raised-cosine option.
 EDGE_TAPER_FRACTION = 0.1
 
-# Elements of each operand that a ufunc buffers at a time in
-# ``WignerRows.write``.  Its in-place products over a block's lag columns (a
-# strided view of the scratch buffer) and by one broadcast row go through
-# ufunc buffers; at numpy's default of 8192 elements those take up to 384 KiB
-# a call in each writing thread, which add up across the threads of a fold
-# that holds no radiance.  1024 elements measured no slower.
+# Elements of each operand that a ufunc buffers at a time in the lag-domain
+# block loops (``WignerRows.write``, the numeric kernel's apply).  Their
+# in-place products over a block's lag columns (a strided view of the
+# scratch buffer) and by one broadcast row go through ufunc buffers; at
+# numpy's default of 8192 elements those take up to 384 KiB a call in each
+# thread, which add up across the threads of a fold that holds no radiance.
+# 1024 elements measured no slower.
 _UFUNC_BUFFER = 1024
+
+
+@contextmanager
+def _ufunc_buffers():
+    """Run the block with ``_UFUNC_BUFFER``-element ufunc buffers in this thread."""
+    default = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(default)
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,14 +348,13 @@ class WignerRows:
         (``core._block_rows``), for that many writers running at once, in
         one complex scratch buffer of the chirp-z length, allocated per call.
         With ``leak``, each block's totals are taken in that buffer before
-        the block's lag products, and the written block is scaled and its
-        rows summed (``ApplyLeak``).
+        the block's lag products, and the written block is divided by the
+        wavelength and its rows summed (``ApplyLeak``).
         """
         m, nfft = self.n_lags, len(self._filter)
         step = _block_rows(16 * nfft, workers)
         buf = np.empty((min(step, hi - lo), nfft), dtype=np.complex128)
-        default = np.setbufsize(_UFUNC_BUFFER)
-        try:
+        with _ufunc_buffers():
             for start in range(lo, hi, step):
                 stop = min(start + step, hi)
                 rows, block = buf[: stop - start], out[start - lo : stop - lo]
@@ -358,71 +364,56 @@ class WignerRows:
                 rows[:, :m] *= self._lag_phase
                 _lags_to_angles(rows, m, self._filter, self._unchirp, block)
                 if leak is not None:
-                    block /= leak.divisor
+                    block /= leak.grid.wavelength
                     leak.leak_rows[start:stop] = leak.totals[start:stop] - block.sum(axis=1)
-        finally:
-            np.setbufsize(default)
 
 
 class ApplyLeak:
-    """The leak of a kernel's apply that a table replaces, summed in that table's block loop.
+    """The leak of the kernel's apply that a fold replaces, summed in the fold's table's block loop.
 
     ``row_totals(lo, hi, scratch)`` returns the totals of rows lo..hi-1 over
     all 2n - 1 deflections of the apply, from lag products it forms in
     ``scratch``: complex, (hi - lo, n_lags), the table's own block buffer
     before the table's lag products go there.  Each written block of the
-    table is divided by ``divisor``, and a row's leak is its total less its
-    sum (``WignerRows.write``).
+    table is divided by the wavelength, since the fold's radiance is the
+    table over it, and a row's leak is its total less its sum
+    (``WignerRows.write``).
     """
 
-    def __init__(self, rows: int, divisor: float, row_totals):
-        self.divisor, self.row_totals = divisor, row_totals
-        self.totals = np.empty(rows)
-        self.leak_rows = np.empty(rows)
+    def __init__(self, grid: PhaseSpaceGrid, row_totals):
+        self.grid, self.row_totals = grid, row_totals
+        self.totals = np.empty(grid.x_samples)
+        self.leak_rows = np.empty(grid.x_samples)
 
-    def meta(self, grid: PhaseSpaceGrid) -> dict:
-        return _leak_meta(grid, self.leak_rows, self.totals)
+    def meta(self) -> dict:
+        return _leak_meta(self.grid, self.leak_rows, self.totals)
 
 
-def wigner_table(
-    grid: PhaseSpaceGrid,
-    samples: np.ndarray,
-    u_start: float,
-    du: float,
-    n_u: int,
-    options: WdfOptions,
-    fine_samples: np.ndarray = None,
-    leak: ApplyLeak = None,
-    into: ShearedProjection = None,
-) -> Optional[np.ndarray]:
-    """The whole (x_samples, n_u) table of ``WignerRows``, as one array, or its rows streamed ``into`` a projection.
+def wigner_table(rows: WignerRows, leak: ApplyLeak = None, into: ShearedProjection = None) -> Optional[np.ndarray]:
+    """The whole table of ``rows``, as one array, or its rows streamed ``into`` a projection.
 
-    Shared by the field transform (u from the grid's theta axis) and the
-    assembled form of a numeric kernel (u from a symmetric relative-angle
-    axis).  ``leak`` is ``WignerRows.write``'s.
-
-    With ``into``, a ``propagation.ShearedProjection`` on the grid's angles,
-    no table is made and None is returned: the rows are written a chunk of
-    ``into.chunk_rows`` at a time into one buffer and handed to
-    ``into.add`` in row order, in the calling thread.  The chunks follow
-    from the block budget, so they, and with them the bits, do not depend
-    on the worker count; each chunk's rows are split among the workers of
-    one pool kept for the call (``core._row_threads``).
+    The field transform, a numeric kernel's assembled table and the fold
+    (``NumericTransformer.fold``) all take it; ``leak`` is
+    ``WignerRows.write``'s.  The rows are written a chunk at a time into
+    one buffer, each chunk split among the workers of one pool kept for
+    the call (``core._row_threads``).  Without ``into`` the chunk is the
+    whole table, which is returned.  With ``into``, a
+    ``propagation.ShearedProjection`` on the grid's angles, a chunk is
+    ``into.chunk_rows`` rows, each goes to ``into.add`` in row order before
+    the next is written, and None is returned.  The chunks follow from the
+    block budget, so they, and the bits, do not depend on the worker count.
     """
-    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine_samples)
-    n = rows.shape[0]
-    if into is None:
-        out = np.empty(rows.shape)
-        _over_rows(n, lambda lo, hi, workers: rows.write(lo, hi, out[lo:hi], workers, leak))
-        return out
-    size = min(into.chunk_rows, n)
-    chunk = np.empty((size, n_u))
+    n, n_u = rows.shape
+    table = np.empty(rows.shape) if into is None else None
+    size = n if into is None else min(into.chunk_rows, n)
+    chunk = table if into is None else np.empty((size, n_u))
     with _row_threads() as over:
         for start in range(0, n, size):
             block = chunk[: min(size, n - start)]
             over(len(block), lambda lo, hi, workers: rows.write(start + lo, start + hi, block[lo:hi], workers, leak))
-            into.add(start, block)
-    return None
+            if into is not None:
+                into.add(start, block)
+    return table
 
 
 def _local_frequency_check(field: ComplexField) -> None:
@@ -446,94 +437,39 @@ def _local_frequency_check(field: ComplexField) -> None:
             f"field local frequency {worst:.4g} /m exceeds the angle window's "
             f"{u_limit:.4g} /m; content will fold or vanish",
             BandwidthWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of wdf_from_field
         )
 
 
-def wdf_from_field(
-    field: ComplexField,
-    options: WdfOptions = WdfOptions(),
-    through: WignerRows = None,
-    into: ShearedProjection = None,
-) -> Union[AugmentedLightField, dict]:
+def _angle_frequencies(grid: PhaseSpaceGrid) -> tuple[float, float, int]:
+    """``(u_start, du, n_u)`` of the grid's angle axis as spatial frequencies."""
+    return float(grid.u_axis()[0]), grid.dtheta / grid.wavelength, grid.theta_samples
+
+
+def _options_meta(options: WdfOptions) -> dict:
+    """The meta of a field's radiance: the settings of its transform."""
+    return {"wdf_options": (options.oversample_factor, options.window, options.boundary)}
+
+
+def field_rows(field: ComplexField, options: WdfOptions = WdfOptions()) -> WignerRows:
+    """The Wigner rows of a sampled field on its grid's angles, for ``wdf_from_field`` or a fold.
+
+    A field that vanishes is rejected, and one whose local frequency
+    leaves the angle window draws BandwidthWarning.
+    """
+    if not np.any(field.samples):
+        raise DegenerateInputError("field is identically zero")
+    _local_frequency_check(field)
+    return WignerRows(field.grid, field.samples, *_angle_frequencies(field.grid), options)
+
+
+def wdf_from_field(field: ComplexField, options: WdfOptions = WdfOptions()) -> AugmentedLightField:
     """Numeric Wigner transform of a sampled coherent field.
 
     Returns the signed radiance L(x, theta) = W(x, theta/lambda)/lambda on
     the field's own grid.  The grid's angle axis must lie inside the
-    frequency band achievable from the lag sampling; a field whose local
-    frequency leaves the window draws BandwidthWarning.
-
-    through, when given, is a numeric kernel's rows (``NumericTransformer.
-    source``) on the field's lag grid, and the result is the
-    radiance behind that element: the Wigner transform of the product of
-    the two lag-grid signals, each already upsampled or analytic and
-    apodized, so taken with window "none".  Its lag products are those of
-    the field times those of the kernel, so it is the kernel applied to the
-    field's radiance (Bastiaans, JOSA 69, 1710, 1979) without that radiance
-    and its apply; where the field's radiance passes the angle window, it
-    keeps what the apply would have dropped with it.  ``meta`` then gives
-    the apply's ``theta_leak`` and ``theta_leak_fraction``, summed in the
-    table's own block loop (``_fold_leak``).
-
-    into, with through, is a ``propagation.ShearedProjection`` of a hop
-    from this plane: the radiance's rows go into it a chunk at a time as
-    they are written (``wigner_table``'s ``into``), no radiance is made,
-    and only its ``meta`` is returned.
+    frequency band achievable from the lag sampling (``field_rows``).
     """
-    if into is not None and through is None:
-        raise InvalidConfigurationError("only a fold streams its rows into a projection")
-    if not np.any(field.samples):
-        raise DegenerateInputError("field is identically zero")
-    grid = field.grid
-    _local_frequency_check(field)
-    axis = (float(grid.u_axis()[0]), grid.dtheta / grid.wavelength, grid.theta_samples)
-    meta = {
-        "wdf_options": (options.oversample_factor, options.window, options.boundary),
-    }
-    if through is None:
-        w = wigner_table(grid, field.samples, *axis, options)
-        w /= grid.wavelength
-    else:
-        rows = WignerRows(grid, field.samples, *axis, options)
-        if (through.signal.shape, through.ds) != (rows.signal.shape, rows.ds):
-            raise InvalidConfigurationError("the kernel's lag grid is not the field's")
-        product = rows.signal * through.signal
-        factor = 2 * options.oversample_factor
-        # the product wraps around only if both factors do
-        wraps = options.boundary == through.options.boundary == "periodic"
-        plain = WdfOptions(options.oversample_factor, "none", "periodic" if wraps else "zero")
-        leak = _fold_leak(grid, rows, through, axis[0])
-        w = wigner_table(grid, product[::factor], *axis, plain, fine_samples=product, leak=leak, into=into)
-        meta.update(leak.meta(grid))
-        if into is not None:
-            return meta
-    return AugmentedLightField(grid, _freeze(w), meta)
-
-
-def _fold_leak(grid: PhaseSpaceGrid, rows: WignerRows, through: WignerRows, u_start: float) -> ApplyLeak:
-    """The leak that applying ``through``'s kernel to the radiance of ``rows`` would report.
-
-    That apply gives a row the total (sum_j L_j) (2 beta Re sum_l k_l D_l)
-    over all 2n - 1 deflections, with k the kernel's lag products and D_l
-    the Dirichlet sums of ``NumericTransformer.convolver``.  The field's row
-    sum over the n angle nodes u_start + j du is
-    sum_j L_j = (2 ds / lambda) Re sum_l c_l E_l, with c its lag products and
-    E_l = sum_j e^{-2 pi i (u_start + j du) l ds} = e^{-2 pi i u_start l ds} conj(S_l)
-    for the same Dirichlet sums S (du ds = beta).  Both lag products are
-    formed in the product table's block buffer, the field's first, and the
-    table is divided by lambda as it is written.
-    """
-    n, m, ds = grid.theta_samples, rows.n_lags, rows.ds
-    beta = ds * grid.dtheta / grid.wavelength
-    _, _, sums = _lag_chirps(beta, n, m)
-    dirichlet = 2.0 * sums.real - 1.0
-    nodes = _pi_phase(-2.0 * u_start * ds, np.arange(m)) * np.conj(sums)
-    scale = 2.0 * beta * 2.0 * ds / grid.wavelength
-
-    def row_totals(lo: int, hi: int, c: np.ndarray) -> np.ndarray:
-        rows.lags(lo, hi, c)
-        power = np.multiply(c, nodes, out=c).real.sum(axis=1)
-        through.lags(lo, hi, c)
-        return scale * power * (c.real * dirichlet).sum(axis=1)
-
-    return ApplyLeak(grid.x_samples, grid.wavelength, row_totals)
+    w = wigner_table(field_rows(field, options))
+    w /= field.grid.wavelength
+    return AugmentedLightField(field.grid, _freeze(w), _options_meta(options))

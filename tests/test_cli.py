@@ -20,6 +20,7 @@ from auglf import (
 from auglf.cli import main
 from auglf.config import parse_config
 from auglf.output import sha256_file, write_heatmap
+from auglf.scenarios import _launch
 from oracles import matrix_csv_text
 from test_scenarios import observed_trace
 
@@ -336,7 +337,7 @@ def test_snapshot_heatmaps(tmp_path):
     train, options = cfg.train(1), cfg.trace_options()
     grid = train.grid
     slit, hop, lens = train.stages
-    folded = canonical_transformer(slit.spec, grid, options.wdf_options).behind_plane_wave(grid.theta_index(0.0))
+    folded = canonical_transformer(slit.spec, grid, options.wdf_options).fold(*_launch(grid, train.source, options))
     sheared, _ = shear_propagate(folded, hop.distance)
     lensed = apply_transformer(sheared, canonical_transformer(lens.spec, grid, options.wdf_options))
     (tmp_path / "want").mkdir()

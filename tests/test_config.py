@@ -1,14 +1,18 @@
 import dataclasses
+import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auglf import (
     AmplitudeGrating,
     CubicPhase,
     Element,
     Hologram,
+    InvalidConfigurationError,
     Lens,
     OpticalTrain,
     PhaseGrating,
@@ -28,6 +32,7 @@ from auglf.config import (
     _SOURCES,
     ConfigError,
     OutputOptions,
+    ScenarioConfig,
     _schema,
     parse_config,
 )
@@ -245,3 +250,98 @@ def test_no_stages_rejected(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "absent.cfg"))
+
+
+# Fuzzing: scenario text built from the known sections and keys, with
+# random values and stray keys and sections.  Parsing either gives a
+# ScenarioConfig or raises ConfigError, and building its train either
+# gives an OpticalTrain or raises InvalidConfigurationError; nothing else
+# may escape.  No trace runs.  Each key mostly takes a value of its own
+# type, so that many texts get past the parser to the dataclasses' checks.
+OFTEN = st.sampled_from([True, True, True, False])
+RARELY = st.sampled_from([True, False, False, False, False, False])
+JUNK = st.one_of(
+    st.sampled_from(["", "0", "-1", "nan", "inf", "-inf", "1e400", "1_000", "0x10", "%(x)s", "[grid]", "# note", "on"]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+)
+TYPED = {
+    int: st.integers(2, 300).map(str),
+    float: st.floats(1e-9, 0.2).map(repr),
+    bool: st.sampled_from(["on", "off", "yes", "no", "true", "false", "1", "0", "On", "maybe"]),
+    str: st.sampled_from(["intensity", "full-phase-space", "none", "raised-cosine", "zero"]),
+}
+STRAY = st.text("abkxyz_.", min_size=1, max_size=6)
+ALL_STAGE_KEYS = sorted({k for cls in _ELEMENTS.values() for k in _schema(cls)})
+
+
+def draw_value(draw, typ):
+    return draw(JUNK) if draw(RARELY) else draw(TYPED[typ])
+
+
+@st.composite
+def scenario_text(draw):
+    """A scenario file's text: its sections in a random order, each key once."""
+    sections = {}
+    for name, kept in (("grid", OFTEN), ("source", OFTEN), ("output", RARELY), ("numerics", RARELY)):
+        if draw(kept) or draw(kept):
+            sections[name] = {}
+    numbers = list(range(1, draw(st.integers(1, 3)) + 1))
+    if draw(RARELY):
+        numbers = draw(st.lists(st.integers(0, 4), unique=True, max_size=3))
+    for n in numbers:
+        sections[f"stage.{n}"] = {}
+    if draw(RARELY):
+        sections.setdefault(draw(STRAY), {})
+    for name, keys in sections.items():
+        if name == "source":
+            keys["kind"] = draw(st.sampled_from(sorted(_SOURCES)))
+            schema = _schema(_SOURCES[keys["kind"]])
+        elif name.startswith("stage."):
+            keys["kind"] = draw(st.sampled_from(["propagate", "element"]))
+            if keys["kind"] == "propagate":
+                schema = _schema(Propagate)
+            else:
+                keys["element"] = draw(st.sampled_from(sorted(_ELEMENTS)))
+                schema = dict(_schema(_ELEMENTS[keys["element"]]))
+            if draw(RARELY):
+                schema[draw(st.sampled_from(ALL_STAGE_KEYS))] = (float, None)
+        else:
+            schema = {"grid": _schema(PhaseSpaceGrid), "output": _schema(OutputOptions), "numerics": _NUMERICS}
+            schema = schema.get(name, {})
+        for key, (typ, default) in schema.items():
+            # a required key is left out seldom, an optional one often
+            if not (draw(RARELY) and draw(RARELY)) if default is dataclasses.MISSING else draw(st.booleans()):
+                keys[key] = draw_value(draw, typ)
+        for key in ("kind", "element"):
+            if key in keys and draw(RARELY):
+                keys[key] = draw(JUNK)
+        if draw(RARELY):
+            keys.setdefault(draw(STRAY), draw(JUNK))
+    lines = []
+    for name in draw(st.permutations(list(sections))):
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {value}" for key, value in sections[name].items()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=scenario_text())
+def test_any_scenario_text_parses_or_fails_as_a_config_error(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            # a wide angle window draws a ParaxialGuardWarning, not an error
+            warnings.simplefilter("ignore")
+            try:
+                cfg = parse_config(str(path))
+            except ConfigError:
+                return
+            assert isinstance(cfg, ScenarioConfig)
+            try:
+                train = cfg.train()
+            except InvalidConfigurationError:
+                return
+    assert isinstance(train, OpticalTrain)

@@ -41,11 +41,11 @@ from auglf import (
 )
 from auglf import Lens
 from auglf.elements import element_label
-from auglf.wdf import _upsample, wigner_table
+from auglf.wdf import WignerRows, _upsample, field_rows, wigner_table
 from auglf.config import OutputOptions, parse_config
 from auglf import core, scenarios
 from auglf.propagation import ShearedProjection, sheared_projection
-from auglf.scenarios import _hop, _oracle_intensity, _padded_grid
+from auglf.scenarios import _hop, _launch, _oracle_intensity, _padded_grid
 from oracles import fourier_shear
 
 LAM = 633e-9
@@ -434,9 +434,8 @@ def test_a_folded_source_keeps_what_the_window_cuts_from_the_source():
     n = FOLD_GRID.x_samples
     product = _upsample(beam.samples, 2 * n) * kernel.source.signal
     u = FOLD_GRID.u_axis()
-    want = wigner_table(
-        FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, WdfOptions(), fine_samples=product
-    ) / LAM
+    rows = WignerRows(FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, WdfOptions(), product)
+    want = wigner_table(rows) / LAM
     peak = np.abs(want).max()
     assert np.abs(alf.radiance - want).max() <= 1e-12 * peak
     # measured 7.8e-11, 7e-14 of the peak
@@ -458,7 +457,7 @@ def test_the_fold_takes_an_opaque_mask_and_rejects_a_dark_field_or_another_lag_g
     for grid, oversample in ((FOLD_GRID, 2), (make_grid(128, 2.56e-3, 256, 0.02, LAM), 1)):
         beam = ComplexField(grid, np.exp(-((grid.x_axis() / 0.15e-3) ** 2)))
         with pytest.raises(InvalidConfigurationError, match="lag grid"):
-            wdf_from_field(beam, WdfOptions(oversample_factor=oversample), through=kernel.source)
+            kernel.fold(field_rows(beam, WdfOptions(oversample_factor=oversample)), {})
 
 
 def test_a_folded_trace_holds_one_radiance_and_the_working_set(observe=None):
@@ -530,9 +529,11 @@ def test_an_observed_trace_keeps_the_memory_bounds():
 
 
 # A plane wave whose first stage is a lone numeric element is folded into
-# it: the kernel's own table, shifted by the wave's angle node.  Angles on
-# the axis, on a node off it, and between nodes (which takes the nearer one).
-PLANE_ANGLES = {"on_axis": 0.0, "off_axis_node": 3.0, "between_nodes": -4.4}
+# it, as a field is: its analytic lag-grid samples times the transmittance.
+# Angles on the axis, on a node off it, between nodes (which takes the
+# nearer one), and far off the axis either way, where the wave's phase
+# turns fastest across the window.
+PLANE_ANGLES = {"on_axis": 0.0, "off_axis_node": 3.0, "between_nodes": -4.4, "far_up": 100.0, "far_down": -101.0}
 
 
 @pytest.mark.parametrize("steps", PLANE_ANGLES.values(), ids=PLANE_ANGLES.keys())
@@ -646,12 +647,12 @@ def test_the_fold_wraps_the_product_only_if_field_and_kernel_wrap(field_edge, ke
     field = ComplexField(FOLD_GRID, 1.0 + 0.5 * np.cos(2 * np.pi * x / 6.4e-4))
     mask = ComplexField(FOLD_GRID, np.exp(0.3j * np.sin(2 * np.pi * x / 1.28e-3)))
     kernel = canonical_transformer(CodedAperture(mask), FOLD_GRID, WdfOptions(boundary=kernel_edge))
-    folded = wdf_from_field(field, WdfOptions(boundary=field_edge), through=kernel.source)
+    folded = kernel.fold(field_rows(field, WdfOptions(boundary=field_edge)), {})
     n = FOLD_GRID.x_samples
     product = _upsample(field.samples, 2 * n) * _upsample(mask.samples, 2 * n)
     u = FOLD_GRID.u_axis()
     options = WdfOptions(boundary=product_edge)
-    want = wigner_table(FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, options, fine_samples=product)
+    want = wigner_table(WignerRows(FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, options, product))
     want /= LAM
     assert np.abs(folded.radiance - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -839,7 +840,7 @@ def test_a_streamed_field_fold_projects_as_its_radiance_does(name, oversample, w
     beam = fold_beam(0.15e-3)
     for distance in STREAM_HOPS.values():
         assert_streams_as_materialised(
-            lambda into: wdf_from_field(beam, options, through=kernel.source, into=into), distance, monkeypatch
+            lambda into: kernel.fold(field_rows(beam, options), {}, into=into), distance, monkeypatch
         )
 
 
@@ -850,9 +851,9 @@ def test_a_streamed_field_fold_projects_as_its_radiance_does(name, oversample, w
 def test_a_streamed_plane_wave_fold_projects_as_its_radiance_does(name, oversample, window, steps, boundary, monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_BYTES", STREAM_BUDGET)
     kernel = canonical_transformer(FOLDED_ELEMENTS[name], FOLD_GRID, WdfOptions(oversample, window, boundary))
-    node = FOLD_GRID.theta_index(steps * FOLD_GRID.dtheta)
+    launch = _launch(FOLD_GRID, PlaneWave(steps * FOLD_GRID.dtheta), TraceOptions(oversample=oversample, window=window))
     for distance in STREAM_HOPS.values():
-        assert_streams_as_materialised(lambda into: kernel.behind_plane_wave(node, into=into), distance, monkeypatch)
+        assert_streams_as_materialised(lambda into: kernel.fold(*launch, into=into), distance, monkeypatch)
 
 
 STREAMED_TRAINS = {

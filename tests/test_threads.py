@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,13 +36,14 @@ from auglf import (
     TruncationWarning,
     WdfOptions,
     apply_transformer,
+    make_grid,
     shear_propagate,
     trace_train,
     transformer_from_transmittance,
     wdf_from_field,
 )
 from auglf.core import _BLOCK_BYTES
-from auglf.wdf import wigner_table
+from auglf.wdf import WignerRows, wigner_table
 
 LAM = 633e-9
 THETA = 256
@@ -90,7 +92,7 @@ def outputs(grid):
         "apply": applied.radiance,
         "apply_leak": applied.meta["theta_leak"],
         "apply_leak_fraction": applied.meta["theta_leak_fraction"],
-        "wigner_table": wigner_table(grid, mask.samples, float(u[0]), float(u[1] - u[0]), THETA, WdfOptions()),
+        "wigner_table": wigner_table(WignerRows(grid, mask.samples, float(u[0]), float(u[1] - u[0]), THETA, WdfOptions())),
         "wdf_from_field": wdf_from_field(mask).radiance,
         "streamed": streamed.radiance,
         "streamed_leak": streamed.meta["theta_leak"],
@@ -216,6 +218,32 @@ def test_working_memory_bounds_hold_with_four_workers(monkeypatch):
     test_propagation.assert_shear_working_memory_is_three_column_blocks()
     test_scenarios.test_a_folded_trace_holds_one_radiance_and_the_working_set()
     test_scenarios.test_a_folded_plane_wave_holds_one_radiance_and_the_working_set()
+
+
+# Working memory of a 1024 x 1024 numeric apply beside its result, in MiB,
+# by worker count.  Its block loop runs with small ufunc buffers
+# (wdf._UFUNC_BUFFER): measured 1.873 on one worker and 1.79-1.90 on four.
+# At numpy's default each thread's strided products took buffers of their
+# own: 1.997 on one worker and 2.33-2.74 on four.
+NUMERIC_APPLY_MIB = {1: 1.95, 4: 2.0}
+
+
+@pytest.mark.parametrize("workers, mib", NUMERIC_APPLY_MIB.items(), ids=[f"{w}_workers" for w in NUMERIC_APPLY_MIB])
+def test_a_numeric_apply_holds_its_result_and_a_block(monkeypatch, workers, mib):
+    g = make_grid(1024, 2.048e-3, 1024, 0.016, LAM)
+    x = g.x_axis()
+    rng = np.random.default_rng(4)
+    mask = ComplexField(g, (np.abs(x) < 0.5e-3) * np.exp(1j * rng.uniform(-0.5, 0.5, g.x_samples)))
+    alf = AugmentedLightField(g, rng.normal(size=(g.x_samples, g.theta_samples)))
+    kernel = transformer_from_transmittance(mask, WdfOptions())
+    force_workers(monkeypatch, workers)
+    tracemalloc.start()
+    try:
+        applied = apply_transformer(alf, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < applied.radiance.nbytes + mib * 2**20
 
 
 def test_worker_count_is_the_affinity_count():

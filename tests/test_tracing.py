@@ -3,9 +3,8 @@
 ``perfbench/tracing.py`` replaces layer functions in auglf's module
 namespaces.  Memory spans may not nest, and the kernel apply runs inside
 one, so the numeric kernel's streamed rows must not go through the spanned
-``transformers.wigner_table``; nor may a field source's Wigner transform,
-folded with its first element, inside the ``wdf.field`` span.  A plane wave
-folded into its first element takes the kernel's table through
+``transformers.wigner_table``.  A field source or a plane wave folded into
+its first element takes the product's table through
 ``transformers.wigner_table`` straight from the trace, in no other span.
 """
 
@@ -14,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import auglf
 import auglf.cli
@@ -119,32 +119,34 @@ def test_traced_coded_aperture_run_matches_the_untraced_bits():
     assert_leaf(spans, "transformers.apply")
 
 
-def test_traced_folded_source_run_matches_the_untraced_bits():
-    # right at the source the mask is folded into the source's Wigner
-    # transform, inside that transform's memory span, and nothing is applied
-    traced, spans, plain = traced_and_plain(coded_train(hop=False))
-    assert_same_bits(traced, plain)
-    assert [r.label for r in traced[0].stages] == ["source+coded_aperture", "propagate_0.01m"]
-    names = [s["name"] for s in spans]
-    assert names.count("transformers.apply") == 0
-    assert names.count("wdf.field") == names.count("wdf.kernel") == 1
-    assert_leaf(spans, "wdf.field")
+FOLDED = {
+    "field_through_a_coded_aperture": (lambda: coded_train(hop=False), "source+coded_aperture"),
+    "plane_wave_through_a_hologram": (hologram_train, "source+hologram"),
+}
 
 
-def test_traced_folded_plane_wave_run_matches_the_untraced_bits():
-    # the plate's table, shifted by the wave's node, is the radiance behind
-    # it: one table for the build observer and one for the fold, and nothing
-    # is applied
-    traced, spans, plain = traced_and_plain(hologram_train())
+@pytest.mark.parametrize("make, label", FOLDED.values(), ids=FOLDED.keys())
+def test_a_traced_fold_matches_the_untraced_bits_in_one_span_shape(make, label):
+    # a field and a plane wave fold through one method: the build observer
+    # assembles the kernel's table and the fold writes the product's, each
+    # through transformers.wigner_table straight from the trace; no source
+    # transform runs and nothing is applied; observed, the hop is sheared
+    # and the sheared radiance projected
+    traced, spans, plain = traced_and_plain(make())
     assert_same_bits(traced, plain)
-    assert [r.label for r in traced[0].stages] == ["source+hologram", "propagate_0.01m"]
-    names = [s["name"] for s in spans]
-    assert names.count("transformers.apply") == 0
-    assert names.count("wdf.field") == 0
-    assert names.count("wdf.kernel") == 2
-    trace_id = next(s["id"] for s in spans if s["name"] == "scenarios.trace")
-    assert all(s["parent"] == trace_id for s in spans if s["name"] == "wdf.kernel")
-    assert_leaf(spans, "wdf.kernel")
+    assert [r.label for r in traced[0].stages] == [label, "propagate_0.01m"]
+    names = {s["id"]: s["name"] for s in spans}
+    shape = [(s["name"], names.get(s["parent"])) for s in spans]
+    assert shape == [
+        ("scenarios.trace", None),
+        ("transformers.build", "scenarios.trace"),
+        ("wdf.kernel", "scenarios.trace"),
+        ("wdf.kernel", "scenarios.trace"),
+        ("propagation.shear", "scenarios.trace"),
+        ("core.project", "scenarios.trace"),
+        ("fresnel.wave", "scenarios.trace"),
+        ("fresnel.wave", "scenarios.trace"),
+    ]
 
 
 def test_an_unobserved_traced_run_matches_the_untraced_bits_without_shear_or_projection_spans():

@@ -98,7 +98,7 @@ def test_realness_residue_reported():
     assert W.radiance.dtype == np.float64
     assert "imag_residue" not in W.meta
     u = g.u_axis()
-    table = wigner_table(g, rng.normal(size=64) + 0j, float(u[0]), float(u[1] - u[0]), 64, WdfOptions())
+    table = wigner_table(WignerRows(g, rng.normal(size=64) + 0j, float(u[0]), float(u[1] - u[0]), 64, WdfOptions()))
     assert type(table) is np.ndarray and table.dtype == np.float64
     assert W.meta["wdf_options"] == (1, "none", "zero")
 
@@ -199,7 +199,7 @@ def test_angle_window_beyond_lag_band_rejected():
     g = make_grid(64, 1.28e-3, 64, 64 * LAM / 1.28e-3, LAM)
     too_far = 1.1 * 2 / (4 * g.dx)
     with pytest.raises(InvalidConfigurationError):
-        wigner_table(g, np.ones(64, complex), -too_far, too_far / 4, 9, WdfOptions())
+        WignerRows(g, np.ones(64, complex), -too_far, too_far / 4, 9, WdfOptions())
 
 
 @pytest.mark.parametrize("n_u", [1, 0, -3])
@@ -207,21 +207,13 @@ def test_fewer_than_two_frequencies_rejected(n_u):
     # one frequency has no step for the chirp scale to divide by
     g = make_grid(16, 3.2e-4, 16, 16 * LAM / 3.2e-4, LAM)
     with pytest.raises(InvalidConfigurationError, match="at least 2 frequencies"):
-        wigner_table(g, np.ones(16, complex), 0.0, 100.0, n_u, WdfOptions())
+        WignerRows(g, np.ones(16, complex), 0.0, 100.0, n_u, WdfOptions())
 
 
 def test_fine_samples_shape_checked():
     g = full_circle_grid()
     with pytest.raises(InvalidConfigurationError):
-        wigner_table(
-            g,
-            np.ones(64, complex),
-            0.0,
-            100.0,
-            4,
-            WdfOptions(),
-            fine_samples=np.ones(64),
-        )
+        WignerRows(g, np.ones(64, complex), 0.0, 100.0, 4, WdfOptions(), fine_samples=np.ones(64))
 
 
 # The in-house signal helpers must reproduce scipy.signal bit for bit, so
@@ -331,7 +323,7 @@ def test_wigner_table_bitwise_equals_scipy_signal_path(n, options, monkeypatch):
     samples = rng.normal(size=n) + 1j * rng.normal(size=n)
     u = g.u_axis()
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)  # blocks of one to a few rows
-    table = wigner_table(g, samples, float(u[0]), float(u[1] - u[0]), n, options)
+    table = wigner_table(WignerRows(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
     _assert_close_to_peak(table, _wigner_table_via_scipy(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
 
 
@@ -347,7 +339,7 @@ def test_wigner_table_error_to_direct_oracle_within_two_sided(oversample):
     u_start, du = float(g.u_axis()[0]), g.dtheta / LAM
     args = (u_start, du, n, options)
     direct = wigner_from_samples_direct(samples, g.dx, u_start + du * np.arange(n), oversample)
-    err = np.linalg.norm(wigner_table(g, samples, *args) - direct)
+    err = np.linalg.norm(wigner_table(WignerRows(g, samples, *args)) - direct)
     two_sided = np.linalg.norm(_wigner_table_via_scipy(g, samples, *args) - direct)
     assert err <= two_sided
     assert err < 1e-13 * np.linalg.norm(direct)
@@ -386,7 +378,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 @given(table_cases())
 def test_wigner_table_property_matches_two_sided_reference(case):
     grid, samples, options, fine, (u_start, du, n_u) = case
-    table = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
+    table = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
     reference = _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options, fine)
     assert table.shape == (grid.x_samples, n_u) and table.dtype == np.float64
     # a few arbitrary frequencies may all miss a row's peak, so the scale is
@@ -405,7 +397,7 @@ def test_wigner_table_property_angular_marginal_is_intensity(case):
     factor = 2 * options.oversample_factor
     m = factor * grid.x_samples + 1
     du = factor / (2.0 * grid.dx * m)
-    table = wigner_table(grid, samples, -(m - 1) / 2 * du, du, m, options, fine_samples=fine)
+    table = wigner_table(WignerRows(grid, samples, -(m - 1) / 2 * du, du, m, options, fine))
     target = np.abs(_lag_grid_signal(samples, factor, options, fine)[::factor]) ** 2
     np.testing.assert_allclose(table.sum(axis=1) * du, target, rtol=0, atol=1e-12 * target.max())
 
@@ -419,10 +411,10 @@ BLOCK_BUDGETS = st.sampled_from([1, 1 << 12, 1 << 14, 1 << 16])
 @given(table_cases(), BLOCK_BUDGETS)
 def test_wigner_table_property_chunking_is_bitwise_invariant(case, budget):
     grid, samples, options, fine, (u_start, du, n_u) = case
-    whole = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
+    whole = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_BLOCK_BYTES", budget)
-        chunked = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
+        chunked = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
     assert np.array_equal(chunked, whole)
 
 
@@ -430,7 +422,7 @@ def test_wigner_table_property_chunking_is_bitwise_invariant(case, budget):
 @given(table_cases(), BLOCK_BUDGETS, st.data())
 def test_wigner_rows_property_any_row_range_gives_the_table_bits(case, budget, data):
     grid, samples, options, fine, (u_start, du, n_u) = case
-    whole = wigner_table(grid, samples, u_start, du, n_u, options, fine_samples=fine)
+    whole = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
     rows = WignerRows(grid, samples, u_start, du, n_u, options, fine)
     lo = data.draw(st.integers(0, grid.x_samples - 1))
     hi = data.draw(st.integers(lo + 1, grid.x_samples))
