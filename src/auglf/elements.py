@@ -50,7 +50,7 @@ from .transformers import (
     _delta_lines,
     transformer_from_transmittance,
 )
-from .wdf import WdfOptions
+from .wdf import WdfOptions, _lag_axis
 
 __all__ = [
     "Pinhole",
@@ -105,11 +105,9 @@ def _transmittance_kernel(
     edge is not replaced by a band-limited interpolant that rings.
     """
     options = options or WdfOptions()
-    factor = 2 * options.oversample_factor
-    x = grid.x_axis()
-    fine_x = x[0] + (grid.dx / factor) * np.arange(factor * grid.x_samples)
-    t = spec.transmittance(grid.wavelength, x, grid.dx)
-    fine = spec.transmittance(grid.wavelength, fine_x, grid.dx / factor)
+    t = spec.transmittance(grid.wavelength, grid.x_axis(), grid.dx)
+    fine_dx = grid.dx / (2 * options.oversample_factor)
+    fine = spec.transmittance(grid.wavelength, _lag_axis(grid, options), fine_dx)
     return transformer_from_transmittance(ComplexField(grid, t), options, fine)
 
 

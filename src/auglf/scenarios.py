@@ -27,7 +27,7 @@ trace makes no radiance at all.
 The wave pipeline lives on the position window, as the radiance does:
 sources are built and elements evaluated on the grid's own axis, so both
 pipelines see one scene.  Only a free-space hop (``_hop``) widens the
-axis, ``oracle_pad`` times, so that the field spreads instead of wrapping;
+axis, to twice the window, so that the field spreads instead of wrapping;
 it also drops spatial frequencies outside the angular window, so both
 pipelines transport the same etendue, and cuts the result back to the
 window.
@@ -36,7 +36,7 @@ window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union, get_args
+from typing import Callable, Iterator, Optional, Sequence, Union, get_args
 
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
@@ -56,7 +56,7 @@ from .elements import CubicPhase, ElementSpec, Lens, RectAperture, element_label
 from .fresnel import apply_mask, fresnel_propagate
 from .propagation import ShearedProjection, shear_propagate, sheared_projection
 from .transformers import NumericTransformer, apply_transformer, canonical_transformer
-from .wdf import WdfOptions, WignerRows, _angle_frequencies, _options_meta, field_rows, wdf_from_field
+from .wdf import WdfOptions, WignerRows, _angle_frequencies, _lag_axis, _options_meta, field_rows, wdf_from_field
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +120,10 @@ class OpticalTrain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
+        if not isinstance(self.source, get_args(SourceSpec)):
+            raise InvalidConfigurationError(
+                f"source is {type(self.source).__name__}, expected PointSource, PlaneWave or FieldSource"
+            )
         for k, stage in enumerate(self.stages, start=1):
             if not isinstance(stage, (Propagate, Element)):
                 raise InvalidConfigurationError(
@@ -141,33 +145,25 @@ class TraceOptions:
     """Numerical choices shared by one trace.
 
     Each field but compare_oracle is a ``[numerics]`` key of a scenario file;
-    none picks how rows move (every shear uses ``propagation._shift_rows``).
+    none picks how rows move (every shear uses ``propagation._shift_rows``),
+    and none sets the wave pipeline, whose hops always pad the window to
+    twice its size (``_padded_grid``).
 
-    oracle_pad      : axis enlargement factor of the wave pipeline's hops
-                      (integer >= 1)
     abort_loss      : abort the trace when a single stage truncates more than
                       this fraction of the signal
-    oversample, window : WdfOptions oversample_factor and window of every
-                      Wigner transform and numeric kernel, built and checked
-                      once as ``wdf_options``
+    oversample      : WdfOptions oversample_factor of every Wigner transform
+                      and numeric kernel, built and checked once as
+                      ``wdf_options``
     compare_oracle  : run the wave pipeline and fill the comparison fields
     """
 
-    oracle_pad: int = 2
     abort_loss: float = 0.9
     oversample: int = 1
-    window: str = "none"
     compare_oracle: bool = True
     wdf_options: WdfOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "wdf_options", WdfOptions(oversample_factor=self.oversample, window=self.window)
-        )
-        if self.oracle_pad < 1 or self.oracle_pad != int(self.oracle_pad):
-            raise InvalidConfigurationError(
-                f"oracle_pad must be a positive integer, got {self.oracle_pad!r}"
-            )
+        object.__setattr__(self, "wdf_options", WdfOptions(oversample_factor=self.oversample))
         if not (0.0 < self.abort_loss <= 1.0):
             raise InvalidConfigurationError(
                 f"abort_loss must lie in (0, 1], got {self.abort_loss!r}"
@@ -226,9 +222,7 @@ def _source_radiance(grid: PhaseSpaceGrid, source: SourceSpec, options: TraceOpt
         radiance = np.zeros((grid.x_samples, grid.theta_samples))
         radiance[:, grid.theta_index(source.angle)] = _column_radiance(grid)
         return AugmentedLightField(grid, _freeze(radiance), {"source": "plane"})
-    if isinstance(source, FieldSource):
-        return wdf_from_field(source.field, options.wdf_options)
-    raise InvalidConfigurationError(f"unknown source {type(source).__name__}")
+    return wdf_from_field(source.field, options.wdf_options)
 
 
 def _launch(grid: PhaseSpaceGrid, source: Union[FieldSource, PlaneWave], options: TraceOptions) -> tuple:
@@ -237,20 +231,18 @@ def _launch(grid: PhaseSpaceGrid, source: Union[FieldSource, PlaneWave], options
     A field gives its Wigner rows (``wdf.field_rows``), whose row sums the
     fold takes from their lag products.  A plane wave on angle node j
     gives the rows of its analytic lag-grid samples,
-    e^{2 pi i theta_j x / lambda} / sqrt(x_extent), with window "none" and
-    zero boundary, and as every row's sum that of the one-column radiance
+    e^{2 pi i theta_j x / lambda} / sqrt(x_extent), with zero boundary,
+    and as every row's sum that of the one-column radiance
     the apply would have met, ``_column_radiance``: the rows of its own
     samples, cut off at the window's edges, sum to less near them.
     """
     wdf_options = options.wdf_options
     if isinstance(source, FieldSource):
         return field_rows(source.field, wdf_options), _options_meta(wdf_options), None
-    factor = 2 * wdf_options.oversample_factor
-    x = grid.x_axis()[0] + (grid.dx / factor) * np.arange(factor * grid.x_samples)
     angle = grid.theta_axis()[grid.theta_index(source.angle)]
-    fine = np.exp(2j * np.pi * angle * x / grid.wavelength) / np.sqrt(grid.x_extent)
-    plain = WdfOptions(wdf_options.oversample_factor, "none", "zero")
-    rows = WignerRows(grid, fine[::factor], *_angle_frequencies(grid), plain, fine_samples=fine)
+    fine = np.exp(2j * np.pi * angle * _lag_axis(grid, wdf_options) / grid.wavelength) / np.sqrt(grid.x_extent)
+    plain = WdfOptions(wdf_options.oversample_factor, "zero")
+    rows = WignerRows(grid, fine[:: 2 * plain.oversample_factor], *_angle_frequencies(grid), plain, fine)
     return rows, {"source": "plane"}, _column_radiance(grid)
 
 
@@ -260,13 +252,18 @@ def _stage_label(stage: Stage) -> str:
     return element_label(stage.spec)
 
 
-def _padded_grid(grid: PhaseSpaceGrid, pad: int) -> PhaseSpaceGrid:
-    """A hop's axis: ``pad`` times the grid's, plus one sample if that pads by an odd count, so
-    that the window from ``(x_samples - n) // 2`` lies on the grid's nodes."""
-    if pad == 1:
-        return grid
+def _padded_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
+    """A hop's axis: twice the grid's, plus one sample if n is odd, so that
+    the window from ``(x_samples - n) // 2`` lies on the grid's nodes.
+
+    Twice is enough.  After ``_hop``'s band clamp no light moves further
+    than z theta_extent / 2, and light that leaves the window can wrap
+    around this axis back into the window only when that distance reaches
+    x_extent.  Then ``propagation._warn_reach`` draws TruncationWarning for
+    the shear, which throws the same light away.
+    """
     n = grid.x_samples
-    wide = pad * n + (pad - 1) * n % 2
+    wide = 2 * n + n % 2
     return PhaseSpaceGrid(
         x_samples=wide,
         x_extent=grid.x_extent * (wide / n),
@@ -276,7 +273,7 @@ def _padded_grid(grid: PhaseSpaceGrid, pad: int) -> PhaseSpaceGrid:
     )
 
 
-def _hop(g: ComplexField, distance: float, pad: int) -> ComplexField:
+def _hop(g: ComplexField, distance: float) -> ComplexField:
     """Free-space hop of a field on the window, the one place the wave axis widens.
 
     The field is embedded in the ``_padded_grid`` axis (zero outside the
@@ -286,7 +283,7 @@ def _hop(g: ComplexField, distance: float, pad: int) -> ComplexField:
     leaves the window is dropped, as the shear drops it.
     """
     grid = g.grid
-    wide = _padded_grid(grid, pad)
+    wide = _padded_grid(grid)
     start = (wide.x_samples - grid.x_samples) // 2
     window = slice(start, start + grid.x_samples)
     samples = np.zeros(wide.x_samples, dtype=np.complex128)
@@ -298,7 +295,7 @@ def _hop(g: ComplexField, distance: float, pad: int) -> ComplexField:
     return ComplexField(grid, out.samples[window])
 
 
-def _oracle_intensity(train: OpticalTrain, options: TraceOptions) -> IntensityProfile:
+def _oracle_intensity(train: OpticalTrain) -> IntensityProfile:
     """Trace the train with the scalar wave pipeline and return |g|^2 on the window."""
     grid = train.grid
     x = grid.x_axis()
@@ -325,22 +322,64 @@ def _oracle_intensity(train: OpticalTrain, options: TraceOptions) -> IntensityPr
 
     for stage in stages:
         if isinstance(stage, Propagate):
-            g = _hop(g, stage.distance, options.oracle_pad)
+            g = _hop(g, stage.distance)
         else:
             g = apply_mask(g, stage.spec)
     return IntensityProfile(grid, np.abs(g.samples) ** 2)
 
 
-def _lone_element(stages: tuple) -> bool:
-    """Whether the first stage is an element with no second element at its plane."""
-    return bool(stages) and isinstance(stages[0], Element) and not (
-        len(stages) > 1 and isinstance(stages[1], Element)
-    )
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     return v / norm if norm > 0.0 else v
+
+
+def _steps(
+    train: OpticalTrain, options: TraceOptions, observed: bool
+) -> Iterator[tuple[StageRecord, Optional[AugmentedLightField], Optional[np.ndarray]]]:
+    """``trace_train``'s stages run one at a time, each giving ``(record, alf, projected)``.
+
+    The first is the source's, or its fold's; then each later stage's, run
+    only when the caller asks for it.  ``alf`` is the working radiance
+    after the stage, None where the trace makes none (a fold streamed into
+    the last hop).  ``projected`` is the intensity after an unobserved last
+    hop, which is projected rather than sheared (its ``alf`` is the one
+    the hop started from); it is None elsewhere.
+    """
+    grid, source, stages = train.grid, train.source, train.stages
+    project_last = not observed and bool(stages) and isinstance(stages[-1], Propagate)
+    lone = [type(stage) for stage in stages[:2]] in ([Element], [Element, Propagate])
+    first = None  # stage 1's kernel, built before the source to fold into it
+    if isinstance(source, (FieldSource, PlaneWave)) and lone:
+        first = canonical_transformer(stages[0].spec, grid, options.wdf_options)
+    into = None  # the last hop's projection, when the fold's rows go into it
+    if isinstance(first, NumericTransformer):
+        if project_last and len(stages) == 2:
+            into = ShearedProjection(grid, stages[1].distance)
+        fold = first.fold(*_launch(grid, source, options), into=into)
+        alf, meta = (None, fold) if into is not None else (fold, fold.meta)
+        label = "source+" + _stage_label(stages[0])
+        yield StageRecord(1, label, meta["theta_leak_fraction"], "numeric"), alf, None
+        done, first = 1, None
+    else:
+        alf = _source_radiance(grid, source, options)
+        yield StageRecord(0, "source", 0.0), alf, None
+        done = 0
+
+    for k, stage in enumerate(stages[done:], start=done + 1):
+        kernel, projected = None, None
+        if project_last and k == len(stages):
+            projected, loss = into.result() if into is not None else sheared_projection(alf, stage.distance)
+        elif isinstance(stage, Propagate):
+            # every radiance here was allocated by this trace, so the shear
+            # may write into it; no name is left holding the array
+            alf.radiance.setflags(write=True)
+            alf, loss = shear_propagate(alf, stage.distance, out=alf.radiance)
+        else:
+            transformer = first or canonical_transformer(stage.spec, grid, options.wdf_options)
+            first = None  # built before the source, it serves stage 1 only
+            alf = apply_transformer(alf, transformer)
+            kernel, loss = transformer.meta["element"], alf.meta.get("theta_leak_fraction", 0.0)
+        yield StageRecord(k, _stage_label(stage), loss, kernel), alf, projected
 
 
 def trace_train(
@@ -359,7 +398,9 @@ def trace_train(
     its first record is
     ``StageRecord(1, "source+<element label>", ..., kernel="numeric")``,
     whose loss is the leak the apply would report.  Every other train
-    starts from the source's record, index 0.
+    starts from the source's record, index 0.  Every later stage then runs
+    in one loop (``_steps``), and each record, the fold's too, passes one
+    abort check before it is kept and observed and the next stage runs.
 
     The records keep scalars only.  ``observe(record, alf)``, when given,
     is called as each stage completes with that stage's radiance, which is
@@ -382,77 +423,30 @@ def trace_train(
 
     Raises ScenarioAbortError when one stage truncates more than the
     configured share of the signal; the exception carries the 1-based index
-    of the offending stage.
+    of the offending stage, and its message names the stage by its
+    record's label.
     """
     if options is None:
         options = TraceOptions()
-    grid = train.grid
-    source = train.source
-    stages = train.stages
-    first = None  # stage 1's kernel, built before the source to fold into it
-    if isinstance(source, (FieldSource, PlaneWave)) and _lone_element(stages):
-        first = canonical_transformer(stages[0].spec, grid, options.wdf_options)
-    folded = isinstance(first, NumericTransformer)
-    # an unobserved last hop right behind a fold takes the fold's rows as
-    # they are written
-    streamed = None
-    if folded and observe is None and len(stages) == 2 and isinstance(stages[1], Propagate):
-        streamed = ShearedProjection(grid, stages[1].distance)
-    if not folded:
-        alf = _source_radiance(grid, source, options)
-    else:
-        fold = first.fold(*_launch(grid, source, options), into=streamed)
-        # a fold streamed into the hop gives its meta alone
-        alf, fold_meta = (None, fold) if streamed is not None else (fold, fold.meta)
-    records = []
-
-    def finish(record: StageRecord, alf: AugmentedLightField) -> None:
+    records, kept = [], 1.0
+    for record, alf, projected in _steps(train, options, observe is not None):
+        loss = record.truncation_loss
+        if loss > options.abort_loss:
+            raise ScenarioAbortError(
+                record.index,
+                f"{record.label} truncated {loss:.1%} of the signal (limit {options.abort_loss:.0%})",
+            )
+        kept *= 1.0 - loss
         records.append(record)
         if observe is not None:
             observe(record, alf)
 
-    if not folded:
-        finish(StageRecord(0, "source", 0.0), alf)
-    kept = 1.0
-    projected = None  # the intensity after an unobserved last hop
-
-    for k, stage in enumerate(stages, start=1):
-        label, kernel = _stage_label(stage), None
-        if streamed is not None and k == 2:
-            projected, loss = streamed.result()
-        elif isinstance(stage, Propagate) and observe is None and k == len(stages):
-            projected, loss = sheared_projection(alf, stage.distance)
-        elif isinstance(stage, Propagate):
-            # every radiance here was allocated by this trace, so the shear
-            # may write into it; no name is left holding the array
-            alf.radiance.setflags(write=True)
-            alf, loss = shear_propagate(alf, stage.distance, out=alf.radiance)
-        else:
-            transformer = first if k == 1 and first is not None else canonical_transformer(
-                stage.spec, grid, options.wdf_options
-            )
-            kernel = transformer.meta["element"]
-            if k == 1 and folded:
-                label = "source+" + label
-                loss = fold_meta["theta_leak_fraction"]
-            else:
-                alf = apply_transformer(alf, transformer)
-                loss = alf.meta.get("theta_leak_fraction", 0.0)
-        if loss > options.abort_loss:
-            raise ScenarioAbortError(
-                k,
-                f"{_stage_label(stage)} truncated {loss:.1%} of the signal "
-                f"(limit {options.abort_loss:.0%})",
-            )
-        kept *= 1.0 - loss
-        finish(StageRecord(k, label, loss, kernel), alf)
-
     if projected is None:
         alf_intensity = project_intensity(alf)
     else:
-        alf_intensity = _intensity_profile(grid, projected)
+        alf_intensity = _intensity_profile(train.grid, projected)
     if options.compare_oracle:
-        oracle = _oracle_intensity(train, options)
+        oracle = _oracle_intensity(train)
         a = _unit(alf_intensity.values)
         o = _unit(oracle.values)
         err = float(np.linalg.norm(a - o))

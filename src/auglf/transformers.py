@@ -265,12 +265,12 @@ class NumericTransformer:
 
         ``rows`` are the source's Wigner rows on the grid's angles and the
         kernel's lag grid, and ``meta`` its radiance's meta.  The result is
-        the Wigner transform, with window "none", of the product of the two
-        lag-grid signals, which wraps around only if both factors do.  Its
-        lag products are the source's times the kernel's, so it is the
-        kernel applied to the source's radiance (Bastiaans, JOSA 69, 1710,
-        1979); where that radiance passes the angle window, it keeps what
-        the apply would have dropped with it.
+        the Wigner transform of the product of the two lag-grid signals,
+        which wraps around only if both factors do.  Its lag products are
+        the source's times the kernel's, so it is the kernel applied to the
+        source's radiance (Bastiaans, JOSA 69, 1710, 1979); where that
+        radiance passes the angle window, it keeps what the apply would
+        have dropped with it.
 
         The meta adds the apply's ``theta_leak`` and ``theta_leak_fraction``,
         summed in the table's block loop (``wdf.ApplyLeak``) by
@@ -302,7 +302,7 @@ class NumericTransformer:
         product = rows.signal * source.signal
         oversample = rows.options.oversample_factor
         wraps = rows.options.boundary == source.options.boundary == "periodic"
-        plain = WdfOptions(oversample, "none", "periodic" if wraps else "zero")
+        plain = WdfOptions(oversample, "periodic" if wraps else "zero")
         leak = ApplyLeak(grid, row_totals)
         table = wigner_table(WignerRows(grid, product[:: 2 * oversample], *axis, plain, product), leak, into)
         meta = {**meta, **leak.meta()}

@@ -21,15 +21,14 @@ agrees with the two-sided sum over all lags to within 1e-12 of the
 table's peak (rounding only); tests pin that.
 
 The chirp-z transform (Bluestein's algorithm; Rabiner, Schafer & Rader,
-Bell Syst. Tech. J. 48, 1969), the Fourier upsampling and the Tukey
-window are written here on top of ``numpy.fft`` rather than taken from
-SciPy: importing its signal package also loads ``scipy.stats`` and costs
-about a second of start-up on every run, and ``scipy.fft`` alone about
-0.3 s and 22 MiB, whether or not a Wigner transform is computed.  Since
-numpy 2.0, ``numpy.fft`` runs the same pocketfft C++ code as
-``scipy.fft``, and its ``out=`` argument keeps the transforms in place.
-The upsampling and the window follow SciPy's order of operations and
-tests pin them to ``scipy.signal`` bit for bit.  One chirp-z
+Bell Syst. Tech. J. 48, 1969) and the Fourier upsampling are written here
+on top of ``numpy.fft`` rather than taken from SciPy: importing its signal
+package also loads ``scipy.stats`` and costs about a second of start-up
+on every run, and ``scipy.fft`` alone about 0.3 s and 22 MiB, whether or
+not a Wigner transform is computed.  Since numpy 2.0, ``numpy.fft`` runs
+the same pocketfft C++ code as ``scipy.fft``, and its ``out=`` argument
+keeps the transforms in place.  The upsampling follows SciPy's order of
+operations and tests pin it to ``scipy.signal`` bit for bit.  One chirp-z
 (``_lag_chirps`` and ``_lags_to_angles``) serves every sum between lags
 and angles: the table's rows, the numeric kernel's apply and the fold's
 leak.  Its chirp phase is reduced modulo 2 pi exactly (``_pi_phase``), so
@@ -90,9 +89,6 @@ from .propagation import ShearedProjection
 
 __all__ = ["WdfOptions", "wdf_from_field"]
 
-# Fraction of the window tapered on each side by the raised-cosine option.
-EDGE_TAPER_FRACTION = 0.1
-
 # Elements of each operand that a ufunc buffers at a time in the lag-domain
 # block loops (``WignerRows.write``, the numeric kernel's apply).  Their
 # in-place products over a block's lag columns (a strided view of the
@@ -120,9 +116,6 @@ class WdfOptions:
     oversample_factor : extra band-limited field upsampling (1, 2 or 4)
         on top of the built-in factor 2 for half-sample shifts.  Helps
         hard-edged fields at the cost of memory.
-    window : "none" or "raised-cosine" edge apodization of the field
-        before the correlation; suppresses lag-window sidelobes when
-        extracting diffraction-order weights.
     boundary : treatment of samples pulled from beyond the window in the
         lag products.  "zero" extends the field with zeros (physical
         fields that decay inside the window); "periodic" wraps around,
@@ -131,7 +124,6 @@ class WdfOptions:
     """
 
     oversample_factor: int = 1
-    window: str = "none"
     boundary: str = "zero"
 
     def __post_init__(self):
@@ -139,24 +131,8 @@ class WdfOptions:
             raise InvalidConfigurationError(
                 f"oversample_factor must be 1, 2 or 4, got {self.oversample_factor!r}"
             )
-        if self.window not in ("none", "raised-cosine"):
-            raise InvalidConfigurationError(f"unknown window {self.window!r}")
         if self.boundary not in ("zero", "periodic"):
             raise InvalidConfigurationError(f"unknown boundary {self.boundary!r}")
-
-
-def _tukey(m: int, alpha: float) -> np.ndarray:
-    """Symmetric Tukey (tapered cosine) window of m points, 0 < alpha < 1."""
-    if m <= 1:
-        return np.ones(m)
-    n = np.arange(0, m, dtype=np.float64)
-    width = int(np.floor(alpha * (m - 1) / 2.0))
-    n1 = n[0:width + 1]
-    n3 = n[m - width - 1:]
-    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (m - 1))))
-    w2 = np.ones(m - 2 * width - 2)
-    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (m - 1))))
-    return np.concatenate((w1, w2, w3))
 
 
 def _upsample(x: np.ndarray, num: int) -> np.ndarray:
@@ -253,8 +229,7 @@ class WignerRows:
     interpolation step; use it when the signal is known analytically
     between samples, e.g. hard-edged masks whose band-limited interpolant
     would ring.  ``signal`` keeps the signal on the lag grid, upsampled or
-    given and apodized, whose lag products the rows are, and ``options``
-    the settings.
+    given, whose lag products the rows are, and ``options`` the settings.
 
     Each row's lag products are Hermitian, c[-l] = conj(c[l]), so the row
     is summed over the lags 0..K only:
@@ -298,8 +273,6 @@ class WignerRows:
         gf = np.array(samples if fine_samples is None else fine_samples, dtype=np.complex128)
         if fine_samples is not None and gf.shape != (m_total,):
             raise InvalidConfigurationError(f"fine_samples must have shape ({m_total},), got {gf.shape}")
-        if options.window != "none":
-            gf = gf * _tukey(len(gf), 2 * EDGE_TAPER_FRACTION)
         if fine_samples is None:
             gf = _upsample(gf, m_total)
         self.options, self.signal = options, _freeze(gf)  # a copy: the caller's array may change
@@ -446,9 +419,15 @@ def _angle_frequencies(grid: PhaseSpaceGrid) -> tuple[float, float, int]:
     return float(grid.u_axis()[0]), grid.dtheta / grid.wavelength, grid.theta_samples
 
 
+def _lag_axis(grid: PhaseSpaceGrid, options: WdfOptions) -> np.ndarray:
+    """The lag grid's positions: 2 * oversample_factor points per sample, from the first x node."""
+    factor = 2 * options.oversample_factor
+    return grid.x_axis()[0] + (grid.dx / factor) * np.arange(factor * grid.x_samples)
+
+
 def _options_meta(options: WdfOptions) -> dict:
     """The meta of a field's radiance: the settings of its transform."""
-    return {"wdf_options": (options.oversample_factor, options.window, options.boundary)}
+    return {"wdf_options": (options.oversample_factor, options.boundary)}
 
 
 def field_rows(field: ComplexField, options: WdfOptions = WdfOptions()) -> WignerRows:

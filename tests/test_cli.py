@@ -183,14 +183,16 @@ def test_hologram_include_oscillatory_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line, message",
-    # both shears use one row shifter and every wave hop clamps to the angle
-    # window's band, so neither is a setting
+    # both shears use one row shifter, every wave hop clamps to the angle
+    # window's band and pads the window to twice its size, and neither
+    # pipeline tapers its field, so none of these is a setting
     [
-        ("window = hann", "window"),
+        ("window = raised-cosine", "unknown key(s) window"),
         ("interp = linear", "unknown key(s) interp"),
         ("match_etendue = on", "unknown key(s) match_etendue"),
+        ("oracle_pad = 2", "unknown key(s) oracle_pad"),
     ],
-    ids=["window", "interp", "match_etendue"],
+    ids=["window", "interp", "match_etendue", "oracle_pad"],
 )
 def test_bad_numerics_value_exits_2_before_any_output(tmp_path, capsys, line, message):
     out = tmp_path / "o"

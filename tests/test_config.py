@@ -76,7 +76,6 @@ def test_parses_minimal_scenario(tmp_path):
     train = cfg.train()
     assert isinstance(train, OpticalTrain) and train.grid == cfg.grid
     opts = cfg.trace_options()
-    assert opts.oracle_pad == 2
     # no [numerics] section: the trace's own defaults, so the two cannot drift
     assert opts == TraceOptions() and opts.wdf_options == TraceOptions().wdf_options
     assert cfg.trace_options(compare_oracle=False) == TraceOptions(compare_oracle=False)
@@ -226,9 +225,9 @@ def test_two_pinhole_stage(tmp_path):
         (lambda b: b.replace("[stage.2]", "[stage.4]"), "stage"),
         (lambda b: b.replace("distance = 0.05", "distance = -0.05"), "distance"),
         (lambda b: b + "\n[numerics]\ninterp = linear\n", "unknown key(s) interp"),
-        (lambda b: b + "\n[numerics]\nwindow = hann\n", "window"),
+        (lambda b: b + "\n[numerics]\nwindow = hann\n", "unknown key(s) window"),
         (lambda b: b + "\n[numerics]\noversample = 3\n", "oversample"),
-        (lambda b: b + "\n[numerics]\noracle_pad = 0\n", "oracle_pad"),
+        (lambda b: b + "\n[numerics]\noracle_pad = 0\n", "unknown key(s) oracle_pad"),
         (lambda b: b + "\n[numerics]\nabort_loss = 1.5\n", "abort_loss"),
         (lambda b: b + "\n[numerics]\ncompare_oracle = off\n", "compare_oracle"),
         (lambda b: b + "\n[output]\nobservation = radiance\n", "observation"),
