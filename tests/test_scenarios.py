@@ -36,6 +36,7 @@ from auglf import (
     make_grid,
     normalized_cross_correlation,
     project_intensity,
+    shear_propagate,
     trace_train,
     wdf_from_field,
 )
@@ -270,7 +271,7 @@ def test_defocus_sweep_shapes():
         cubic_phase_psf_sweep(g, 5e-2, 1e-3, 0.0, 0.1, 0.1, ())
 
 
-@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 255, 256, 1023, 1024])
 def test_the_padded_wave_axis_holds_the_grid_nodes(n):
     # the wave reference is read from the window (wide - n) // 2 onwards, so
     # the padding must be even in number: odd n gets one more
@@ -363,6 +364,16 @@ def fold_beam(radius):
     return ComplexField(FOLD_GRID, np.exp(-((FOLD_GRID.x_axis() / radius) ** 2)))
 
 
+# Fields the fold takes: a 150 um beam on the axis, off it, tilted, and
+# both; each and its Wigner function decay below 1e-15 inside the window.
+FOLD_BEAMS = {
+    "centred": fold_beam(0.15e-3),
+    "off_centre": tilted_gaussian(FOLD_GRID, 0.2e-3, 0.0, 0.15e-3),
+    "tilted": tilted_gaussian(FOLD_GRID, 0.0, 3e-3, 0.15e-3),
+    "off_centre_tilted": tilted_gaussian(FOLD_GRID, -0.2e-3, -4e-3, 0.15e-3),
+}
+
+
 def coded_mask():
     x = FOLD_GRID.x_axis()
     phase = np.random.default_rng(9).uniform(-0.5, 0.5, FOLD_GRID.x_samples)
@@ -376,12 +387,13 @@ FOLDED_ELEMENTS = {
     "bounded_hologram": Hologram(0.15, width=1e-3),
 }
 FOLD_OPTIONS = [pytest.param(oversample, id=f"oversample_{oversample}") for oversample in (1, 2, 4)]
-# Elements whose final projection passes the warning floor (1e-2 of the
-# peak), with a ceiling on its negativity: the coded mask's random phase
-# passes the angle window, so after the hop the projection dips to
-# 1.349e-2 of its peak at every setting (1.27e-2 with the exact Fourier
-# shear).
-FOLDED_NEGATIVITY = {"coded_aperture": 1.4e-2}
+# Elements and beams whose final projection passes the warning floor (1e-2
+# of the peak), with a ceiling on its negativity: the coded mask's random
+# phase passes the angle window, so after the hop the projection dips to
+# 1.349e-2 of its peak for the centred beam at every oversample (1.27e-2
+# with the exact Fourier shear) and to 3.148e-2 for the tilted one.  Off
+# the axis the mask meets less of the beam: 4.6e-3 and 7.0e-3.
+FOLDED_NEGATIVITY = {("coded_aperture", "centred"): 1.4e-2, ("coded_aperture", "tilted"): 3.2e-2}
 
 
 def folded_trace(field, spec, options):
@@ -395,14 +407,15 @@ def folded_trace(field, spec, options):
     return trace, trace.stages[0], radiances[1]
 
 
+@pytest.mark.parametrize("beam_name", FOLD_BEAMS)
 @pytest.mark.parametrize("oversample", FOLD_OPTIONS)
 @pytest.mark.parametrize("name", FOLDED_ELEMENTS)
-def test_a_folded_source_gives_the_applied_numbers(name, oversample):
+def test_a_folded_source_gives_the_applied_numbers(name, oversample, beam_name):
     # the beam and its Wigner function decay below 1e-15 inside the window,
     # so the source radiance the two-step path keeps has lost nothing
-    beam, spec = fold_beam(0.15e-3), FOLDED_ELEMENTS[name]
+    beam, spec = FOLD_BEAMS[beam_name], FOLDED_ELEMENTS[name]
     options = TraceOptions(oversample=oversample, compare_oracle=False)
-    ceiling = FOLDED_NEGATIVITY.get(name)
+    ceiling = FOLDED_NEGATIVITY.get((name, beam_name))
     with pytest.warns(NegativeIntensityWarning) if ceiling else contextlib.nullcontext():
         trace, record, alf = folded_trace(beam, spec, options)
     assert trace.report.negativity <= (ceiling or 1e-2)
@@ -527,9 +540,18 @@ def test_an_observed_trace_keeps_the_memory_bounds():
 # A plane wave whose first stage is a lone numeric element is folded into
 # it, as a field is: its analytic lag-grid samples times the transmittance.
 # Angles on the axis, on a node off it, between nodes (which takes the
-# nearer one), and far off the axis either way, where the wave's phase
-# turns fastest across the window.
-PLANE_ANGLES = {"on_axis": 0.0, "off_axis_node": 3.0, "between_nodes": -4.4, "far_up": 100.0, "far_down": -101.0}
+# nearer one), far off the axis either way, where the wave's phase turns
+# fastest across the window, and on the window's first and last nodes,
+# where the element deflects light out of the window on one side.
+PLANE_ANGLES = {
+    "on_axis": 0.0,
+    "off_axis_node": 3.0,
+    "between_nodes": -4.4,
+    "far_up": 100.0,
+    "far_down": -101.0,
+    "low_edge": -128.0,
+    "high_edge": 127.0,
+}
 
 
 @pytest.mark.parametrize("steps", PLANE_ANGLES.values(), ids=PLANE_ANGLES.keys())
@@ -537,7 +559,9 @@ PLANE_ANGLES = {"on_axis": 0.0, "off_axis_node": 3.0, "between_nodes": -4.4, "fa
 @pytest.mark.parametrize("name", FOLDED_ELEMENTS)
 def test_a_folded_plane_wave_gives_the_applied_numbers(name, oversample, steps):
     spec, angle = FOLDED_ELEMENTS[name], steps * FOLD_GRID.dtheta
-    options = TraceOptions(oversample=oversample, compare_oracle=False)
+    # on the window's edges an element can deflect most of the light out
+    # of it (the cubic phase 95 %), so no leak aborts: it is compared
+    options = TraceOptions(oversample=oversample, abort_loss=1.0, compare_oracle=False)
     with warnings.catch_warnings():
         # right behind the coded mask and the bounded hologram the projection
         # passes the floor, where their light passes the angle window; the
@@ -711,6 +735,79 @@ def test_a_shipped_config_traces_alike_with_and_without_an_observer(path):
     assert isinstance(unobserved.train.stages[-1], Propagate)
 
 
+# Every source against each shape of train the trace's one loop meets: no
+# stage, hops alone, a fold alone, before one or two last hops and before
+# later stages; a numeric element that is not folded, because a hop comes
+# first or a second element shares its plane; and a closed-form element.
+NUMERIC, CLOSED_FORM = Element(RectAperture(6e-4)), Element(Lens(0.2))
+TRAIN_SHAPES = {
+    "source_only": (),
+    "hop": (Propagate(0.01),),
+    "hop_hop": (Propagate(0.005), Propagate(0.005)),
+    "numeric": (NUMERIC,),
+    "numeric_hop": (NUMERIC, Propagate(0.01)),
+    "numeric_hop_hop": (NUMERIC, Propagate(0.005), Propagate(0.005)),
+    "numeric_hop_numeric": (NUMERIC, Propagate(0.01), Element(RectAperture(4e-4))),
+    "numeric_hop_lens_hop": (NUMERIC, Propagate(0.01), CLOSED_FORM, Propagate(0.01)),
+    "numeric_lens_hop": (NUMERIC, CLOSED_FORM, Propagate(0.01)),
+    "numeric_numeric_hop": (Element(CubicPhase(2e10)), NUMERIC, Propagate(0.01)),
+    "lens_hop": (CLOSED_FORM, Propagate(0.01)),
+    "hop_numeric_hop": (Propagate(0.01), NUMERIC, Propagate(0.01)),
+}
+# the shapes whose first element is folded into a field or a plane wave
+FOLDING_SHAPES = {"numeric", "numeric_hop", "numeric_hop_hop", "numeric_hop_numeric", "numeric_hop_lens_hop"}
+LOOP_SOURCES = {
+    "point": PointSource(0.0),
+    "plane_on_axis": PlaneWave(0.0),
+    "plane_off_axis": PlaneWave(3.0 * FOLD_GRID.dtheta),
+    "field": FieldSource(fold_beam(0.15e-3)),
+}
+
+
+def stepwise_trace(train, options):
+    """Each stage's ``(index, label, loss)``, from the source's record on, and
+    the last radiance, made one stage at a time: the source's radiance, each
+    element's kernel applied and each hop sheared into a new array."""
+    alf = scenarios._source_radiance(train.grid, train.source, options)
+    records = [(0, "source", 0.0)]
+    for k, stage in enumerate(train.stages, start=1):
+        if isinstance(stage, Propagate):
+            alf, loss = shear_propagate(alf, stage.distance)
+        else:
+            alf = apply_transformer(alf, canonical_transformer(stage.spec, train.grid, options.wdf_options))
+            loss = alf.meta.get("theta_leak_fraction", 0.0)
+        records.append((k, scenarios._stage_label(stage), loss))
+    return records, alf
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("source_name", LOOP_SOURCES)
+@pytest.mark.parametrize("shape", TRAIN_SHAPES)
+def test_every_train_shape_traces_as_its_stages_run_one_at_a_time(shape, source_name, oversample):
+    source = LOOP_SOURCES[source_name]
+    train = OpticalTrain(FOLD_GRID, source, TRAIN_SHAPES[shape])
+    options = TraceOptions(oversample=oversample, compare_oracle=False)
+    (observed, observed_warnings), (unobserved, unobserved_warnings) = traced_both_ways(train, options)
+    assert unobserved_warnings == observed_warnings
+    with warnings.catch_warnings():
+        # the trace's warnings are checked against each other above; the
+        # subject here is its records and numbers
+        warnings.simplefilter("ignore")
+        want_records, want_alf = stepwise_trace(train, options)
+        want = project_intensity(want_alf).values
+    if shape in FOLDING_SHAPES and not isinstance(source, PointSource):
+        # the fold replaces the source's record and the first apply's, and
+        # reports that apply's leak
+        (index, label, loss) = want_records[1]
+        want_records = [(index, "source+" + label, loss)] + want_records[2:]
+    for trace in (observed, unobserved):
+        got_records = [(r.index, r.label, r.truncation_loss) for r in trace.stages]
+        assert [r[:2] for r in got_records] == [r[:2] for r in want_records]
+        for (_, _, got_loss), (_, _, want_loss) in zip(got_records, want_records):
+            assert abs(got_loss - want_loss) <= 1e-12
+        assert np.abs(trace.report.alf_intensity.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_coded_field_traces_alike_with_and_without_an_observer(seed):
     (observed, observed_warnings), (unobserved, unobserved_warnings) = traced_both_ways(
@@ -832,13 +929,14 @@ def assert_streams_as_materialised(fold, distance, monkeypatch):
 
 
 @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+@pytest.mark.parametrize("beam_name", FOLD_BEAMS)
 @pytest.mark.parametrize("oversample", FOLD_OPTIONS)
 @pytest.mark.parametrize("name", FOLDED_ELEMENTS)
-def test_a_streamed_field_fold_projects_as_its_radiance_does(name, oversample, boundary, monkeypatch):
+def test_a_streamed_field_fold_projects_as_its_radiance_does(name, oversample, beam_name, boundary, monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_BYTES", STREAM_BUDGET)
     options = WdfOptions(oversample, boundary)
     kernel = canonical_transformer(FOLDED_ELEMENTS[name], FOLD_GRID, options)
-    beam = fold_beam(0.15e-3)
+    beam = FOLD_BEAMS[beam_name]
     for distance in STREAM_HOPS.values():
         assert_streams_as_materialised(
             lambda into: kernel.fold(field_rows(beam, options), {}, into=into), distance, monkeypatch

@@ -23,7 +23,7 @@ from auglf import (
     wdf_from_field,
 )
 import auglf.core as core
-from auglf.wdf import WignerRows, _lag_chirps, _lags_to_angles, _pi_phase, _upsample, wigner_table
+from auglf.wdf import WignerRows, _lag_axis, _lag_chirps, _lags_to_angles, _pi_phase, _upsample, wigner_table
 
 from oracles import (
     gaussian_wigner,
@@ -226,6 +226,29 @@ def test_upsample_matches_scipy_resample(n, factor):
     x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     assert np.array_equal(_upsample(x, factor * n), resample(x, factor * n, axis=-1))
     assert np.array_equal(_upsample(x[1], factor * n), resample(x[1], factor * n))
+
+
+# The lag grid's positions, which the plane-wave launch and every numeric
+# kernel sample on, are where the resampler puts the field's lag-grid
+# samples: a field periodic on the window, resampled, is the field there.
+@pytest.mark.parametrize("n", [2, 3, 8, 63, 64, 255, 1024])
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+def test_lag_axis_holds_the_resampled_field(n, oversample):
+    g = make_grid(n, n * 1e-5, 16, 1e-2, LAM)
+    options = WdfOptions(oversample_factor=oversample)
+    factor = 2 * oversample
+    lags = _lag_axis(g, options)
+    assert lags.shape == (factor * n,)
+    assert np.abs(lags[::factor] - g.x_axis()).max() <= 1e-9 * g.dx
+    assert np.allclose(np.diff(lags), g.dx / factor, rtol=1e-9, atol=0.0)
+    # two harmonics of the window below the grid's Nyquist frequency;
+    # measured 1.3e-12 apart at worst, and 0.13 half a lag step off
+    m = (n - 1) // 2
+
+    def field(x):
+        return np.exp(2j * np.pi * m * x / g.x_extent) + 0.5 * np.exp(-2j * np.pi * (m // 2) * x / g.x_extent)
+
+    assert np.abs(_upsample(field(g.x_axis()), factor * n) - field(lags)).max() <= 1e-11
 
 
 # The one chirp-z between lags and angles, against direct sums: the Wigner
