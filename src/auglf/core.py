@@ -112,6 +112,11 @@ class PhaseSpaceGrid:
         Full angular window in radians.
     wavelength : float
         Vacuum wavelength in meters.
+
+    A grid checks itself however it is made (``make_grid``, the constructor,
+    ``dataclasses.replace``): counts must be whole numbers of at least 2, and
+    extents and the wavelength finite and positive, else it raises
+    InvalidConfigurationError.  Counts are stored as int, the rest as float.
     """
 
     x_samples: int
@@ -119,6 +124,26 @@ class PhaseSpaceGrid:
     theta_samples: int
     theta_extent: float
     wavelength: float
+
+    def __post_init__(self) -> None:
+        for name in ("x_samples", "theta_samples"):
+            value = getattr(self, name)
+            try:
+                count = int(value)
+            except (TypeError, ValueError, OverflowError):
+                count = 0
+            if count != value or count < 2:
+                raise InvalidConfigurationError(f"{name} must be a whole number of at least 2, got {value!r}")
+            object.__setattr__(self, name, count)
+        for name in ("x_extent", "theta_extent", "wavelength"):
+            value = getattr(self, name)
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                number = math.nan
+            if number != value or not 0.0 < number < math.inf:
+                raise InvalidConfigurationError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, number)
 
     @property
     def dx(self) -> float:
@@ -172,34 +197,20 @@ def make_grid(
     theta_extent: float,
     wavelength: float,
 ) -> PhaseSpaceGrid:
-    """Validate and build a phase-space grid.
+    """Build a phase-space grid, which checks itself (``PhaseSpaceGrid``).
 
-    Raises InvalidConfigurationError for non-positive extents, sample
-    counts below 2, or a non-positive wavelength.  A half-angle window
-    beyond ``PARAXIAL_HALF_ANGLE`` is legal but draws a ParaxialGuardWarning,
-    since every operator here is paraxial.
+    A half-angle window beyond ``PARAXIAL_HALF_ANGLE`` is legal but draws a
+    ParaxialGuardWarning, since every operator here is paraxial.
     """
-    if int(x_samples) != x_samples or int(theta_samples) != theta_samples:
-        raise InvalidConfigurationError("sample counts must be integers")
-    x_samples, theta_samples = int(x_samples), int(theta_samples)
-    if x_samples < 2 or theta_samples < 2:
-        raise InvalidConfigurationError(
-            f"need at least 2 samples per axis, got {x_samples} x {theta_samples}"
-        )
-    if not (x_extent > 0 and theta_extent > 0):
-        raise InvalidConfigurationError(
-            f"extents must be positive, got x_extent={x_extent!r}, theta_extent={theta_extent!r}"
-        )
-    if not wavelength > 0:
-        raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength!r}")
-    if theta_extent / 2 > PARAXIAL_HALF_ANGLE:
+    grid = PhaseSpaceGrid(x_samples, x_extent, theta_samples, theta_extent, wavelength)
+    if grid.theta_extent / 2 > PARAXIAL_HALF_ANGLE:
         warnings.warn(
-            f"half-angle window {theta_extent / 2:.3g} rad exceeds the paraxial guard "
+            f"half-angle window {grid.theta_extent / 2:.3g} rad exceeds the paraxial guard "
             f"{PARAXIAL_HALF_ANGLE:.3g} rad; small-angle formulas degrade out here",
             ParaxialGuardWarning,
             stacklevel=2,
         )
-    return PhaseSpaceGrid(x_samples, float(x_extent), theta_samples, float(theta_extent), float(wavelength))
+    return grid
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -5,18 +5,18 @@ physics built from them:
 
 - ``transmittance(wavelength, x, dx)``: the complex transmittance t(x),
   sampled at positions ``x`` of uniform spacing ``dx``.  It feeds the wave
-  pipeline and the numeric kernel path, and ``x`` is only ever the grid's
-  axis or its lag grid (``_transmittance_kernel``): both pipelines see the
-  element on the position window and nowhere else.
+  pipeline, on the grid's axis, and the numeric kernel path, once per
+  kernel on the lag grid (``_transmittance_kernel``): both pipelines see
+  the element on the position window and nowhere else.
 - ``kernel(grid, options)``: the element's light-field transformer.  The
   prism, the lens and the gratings build theirs in closed form as delta
   lines, and the pinholes as full rows at their nodes; neither is a
   table.  Every other element's kernel is the numeric Wigner kernel of
-  its transmittance (``transformer_from_transmittance``): the slit, the
-  cubic phase plate and the hologram from their analytic transmittance on
-  the lag grid, a coded aperture (any sampled transmittance, a free-form
-  phase plate among them) from its samples on the grid.  Their closed
-  forms are test oracles.
+  its transmittance: the slit, the cubic phase plate and the hologram
+  from their analytic transmittance on the lag grid, a coded aperture
+  (any sampled transmittance, a free-form phase plate among them) from its
+  samples on the grid, upsampled (``transformer_from_transmittance``).
+  Their closed forms are test oracles.
 - ``deflection(wavelength, x)``, on the prism and the lens only: the ray
   deflection profile d_theta(x) = (lambda / 2 pi) * dphi/dx, whose single
   delta per position is their kernel.
@@ -48,6 +48,7 @@ from .transformers import (
     LightFieldTransformer,
     NumericTransformer,
     _delta_lines,
+    _numeric_transformer,
     transformer_from_transmittance,
 )
 from .wdf import WdfOptions, _lag_axis
@@ -100,15 +101,13 @@ def _transmittance_kernel(
 ) -> NumericTransformer:
     """Numeric kernel of ``spec``'s analytic transmittance, zero boundary by default.
 
-    The transmittance is evaluated on the lag grid itself (2 * oversample
-    points per sample, from the first x node), so a jump such as a slit's
-    edge is not replaced by a band-limited interpolant that rings.
+    The transmittance is evaluated once, on the lag grid itself (2 *
+    oversample points per sample, from the first x node), so a jump such as
+    a slit's edge is not replaced by a band-limited interpolant that rings.
     """
     options = options or WdfOptions()
-    t = spec.transmittance(grid.wavelength, grid.x_axis(), grid.dx)
-    fine_dx = grid.dx / (2 * options.oversample_factor)
-    fine = spec.transmittance(grid.wavelength, _lag_axis(grid, options), fine_dx)
-    return transformer_from_transmittance(ComplexField(grid, t), options, fine)
+    fine = spec.transmittance(grid.wavelength, _lag_axis(grid, options), grid.dx / (2 * options.oversample_factor))
+    return _numeric_transformer(grid, fine, options)
 
 
 class _Deflector:

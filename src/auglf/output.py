@@ -66,29 +66,19 @@ def _write_table(handle, lead: np.ndarray, rest: np.ndarray) -> None:
         handle.write(format_cells(block.ravel(), width, lo * width, work))
 
 
-def write_profile_csv(
-    path: str, axis: np.ndarray, values: np.ndarray,
-    axis_label: str = "x_m", value_label: str = "intensity",
-) -> None:
-    """Two-column CSV with a header row."""
+def write_profile_csv(path: str, axis: np.ndarray, values: np.ndarray) -> None:
+    """Two-column CSV with the header row ``x_m,intensity``."""
     axis = np.asarray(axis, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if axis.shape != values.shape or axis.ndim != 1:
         raise ValueError(f"profile shapes differ: axis {axis.shape}, values {values.shape}")
     with open(path, "wb") as handle:
-        handle.write(f"{axis_label},{value_label}\n".encode("utf-8"))
+        handle.write(b"x_m,intensity\n")
         _write_table(handle, axis, values[:, np.newaxis])
 
 
-def write_matrix_csv(
-    path: str,
-    row_axis: np.ndarray,
-    col_axis: np.ndarray,
-    matrix: np.ndarray,
-    row_label: str = "x_m",
-    col_label: str = "theta_rad",
-) -> None:
-    """Matrix CSV: header carries the column axis, first column the row axis."""
+def write_matrix_csv(path: str, row_axis: np.ndarray, col_axis: np.ndarray, matrix: np.ndarray) -> None:
+    """Matrix CSV: header ``x_m\\theta_rad,`` then the column axis; first column the row axis."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(row_axis), len(col_axis)):
         raise ValueError(
@@ -100,7 +90,7 @@ def write_matrix_csv(
     row_axis = np.asarray(row_axis, dtype=np.float64)
     col_axis = np.asarray(col_axis, dtype=np.float64)
     with open(path, "wb") as handle:
-        handle.write(f"{row_label}\\{col_label},".encode("utf-8"))
+        handle.write(b"x_m\\theta_rad,")
         _write_table(handle, col_axis[:1], col_axis[np.newaxis, 1:])  # one row: the column axis
         _write_table(handle, row_axis, matrix)
 

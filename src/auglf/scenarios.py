@@ -35,7 +35,7 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence, Union, get_args
 
 import numpy as np
@@ -241,8 +241,7 @@ def _launch(grid: PhaseSpaceGrid, source: Union[FieldSource, PlaneWave], options
         return field_rows(source.field, wdf_options), _options_meta(wdf_options), None
     angle = grid.theta_axis()[grid.theta_index(source.angle)]
     fine = np.exp(2j * np.pi * angle * _lag_axis(grid, wdf_options) / grid.wavelength) / np.sqrt(grid.x_extent)
-    plain = WdfOptions(wdf_options.oversample_factor, "zero")
-    rows = WignerRows(grid, fine[:: 2 * plain.oversample_factor], *_angle_frequencies(grid), plain, fine)
+    rows = WignerRows(grid, _freeze(fine), *_angle_frequencies(grid), wdf_options)
     return rows, {"source": "plane"}, _column_radiance(grid)
 
 
@@ -264,13 +263,7 @@ def _padded_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
     """
     n = grid.x_samples
     wide = 2 * n + n % 2
-    return PhaseSpaceGrid(
-        x_samples=wide,
-        x_extent=grid.x_extent * (wide / n),
-        theta_samples=grid.theta_samples,
-        theta_extent=grid.theta_extent,
-        wavelength=grid.wavelength,
-    )
+    return replace(grid, x_samples=wide, x_extent=grid.x_extent * (wide / n))
 
 
 def _hop(g: ComplexField, distance: float) -> ComplexField:

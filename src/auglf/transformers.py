@@ -23,9 +23,10 @@ t(x + s/2) t*(x - s/2) in the lag domain (Bastiaans, JOSA 69, 1710,
 1979), reached and left by two zoom DFTs: the chirp-z of ``wdf``, whose
 way back from lags to angles (``wdf._lags_to_angles``) is the one the
 Wigner rows and this kernel's table take.  It keeps only its grid, its
-``WignerRows`` and its meta; the table comes from those rows.  A numeric
-kernel met by a field source or a plane wave at its own plane is not
-applied at all: ``trace_train`` folds the source into it
+``WignerRows`` of the transmittance on the lag grid
+(``_numeric_transformer``) and its meta; the table comes from those rows.
+A numeric kernel met by a field source or a plane wave at its own plane
+is not applied at all: ``trace_train`` folds the source into it
 (``NumericTransformer.fold``), one table of the product of the source's
 and the kernel's lag-grid signals, whose leak the apply's own rule for a
 row's total gives (``NumericTransformer._deflections``).
@@ -68,6 +69,7 @@ from .wdf import (
     WignerRows,
     _angle_frequencies,
     _lag_chirps,
+    _lag_signal,
     _lags_to_angles,
     _pi_phase,
     _ufunc_buffers,
@@ -299,12 +301,10 @@ class NumericTransformer:
             source.lags(lo, hi, c)
             return total(sums_over_angles, c)
 
-        product = rows.signal * source.signal
-        oversample = rows.options.oversample_factor
         wraps = rows.options.boundary == source.options.boundary == "periodic"
-        plain = WdfOptions(oversample, "periodic" if wraps else "zero")
+        options = WdfOptions(rows.options.oversample_factor, "periodic" if wraps else "zero")
         leak = ApplyLeak(grid, row_totals)
-        table = wigner_table(WignerRows(grid, product[:: 2 * oversample], *axis, plain, product), leak, into)
+        table = wigner_table(WignerRows(grid, _freeze(rows.signal * source.signal), *axis, options), leak, into)
         meta = {**meta, **leak.meta()}
         return meta if into is not None else AugmentedLightField(grid, _freeze(table), meta)
 
@@ -355,10 +355,14 @@ def _relative_frequencies(grid: PhaseSpaceGrid) -> tuple[float, float, int]:
     return -(n - 1) * u_step, u_step, 2 * n - 1
 
 
+def _numeric_transformer(grid: PhaseSpaceGrid, signal: np.ndarray, options: WdfOptions) -> NumericTransformer:
+    """Numeric kernel of a transmittance given on the lag grid (``wdf._lag_axis``); ``WignerRows`` checks it."""
+    rows = WignerRows(grid, signal, *_relative_frequencies(grid), options)
+    return NumericTransformer(grid, rows, {"element": "numeric"})
+
+
 def transformer_from_transmittance(
-    transmittance: ComplexField,
-    options: Optional[WdfOptions] = None,
-    fine_samples: Optional[np.ndarray] = None,
+    transmittance: ComplexField, options: Optional[WdfOptions] = None
 ) -> NumericTransformer:
     """Numeric kernel from a sampled complex transmittance.
 
@@ -372,24 +376,16 @@ def transformer_from_transmittance(
     weights.  Pass options with boundary "zero" for masks that genuinely
     end inside the window.
 
-    fine_samples optionally supplies the mask on the lag grid (2 *
-    oversample_factor values per sample, starting at the first x node);
-    exact values there sidestep the ringing that band-limited
+    The samples are upsampled, band-limited, onto the lag grid
+    (``wdf._lag_signal``), and the settings are checked there (see
+    NumericTransformer).  An element whose transmittance is known between
+    the samples is evaluated on the lag grid instead
+    (``elements._transmittance_kernel``), which avoids the ringing that
     interpolation adds around jumps.
-
-    The settings are checked here (see NumericTransformer).
     """
-    grid = transmittance.grid
     if options is None:
         options = WdfOptions(boundary="periodic")
-    source = WignerRows(
-        grid,
-        transmittance.samples,
-        *_relative_frequencies(grid),
-        options=options,
-        fine_samples=fine_samples,
-    )
-    return NumericTransformer(grid, source, {"element": "numeric", "wdf_options": options})
+    return _numeric_transformer(transmittance.grid, _lag_signal(transmittance.samples, options), options)
 
 
 def apply_transformer(

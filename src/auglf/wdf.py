@@ -35,8 +35,10 @@ leak.  Its chirp phase is reduced modulo 2 pi exactly (``_pi_phase``), so
 its rounding does not grow with the lag count; tests pin it to direct
 sums, in long double where the phase is large.
 
-Rows of the table are independent.  ``WignerRows`` does the shared set-up
-once (upsampling, lag windows, chirps); it then gives the lag products of
+Rows of the table are independent.  ``WignerRows`` takes one signal on
+the lag grid (``_lag_axis``), samples upsampled (``_lag_signal``) or values
+known there, and does the shared set-up once (checks, lag windows,
+chirps); it then gives the lag products of
 any block of rows (``lags``), which the numeric light-field kernel
 multiplies into each radiance row in the lag domain, so that kernel's table
 is never made on the apply path, or writes the block's rows of the table
@@ -81,6 +83,7 @@ from .core import (
     PhaseSpaceGrid,
     _block_rows,
     _freeze,
+    _frozen_array,
     _leak_meta,
     _next_fast_len,
     _row_threads,
@@ -217,19 +220,21 @@ class WignerRows:
 
     The table holds the Wigner values at every grid x node and n_u
     frequencies u_start + k*du.  Everything the rows share is set up here,
-    once: the checks on the settings, the upsampled signal, the forward and
+    once: the checks on the settings and the signal, the forward and
     backward lag windows over it, and the chirp-z transform.  ``write``
     then fills any range of rows into a buffer the caller owns, so a
     consumer can take the table a block at a time without it ever being
     whole.  Rows are independent and each is transformed on its own, so the
     values do not depend on how the rows are split into calls.
 
-    fine_samples, when given, supplies the signal on the lag grid (factor *
-    len(samples) values, factor = 2 * oversample_factor) and replaces the
-    interpolation step; use it when the signal is known analytically
-    between samples, e.g. hard-edged masks whose band-limited interpolant
-    would ring.  ``signal`` keeps the signal on the lag grid, upsampled or
-    given, whose lag products the rows are, and ``options`` the settings.
+    ``signal`` is the signal on the lag grid (``_lag_axis``): factor *
+    x_samples finite values, factor = 2 * oversample_factor, from the first
+    x node.  A caller that holds grid samples upsamples them
+    (``_lag_signal``); one that knows the signal between samples, as a
+    hard-edged mask whose band-limited interpolant would ring, passes its
+    values there.  The rows keep it as ``signal``, copied unless it is
+    already frozen (``core._frozen_array``), so a caller that writes into its
+    array later changes nothing; ``options`` keeps the settings.
 
     Each row's lag products are Hermitian, c[-l] = conj(c[l]), so the row
     is summed over the lags 0..K only:
@@ -246,14 +251,7 @@ class WignerRows:
     """
 
     def __init__(
-        self,
-        grid: PhaseSpaceGrid,
-        samples: np.ndarray,
-        u_start: float,
-        du: float,
-        n_u: int,
-        options: WdfOptions,
-        fine_samples: np.ndarray = None,
+        self, grid: PhaseSpaceGrid, signal: np.ndarray, u_start: float, du: float, n_u: int, options: WdfOptions
     ):
         if n_u < 2:
             raise InvalidConfigurationError(f"need at least 2 frequencies, got n_u={n_u!r}")
@@ -270,12 +268,8 @@ class WignerRows:
             )
 
         m_total = factor * n
-        gf = np.array(samples if fine_samples is None else fine_samples, dtype=np.complex128)
-        if fine_samples is not None and gf.shape != (m_total,):
-            raise InvalidConfigurationError(f"fine_samples must have shape ({m_total},), got {gf.shape}")
-        if fine_samples is None:
-            gf = _upsample(gf, m_total)
-        self.options, self.signal = options, _freeze(gf)  # a copy: the caller's array may change
+        self.options = options
+        self.signal = gf = _frozen_array(signal, np.complex128, (m_total,), "lag-grid signal")
         self.ds = 2.0 * grid.dx / factor  # lag step: s = 2 * (fine sample step)
         k_half = m_total // 2
         self.n_lags = n_lags = k_half + 1
@@ -425,6 +419,11 @@ def _lag_axis(grid: PhaseSpaceGrid, options: WdfOptions) -> np.ndarray:
     return grid.x_axis()[0] + (grid.dx / factor) * np.arange(factor * grid.x_samples)
 
 
+def _lag_signal(samples: np.ndarray, options: WdfOptions) -> np.ndarray:
+    """Grid samples upsampled, band-limited, onto the lag grid (``_lag_axis``), for ``WignerRows``."""
+    return _freeze(_upsample(samples, 2 * options.oversample_factor * len(samples)))
+
+
 def _options_meta(options: WdfOptions) -> dict:
     """The meta of a field's radiance: the settings of its transform."""
     return {"wdf_options": (options.oversample_factor, options.boundary)}
@@ -439,7 +438,7 @@ def field_rows(field: ComplexField, options: WdfOptions = WdfOptions()) -> Wigne
     if not np.any(field.samples):
         raise DegenerateInputError("field is identically zero")
     _local_frequency_check(field)
-    return WignerRows(field.grid, field.samples, *_angle_frequencies(field.grid), options)
+    return WignerRows(field.grid, _lag_signal(field.samples, options), *_angle_frequencies(field.grid), options)
 
 
 def wdf_from_field(field: ComplexField, options: WdfOptions = WdfOptions()) -> AugmentedLightField:

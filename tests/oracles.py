@@ -70,6 +70,26 @@ def gaussian_wigner(x, u, sigma):
     return 2.0 * sigma * SQRT_PI * np.exp(-(x ** 2) / sigma ** 2) * np.exp(-4.0 * np.pi ** 2 * sigma ** 2 * u ** 2)
 
 
+def gaussian_through_abcd(x, theta, waist, wavelength, matrix):
+    """Radiance L(x, theta) and intensity of g(x) = exp(-(x / waist)^2) after a paraxial ABCD system.
+
+    g's radiance L = W(x, theta / lambda) / lambda is the Gaussian
+    sqrt(2 pi) (waist / lambda) exp(-2 x^2 / waist^2 - 2 pi^2 waist^2 theta^2 / lambda^2).
+    A system whose ray matrix ``matrix`` (determinant 1) sends (x, theta)
+    to M (x, theta) moves it: L_out(v) = L(M^-1 v) (Bastiaans, JOSA 69,
+    1710, 1979), a Gaussian exp(-v^T B v) whose angle integral is
+    sqrt(pi / B_22) exp(-(det B / B_22) x^2) times the prefactor.
+    """
+    inverse = np.linalg.inv(np.asarray(matrix, dtype=float))
+    form = inverse.T @ np.diag([2.0 / waist**2, 2.0 * np.pi**2 * waist**2 / wavelength**2]) @ inverse
+    scale = np.sqrt(2.0 * np.pi) * waist / wavelength
+    x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
+    xx, tt = x[:, None], theta[None, :]
+    radiance = scale * np.exp(-(form[0, 0] * xx**2 + 2.0 * form[0, 1] * xx * tt + form[1, 1] * tt**2))
+    intensity = scale * np.sqrt(np.pi / form[1, 1]) * np.exp(-(np.linalg.det(form) / form[1, 1]) * x**2)
+    return radiance, intensity
+
+
 def gaussian_beam_intensity(x, z, sigma, wavelength):
     """|g_z(x)|^2 for g_0 = exp(-x^2/(2 sigma^2)) after paraxial distance z."""
     spread = 1.0 + (wavelength * z / (2.0 * np.pi * sigma ** 2)) ** 2
@@ -354,16 +374,16 @@ def cells_17g(values, width, first):
     ).encode("utf-8")
 
 
-def matrix_csv_text(row_axis, col_axis, matrix, row_label="x_m", col_label="theta_rad"):
+def matrix_csv_text(row_axis, col_axis, matrix):
     """Matrix CSV bytes as a per-value writer prints them: one "%.17g" per cell."""
-    header = f"{row_label}\\{col_label}," + ",".join("%.17g" % c for c in np.asarray(col_axis).tolist())
+    header = "x_m\\theta_rad," + ",".join("%.17g" % c for c in np.asarray(col_axis).tolist())
     row_format = "%.17g," + ",".join(["%.17g"] * np.shape(matrix)[1]) + "\n"
     rows = zip(np.asarray(row_axis).tolist(), np.asarray(matrix).tolist())
     return (header + "\n" + "".join(row_format % (r, *row) for r, row in rows)).encode("utf-8")
 
 
-def profile_csv_text(axis, values, axis_label="x_m", value_label="intensity"):
+def profile_csv_text(axis, values):
     """Two-column CSV bytes as a per-value writer prints them."""
-    lines = [f"{axis_label},{value_label}"]
+    lines = ["x_m,intensity"]
     lines.extend("%.17g,%.17g" % pair for pair in zip(np.asarray(axis).tolist(), np.asarray(values).tolist()))
     return ("\n".join(lines) + "\n").encode("utf-8")

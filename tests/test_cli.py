@@ -1,12 +1,17 @@
 import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auglf import (
     ClippedOrderWarning,
@@ -22,6 +27,7 @@ from auglf.config import parse_config
 from auglf.output import sha256_file, write_heatmap
 from auglf.scenarios import _launch
 from oracles import matrix_csv_text
+from test_config import scenario_text
 from test_scenarios import observed_trace
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -390,3 +396,28 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
     assert (out / "final_intensity.csv").is_file()
+
+
+# Fuzzing the whole command: scenario text from ``test_config``'s strategy,
+# with every grid sample count redrawn from 2-64, so that no run exceeds
+# 64 x 64 cells.  A run may succeed, exit 2 on bad input or exit 3 on an
+# abort; no exception may escape.  Parts are malformed a twentieth of the
+# time rather than a sixth, so that a good share of the texts parse and
+# reach the trace.
+@st.composite
+def small_scenario_text(draw):
+    text = draw(scenario_text(rarely=st.sampled_from([True] + [False] * 19)))
+    count = st.integers(2, 64)
+    return re.sub(r"^(x_samples|theta_samples) = .*$", lambda m: f"{m.group(1)} = {draw(count)}", text, flags=re.M)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=small_scenario_text())
+def test_any_scenario_text_runs_or_exits_2_or_3(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            # a run may draw any of auglf's warnings; they are not errors here
+            warnings.simplefilter("ignore")
+            assert main(["run", str(path), "--out", str(Path(scratch) / "out")]) in (0, 2, 3)

@@ -275,23 +275,26 @@ STRAY = st.text("abkxyz_.", min_size=1, max_size=6)
 ALL_STAGE_KEYS = sorted({k for cls in _ELEMENTS.values() for k in _schema(cls)})
 
 
-def draw_value(draw, typ):
-    return draw(JUNK) if draw(RARELY) else draw(TYPED[typ])
+def draw_value(draw, typ, rarely=RARELY):
+    return draw(JUNK) if draw(rarely) else draw(TYPED[typ])
 
 
 @st.composite
-def scenario_text(draw):
-    """A scenario file's text: its sections in a random order, each key once."""
+def scenario_text(draw, rarely=RARELY):
+    """A scenario file's text: its sections in a random order, each key once.
+
+    ``rarely`` draws True when a part is to be malformed or left out.
+    """
     sections = {}
-    for name, kept in (("grid", OFTEN), ("source", OFTEN), ("output", RARELY), ("numerics", RARELY)):
+    for name, kept in (("grid", OFTEN), ("source", OFTEN), ("output", rarely), ("numerics", rarely)):
         if draw(kept) or draw(kept):
             sections[name] = {}
     numbers = list(range(1, draw(st.integers(1, 3)) + 1))
-    if draw(RARELY):
+    if draw(rarely):
         numbers = draw(st.lists(st.integers(0, 4), unique=True, max_size=3))
     for n in numbers:
         sections[f"stage.{n}"] = {}
-    if draw(RARELY):
+    if draw(rarely):
         sections.setdefault(draw(STRAY), {})
     for name, keys in sections.items():
         if name == "source":
@@ -304,19 +307,19 @@ def scenario_text(draw):
             else:
                 keys["element"] = draw(st.sampled_from(sorted(_ELEMENTS)))
                 schema = dict(_schema(_ELEMENTS[keys["element"]]))
-            if draw(RARELY):
+            if draw(rarely):
                 schema[draw(st.sampled_from(ALL_STAGE_KEYS))] = (float, None)
         else:
             schema = {"grid": _schema(PhaseSpaceGrid), "output": _schema(OutputOptions), "numerics": _NUMERICS}
             schema = schema.get(name, {})
         for key, (typ, default) in schema.items():
             # a required key is left out seldom, an optional one often
-            if not (draw(RARELY) and draw(RARELY)) if default is dataclasses.MISSING else draw(st.booleans()):
-                keys[key] = draw_value(draw, typ)
+            if not (draw(rarely) and draw(rarely)) if default is dataclasses.MISSING else draw(st.booleans()):
+                keys[key] = draw_value(draw, typ, rarely)
         for key in ("kind", "element"):
-            if key in keys and draw(RARELY):
+            if key in keys and draw(rarely):
                 keys[key] = draw(JUNK)
-        if draw(RARELY):
+        if draw(rarely):
             keys.setdefault(draw(STRAY), draw(JUNK))
     lines = []
     for name in draw(st.permutations(list(sections))):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from auglf import (
     InvalidConfigurationError,
     NegativeIntensityWarning,
     ParaxialGuardWarning,
+    PhaseSpaceGrid,
     make_grid,
     project_intensity,
 )
@@ -55,6 +57,44 @@ def test_make_grid_rejects_bad_values():
         make_grid(64, 1e-3, 64, 0.0, 633e-9)
     with pytest.raises(InvalidConfigurationError):
         make_grid(64, 1e-3, 64, 0.02, 0.0)
+
+
+# A grid checks itself however it is made: the constructor, make_grid and
+# dataclasses.replace all reject these, each naming the field at fault.
+GOOD_GRID = {"x_samples": 64, "x_extent": 2e-3, "theta_samples": 64, "theta_extent": 0.01, "wavelength": 633e-9}
+BAD_GRID_FIELDS = {
+    "no_x_samples": ("x_samples", 0),
+    "one_x_sample": ("x_samples", 1),
+    "fractional_x_samples": ("x_samples", 1024.5),
+    "nan_theta_samples": ("theta_samples", float("nan")),
+    "infinite_theta_samples": ("theta_samples", float("inf")),
+    "text_theta_samples": ("theta_samples", "64"),
+    "negative_extent": ("x_extent", -2e-3),
+    "nan_extent": ("theta_extent", float("nan")),
+    "infinite_extent": ("x_extent", float("inf")),
+    "text_extent": ("theta_extent", "0.01"),
+    "zero_wavelength": ("wavelength", 0.0),
+    "infinite_wavelength": ("wavelength", float("inf")),
+}
+
+
+@pytest.mark.parametrize("field, value", BAD_GRID_FIELDS.values(), ids=BAD_GRID_FIELDS.keys())
+def test_a_grid_rejects_bad_fields_however_it_is_made(field, value):
+    fields = {**GOOD_GRID, field: value}
+    with pytest.raises(InvalidConfigurationError, match=field):
+        PhaseSpaceGrid(**fields)
+    with pytest.raises(InvalidConfigurationError, match=field):
+        make_grid(**fields)
+    with pytest.raises(InvalidConfigurationError, match=field):
+        dataclasses.replace(PhaseSpaceGrid(**GOOD_GRID), **{field: value})
+
+
+def test_a_grid_stores_whole_counts_as_int_and_the_rest_as_float():
+    g = PhaseSpaceGrid(np.int64(64), 2e-3, 64.0, np.float32(0.25), 1)
+    assert [type(v) for v in (g.x_samples, g.x_extent, g.theta_samples, g.theta_extent, g.wavelength)] == [
+        int, float, int, float, float
+    ]
+    assert g == make_grid(64, 2e-3, 64, 0.25, 1.0)
 
 
 def test_wide_angle_window_warns():

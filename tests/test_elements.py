@@ -29,6 +29,8 @@ from auglf import (
 )
 from auglf.elements import ElementSpec
 from auglf.scenarios import Element
+from auglf.transformers import _numeric_transformer
+from auglf.wdf import _lag_axis
 
 from oracles import cubic_phase_kernel, hologram_kernel, rect_wigner
 
@@ -295,6 +297,28 @@ def test_dense_kernels_reject_an_angle_window_their_lag_sampling_misses(case):
     assert plate.kernel(make_grid(256, 2.56e-3, 256, 0.03, LAM)).kernel.shape == (256, 511)
 
 
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+@pytest.mark.parametrize("case", {**DENSE_PLATES, "cubic_plate": (CubicPhase(4e9), CUBIC_GRID)}.items(), ids=lambda c: c[0])
+def test_an_analytic_kernel_evaluates_its_transmittance_once_on_the_lag_grid(case, oversample, monkeypatch):
+    # the kernel's lag-grid signal is the transmittance at the lag grid's
+    # points, with their spacing, and nothing is evaluated on the grid's axis
+    _, (plate, g) = case
+    original, calls = type(plate).transmittance, []
+
+    def spy(self, wavelength, x, dx):
+        calls.append((wavelength, x.copy(), dx))
+        return original(self, wavelength, x, dx)
+
+    monkeypatch.setattr(type(plate), "transmittance", spy)
+    options = WdfOptions(oversample_factor=oversample)
+    kernel = plate.kernel(g, options)
+    [(wavelength, x, dx)] = calls
+    factor = 2 * oversample
+    assert wavelength == g.wavelength and dx == g.dx / factor
+    assert np.array_equal(x, _lag_axis(g, options))
+    assert np.array_equal(kernel.source.signal, original(plate, g.wavelength, x, dx))
+
+
 @pytest.mark.parametrize("plate", [Hologram(0.1, width=1.5e-3), Hologram(0.1)], ids=["bounded", "unbounded"])
 def test_hologram_kernel_build_and_apply_hold_no_table(plate):
     # hologram.cfg's grid
@@ -354,11 +378,7 @@ def test_closed_form_deflectors_match_their_numeric_kernel(case):
     alf = AugmentedLightField(g, radiance)
     spec = make_spec(g)
     fine_x = x[0] + 0.5 * g.dx * np.arange(2 * n)
-    numeric = transformer_from_transmittance(
-        ComplexField(g, spec.transmittance(LAM, x, g.dx)),
-        WdfOptions(boundary="periodic"),
-        spec.transmittance(LAM, fine_x, 0.5 * g.dx),
-    )
+    numeric = _numeric_transformer(g, spec.transmittance(LAM, fine_x, 0.5 * g.dx), WdfOptions(boundary="periodic"))
     want = apply_transformer(alf, numeric).radiance
     got = apply_transformer(alf, spec.kernel(g)).radiance
     assert np.abs(got - want).max() <= bound * np.abs(want).max()
@@ -383,6 +403,6 @@ def test_pinhole_kernels_match_their_numeric_kernel(make_spec):
     t = spec.transmittance(LAM, x, g.dx)
     fine = np.zeros(2 * n, dtype=complex)
     fine[2 * np.flatnonzero(t)] = 1.0 / g.dx
-    numeric = transformer_from_transmittance(ComplexField(g, t), WdfOptions(boundary="zero"), fine)
+    numeric = _numeric_transformer(g, fine, WdfOptions(boundary="zero"))
     want = spec.kernel(g).kernel
     assert np.abs(numeric.kernel - want).max() <= 1e-12 * np.abs(want).max()

@@ -408,8 +408,8 @@ def assert_tables_match_per_value_text(tmp_path, m):
     write_matrix_csv(str(p), row_axis, col_axis, m)
     assert p.read_bytes() == matrix_csv_text(row_axis, col_axis, m)
     q = tmp_path / "profile.csv"
-    write_profile_csv(str(q), m[:, 0], m[:, -1], "a", "b")
-    assert q.read_bytes() == profile_csv_text(m[:, 0], m[:, -1], "a", "b")
+    write_profile_csv(str(q), m[:, 0], m[:, -1])
+    assert q.read_bytes() == profile_csv_text(m[:, 0], m[:, -1])
 
 
 @pytest.mark.parametrize("cols", [1, 3, _BLOCK_CELLS - 2, _BLOCK_CELLS, 2 * _BLOCK_CELLS + 5])

@@ -225,8 +225,8 @@ def columns_per_block(x_samples):
 
 @pytest.mark.parametrize(
     "cols_of",
-    [lambda b: 1, lambda b: b - 1, lambda b: 2 * b + 3, lambda b: 3 * b],
-    ids=["single_column", "under_one_block", "ragged_blocks", "whole_blocks"],
+    [lambda b: 2, lambda b: b - 1, lambda b: 2 * b + 3, lambda b: 3 * b],
+    ids=["fewest_columns", "under_one_block", "ragged_blocks", "whole_blocks"],
 )
 def test_blocked_shear_matches_the_taps_and_the_block_size_changes_no_bit(cols_of, monkeypatch):
     monkeypatch.setattr(core, "_worker_count", lambda: 1)  # one worker's block size

@@ -47,7 +47,7 @@ from auglf.config import OutputOptions, parse_config
 from auglf import core, scenarios
 from auglf.propagation import ShearedProjection, sheared_projection
 from auglf.scenarios import _hop, _launch, _oracle_intensity, _padded_grid
-from oracles import fourier_shear
+from oracles import fourier_shear, gaussian_through_abcd
 
 LAM = 633e-9
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -296,6 +296,62 @@ def tilted_gaussian(g, x0, angle, waist):
     return ComplexField(g, np.exp(-(((x - x0) / waist) ** 2) + 2j * np.pi * angle * x / g.wavelength))
 
 
+# A Gaussian beam's radiance through hops and thin lenses stays a Gaussian,
+# moved by the train's ray matrix (``oracles.gaussian_through_abcd``), so
+# the trace's shears, deflector lines and projection have a closed-form
+# answer that needs no wave pipeline.  Each case: grid (x samples and
+# extent, angle samples and extent), waist, stages, and bounds on the
+# observed final radiance's largest error and relative L2 error against the
+# closed form, and on the unobserved final intensity's largest error, each
+# over the closed form's peak.  Every window holds the moved Gaussian to
+# below 1e-8 of its peak, and no lens deflects past the relative-angle
+# axis.  Measured (each bound is about 1.4x its figure):
+#   hop:               radiance 6.6e-4, rel. L2 5.6e-4, intensity 6.9e-7;
+#   lens_then_hop:     radiance 1.01e-3, rel. L2 7.5e-4, intensity 2.6e-6;
+#   hop_lens_hop:      radiance 1.49e-3, rel. L2 9.9e-4, intensity 4.3e-6;
+#   wide_hop_lens_hop: radiance 9.0e-4, rel. L2 7.2e-4, intensity 1.0e-6.
+GAUSSIAN_TRAINS = {
+    "hop": ((256, 2e-3, 256, 8e-3), 0.2e-3, (Propagate(0.15),), (9e-4, 8e-4, 1e-6)),
+    "lens_then_hop": (
+        (256, 2e-3, 256, 8e-3), 0.2e-3, (Element(Lens(0.4)), Propagate(0.1)), (1.4e-3, 1.05e-3, 3.6e-6)
+    ),
+    "hop_lens_hop": (
+        (256, 2e-3, 256, 8e-3), 0.2e-3, (Propagate(0.05), Element(Lens(0.2)), Propagate(0.1)), (2.1e-3, 1.4e-3, 6e-6)
+    ),
+    "wide_hop_lens_hop": (
+        (512, 4e-3, 512, 8e-3), 0.3e-3, (Propagate(0.1), Element(Lens(0.4)), Propagate(0.15)), (1.3e-3, 1e-3, 1.5e-6)
+    ),
+}
+
+
+def ray_matrix(stages):
+    """The ray matrix of hops and thin lenses, acting on (x, theta)."""
+    matrix = np.eye(2)
+    for stage in stages:
+        if isinstance(stage, Propagate):
+            matrix = np.array([[1.0, stage.distance], [0.0, 1.0]]) @ matrix
+        else:
+            matrix = np.array([[1.0, 0.0], [-1.0 / stage.spec.focal_length, 1.0]]) @ matrix
+    return matrix
+
+
+@pytest.mark.parametrize("case", GAUSSIAN_TRAINS.values(), ids=GAUSSIAN_TRAINS.keys())
+def test_a_gaussian_beam_follows_its_ray_matrix(case):
+    (n_x, x_extent, n_theta, theta_extent), waist, stages, (radiance_bound, l2_bound, intensity_bound) = case
+    g = make_grid(n_x, x_extent, n_theta, theta_extent, LAM)
+    beam = ComplexField(g, np.exp(-((g.x_axis() / waist) ** 2)))
+    train = OpticalTrain(g, FieldSource(beam), stages)
+    want, want_intensity = gaussian_through_abcd(g.x_axis(), g.theta_axis(), waist, LAM, ray_matrix(stages))
+    assert max(np.abs(want[[0, -1], :]).max(), np.abs(want[:, [0, -1]]).max()) <= 1e-8 * want.max()
+    options = TraceOptions(compare_oracle=False)
+    _, radiances = observed_trace(train, options)
+    got = radiances[len(stages)].radiance
+    assert np.abs(got - want).max() <= radiance_bound * want.max()
+    assert np.linalg.norm(got - want) <= l2_bound * np.linalg.norm(want)
+    intensity = trace_train(train, options).report.alf_intensity.values
+    assert np.abs(intensity - want_intensity).max() <= intensity_bound * want_intensity.max()
+
+
 @pytest.mark.parametrize("n", [255, 256])
 def test_a_hop_follows_the_gaussian_beam(n):
     # a 60 um waist sits well inside both the window and the angle band, so
@@ -443,7 +499,7 @@ def test_a_folded_source_keeps_what_the_window_cuts_from_the_source():
     n = FOLD_GRID.x_samples
     product = _upsample(beam.samples, 2 * n) * kernel.source.signal
     u = FOLD_GRID.u_axis()
-    rows = WignerRows(FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, WdfOptions(), product)
+    rows = WignerRows(FOLD_GRID, product, float(u[0]), float(u[1] - u[0]), n, WdfOptions())
     want = wigner_table(rows) / LAM
     peak = np.abs(want).max()
     assert np.abs(alf.radiance - want).max() <= 1e-12 * peak
@@ -672,7 +728,7 @@ def test_the_fold_wraps_the_product_only_if_field_and_kernel_wrap(field_edge, ke
     product = _upsample(field.samples, 2 * n) * _upsample(mask.samples, 2 * n)
     u = FOLD_GRID.u_axis()
     options = WdfOptions(boundary=product_edge)
-    want = wigner_table(WignerRows(FOLD_GRID, product[::2], float(u[0]), float(u[1] - u[0]), n, options, product))
+    want = wigner_table(WignerRows(FOLD_GRID, product, float(u[0]), float(u[1] - u[0]), n, options))
     want /= LAM
     assert np.abs(folded.radiance - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -691,6 +747,19 @@ def coded_field_train(seed):
     import auglf
 
     return module.build_train(auglf, seed, 0)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_every_grid_a_run_makes_passes_the_grid_check(config):
+    # the grid checks itself (``PhaseSpaceGrid``), so each grid a shipped
+    # run builds, scaled, padded for the wave hop or built by the benchmark,
+    # is made through that check and passes it
+    cfg = parse_config(str(config))
+    for scale in (1, 2):
+        grid = cfg.train(scale).grid
+        assert (grid.x_samples, grid.theta_samples) == (scale * cfg.grid.x_samples, scale * cfg.grid.theta_samples)
+        assert _padded_grid(grid).x_samples == 2 * grid.x_samples + grid.x_samples % 2
+    assert coded_field_train(1).grid.x_samples == 2048
 
 
 def traced_both_ways(train, options):

@@ -43,7 +43,7 @@ from auglf import (
     wdf_from_field,
 )
 from auglf.core import _BLOCK_BYTES
-from auglf.wdf import WignerRows, wigner_table
+from auglf.wdf import WignerRows, _lag_signal, wigner_table
 
 LAM = 633e-9
 THETA = 256
@@ -92,7 +92,9 @@ def outputs(grid):
         "apply": applied.radiance,
         "apply_leak": applied.meta["theta_leak"],
         "apply_leak_fraction": applied.meta["theta_leak_fraction"],
-        "wigner_table": wigner_table(WignerRows(grid, mask.samples, float(u[0]), float(u[1] - u[0]), THETA, WdfOptions())),
+        "wigner_table": wigner_table(
+            WignerRows(grid, _lag_signal(mask.samples, WdfOptions()), float(u[0]), float(u[1] - u[0]), THETA, WdfOptions())
+        ),
         "wdf_from_field": wdf_from_field(mask).radiance,
         "streamed": streamed.radiance,
         "streamed_leak": streamed.meta["theta_leak"],

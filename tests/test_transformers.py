@@ -33,6 +33,7 @@ from auglf import (
 import auglf.core as core
 from auglf.config import parse_config
 from auglf.core import _block_rows
+from auglf.transformers import _numeric_transformer
 from oracles import (
     angle_convolution,
     apply_dense_kernel,
@@ -356,10 +357,11 @@ def one_shot_apply(alf, transformer):
     return full[:, n - 1 : 2 * n - 1], leak, frac
 
 
-# Row counts relative to the block size b of the line apply: one row, fewer
-# than one block, a ragged last block, and several whole blocks.
+# Row counts relative to the block size b of the line apply: the fewest a
+# grid has (two), fewer than one block, a ragged last block, and several
+# whole blocks.
 ROW_COUNTS = {
-    "single_row": lambda b: 1,
+    "fewest_rows": lambda b: 2,
     "under_one_block": lambda b: b - 1,
     "ragged_blocks": lambda b: 2 * b + 3,
     "whole_blocks": lambda b: 3 * b,
@@ -489,7 +491,7 @@ APPLY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 @st.composite
 def apply_cases(draw):
     n = draw(st.one_of(st.sampled_from(FAST_N), st.integers(2, 40)))
-    x_samples = draw(st.integers(1, 6))
+    x_samples = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, n, 0.02, LAM)
     t = random_lines(grid, rng, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
@@ -545,7 +547,10 @@ def random_mask(grid, seed):
 
 
 def assert_lag_apply_matches_the_table(grid, options, fine_samples=None):
-    t = transformer_from_transmittance(random_mask(grid, grid.x_samples), options, fine_samples)
+    if fine_samples is None:
+        t = transformer_from_transmittance(random_mask(grid, grid.x_samples), options)
+    else:
+        t = _numeric_transformer(grid, fine_samples, options)
     alf = random_alf(grid, 14)
     lagged = apply_transformer(alf, t)
     assembled, leak, frac = linear_apply(t.kernel, alf.radiance, grid.dtheta, grid.dx)
@@ -565,10 +570,11 @@ def lag_block_rows(theta_samples, options, x_samples):
 
 # The lag apply's blocks shrink as rows are added, since the lag count grows
 # with them, so each case is the first row count x of its shape, for the
-# block size b(x) at x rows: one row, the most rows one block holds, a
-# ragged last block after two whole ones, and two or more whole blocks.
+# block size b(x) at x rows: the fewest a grid has (two), the most rows one
+# block holds, a ragged last block after two whole ones, and two or more
+# whole blocks.
 LAG_ROW_SHAPES = {
-    "single_row": lambda x, b: x == 1,
+    "fewest_rows": lambda x, b: x == 2,
     "under_one_block": lambda x, b: x < b(x) and x + 1 >= b(x + 1),
     "ragged_blocks": lambda x, b: x > 2 * b(x) and x % b(x) > 0,
     "whole_blocks": lambda x, b: x >= 2 * b(x) and x % b(x) == 0,
@@ -581,7 +587,7 @@ def test_lag_domain_numeric_apply_matches_the_assembled_table(monkeypatch, shape
     monkeypatch.setattr(core, "_worker_count", lambda: 1)  # one worker's blocks
     options, fine, theta_samples = settings
     block = partial(lag_block_rows, theta_samples, options)
-    x_samples = next(x for x in range(1, 1024) if shape(x, block))
+    x_samples = next(x for x in range(2, 1024) if shape(x, block))
     grid = PhaseSpaceGrid(x_samples, x_samples * 1e-5, theta_samples, 0.02, LAM)
     fine_samples = None
     if fine:
@@ -662,7 +668,7 @@ def test_numeric_kernel_keeps_its_own_copy_of_the_fine_samples():
     # from, whatever the caller later writes into its array
     g = PhaseSpaceGrid(32, 32e-5, 32, 0.02, LAM)
     fine = np.repeat(random_mask(g, 5).samples, 2)
-    t = transformer_from_transmittance(random_mask(g, 5), WdfOptions(boundary="zero"), fine)
+    t = _numeric_transformer(g, fine, WdfOptions(boundary="zero"))
     table, alf = t.kernel, random_alf(g, 6)
     applied = apply_transformer(alf, t).radiance
     fine[:] = 0.0
@@ -677,9 +683,9 @@ def test_numeric_kernel_settings_are_checked_at_build_time():
     wide = PhaseSpaceGrid(64, 64e-5, 64, 0.2, LAM)
     with pytest.raises(InvalidConfigurationError, match="lag sampling"):
         transformer_from_transmittance(random_mask(wide, 3))
-    with pytest.raises(InvalidConfigurationError, match="fine_samples"):
-        transformer_from_transmittance(mask, fine_samples=np.ones(64))
-    with pytest.raises(InvalidConfigurationError, match="frequencies"):
-        transformer_from_transmittance(random_mask(PhaseSpaceGrid(64, 64e-5, 1, 0.02, LAM), 3))
+    with pytest.raises(InvalidConfigurationError, match="lag-grid signal"):
+        _numeric_transformer(g, np.ones(64), WdfOptions())
+    with pytest.raises(InvalidConfigurationError, match="theta_samples"):  # one angle: no grid, so no kernel
+        random_mask(PhaseSpaceGrid(64, 64e-5, 1, 0.02, LAM), 3)
     with pytest.raises(InvalidConfigurationError, match="boundary"):
         transformer_from_transmittance(mask, WdfOptions(boundary="mirror"))

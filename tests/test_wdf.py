@@ -23,7 +23,7 @@ from auglf import (
     wdf_from_field,
 )
 import auglf.core as core
-from auglf.wdf import WignerRows, _lag_axis, _lag_chirps, _lags_to_angles, _pi_phase, _upsample, wigner_table
+from auglf.wdf import WignerRows, _lag_axis, _lag_chirps, _lag_signal, _lags_to_angles, _pi_phase, _upsample, wigner_table
 
 from oracles import (
     gaussian_wigner,
@@ -97,7 +97,8 @@ def test_realness_residue_reported():
     assert W.radiance.dtype == np.float64
     assert "imag_residue" not in W.meta
     u = g.u_axis()
-    table = wigner_table(WignerRows(g, rng.normal(size=64) + 0j, float(u[0]), float(u[1] - u[0]), 64, WdfOptions()))
+    signal = _lag_signal(rng.normal(size=64) + 0j, WdfOptions())
+    table = wigner_table(WignerRows(g, signal, float(u[0]), float(u[1] - u[0]), 64, WdfOptions()))
     assert type(table) is np.ndarray and table.dtype == np.float64
     assert W.meta["wdf_options"] == (1, "zero")
 
@@ -198,7 +199,7 @@ def test_angle_window_beyond_lag_band_rejected():
     g = make_grid(64, 1.28e-3, 64, 64 * LAM / 1.28e-3, LAM)
     too_far = 1.1 * 2 / (4 * g.dx)
     with pytest.raises(InvalidConfigurationError):
-        WignerRows(g, np.ones(64, complex), -too_far, too_far / 4, 9, WdfOptions())
+        WignerRows(g, np.ones(128, complex), -too_far, too_far / 4, 9, WdfOptions())
 
 
 @pytest.mark.parametrize("n_u", [1, 0, -3])
@@ -206,13 +207,28 @@ def test_fewer_than_two_frequencies_rejected(n_u):
     # one frequency has no step for the chirp scale to divide by
     g = make_grid(16, 3.2e-4, 16, 16 * LAM / 3.2e-4, LAM)
     with pytest.raises(InvalidConfigurationError, match="at least 2 frequencies"):
-        WignerRows(g, np.ones(16, complex), 0.0, 100.0, n_u, WdfOptions())
+        WignerRows(g, np.ones(32, complex), 0.0, 100.0, n_u, WdfOptions())
 
 
-def test_fine_samples_shape_checked():
+# The rows take one signal, on the lag grid: 2 * oversample_factor values
+# per x sample.  The grid's own samples, or a lag grid of other settings,
+# are the wrong length.
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+@pytest.mark.parametrize("length", ["grid", "short", "long", "other_oversample", "two_dimensional"])
+def test_wigner_rows_reject_a_signal_of_the_wrong_length(oversample, length):
     g = full_circle_grid()
-    with pytest.raises(InvalidConfigurationError):
-        WignerRows(g, np.ones(64, complex), 0.0, 100.0, 4, WdfOptions(), fine_samples=np.ones(64))
+    n, factor = g.x_samples, 2 * oversample
+    shape = {
+        "grid": (n,),
+        "short": (factor * n - 1,),
+        "long": (factor * n + 1,),
+        "other_oversample": (2 * factor * n if oversample < 4 else factor * n // 2,),
+        "two_dimensional": (n, factor),
+    }[length]
+    options = WdfOptions(oversample_factor=oversample)
+    with pytest.raises(InvalidConfigurationError, match="lag-grid signal"):
+        WignerRows(g, np.ones(shape, complex), 0.0, 100.0, 4, options)
+    assert WignerRows(g, np.ones(factor * n, complex), 0.0, 100.0, 4, options).signal.shape == (factor * n,)
 
 
 # The in-house signal helpers must reproduce scipy.signal bit for bit, so
@@ -287,6 +303,11 @@ def _lag_grid_signal(samples, factor, fine_samples=None):
     return resample(np.asarray(samples, dtype=complex), factor * len(samples))
 
 
+def _signal(samples, options, fine_samples=None):
+    """WignerRows' signal: the lag-grid samples when given, else the grid samples upsampled."""
+    return _lag_signal(samples, options) if fine_samples is None else fine_samples
+
+
 def _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options, fine_samples=None):
     """Two-sided reference: the lag products over all 2K+1 lags, gathered
     by index arrays, through scipy.signal's chirp-z; the real part kept."""
@@ -334,7 +355,7 @@ def test_wigner_table_bitwise_equals_scipy_signal_path(n, options, monkeypatch):
     samples = rng.normal(size=n) + 1j * rng.normal(size=n)
     u = g.u_axis()
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)  # blocks of one to a few rows
-    table = wigner_table(WignerRows(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
+    table = wigner_table(WignerRows(g, _lag_signal(samples, options), float(u[0]), float(u[1] - u[0]), n, options))
     _assert_close_to_peak(table, _wigner_table_via_scipy(g, samples, float(u[0]), float(u[1] - u[0]), n, options))
 
 
@@ -350,7 +371,7 @@ def test_wigner_table_error_to_direct_oracle_within_two_sided(oversample):
     u_start, du = float(g.u_axis()[0]), g.dtheta / LAM
     args = (u_start, du, n, options)
     direct = wigner_from_samples_direct(samples, g.dx, u_start + du * np.arange(n), oversample)
-    err = np.linalg.norm(wigner_table(WignerRows(g, samples, *args)) - direct)
+    err = np.linalg.norm(wigner_table(WignerRows(g, _lag_signal(samples, options), *args)) - direct)
     two_sided = np.linalg.norm(_wigner_table_via_scipy(g, samples, *args) - direct)
     assert err <= two_sided
     assert err < 1e-13 * np.linalg.norm(direct)
@@ -389,7 +410,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 @given(table_cases())
 def test_wigner_table_property_matches_two_sided_reference(case):
     grid, samples, options, fine, (u_start, du, n_u) = case
-    table = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
+    table = wigner_table(WignerRows(grid, _signal(samples, options, fine), u_start, du, n_u, options))
     reference = _wigner_table_via_scipy(grid, samples, u_start, du, n_u, options, fine)
     assert table.shape == (grid.x_samples, n_u) and table.dtype == np.float64
     # a few arbitrary frequencies may all miss a row's peak, so the scale is
@@ -408,7 +429,7 @@ def test_wigner_table_property_angular_marginal_is_intensity(case):
     factor = 2 * options.oversample_factor
     m = factor * grid.x_samples + 1
     du = factor / (2.0 * grid.dx * m)
-    table = wigner_table(WignerRows(grid, samples, -(m - 1) / 2 * du, du, m, options, fine))
+    table = wigner_table(WignerRows(grid, _signal(samples, options, fine), -(m - 1) / 2 * du, du, m, options))
     target = np.abs(_lag_grid_signal(samples, factor, fine)[::factor]) ** 2
     np.testing.assert_allclose(table.sum(axis=1) * du, target, rtol=0, atol=1e-12 * target.max())
 
@@ -422,10 +443,10 @@ BLOCK_BUDGETS = st.sampled_from([1, 1 << 12, 1 << 14, 1 << 16])
 @given(table_cases(), BLOCK_BUDGETS)
 def test_wigner_table_property_chunking_is_bitwise_invariant(case, budget):
     grid, samples, options, fine, (u_start, du, n_u) = case
-    whole = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
+    whole = wigner_table(WignerRows(grid, _signal(samples, options, fine), u_start, du, n_u, options))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_BLOCK_BYTES", budget)
-        chunked = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
+        chunked = wigner_table(WignerRows(grid, _signal(samples, options, fine), u_start, du, n_u, options))
     assert np.array_equal(chunked, whole)
 
 
@@ -433,8 +454,8 @@ def test_wigner_table_property_chunking_is_bitwise_invariant(case, budget):
 @given(table_cases(), BLOCK_BUDGETS, st.data())
 def test_wigner_rows_property_any_row_range_gives_the_table_bits(case, budget, data):
     grid, samples, options, fine, (u_start, du, n_u) = case
-    whole = wigner_table(WignerRows(grid, samples, u_start, du, n_u, options, fine))
-    rows = WignerRows(grid, samples, u_start, du, n_u, options, fine)
+    whole = wigner_table(WignerRows(grid, _signal(samples, options, fine), u_start, du, n_u, options))
+    rows = WignerRows(grid, _signal(samples, options, fine), u_start, du, n_u, options)
     lo = data.draw(st.integers(0, grid.x_samples - 1))
     hi = data.draw(st.integers(lo + 1, grid.x_samples))
     out = np.full((hi - lo, n_u), np.nan)
